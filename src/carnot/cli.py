@@ -17,8 +17,8 @@ import numpy as np
 
 from . import config as cfgmod
 from .config import ConfigError
-from .fields import GridDomain, DomainError, probe_field
-from .functionals import IntegrandFunctional, PowerIntegrand
+from .fields import GridDomain, DomainError
+from .functionals import IntegrandFunctional
 from .groups import GroupAxiomError
 from .mollify import erode_domain
 from .recovery import (HypothesisError, recover_integrand, constancy_probe,
@@ -76,13 +76,9 @@ def _load(args) -> dict:
 
 
 def cmd_group_info(args) -> int:
-    try:
-        cfg = _load(args)
-        spec = cfg["group"]
-        group = cfgmod.build_group(cfg)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    cfg = _load(args)
+    spec = cfg["group"]
+    group = cfgmod.build_group(cfg)
     brackets = [
         {"i": int(i) + 1, "j": int(j) + 1, "l": int(l) + 1, "c": float(group.c[i, j, l])}
         for i, j, l in zip(*np.nonzero(group.c)) if i < j
@@ -134,18 +130,11 @@ def _run_suite(cfg: dict, suite: str) -> list:
         rows = suite_sandwich(group, norm, mollifier, grid, inner, rng, eps_list=eps)
     elif suite == "lsc":
         rows = suite_lsc(group, grid, rng, h_list=[int(h) for h in cfg["schedules"]["h"]])
-    else:
-        raise ConfigError(f"unknown suite {suite!r}")
     return rows
 
 
 def cmd_verify(args) -> int:
-    try:
-        cfg = _load(args)
-        rows = _run_suite(cfg, args.suite)
-    except (ConfigError, GroupAxiomError, DomainError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    rows = _run_suite(_load(args), args.suite)
     for row in rows:
         status = "pass" if row["passed"] else "FAIL"
         print(f"{status:5s} {row['name']:40s} value={row['value']:.6g} tol={row['tolerance']:.6g}")
@@ -156,18 +145,14 @@ def cmd_verify(args) -> int:
 
 
 def cmd_recover(args) -> int:
-    try:
-        cfg = _load(args)
-        group = cfgmod.build_group(cfg)
-        norm = cfgmod.build_norm(cfg, group)
-        functional = cfgmod.build_functional(cfg, group)
-        xi_grid = cfgmod.build_xi_grid(cfg, group)
-        rspec = cfg["recovery"]
-        base = GridDomain.ball(norm, group.origin(), float(rspec["ball_radius"]),
-                               int(rspec["cells_per_axis"]))
-    except (ConfigError, GroupAxiomError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    cfg = _load(args)
+    group = cfgmod.build_group(cfg)
+    norm = cfgmod.build_norm(cfg, group)
+    functional = cfgmod.build_functional(cfg, group)
+    xi_grid = cfgmod.build_xi_grid(cfg, group)
+    rspec = cfg["recovery"]
+    base = GridDomain.ball(norm, group.origin(), float(rspec["ball_radius"]),
+                           int(rspec["cells_per_axis"]))
     rec = recover_integrand(functional, group, base, xi_grid)
     defects = rec.pointwise_convexity_defect()
     growth = getattr(functional, "growth", None)
@@ -205,28 +190,20 @@ def cmd_recover(args) -> int:
 
 
 def cmd_gamma(args) -> int:
-    try:
-        cfg = _load(args)
-        group = cfgmod.build_group(cfg)
-        norm = cfgmod.build_norm(cfg, group)
-        grid = cfgmod.build_grid(cfg, group)
-        sequence = cfgmod.build_gamma_sequence(cfg, group)
-        xi_grid = cfgmod.build_xi_grid(cfg, group)
-        settings = cfgmod.build_minimizer_settings(cfg)
-        rspec = cfg["recovery"]
-        base = GridDomain.ball(norm, group.origin(), float(rspec["ball_radius"]),
-                               int(rspec["cells_per_axis"]))
-        fields = cfgmod.build_fields(cfg, group)
-    except (ConfigError, GroupAxiomError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
-        report = gamma_experiment(group, sequence, fields, grid,
-                                  float(cfg["schedules"]["delta"]), float(cfg["p"]),
-                                  base, xi_grid, settings)
-    except HypothesisError as exc:
-        print(f"hypothesis violation: {exc}", file=sys.stderr)
-        return EXIT_HYPOTHESIS
+    cfg = _load(args)
+    group = cfgmod.build_group(cfg)
+    norm = cfgmod.build_norm(cfg, group)
+    grid = cfgmod.build_grid(cfg, group)
+    sequence = cfgmod.build_gamma_sequence(cfg, group)
+    xi_grid = cfgmod.build_xi_grid(cfg, group)
+    settings = cfgmod.build_minimizer_settings(cfg)
+    rspec = cfg["recovery"]
+    base = GridDomain.ball(norm, group.origin(), float(rspec["ball_radius"]),
+                           int(rspec["cells_per_axis"]))
+    fields = cfgmod.build_fields(cfg, group)
+    report = gamma_experiment(group, sequence, fields, grid,
+                              float(cfg["schedules"]["delta"]), float(cfg["p"]),
+                              base, xi_grid, settings)
 
     rows = []
     for entry in report["entries"]:
@@ -259,8 +236,6 @@ def build_parser() -> argparse.ArgumentParser:
     shared.add_argument("--config", default=None, help="JSON config path")
     shared.add_argument("--out", default=None, help="output directory for CSV/JSON")
     shared.add_argument("--seed", type=int, default=None)
-    shared.add_argument("--threads", type=int, default=1,
-                        help="accepted for interface stability; execution is single-threaded")
     shared.add_argument("--tol-scale", type=float, default=None, dest="tol_scale")
     parser = argparse.ArgumentParser(
         prog="carnot",
@@ -283,7 +258,14 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     handlers = {"group-info": cmd_group_info, "verify": cmd_verify,
                 "recover": cmd_recover, "gamma": cmd_gamma}
-    return handlers[args.command](args)
+    try:
+        return handlers[args.command](args)
+    except (ConfigError, GroupAxiomError, DomainError) as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except HypothesisError as exc:
+        print(f"hypothesis violation: {exc}", file=sys.stderr)
+        return EXIT_HYPOTHESIS
 
 
 if __name__ == "__main__":

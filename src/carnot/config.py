@@ -14,7 +14,7 @@ import json
 import numpy as np
 
 from . import groups
-from .fields import GridDomain, ScalarField, from_expression, probe_field
+from .fields import GridDomain, from_expression, probe_field
 from .functionals import (Functional, IntegrandFunctional, BlackBoxFunctional,
                           integrand_from_config)
 from .mollify import MollifierFamily
@@ -130,12 +130,18 @@ def build_functional(cfg: dict, group: groups.StratifiedGroup) -> Functional:
 
 
 def build_mollifier(cfg: dict, norm: groups.HomogeneousNorm) -> MollifierFamily:
-    return MollifierFamily(norm, resolution=int(cfg["mollifier_resolution"]))
+    try:
+        return MollifierFamily(norm, resolution=int(cfg["mollifier_resolution"]))
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def build_xi_grid(cfg: dict, group: groups.StratifiedGroup) -> np.ndarray:
     spec = cfg["xi_grid"]
-    return uniform_xi_grid(group.m, float(spec["radius"]), int(spec["points"]))
+    points = int(spec["points"])
+    if points < 1:
+        raise ConfigError(f"xi_grid needs at least one point per axis, got {points}")
+    return uniform_xi_grid(group.m, float(spec["radius"]), points)
 
 
 def build_minimizer_settings(cfg: dict) -> MinimizeSettings:

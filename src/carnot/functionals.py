@@ -179,7 +179,7 @@ class TabulatedIntegrand(Integrand):
         object.__setattr__(self, "table", table)
         object.__setattr__(self, "_interp", RegularGridInterpolator(
             axes, table, method="linear", bounds_error=True))
-        viol = _table_midpoint_violation(axes, table)
+        viol = max(0.0, float(_midpoint_defect(table).max()))
         if viol > 1e-10:
             raise ValueError(f"table is not midpoint convex (violation {viol:.3g})")
 
@@ -200,14 +200,17 @@ class TabulatedIntegrand(Integrand):
         return out
 
 
-def _table_midpoint_violation(axes, table) -> float:
-    worst = 0.0
-    for ax in range(len(axes)):
+def _midpoint_defect(table) -> np.ndarray:
+    """Per-node worst midpoint-convexity defect a[i] - (a[i-1] + a[i+1]) / 2 over
+    the axes along which the node is interior (-inf where it is interior to none).
+
+    A table is midpoint convex along grid lines when no entry is positive."""
+    defect = np.full(table.shape, -np.inf)
+    for ax in range(table.ndim):
         a = np.moveaxis(table, ax, 0)
-        if len(a) < 3:
-            continue
-        worst = max(worst, float((a[1:-1] - 0.5 * (a[:-2] + a[2:])).max()))
-    return worst
+        d = np.moveaxis(defect, ax, 0)
+        np.maximum(d[1:-1], a[1:-1] - 0.5 * (a[:-2] + a[2:]), out=d[1:-1])
+    return defect
 
 
 @dataclass(frozen=True)
@@ -317,14 +320,11 @@ class Functional:
 class IntegrandFunctional(Functional):
     """Midpoint-quadrature functional built from an integrand.
 
-    refine > 1 resamples every cell into refine^n subcells before summing;
-    grad_mode selects analytic or group finite-difference gradients."""
+    refine > 1 resamples every cell into refine^n subcells before summing."""
 
     group: StratifiedGroup
     integrand: Integrand
-    grad_mode: str = "analytic"
     refine: int = 1
-    fd_step: float = 1e-3
 
     @property
     def growth(self):
@@ -334,8 +334,7 @@ class IntegrandFunctional(Functional):
         if domain.is_empty:
             return 0.0
         dom = domain.refine(self.refine)
-        mode = "analytic" if self.grad_mode == "analytic" else "group-fd"
-        grads = horizontal_gradient(self.group, u, dom.centers(), mode=mode, h=self.fd_step)
+        grads = horizontal_gradient(self.group, u, dom.centers())
         vals = self.integrand(grads)
         total = float(np.sum(vals) * dom.cell_volume)
         return float("inf") if not np.isfinite(total) else total
@@ -421,24 +420,18 @@ def jensen_check(group: StratifiedGroup, functional: IntegrandFunctional,
     mollifier average of F(tau_y u, A') on the right; left <= right holds
     exactly at quadrature level for convex integrands."""
     u_eps = convolve(group, mollifier, eps, u, omega)
-    centers = inner_domain.refine(functional.refine).centers()
+    fine = inner_domain.refine(functional.refine)
+    centers = fine.centers()
     if not u_eps.domain.contains(centers).all():
         raise DomainError("inner domain is not eroded by eps inside the field's domain")
     lhs = functional.eval(u_eps, inner_domain)
-    masses = mollifier.node_masses()
-    live = masses > 0
-    masses = masses[live]
-    y_inv = group.inverse(group.dilate(eps, mollifier.nodes[live]))
-    # grad_G(tau_y u)(x) = (grad_G u)(y^{-1} . x) by left-invariance of the frame
-    cellvol = inner_domain.refine(functional.refine).cell_volume
-    rhs = 0.0
-    for start in range(0, len(centers), 64):
-        pts = group.multiply(y_inv[None, :, :], centers[start:start + 64, None, :])
-        grads = horizontal_gradient(group, u, pts.reshape(-1, group.n),
-                                    mode=functional.grad_mode, h=functional.fd_step)
-        vals = functional.integrand(grads).reshape(pts.shape[:2])
-        rhs += float(vals.sum(axis=0) @ masses) * cellvol
-    return lhs, float(rhs)
+    # grad_G(tau_y u)(x) = (grad_G u)(y^{-1} . x) by left-invariance of the frame,
+    # so the mollifier average of F(tau_y u, A') is phi_eps * f(grad_G u) summed over A'
+    density = ScalarField(
+        values=lambda p: functional.integrand(horizontal_gradient(group, u, p)),
+        name=f"f(grad_G {u.name})")
+    averaged = convolve(group, mollifier, eps, density, omega).values(centers)
+    return lhs, float(np.sum(averaged)) * fine.cell_volume
 
 
 def sandwich_check(group: StratifiedGroup, functional: Functional,

@@ -141,10 +141,6 @@ class StratifiedGroup:
             raise ValueError(f"dilation factor must be positive, got {lam}")
         return self._coerce(x) * lam[..., None] ** self.weights
 
-    def translate(self, y, x) -> np.ndarray:
-        """Left translation y . x."""
-        return self.multiply(y, x)
-
     def translation_jacobian(self, z, x) -> np.ndarray:
         """d(z.x)/dx, the Jacobian of left translation by z at x."""
         z = self._coerce(z)
@@ -169,10 +165,6 @@ class StratifiedGroup:
         if self.step >= 3:
             coeffs = coeffs + (adx @ adx)[..., : self.m] / 12.0
         return coeffs
-
-    def horizontal_project(self, x) -> np.ndarray:
-        """Projection onto the horizontal layer (first m coordinates)."""
-        return self._coerce(x)[..., : self.m]
 
     def norm(self, kind: str = "weighted-max") -> "HomogeneousNorm":
         return HomogeneousNorm(self, kind)

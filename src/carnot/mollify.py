@@ -63,10 +63,6 @@ class MollifierFamily:
     def group(self) -> StratifiedGroup:
         return self.norm.group
 
-    @property
-    def symmetric(self) -> bool:
-        return True  # radial in the homogeneous norm by construction
-
     def _raw(self, points) -> np.ndarray:
         rho = self.norm(np.atleast_2d(points))
         out = np.zeros_like(rho)
@@ -160,35 +156,25 @@ def convolve(group: StratifiedGroup, mollifier: MollifierFamily, eps: float,
     masses = masses[live]
     y_inv = group.inverse(group.dilate(eps, mollifier.nodes[live]))
 
-    def pulled(points):
+    def average(g, points, shape=()):
+        """x -> sum_k m_k g(y_k^{-1} . x) for a per-point g with values of `shape`."""
         points = np.atleast_2d(points)
         if not eroded.contains(points).all():
             raise DomainError("convolution queried outside the eroded domain")
-        return group.multiply(y_inv[None, :, :], points[:, None, :])
-
-    def values(points):
-        points = np.atleast_2d(points)
-        out = np.empty(len(points))
+        out = np.empty((len(points),) + shape)
         for start in range(0, len(points), _CHUNK):
-            pts = pulled(points[start:start + _CHUNK])
-            vals = u.values(pts.reshape(-1, group.n)).reshape(pts.shape[:2])
-            out[start:start + len(pts)] = vals @ masses
+            pts = group.multiply(y_inv[None, :, :], points[start:start + _CHUNK, None, :])
+            vals = g(pts.reshape(-1, group.n)).reshape(pts.shape[:2] + shape)
+            out[start:start + len(pts)] = np.moveaxis(vals, 1, -1) @ masses
         return out
 
     hgrad = None
     if u.hgrad is not None or u.egrad is not None:
         def hgrad(points):
-            points = np.atleast_2d(points)
-            out = np.empty((len(points), group.m))
-            for start in range(0, len(points), _CHUNK):
-                pts = pulled(points[start:start + _CHUNK])
-                grads = horizontal_gradient(group, u, pts.reshape(-1, group.n))
-                grads = grads.reshape(pts.shape[:2] + (group.m,))
-                out[start:start + len(pts)] = np.einsum("k,pkj->pj", masses, grads)
-            return out
+            return average(lambda p: horizontal_gradient(group, u, p), points, (group.m,))
 
-    return ScalarField(values=values, hgrad=hgrad, domain=eroded,
-                       name=f"phi_{eps:g}*{u.name}")
+    return ScalarField(values=lambda points: average(u.values, points), hgrad=hgrad,
+                       domain=eroded, name=f"phi_{eps:g}*{u.name}")
 
 
 def commutation_residual(group: StratifiedGroup, mollifier: MollifierFamily,
@@ -220,7 +206,10 @@ def convergence_table(group: StratifiedGroup, mollifier: MollifierFamily,
                       p: float, eps_list) -> list:
     """Rows (eps, Lp_err, W1p_err) of the mollification errors over `inner`.
 
-    Requires `inner` to sit inside the eroded domain for every eps."""
+    Requires `inner` to be nonempty and to sit inside the eroded domain for
+    every eps."""
+    if inner.is_empty:
+        raise DomainError("convergence table needs a nonempty inner set")
     rows = []
     pts = inner.centers()
     vol = inner.cell_volume

@@ -11,7 +11,7 @@ detector for hidden x-dependence.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -19,7 +19,7 @@ from scipy import sparse
 
 from .groups import StratifiedGroup, HomogeneousNorm
 from .fields import GridDomain, ScalarField, DomainError, probe_field, grid_field
-from .functionals import Functional, IntegrandFunctional, Integrand
+from .functionals import Functional, IntegrandFunctional, _midpoint_defect
 
 __all__ = [
     "HypothesisError",
@@ -54,29 +54,19 @@ class RecoveredIntegrand:
     values: np.ndarray
     axis_points: int
 
+    @property
+    def table(self) -> np.ndarray:
+        """The values on the (axis_points,)^m probe lattice."""
+        return self.values.reshape((self.axis_points,) * self.xi.shape[1])
+
     def convexity_violation(self) -> float:
         """Worst midpoint-convexity defect along grid lines (<= 0 is convex)."""
-        m = self.xi.shape[1]
-        table = self.values.reshape((self.axis_points,) * m)
-        worst = -np.inf
-        for ax in range(m):
-            a = np.moveaxis(table, ax, 0)
-            if len(a) >= 3:
-                worst = max(worst, float((a[1:-1] - 0.5 * (a[:-2] + a[2:])).max()))
-        return worst
+        return float(_midpoint_defect(self.table).max())
 
     def pointwise_convexity_defect(self) -> np.ndarray:
         """Per-node worst midpoint defect against the two axis neighbours
         (zero on the grid boundary)."""
-        m = self.xi.shape[1]
-        table = self.values.reshape((self.axis_points,) * m)
-        defect = np.zeros_like(table)
-        for ax in range(m):
-            a = np.moveaxis(table, ax, 0)
-            d = np.moveaxis(defect, ax, 0)
-            if len(a) >= 3:
-                np.maximum(d[1:-1], a[1:-1] - 0.5 * (a[:-2] + a[2:]), out=d[1:-1])
-        return defect.ravel()
+        return np.maximum(0.0, _midpoint_defect(self.table)).ravel()
 
     def growth_slack(self, certificate) -> np.ndarray:
         """a + b |xi|^p - f_rec(xi); nonnegative when the bound holds."""
@@ -86,10 +76,8 @@ class RecoveredIntegrand:
     def interp(self, xi_query) -> np.ndarray:
         from scipy.interpolate import RegularGridInterpolator
 
-        m = self.xi.shape[1]
-        axes = [np.unique(self.xi[:, j]) for j in range(m)]
-        table = self.values.reshape((self.axis_points,) * m)
-        return RegularGridInterpolator(axes, table)(np.atleast_2d(xi_query))
+        axes = [np.unique(self.xi[:, j]) for j in range(self.xi.shape[1])]
+        return RegularGridInterpolator(axes, self.table)(np.atleast_2d(xi_query))
 
 
 def recover_integrand(functional: Functional, group: StratifiedGroup,

@@ -13,8 +13,8 @@ from .groups import StratifiedGroup, HomogeneousNorm
 from .fields import (GridDomain, ScalarField, constant_field, probe_field,
                      quadratic_field, translate_domain, horizontal_gradient)
 from .mollify import MollifierFamily, convolve, commutation_residual, convergence_table
-from .functionals import (Integrand, IntegrandFunctional, check_left_invariance,
-                          check_set_function, jensen_check, sandwich_check, lsc_check,
+from .functionals import (Integrand, IntegrandFunctional, check_set_function,
+                          jensen_check, sandwich_check, lsc_check,
                           PowerIntegrand, QuadraticIntegrand, MaxAffineIntegrand)
 
 __all__ = [
@@ -23,7 +23,6 @@ __all__ = [
     "suite_functional",
     "suite_sandwich",
     "suite_lsc",
-    "SUITES",
     "random_points",
     "random_quadratic",
     "menu_integrands",
@@ -282,11 +281,3 @@ def suite_lsc(group: StratifiedGroup, domain: GridDomain,
                  "tolerance": float("inf"), "passed": strict > 0.5 * domain.volume})
     return rows
 
-
-SUITES = {
-    "axioms": suite_axioms,
-    "mollify": suite_mollify,
-    "functional": suite_functional,
-    "sandwich": suite_sandwich,
-    "lsc": suite_lsc,
-}

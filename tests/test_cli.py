@@ -71,6 +71,24 @@ class TestVerify:
         assert main(["verify", "--suite", "functional", "--config", cfg]) == EXIT_OK
 
 
+class TestConfigBoundary:
+    @pytest.mark.parametrize("argv, payload", [
+        (["verify", "--suite", "mollify"], {"group": "heisenberg:2"}),
+        (["verify", "--suite", "sandwich"], {"mollifier_resolution": 2}),
+        (["gamma"], {"grid": {"shape": 2}}),
+        (["recover"], {"xi_grid": {"points": 0}}),
+        (["verify", "--suite", "mollify"], {"grid": {"shape": 4}}),
+    ], ids=["n5-mollify", "resolution2-sandwich", "shape2-gamma", "points0-recover",
+            "shape4-mollify"])
+    def test_out_of_range_config_exits_config(self, tmp_path, capsys, argv, payload):
+        # each of these used to escape as a traceback with exit 1
+        cfg = _write(tmp_path, "c.json", payload)
+        assert main(argv + ["--config", cfg]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+
 class TestRecover:
     def test_round_trip_and_formats(self, tmp_path, capsys):
         cfg = _write(tmp_path, "c.json", {"xi_grid": {"radius": 2.0, "points": 5}})

@@ -1,5 +1,7 @@
 """Mollifier families, domain erosion and the group-local convolution."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -149,3 +151,10 @@ class TestConvergence:
         # second-order profile: quartering eps cuts both columns ~16x
         assert lp[-1] <= 0.25 * lp[0]
         assert w1[-1] <= 0.25 * w1[0]
+
+    def test_empty_inner_raises(self, h1, mollifier, omega):
+        g, _ = h1
+        empty = dataclasses.replace(omega, mask=np.zeros(omega.shape, dtype=bool))
+        with pytest.raises(DomainError, match="nonempty inner"):
+            convergence_table(g, mollifier, constant_field(g, 1.0), omega, empty, 2.0,
+                              [0.4, 0.2])
