@@ -129,7 +129,7 @@ def _run_suite(cfg: dict, suite: str) -> list:
             raise ConfigError("eps schedule leaves no room for an inner domain")
         rows = suite_sandwich(group, norm, mollifier, grid, inner, rng, eps_list=eps)
     elif suite == "lsc":
-        rows = suite_lsc(group, grid, rng, h_list=[int(h) for h in cfg["schedules"]["h"]])
+        rows = suite_lsc(group, grid, rng, h_list=cfgmod.build_h_schedule(cfg))
     return rows
 
 

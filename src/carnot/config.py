@@ -72,10 +72,20 @@ def load_config(path: str | None = None, overrides: dict | None = None) -> dict:
     return cfg
 
 
+def _read(kind, value, key: str):
+    """kind(value), or a ConfigError naming the config key."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{key} must be {kind.__name__}, got {value!r}") from exc
+
+
 def build_group(cfg: dict) -> groups.StratifiedGroup:
     try:
         return groups.from_config(cfg["group"])
-    except (KeyError, ValueError) as exc:
+    except (KeyError, TypeError) as exc:
+        raise ConfigError(f"malformed group spec {cfg['group']!r}: {exc}") from exc
+    except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
 
@@ -92,7 +102,14 @@ def build_grid(cfg: dict, group: groups.StratifiedGroup) -> GridDomain:
     hi = spec.get("hi") or [1.0] * group.n
     if len(lo) != group.n or len(hi) != group.n:
         raise ConfigError(f"grid box must have {group.n} axes")
-    return GridDomain.box(np.asarray(lo, float), np.asarray(hi, float), spec["shape"])
+    try:
+        lo, hi = np.asarray(lo, float), np.asarray(hi, float)
+        shape = tuple(int(s) for s in np.broadcast_to(spec["shape"], (group.n,)))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"malformed grid spec {spec!r}: {exc}") from exc
+    if min(shape) < 1:
+        raise ConfigError(f"grid needs at least one cell per axis, got shape {shape}")
+    return GridDomain.box(lo, hi, shape)
 
 
 def build_fields(cfg: dict, group: groups.StratifiedGroup) -> list:
@@ -130,25 +147,45 @@ def build_functional(cfg: dict, group: groups.StratifiedGroup) -> Functional:
 
 
 def build_mollifier(cfg: dict, norm: groups.HomogeneousNorm) -> MollifierFamily:
+    resolution = _read(int, cfg["mollifier_resolution"], "mollifier_resolution")
     try:
-        return MollifierFamily(norm, resolution=int(cfg["mollifier_resolution"]))
+        return MollifierFamily(norm, resolution=resolution)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
 
 def build_xi_grid(cfg: dict, group: groups.StratifiedGroup) -> np.ndarray:
     spec = cfg["xi_grid"]
-    points = int(spec["points"])
+    points = _read(int, spec["points"], "xi_grid.points")
     if points < 1:
         raise ConfigError(f"xi_grid needs at least one point per axis, got {points}")
-    return uniform_xi_grid(group.m, float(spec["radius"]), points)
+    return uniform_xi_grid(group.m, _read(float, spec["radius"], "xi_grid.radius"), points)
 
 
 def build_minimizer_settings(cfg: dict) -> MinimizeSettings:
     spec = cfg["minimizer"]
-    return MinimizeSettings(max_iter=int(spec.get("max_iter", 200)),
-                            step_rule=str(spec.get("step_rule", "sqrt")),
-                            step_scale=spec.get("step_scale"))
+    max_iter = _read(int, spec.get("max_iter", 200), "minimizer.max_iter")
+    scale = spec.get("step_scale")
+    if scale is not None:
+        scale = _read(float, scale, "minimizer.step_scale")
+    try:
+        return MinimizeSettings(max_iter=max_iter, step_rule=str(spec.get("step_rule", "sqrt")),
+                                step_scale=scale)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
+def build_h_schedule(cfg: dict) -> list:
+    """The h schedule shared by the gamma experiment and the lsc suite."""
+    raw = cfg["schedules"]["h"]
+    message = f"schedules.h must be a nonempty list of positive integers, got {raw!r}"
+    try:
+        hs = [int(h) for h in raw]
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(message) from exc
+    if not hs or min(hs) < 1:
+        raise ConfigError(message)
+    return hs
 
 
 def build_gamma_sequence(cfg: dict, group: groups.StratifiedGroup) -> list:
@@ -156,8 +193,8 @@ def build_gamma_sequence(cfg: dict, group: groups.StratifiedGroup) -> list:
     from .functionals import OffsetIntegrand, ShiftedArgIntegrand
 
     spec = cfg["gamma"]
+    hs = build_h_schedule(cfg)
     try:
-        hs = [int(h) for h in cfg["schedules"]["h"]]
         base = integrand_from_config(spec["base"], group.m)
         kind = spec.get("kind", "constant")
         if kind == "offset":
@@ -168,6 +205,6 @@ def build_gamma_sequence(cfg: dict, group: groups.StratifiedGroup) -> list:
             return [(h, ShiftedArgIntegrand(base, (-1) ** h * shift)) for h in hs]
         if kind == "constant":
             return [(h, base) for h in hs]
-    except (KeyError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
     raise ConfigError(f"unknown gamma sequence kind {spec.get('kind')!r}")

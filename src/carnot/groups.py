@@ -36,13 +36,15 @@ class StratifiedGroup:
 
     ``c[i, j, l]`` is the coefficient of e_l in [e_i, e_j].  The weights
     d_i assign each coordinate to its layer, so d_1 = ... = d_m = 1 for
-    m = dim V_1.
+    m = dim V_1.  ``structure`` lists the nonzero constants once per pair, as
+    (i, j, l, c[i, j, l]) with i < j; antisymmetry supplies the rest.
     """
 
     layer_dims: tuple
     c: np.ndarray
     name: str = "custom"
     weights: np.ndarray = field(init=False, repr=False)
+    structure: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         dims = tuple(int(d) for d in self.layer_dims)
@@ -61,6 +63,9 @@ class StratifiedGroup:
         object.__setattr__(self, "c", c)
         c.setflags(write=False)
         self._check_axioms()
+        object.__setattr__(self, "structure", tuple(
+            (int(i), int(j), int(l), float(c[i, j, l]))
+            for i, j, l in zip(*np.nonzero(c)) if i < j))
 
     # -- basic attributes -------------------------------------------------
 
@@ -111,8 +116,14 @@ class StratifiedGroup:
     # -- Lie algebra -------------------------------------------------------
 
     def bracket(self, x, y) -> np.ndarray:
-        """[x, y] from the structure constants; broadcasts over leading axes."""
-        return np.einsum("...i,...j,ijl->...l", np.asarray(x), np.asarray(y), self.c)
+        """[x, y] = sum over i < j of c_ijl (x_i y_j - x_j y_i) e_l; broadcasts
+        over leading axes."""
+        x = np.asarray(x)
+        y = np.asarray(y)
+        out = np.zeros(np.broadcast_shapes(x.shape, y.shape), np.result_type(x, y, float))
+        for i, j, l, c in self.structure:
+            out[..., l] += c * (x[..., i] * y[..., j] - x[..., j] * y[..., i])
+        return out
 
     def ad(self, z) -> np.ndarray:
         """Matrix of v -> [z, v]."""

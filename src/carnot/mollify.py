@@ -102,6 +102,9 @@ def erode_domain(group: StratifiedGroup, norm: HomogeneousNorm,
     """Right-distance erosion: cells whose center is farther than eps (in d^R)
     from every complement cell center, including a ring outside the box.
 
+    Brackets land in layers >= 2, so (x.y^{-1})_h = x_h - y_h and rho >= max|x_h - y_h|:
+    only complement cells within ceil(eps/h) + 1 cells horizontally can have d^R <= eps.
+
     Results are memoized; convolving the same domain at the same scale reuses
     the mask."""
     if eps <= 0:
@@ -118,17 +121,31 @@ def erode_domain(group: StratifiedGroup, norm: HomogeneousNorm,
     inner = np.zeros(padded.shape, dtype=bool)
     inner[tuple(slice(p, p + s) for p, s in zip(pad, omega.shape))] = omega.mask
     complement = padded.all_centers()[~inner.ravel()]
+    # horizontal cell indices on the padded lattice, for the window below
+    cells = np.indices(padded.shape, dtype=np.int32)[: group.m].reshape(group.m, -1).T
+    comp_cells = cells[~inner.ravel()]
+    center_cells = cells[inner.ravel()]
 
     centers = omega.centers()
     keep = np.empty(len(centers), dtype=bool)
     comp_inv = group.inverse(complement)
+    reach = pad[: group.m]  # ceil(eps / h) + 1 on the horizontal axes
     for start in range(0, len(centers), _CHUNK):
         block = centers[start:start + _CHUNK]
+        block_cells = center_cells[start:start + _CHUNK]
+        near = np.flatnonzero(np.all((comp_cells >= block_cells.min(axis=0) - reach)
+                                     & (comp_cells <= block_cells.max(axis=0) + reach), axis=1))
         alive = np.ones(len(block), dtype=bool)
-        for cstart in range(0, len(comp_inv), 32 * _CHUNK):
-            csl = comp_inv[cstart:cstart + 32 * _CHUNK]
-            prod = group.multiply(block[alive][:, None, :], csl[None, :, :])
-            alive[np.flatnonzero(alive)[norm(prod).min(axis=1) <= eps]] = False
+        for cstart in range(0, len(near), 32 * _CHUNK):
+            csl = near[cstart:cstart + 32 * _CHUNK]
+            live = np.flatnonzero(alive)
+            # the same window per (center, cell) pair
+            pair = np.ones((len(live), len(csl)), dtype=bool)
+            for k in range(group.m):
+                pair &= np.abs(block_cells[live, None, k] - comp_cells[None, csl, k]) <= reach[k]
+            b, c = np.nonzero(pair)
+            prod = group.multiply(block[live[b]], comp_inv[csl[c]])
+            alive[live[b[norm(prod) <= eps]]] = False
             if not alive.any():
                 break
         keep[start:start + len(block)] = alive

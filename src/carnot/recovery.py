@@ -147,6 +147,10 @@ class MinimizeSettings:
     rel_tol: float = 1e-10
     patience: int = 50
 
+    def __post_init__(self):
+        if self.step_rule not in ("sqrt", "fixed"):
+            raise ValueError(f"unknown step rule {self.step_rule!r}, expected 'sqrt' or 'fixed'")
+
 
 @dataclass(frozen=True)
 class MinimizeResult:

@@ -78,10 +78,19 @@ class TestConfigBoundary:
         (["gamma"], {"grid": {"shape": 2}}),
         (["recover"], {"xi_grid": {"points": 0}}),
         (["verify", "--suite", "mollify"], {"grid": {"shape": 4}}),
+        (["gamma"], {"schedules": {"h": []}}),
+        (["verify", "--suite", "lsc"], {"schedules": {"h": []}}),
+        (["verify", "--suite", "axioms"], {"grid": {"shape": 0}}),
+        (["recover"], {"xi_grid": {"points": "a"}}),
+        (["group-info"], {"group": 5}),
+        (["gamma"], {"minimizer": {"step_rule": "bogus"}}),
     ], ids=["n5-mollify", "resolution2-sandwich", "shape2-gamma", "points0-recover",
-            "shape4-mollify"])
+            "shape4-mollify", "empty-h-gamma", "empty-h-lsc", "shape0-axioms",
+            "points-string-recover", "group-int-info", "step-rule-gamma"])
     def test_out_of_range_config_exits_config(self, tmp_path, capsys, argv, payload):
-        # each of these used to escape as a traceback with exit 1
+        # each of these used to escape as a traceback with exit 1, or to run
+        # as if it were valid (an empty grid passing the axioms suite, an
+        # unknown step rule falling back to a fixed step)
         cfg = _write(tmp_path, "c.json", payload)
         assert main(argv + ["--config", cfg]) == EXIT_CONFIG
         err = capsys.readouterr().err

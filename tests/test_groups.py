@@ -56,6 +56,52 @@ class TestMultiply:
                                    g.multiply(g.inverse(y), g.inverse(x)), atol=1e-10)
 
 
+class TestBracket:
+    """The sparse pair loop against the dense contraction over all of c."""
+
+    @staticmethod
+    def _dense(g, x, y):
+        return np.einsum("...i,...j,ijl->...l", x, y, g.c)
+
+    @pytest.mark.parametrize("name", ["euclidean:3", "heisenberg:1", "heisenberg:2",
+                                      "heisenberg:3", "engel"])
+    def test_presets(self, name):
+        g = preset(name)
+        x, y = np.random.default_rng(5).normal(size=(2, 300, g.n))
+        outputs = [l for _, _, l, _ in g.structure]
+        if len(outputs) == len(set(outputs)):
+            # one pair per output coordinate: the same products, bit for bit
+            np.testing.assert_array_equal(g.bracket(x, y), self._dense(g, x, y))
+        else:
+            # H^n, n >= 2: the n pairs feeding t are summed in another order
+            np.testing.assert_allclose(g.bracket(x, y), self._dense(g, x, y),
+                                       rtol=1e-14, atol=1e-14)
+
+    @pytest.mark.parametrize("spec", [
+        {"layer_dims": [4, 1], "brackets": [{"i": 1, "j": 2, "out": {"5": 2.5}},
+                                             {"i": 3, "j": 4, "out": {"5": -0.75}}]},
+        {"layer_dims": [2, 1, 1], "brackets": [{"i": 1, "j": 2, "out": {"3": 1.5}},
+                                                {"i": 1, "j": 3, "out": {"4": -0.3}}]},
+    ], ids=["two-pairs-one-output", "step3-non-unit"])
+    def test_custom_constants(self, spec):
+        g = from_config(spec)
+        x, y = np.random.default_rng(6).normal(size=(2, 300, g.n))
+        np.testing.assert_allclose(g.bracket(x, y), self._dense(g, x, y),
+                                   rtol=1e-14, atol=1e-14)
+
+    @pytest.mark.parametrize("name", ["heisenberg:1", "engel"])
+    def test_broadcasting(self, name):
+        g = preset(name)
+        rng = np.random.default_rng(7)
+        x, y = rng.normal(size=(4, 1, g.n)), rng.normal(size=(1, 6, g.n))
+        assert g.bracket(x, y).shape == (4, 6, g.n)
+        np.testing.assert_array_equal(g.bracket(x, y), self._dense(g, x, y))
+        point, batch = rng.normal(size=g.n), rng.normal(size=(5, g.n))
+        np.testing.assert_array_equal(g.bracket(point, batch), self._dense(g, point, batch))
+        assert g.bracket(point, point).shape == (g.n,)
+        np.testing.assert_array_equal(g.bracket(batch[0], point), self._dense(g, batch[0], point))
+
+
 class TestDilations:
     def test_automorphism(self):
         g = engel()

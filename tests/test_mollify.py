@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from carnot.groups import euclidean, heisenberg
+from carnot.groups import euclidean, heisenberg, engel
 from carnot.fields import (GridDomain, DomainError, constant_field, probe_field,
                            quadratic_field, from_expression)
 from carnot.mollify import (MollifierFamily, erode_domain, convolve,
@@ -78,6 +78,70 @@ class TestErosion:
         g, norm = h1
         with pytest.raises(ValueError):
             erode_domain(g, norm, omega, 0.0)
+
+
+def _all_pairs_erosion(group, norm, omega, eps):
+    """Reference mask: every masked center against every complement center of
+    the padded lattice (the box plus its outer ring), with no window."""
+    h = omega.spacing
+    pad = np.ceil(eps ** group.weights.astype(float) / h).astype(int) + 1
+    padded = GridDomain.box(omega.lo - pad * h, omega.hi + pad * h,
+                            tuple(s + 2 * p for s, p in zip(omega.shape, pad)))
+    inner = np.zeros(padded.shape, dtype=bool)
+    inner[tuple(slice(p, p + s) for p, s in zip(pad, omega.shape))] = omega.mask
+    comp_inv = group.inverse(padded.all_centers()[~inner.ravel()])
+    centers = omega.centers()
+    nearest = np.concatenate([
+        norm(group.multiply(centers[k:k + 16, None, :], comp_inv[None, :, :])).min(axis=1)
+        for k in range(0, len(centers), 16)])
+    mask = np.zeros(omega.shape, dtype=bool)
+    mask[omega.mask] = nearest > eps
+    return mask
+
+
+class TestErosionWindow:
+    """The horizontal window leaves the mask bit-identical to all pairs."""
+
+    @pytest.mark.parametrize("kind", ["weighted-max", "koranyi"])
+    def test_heisenberg(self, kind):
+        g = heisenberg(1)
+        norm = g.norm(kind)
+        omega = GridDomain.box(-np.ones(3), np.ones(3), 8)
+        # h = 0.25: at eps = 0.5 and 0.75 some centers lie exactly eps/h cells
+        # from their nearest complement cell, the edge of the window
+        for eps in (0.2, 0.35, 0.5, 0.75, 1.1):
+            got = erode_domain(g, norm, omega, eps).mask
+            np.testing.assert_array_equal(got, _all_pairs_erosion(g, norm, omega, eps))
+        assert not got.any()  # eps = 1.1 empties the box
+
+    def test_heisenberg_2(self):
+        g = heisenberg(2)
+        norm = g.norm("koranyi")
+        # h = 0.5 on V_1 and 0.25 on V_2: the outer t-layers sit at rho = eps exactly
+        omega = GridDomain.box([-1, -1, -1, -1, -0.5], [1, 1, 1, 1, 0.5], 4)
+        got = erode_domain(g, norm, omega, 0.5).mask
+        np.testing.assert_array_equal(got, _all_pairs_erosion(g, norm, omega, 0.5))
+        assert 0 < got.sum() < got.size
+
+    def test_engel(self):
+        g = engel()
+        norm = g.norm()
+        omega = GridDomain.box(-np.ones(4), np.ones(4), 4)
+        for eps in (0.6, 0.9):
+            got = erode_domain(g, norm, omega, eps).mask
+            np.testing.assert_array_equal(got, _all_pairs_erosion(g, norm, omega, eps))
+
+    def test_mask_with_hole(self):
+        g = heisenberg(1)
+        norm = g.norm()
+        mask = np.ones((8, 8, 8), dtype=bool)
+        mask[3:5, 3:5, 2:6] = False
+        mask[:2, 6:, :] = False
+        omega = GridDomain(-np.ones(3), np.ones(3), (8, 8, 8), mask)
+        for eps in (0.2, 0.3):
+            got = erode_domain(g, norm, omega, eps).mask
+            np.testing.assert_array_equal(got, _all_pairs_erosion(g, norm, omega, eps))
+            assert got.any()
 
 
 class TestConvolve:
