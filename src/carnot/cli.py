@@ -17,7 +17,7 @@ import numpy as np
 
 from . import config as cfgmod
 from .config import ConfigError
-from .fields import GridDomain, DomainError
+from .fields import DomainError
 from .functionals import IntegrandFunctional
 from .groups import GroupAxiomError
 from .mollify import erode_domain
@@ -79,10 +79,6 @@ def cmd_group_info(args) -> int:
     cfg = _load(args)
     spec = cfg["group"]
     group = cfgmod.build_group(cfg)
-    brackets = [
-        {"i": int(i) + 1, "j": int(j) + 1, "l": int(l) + 1, "c": float(group.c[i, j, l])}
-        for i, j, l in zip(*np.nonzero(group.c)) if i < j
-    ]
     report = {
         "group": spec if isinstance(spec, str) else spec.get("name", "custom"),
         "n": group.n,
@@ -90,7 +86,8 @@ def cmd_group_info(args) -> int:
         "k": group.step,
         "Q": group.homogeneous_dimension(),
         "weights": group.weights.tolist(),
-        "brackets": brackets,
+        "brackets": [{"i": i + 1, "j": j + 1, "l": l + 1, "c": c}
+                     for i, j, l, c in group.structure],
         "axiom_violations": group.axiom_violations(),
     }
     print(json.dumps(report, indent=2))
@@ -103,33 +100,30 @@ def _run_suite(cfg: dict, suite: str) -> list:
     group = cfgmod.build_group(cfg)
     norm = cfgmod.build_norm(cfg, group)
     grid = cfgmod.build_grid(cfg, group)
-    rng = np.random.default_rng(int(cfg["seed"]))
-    scale = float(cfg["tol_scale"])
-    eps = [float(e) for e in cfg["schedules"].get("eps", [])]
+    rng = cfgmod.build_rng(cfg)
     if suite == "axioms":
-        rows = suite_axioms(group, norm, rng, samples=1000, tol=1e-12 * scale)
+        rows = suite_axioms(group, norm, rng, samples=1000,
+                            tol=1e-12 * cfgmod.build_scalar(cfg, "tol_scale"))
     elif suite == "mollify":
-        if not eps:
-            raise ConfigError("mollify suite needs a nonempty eps schedule")
+        eps = cfgmod.build_schedule(cfg, "eps")
         mollifier = cfgmod.build_mollifier(cfg, norm)
         rows = suite_mollify(group, norm, mollifier, grid, rng, eps_list=eps,
-                             p=float(cfg["p"]))
+                             p=cfgmod.build_scalar(cfg, "p"))
     elif suite == "functional":
         functional = cfgmod.build_functional(cfg, group)
         if not isinstance(functional, IntegrandFunctional):
             raise ConfigError("the functional suite needs a built-from-integrand functional")
         rows = suite_functional(group, functional.integrand, grid, rng,
-                                samples=int(cfg["samples"]))
+                                samples=cfgmod.build_scalar(cfg, "samples", int, minimum=1))
     elif suite == "sandwich":
-        if not eps:
-            raise ConfigError("sandwich suite needs a nonempty eps schedule")
+        eps = cfgmod.build_schedule(cfg, "eps")
         mollifier = cfgmod.build_mollifier(cfg, norm)
         inner = erode_domain(group, norm, grid, 1.1 * max(eps))
         if inner.is_empty:
             raise ConfigError("eps schedule leaves no room for an inner domain")
         rows = suite_sandwich(group, norm, mollifier, grid, inner, rng, eps_list=eps)
     elif suite == "lsc":
-        rows = suite_lsc(group, grid, rng, h_list=cfgmod.build_h_schedule(cfg))
+        rows = suite_lsc(group, grid, rng, h_list=cfgmod.build_schedule(cfg, "h", int))
     return rows
 
 
@@ -150,9 +144,8 @@ def cmd_recover(args) -> int:
     norm = cfgmod.build_norm(cfg, group)
     functional = cfgmod.build_functional(cfg, group)
     xi_grid = cfgmod.build_xi_grid(cfg, group)
-    rspec = cfg["recovery"]
-    base = GridDomain.ball(norm, group.origin(), float(rspec["ball_radius"]),
-                           int(rspec["cells_per_axis"]))
+    base = cfgmod.build_recovery_ball(cfg, norm)
+    radii = cfgmod.build_schedule(cfg, "rho")
     rec = recover_integrand(functional, group, base, xi_grid)
     defects = rec.pointwise_convexity_defect()
     growth = getattr(functional, "growth", None)
@@ -172,9 +165,8 @@ def cmd_recover(args) -> int:
     xi0[0] = 1.0
     centers = np.zeros((2, group.n))
     centers[1, 0] = 1.5
-    probe = constancy_probe(functional, group, norm, xi0, centers,
-                            [float(r) for r in cfg["schedules"]["rho"]],
-                            cells_per_axis=int(rspec["cells_per_axis"]))
+    probe = constancy_probe(functional, group, norm, xi0, centers, radii,
+                            cells_per_axis=base.shape[0])
     summary = {
         "max_convexity_violation": float(defects.max()),
         "min_growth_slack": float(np.nanmin(slack)),
@@ -197,13 +189,11 @@ def cmd_gamma(args) -> int:
     sequence = cfgmod.build_gamma_sequence(cfg, group)
     xi_grid = cfgmod.build_xi_grid(cfg, group)
     settings = cfgmod.build_minimizer_settings(cfg)
-    rspec = cfg["recovery"]
-    base = GridDomain.ball(norm, group.origin(), float(rspec["ball_radius"]),
-                           int(rspec["cells_per_axis"]))
+    base = cfgmod.build_recovery_ball(cfg, norm)
     fields = cfgmod.build_fields(cfg, group)
     report = gamma_experiment(group, sequence, fields, grid,
-                              float(cfg["schedules"]["delta"]), float(cfg["p"]),
-                              base, xi_grid, settings)
+                              cfgmod.build_scalar(cfg, "schedules.delta", minimum=0.0),
+                              cfgmod.build_scalar(cfg, "p"), base, xi_grid, settings)
 
     rows = []
     for entry in report["entries"]:

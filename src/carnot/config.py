@@ -80,6 +80,31 @@ def _read(kind, value, key: str):
         raise ConfigError(f"{key} must be {kind.__name__}, got {value!r}") from exc
 
 
+def _section(cfg: dict, key: str) -> dict:
+    """cfg[key], which must be a mapping."""
+    spec = cfg[key]
+    if not isinstance(spec, dict):
+        raise ConfigError(f"{key} must be a mapping, got {spec!r}")
+    return spec
+
+
+def build_scalar(cfg: dict, key: str, kind=float, minimum=None):
+    """The value at the dotted config `key` converted by `kind`, at least
+    `minimum` when one is given, or a ConfigError naming the key."""
+    *sections, name = key.split(".")
+    spec = cfg
+    for section in sections:
+        spec = _section(spec, section)
+    value = _read(kind, spec[name], key)
+    if minimum is not None and value < minimum:
+        raise ConfigError(f"{key} must be at least {minimum}, got {value!r}")
+    return value
+
+
+def build_rng(cfg: dict) -> np.random.Generator:
+    return np.random.default_rng(build_scalar(cfg, "seed", int, minimum=0))
+
+
 def build_group(cfg: dict) -> groups.StratifiedGroup:
     try:
         return groups.from_config(cfg["group"])
@@ -97,7 +122,7 @@ def build_norm(cfg: dict, group: groups.StratifiedGroup) -> groups.HomogeneousNo
 
 
 def build_grid(cfg: dict, group: groups.StratifiedGroup) -> GridDomain:
-    spec = cfg["grid"]
+    spec = _section(cfg, "grid")
     lo = spec.get("lo") or [-1.0] * group.n
     hi = spec.get("hi") or [1.0] * group.n
     if len(lo) != group.n or len(hi) != group.n:
@@ -155,15 +180,19 @@ def build_mollifier(cfg: dict, norm: groups.HomogeneousNorm) -> MollifierFamily:
 
 
 def build_xi_grid(cfg: dict, group: groups.StratifiedGroup) -> np.ndarray:
-    spec = cfg["xi_grid"]
-    points = _read(int, spec["points"], "xi_grid.points")
-    if points < 1:
-        raise ConfigError(f"xi_grid needs at least one point per axis, got {points}")
-    return uniform_xi_grid(group.m, _read(float, spec["radius"], "xi_grid.radius"), points)
+    points = build_scalar(cfg, "xi_grid.points", int, minimum=1)
+    return uniform_xi_grid(group.m, build_scalar(cfg, "xi_grid.radius"), points)
+
+
+def build_recovery_ball(cfg: dict, norm: groups.HomogeneousNorm) -> GridDomain:
+    """The base ball B(0, recovery.ball_radius) of probe recovery."""
+    radius = build_scalar(cfg, "recovery.ball_radius")
+    cells = build_scalar(cfg, "recovery.cells_per_axis", int, minimum=1)
+    return GridDomain.ball(norm, norm.group.origin(), radius, cells)
 
 
 def build_minimizer_settings(cfg: dict) -> MinimizeSettings:
-    spec = cfg["minimizer"]
+    spec = _section(cfg, "minimizer")
     max_iter = _read(int, spec.get("max_iter", 200), "minimizer.max_iter")
     scale = spec.get("step_scale")
     if scale is not None:
@@ -175,25 +204,26 @@ def build_minimizer_settings(cfg: dict) -> MinimizeSettings:
         raise ConfigError(str(exc)) from exc
 
 
-def build_h_schedule(cfg: dict) -> list:
-    """The h schedule shared by the gamma experiment and the lsc suite."""
-    raw = cfg["schedules"]["h"]
-    message = f"schedules.h must be a nonempty list of positive integers, got {raw!r}"
+def build_schedule(cfg: dict, key: str, kind=float) -> list:
+    """schedules.<key> as a nonempty list of positive `kind` values (the h
+    schedule is shared by the gamma experiment and the lsc suite)."""
+    raw = _section(cfg, "schedules")[key]
+    message = f"schedules.{key} must be a nonempty list of positive {kind.__name__}, got {raw!r}"
     try:
-        hs = [int(h) for h in raw]
+        values = [kind(v) for v in raw]
     except (TypeError, ValueError) as exc:
         raise ConfigError(message) from exc
-    if not hs or min(hs) < 1:
+    if not values or min(values) <= 0:
         raise ConfigError(message)
-    return hs
+    return values
 
 
 def build_gamma_sequence(cfg: dict, group: groups.StratifiedGroup) -> list:
     """(h, integrand) pairs for the variational-limit experiment."""
     from .functionals import OffsetIntegrand, ShiftedArgIntegrand
 
-    spec = cfg["gamma"]
-    hs = build_h_schedule(cfg)
+    spec = _section(cfg, "gamma")
+    hs = build_schedule(cfg, "h", int)
     try:
         base = integrand_from_config(spec["base"], group.m)
         kind = spec.get("kind", "constant")

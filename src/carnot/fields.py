@@ -8,13 +8,13 @@ centers.  Domains are uniform Cartesian boxes with a boolean cell mask.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
 import sympy as sp
-from scipy import ndimage
-from scipy.interpolate import RegularGridInterpolator
+from scipy import ndimage, sparse
 
 from .groups import StratifiedGroup
 
@@ -100,6 +100,36 @@ class GridDomain:
         points = np.atleast_2d(np.asarray(points, dtype=float))
         return np.floor((points - self.lo) / self.spacing).astype(int)
 
+    def _node_coords(self, points) -> np.ndarray:
+        """Points in cell units from the first cell center."""
+        h = self.spacing
+        return (np.atleast_2d(np.asarray(points, dtype=float)) - (self.lo + 0.5 * h)) / h
+
+    def in_hull(self, points) -> np.ndarray:
+        """True where a point lies in the box spanned by the cell centers, up to
+        1e-9 cell (stencils built by group multiplication hit nodes to roundoff)."""
+        t = self._node_coords(points)
+        return ((t >= -1e-9) & (t <= np.asarray(self.shape) - 1 + 1e-9)).all(axis=-1)
+
+    def interpolation(self, points) -> sparse.csr_matrix:
+        """Sparse multilinear interpolation matrix W from samples at all cell
+        centers (C order) to `points`: W @ samples.ravel() is the interpolant.
+        Raises DomainError for points outside the hull of the centers."""
+        if not self.in_hull(points).all():
+            raise DomainError("interpolation query outside the hull of the cell centers")
+        t = self._node_coords(points)
+        shape = np.asarray(self.shape)
+        base = np.clip(np.floor(t).astype(int), 0, shape - 2)
+        frac = t - base
+        cols, vals = [], []
+        for corner in itertools.product((0, 1), repeat=self.ndim):
+            corner = np.asarray(corner)
+            cols.append(np.ravel_multi_index(tuple((base + corner).T), self.shape))
+            vals.append(np.prod(np.where(corner, frac, 1.0 - frac), axis=-1))
+        rows = np.tile(np.arange(len(t)), len(cols))
+        return sparse.csr_matrix((np.concatenate(vals), (rows, np.concatenate(cols))),
+                                 shape=(len(t), int(shape.prod())))
+
     def contains(self, points) -> np.ndarray:
         """True where a point falls inside a masked cell."""
         points = np.atleast_2d(np.asarray(points, dtype=float))
@@ -117,6 +147,20 @@ class GridDomain:
     def box(cls, lo, hi, shape) -> "GridDomain":
         shape = tuple(int(s) for s in np.broadcast_to(shape, np.shape(lo)))
         return cls(np.asarray(lo, float), np.asarray(hi, float), shape, np.ones(shape, bool))
+
+    @classmethod
+    def from_centers(cls, axes) -> "GridDomain":
+        """The full box whose cell centers are the given per-axis nodes, which
+        must be increasing and uniformly spaced, at least two per axis."""
+        axes = [np.asarray(a, dtype=float) for a in axes]
+        for a in axes:
+            step = np.diff(a)
+            if not (len(step) and (step > 0).all()
+                    and np.allclose(step, step[0], rtol=1e-9, atol=0)):
+                raise DomainError(f"nodes must be increasing and uniformly spaced: {a.tolist()}")
+        half = np.array([0.5 * (a[-1] - a[0]) / (len(a) - 1) for a in axes])
+        return cls.box(np.array([a[0] for a in axes]) - half,
+                       np.array([a[-1] for a in axes]) + half, [len(a) for a in axes])
 
     @classmethod
     def ball(cls, norm, center, radius: float, shape) -> "GridDomain":
@@ -318,10 +362,8 @@ def grid_field(group: StratifiedGroup, domain: GridDomain, samples,
     """Field carried by samples at the cell centers of `domain`, with
     multilinear interpolation off nodes.  Queries outside the node hull
     raise.  Horizontal gradients must be taken in group-fd mode."""
-    samples = np.asarray(samples, dtype=float).reshape(domain.shape)
-    interp = RegularGridInterpolator(domain.axis_centers(), samples,
-                                     method="linear", bounds_error=True)
-    return ScalarField(values=lambda p: interp(np.atleast_2d(p)), name=name)
+    samples = np.asarray(samples, dtype=float).reshape(domain.shape).ravel()
+    return ScalarField(values=lambda p: domain.interpolation(p) @ samples, name=name)
 
 
 # -- translation operators ----------------------------------------------------

@@ -12,7 +12,6 @@ from dataclasses import dataclass, field as dc_field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.interpolate import RegularGridInterpolator
 
 from .groups import StratifiedGroup
 from .fields import GridDomain, ScalarField, DomainError, horizontal_gradient, translate_field, translate_domain
@@ -161,12 +160,12 @@ class MaxAffineIntegrand(Integrand):
 class TabulatedIntegrand(Integrand):
     """Convex values tabulated on a uniform m-grid, interpolated multilinearly.
 
-    Midpoint convexity of the table is sampled at construction; queries
-    outside the table raise."""
+    The axes must be increasing and uniformly spaced; midpoint convexity of
+    the table is sampled at construction; queries outside the table raise."""
 
     axes: tuple          # per-component node arrays
     table: np.ndarray
-    _interp: RegularGridInterpolator = dc_field(init=False, repr=False)
+    _lattice: GridDomain = dc_field(init=False, repr=False)
 
     def __post_init__(self):
         axes = tuple(np.asarray(a, dtype=float) for a in self.axes)
@@ -177,8 +176,7 @@ class TabulatedIntegrand(Integrand):
             raise ValueError("tabulated integrand must be nonnegative")
         object.__setattr__(self, "axes", axes)
         object.__setattr__(self, "table", table)
-        object.__setattr__(self, "_interp", RegularGridInterpolator(
-            axes, table, method="linear", bounds_error=True))
+        object.__setattr__(self, "_lattice", GridDomain.from_centers(axes))
         viol = max(0.0, float(_midpoint_defect(table).max()))
         if viol > 1e-10:
             raise ValueError(f"table is not midpoint convex (violation {viol:.3g})")
@@ -186,6 +184,9 @@ class TabulatedIntegrand(Integrand):
     @property
     def m(self):
         return len(self.axes)
+
+    def _interp(self, eta):
+        return self._lattice.interpolation(eta) @ self.table.ravel()
 
     def __call__(self, eta):
         return self._interp(self._coerce(eta))

@@ -210,10 +210,7 @@ def commutation_residual(group: StratifiedGroup, mollifier: MollifierFamily,
     if len(pts) > max_points:
         idx = np.linspace(0, len(pts) - 1, max_points).astype(int)
         pts = pts[idx]
-    step = np.zeros(group.n)
-    step[j] = fd_step
-    lhs = (u_eps.values(group.multiply(pts, step))
-           - u_eps.values(group.multiply(pts, -step))) / (2.0 * fd_step)
+    lhs = horizontal_gradient(group, u_eps, pts, mode="group-fd", h=fd_step)[:, j]
     rhs = u_eps.hgrad(pts)[:, j]
     return float(np.abs(lhs - rhs).max())
 

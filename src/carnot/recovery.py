@@ -15,10 +15,9 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy import sparse
 
 from .groups import StratifiedGroup, HomogeneousNorm
-from .fields import GridDomain, ScalarField, DomainError, probe_field, grid_field
+from .fields import GridDomain, ScalarField, DomainError, probe_field
 from .functionals import Functional, IntegrandFunctional, _midpoint_defect
 
 __all__ = [
@@ -74,10 +73,8 @@ class RecoveredIntegrand:
         return a + b * np.linalg.norm(self.xi, axis=-1) ** p - self.values
 
     def interp(self, xi_query) -> np.ndarray:
-        from scipy.interpolate import RegularGridInterpolator
-
         axes = [np.unique(self.xi[:, j]) for j in range(self.xi.shape[1])]
-        return RegularGridInterpolator(axes, self.table)(np.atleast_2d(xi_query))
+        return GridDomain.from_centers(axes).interpolation(xi_query) @ self.values
 
 
 def recover_integrand(functional: Functional, group: StratifiedGroup,
@@ -159,40 +156,6 @@ class MinimizeResult:
     start_value: float
     iterations: int
     converged: bool
-    field: ScalarField
-
-
-def _interp_weights(domain: GridDomain, points: np.ndarray) -> sparse.csr_matrix:
-    """Sparse multilinear interpolation matrix from cell-center samples to
-    arbitrary points inside the node hull."""
-    n = domain.ndim
-    shape = np.asarray(domain.shape)
-    h = domain.spacing
-    first = domain.lo + 0.5 * h
-    t = (points - first) / h
-    if (t < -1e-9).any() or (t > shape - 1 + 1e-9).any():
-        raise DomainError("interpolation stencil leaves the sample lattice")
-    base = np.clip(np.floor(t).astype(int), 0, shape - 2)
-    frac = t - base
-    strides = np.append(np.cumprod(shape[:0:-1])[::-1], 1) if n > 1 else np.ones(1, int)
-    npts = len(points)
-    rows, cols, vals = [], [], []
-    for corner in itertools.product((0, 1), repeat=n):
-        corner = np.asarray(corner)
-        w = np.prod(np.where(corner, frac, 1.0 - frac), axis=-1)
-        flat = (base + corner) @ strides
-        rows.append(np.arange(npts))
-        cols.append(flat)
-        vals.append(w)
-    return sparse.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(npts, int(shape.prod())))
-
-
-def _in_hull(domain: GridDomain, points: np.ndarray) -> np.ndarray:
-    shape = np.asarray(domain.shape)
-    t = (points - domain.lo - 0.5 * domain.spacing) / domain.spacing
-    return ((t >= -1e-9) & (t <= shape - 1 + 1e-9)).all(axis=-1)
 
 
 def _gradient_operators(group: StratifiedGroup, domain: GridDomain) -> list:
@@ -207,13 +170,13 @@ def _gradient_operators(group: StratifiedGroup, domain: GridDomain) -> list:
         step[j] = domain.spacing[j]
         fwd = group.multiply(centers, step)
         bwd = group.multiply(centers, -step)
-        valid &= _in_hull(domain, fwd) & _in_hull(domain, bwd)
+        valid &= domain.in_hull(fwd) & domain.in_hull(bwd)
         stencil.append((fwd, bwd))
     if not valid.any():
         raise DomainError("no cell admits a full horizontal difference stencil")
     ops = []
     for j, (fwd, bwd) in enumerate(stencil):
-        diff = _interp_weights(domain, fwd[valid]) - _interp_weights(domain, bwd[valid])
+        diff = domain.interpolation(fwd[valid]) - domain.interpolation(bwd[valid])
         ops.append(diff / (2.0 * domain.spacing[j]))
     return ops
 
@@ -261,8 +224,7 @@ def minimize_convex(group: StratifiedGroup, functional: IntegrandFunctional,
 
     start_value, grads = objective(u0)
     if delta == 0 or settings.max_iter == 0:
-        fld = grid_field(group, domain, u0, name="minimizer")
-        return MinimizeResult(u0, start_value, start_value, 0, True, fld)
+        return MinimizeResult(u0, start_value, start_value, 0, True)
 
     v = u0.copy()
     best_v, best_val = v.copy(), start_value
@@ -289,8 +251,7 @@ def minimize_convex(group: StratifiedGroup, functional: IntegrandFunctional,
                 break
         g = subgradient(grads)
     converged = stalled >= settings.patience or it < settings.max_iter
-    fld = grid_field(group, domain, best_v, name="minimizer")
-    return MinimizeResult(best_v, best_val, start_value, it, converged, fld)
+    return MinimizeResult(best_v, best_val, start_value, it, converged)
 
 
 # -- variational limit experiment -----------------------------------------------
@@ -322,7 +283,6 @@ def gamma_experiment(group: StratifiedGroup, integrands, u_list, domain: GridDom
                 "field": u.name,
                 "lower": res.value,
                 "upper": res.start_value,
-                "upper_analytic": functional.eval(u, domain),
                 "converged": res.converged,
             })
         cauchy = (float(np.abs(rec.values - prev_rec.values).max())

@@ -84,13 +84,38 @@ class TestConfigBoundary:
         (["recover"], {"xi_grid": {"points": "a"}}),
         (["group-info"], {"group": 5}),
         (["gamma"], {"minimizer": {"step_rule": "bogus"}}),
+        (["verify", "--suite", "functional"],
+         {"integrand": {"kind": "tabulated", "axes": [[0, 0.1, 1], [0, 1]],
+                        "table": [[0, 0], [0.3, 0.3], [1, 1]]}}),
+        (["verify", "--suite", "axioms"], {"seed": "a"}),
+        (["verify", "--suite", "functional"], {"samples": "many"}),
+        (["recover"], {"recovery": {"ball_radius": "x"}}),
+        (["gamma"], {"schedules": {"delta": "d"}}),
+        (["verify", "--suite", "lsc"], {"schedules": 5}),
+        (["verify", "--suite", "mollify"], {"schedules": {"eps": ["a"]}}),
+        (["verify", "--suite", "mollify"], {"p": "x"}),
+        (["verify", "--suite", "axioms"], {"tol_scale": "x"}),
+        (["recover"], {"schedules": {"rho": []}}),
+        (["verify", "--suite", "axioms"], {"seed": -1}),
+        (["gamma"], {"schedules": {"delta": -1}}),
+        (["verify", "--suite", "mollify"], {"schedules": {"eps": [0]}}),
+        (["verify", "--suite", "lsc"], {"grid": 5}),
+        (["gamma"], {"minimizer": 5}),
+        (["recover"], {"recovery": 5}),
     ], ids=["n5-mollify", "resolution2-sandwich", "shape2-gamma", "points0-recover",
             "shape4-mollify", "empty-h-gamma", "empty-h-lsc", "shape0-axioms",
-            "points-string-recover", "group-int-info", "step-rule-gamma"])
+            "points-string-recover", "group-int-info", "step-rule-gamma",
+            "uneven-tabulated-functional", "seed-string-axioms",
+            "samples-string-functional", "ball-radius-string-recover",
+            "delta-string-gamma", "schedules-int-lsc", "eps-string-mollify",
+            "p-string-mollify", "tol-scale-string-axioms", "empty-rho-recover",
+            "seed-negative-axioms", "delta-negative-gamma", "eps-zero-mollify",
+            "grid-int-lsc", "minimizer-int-gamma", "recovery-int-recover"])
     def test_out_of_range_config_exits_config(self, tmp_path, capsys, argv, payload):
         # each of these used to escape as a traceback with exit 1, or to run
         # as if it were valid (an empty grid passing the axioms suite, an
-        # unknown step rule falling back to a fixed step)
+        # unknown step rule falling back to a fixed step, a non-convex table
+        # on uneven axes passing the convexity guard)
         cfg = _write(tmp_path, "c.json", payload)
         assert main(argv + ["--config", cfg]) == EXIT_CONFIG
         err = capsys.readouterr().err

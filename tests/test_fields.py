@@ -1,7 +1,15 @@
 """Grid domains, scalar fields, translations and horizontal gradients."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from scipy.interpolate import RegularGridInterpolator
+
+import carnot
 
 from carnot.groups import euclidean, heisenberg, engel
 from carnot.fields import (GridDomain, DomainError, ScalarField, constant_field,
@@ -104,6 +112,77 @@ class TestFields:
         np.testing.assert_allclose(u.values(inner), target.values(inner), atol=1e-12)
         with pytest.raises(ValueError):
             u.values([[2.0, 2.0]])
+
+
+class TestInterpolation:
+    """GridDomain.interpolation is the one multilinear kernel behind grid
+    fields, tabulated integrands, recovered integrands and the minimizer's
+    difference stencils.  It accepts queries up to 1e-9 cell outside the hull
+    of the cell centers (stencils built by group multiplication land on nodes
+    only up to roundoff), where scipy's RegularGridInterpolator, used here as
+    the reference, raised at any distance; farther out it still raises."""
+
+    LATTICES = [
+        ([0.0], [1.0], [7]),
+        ([-1.0, 0.3], [1.0, 2.0], [5, 9]),
+        ([-0.7, 0.0, -2.0], [1.1, 0.3, 1.0], [3, 6, 4]),
+    ]
+
+    @pytest.mark.parametrize("lo, hi, shape", LATTICES, ids=["1d", "2d", "3d"])
+    def test_matches_regular_grid_interpolator(self, lo, hi, shape):
+        dom = GridDomain.box(np.array(lo), np.array(hi), shape)
+        rng = np.random.default_rng(len(shape))
+        samples = rng.normal(size=dom.shape)
+        axes = dom.axis_centers()
+        pts = rng.uniform([a[0] for a in axes], [a[-1] for a in axes],
+                          size=(200, dom.ndim))
+        pts = np.vstack([pts, dom.all_centers(), [a[-1] for a in axes]])
+        reference = RegularGridInterpolator(axes, samples)(pts)
+        np.testing.assert_allclose(dom.interpolation(pts) @ samples.ravel(), reference,
+                                   rtol=1e-13, atol=1e-13 * np.abs(samples).max())
+
+    def test_nodes_exact_and_linear_fields_reproduced(self):
+        # dyadic spacings so that the cell centers are exact binary numbers
+        dom = GridDomain.box(np.array([-1.0, 0.0, 2.0]), np.array([1.0, 0.5, 4.0]), [4, 8, 2])
+        rng = np.random.default_rng(4)
+        samples = rng.normal(size=dom.shape).ravel()
+        nodes = dom.all_centers()
+        assert (dom.interpolation(nodes) @ samples == samples).all()
+
+        slope = np.array([1.5, -2.0, 0.25])
+        linear = 0.7 + nodes @ slope
+        axes = dom.axis_centers()
+        pts = rng.uniform([a[0] for a in axes], [a[-1] for a in axes], size=(100, 3))
+        np.testing.assert_allclose(dom.interpolation(pts) @ linear, 0.7 + pts @ slope,
+                                   rtol=0, atol=1e-13)
+
+    def test_hull_tolerance(self):
+        dom = GridDomain.box(np.zeros(2), np.ones(2), 4)
+        h = dom.spacing[0]
+        first, last = 0.5 * h, 1.0 - 0.5 * h
+        inside = np.array([[first - 1e-10 * h, last], [last + 1e-10 * h, first]])
+        assert dom.in_hull(inside).all()
+        assert dom.interpolation(inside).shape == (2, 16)
+        for far in ([first - 1e-6 * h, 0.5], [0.5, last + 1e-6 * h]):
+            assert not dom.in_hull([far]).any()
+            with pytest.raises(DomainError):
+                dom.interpolation([far])
+
+    def test_from_centers_rejects_uneven_nodes(self):
+        dom = GridDomain.from_centers([np.linspace(-2, 2, 9), [0.0, 0.5]])
+        np.testing.assert_allclose(dom.axis_centers()[0], np.linspace(-2, 2, 9), atol=1e-15)
+        for axis in ([0.0, 0.9, 1.0], [0.0, 0.1, 1.0], [1.0, 0.0, -1.0], [0.0]):
+            with pytest.raises(DomainError):
+                GridDomain.from_centers([axis])
+
+    def test_import_does_not_load_scipy_interpolate(self):
+        src = str(Path(carnot.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+        code = "import sys, carnot.cli; print('scipy.interpolate' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert out.strip() == "False"
 
 
 class TestTranslation:

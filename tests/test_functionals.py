@@ -46,6 +46,16 @@ class TestIntegrands:
         with pytest.raises(ValueError):
             TabulatedIntegrand((axis,), np.abs(np.sin(3 * axis)) * 2)
 
+    @pytest.mark.parametrize("axis, table", [
+        ([0.0, 0.9, 1.0], [0.0, 0.9, 1.0]),   # linear, yet its defect read 0.4
+        ([0.0, 0.1, 1.0], [0.0, 0.3, 1.0]),   # slope 3 then 0.78, yet no defect
+        ([1.0, 0.0, -1.0], [1.0, 0.0, 1.0]),
+    ], ids=["linear-uneven", "concave-uneven", "decreasing"])
+    def test_tabulated_axes_must_be_uniform(self, axis, table):
+        # the midpoint-convexity guard reads convexity only off uniform nodes
+        with pytest.raises(ValueError, match="uniformly spaced"):
+            TabulatedIntegrand((np.array(axis),), np.array(table))
+
     def test_wrappers_and_growth(self):
         base = PowerIntegrand(2, 2.0)
         f = OffsetIntegrand(ShiftedArgIntegrand(base, [1.0, 0.0]), 0.5)
