@@ -103,12 +103,12 @@ def _run_suite(cfg: dict, suite: str) -> list:
     rng = cfgmod.build_rng(cfg)
     if suite == "axioms":
         rows = suite_axioms(group, norm, rng, samples=1000,
-                            tol=1e-12 * cfgmod.build_scalar(cfg, "tol_scale"))
+                            tol=1e-12 * cfgmod.build_tol_scale(cfg))
     elif suite == "mollify":
         eps = cfgmod.build_schedule(cfg, "eps")
         mollifier = cfgmod.build_mollifier(cfg, norm)
         rows = suite_mollify(group, norm, mollifier, grid, rng, eps_list=eps,
-                             p=cfgmod.build_scalar(cfg, "p"))
+                             p=cfgmod.build_scalar(cfg, "p", minimum=1.0))
     elif suite == "functional":
         functional = cfgmod.build_functional(cfg, group)
         if not isinstance(functional, IntegrandFunctional):

@@ -96,8 +96,17 @@ def build_scalar(cfg: dict, key: str, kind=float, minimum=None):
     for section in sections:
         spec = _section(spec, section)
     value = _read(kind, spec[name], key)
-    if minimum is not None and value < minimum:
+    if minimum is not None and not value >= minimum:
         raise ConfigError(f"{key} must be at least {minimum}, got {value!r}")
+    return value
+
+
+def build_tol_scale(cfg: dict) -> float:
+    """tol_scale, which must be positive: a zero or negative scale turns every
+    tolerance it multiplies into one that no residual can meet."""
+    value = build_scalar(cfg, "tol_scale")
+    if not value > 0:
+        raise ConfigError(f"tol_scale must be positive, got {value!r}")
     return value
 
 
@@ -141,7 +150,10 @@ def build_fields(cfg: dict, group: groups.StratifiedGroup) -> list:
     out = []
     for entry in cfg["fields"]:
         if "expr" in entry:
-            field = from_expression(group, entry["expr"])
+            try:
+                field = from_expression(group, entry["expr"])
+            except ValueError as exc:
+                raise ConfigError(str(exc)) from exc
         elif "probe" in entry:
             field = probe_field(group, np.asarray(entry["probe"], float))
         else:

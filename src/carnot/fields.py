@@ -13,7 +13,6 @@ from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
-import sympy as sp
 from scipy import ndimage, sparse
 
 from .groups import StratifiedGroup
@@ -307,10 +306,19 @@ def from_expression(group: StratifiedGroup, expr) -> ScalarField:
     """Closed-form field from a sympy expression in x1..xn.
 
     The Euclidean gradient is differentiated symbolically; the horizontal
-    gradient then comes from the frame coefficient matrix.
+    gradient then comes from the frame coefficient matrix.  Raises ValueError
+    when the expression does not parse or uses a symbol other than x1..xn.
     """
+    import sympy as sp  # only expression fields need it; it is slow to import
+
     syms = sp.symbols(f"x1:{group.n + 1}")
-    expr = sp.sympify(expr, locals={s.name: s for s in syms})
+    try:
+        expr = sp.sympify(expr, locals={s.name: s for s in syms})
+    except (sp.SympifyError, SyntaxError, TypeError, AttributeError) as exc:
+        raise ValueError(f"cannot parse field expression {expr!r}") from exc
+    if not isinstance(expr, sp.Expr) or not expr.free_symbols <= set(syms):
+        raise ValueError(f"field expression '{expr}' must be an expression "
+                         f"in x1..x{group.n}")
     fv = sp.lambdify(syms, expr, modules="numpy")
     fg = [sp.lambdify(syms, sp.diff(expr, s), modules="numpy") for s in syms]
 

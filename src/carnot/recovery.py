@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+from scipy import sparse
 
 from .groups import StratifiedGroup, HomogeneousNorm
 from .fields import GridDomain, ScalarField, DomainError, probe_field
@@ -181,6 +182,15 @@ def _gradient_operators(group: StratifiedGroup, domain: GridDomain) -> list:
     return ops
 
 
+def _descent_operators(group: StratifiedGroup, domain: GridDomain) -> tuple:
+    """The `_gradient_operators` laid out for the descent loop: one CSR stack
+    of shape (m*K, N), whose product with the samples holds the m directional
+    derivatives one after another, and the per-direction CSR transposes for
+    the adjoint (kept apart, so each entry sums in the order of `op.T @`)."""
+    ops = _gradient_operators(group, domain)
+    return sparse.vstack(ops, format="csr"), [op.T.tocsr() for op in ops]
+
+
 def _lp_norm(w: np.ndarray, mask_flat: np.ndarray, cellvol: float, p: float) -> float:
     return float((np.sum(np.abs(w[mask_flat]) ** p) * cellvol) ** (1.0 / p))
 
@@ -188,29 +198,33 @@ def _lp_norm(w: np.ndarray, mask_flat: np.ndarray, cellvol: float, p: float) -> 
 def minimize_convex(group: StratifiedGroup, functional: IntegrandFunctional,
                     anchor: ScalarField, domain: GridDomain, delta: float,
                     p: float = 2.0,
-                    settings: MinimizeSettings = MinimizeSettings()) -> MinimizeResult:
+                    settings: MinimizeSettings = MinimizeSettings(), *,
+                    operators: Optional[tuple] = None) -> MinimizeResult:
     """Projected subgradient descent over grid fields v with
     ||v - anchor||_{L^p(A)} <= delta, minimizing the discrete functional.
 
     The iterate starts at the anchor (the delta = 0 feasible point), so the
-    reported value never exceeds the anchor's, and the best iterate is kept."""
+    reported value never exceeds the anchor's, and the best iterate is kept.
+    `operators` is `_descent_operators(group, domain)`, built here when absent;
+    callers minimizing on one domain repeatedly pass it to build it once."""
     if delta < 0:
         raise ValueError("the constraint radius must be nonnegative")
     f = functional.integrand
     mask_flat = domain.mask.ravel()
     cellvol = domain.cell_volume
-    ops = _gradient_operators(group, domain)
+    stack, adjoints = operators if operators is not None else _descent_operators(group, domain)
     u0 = anchor.values(domain.all_centers())
 
     def objective(v):
-        grads = np.stack([op @ v for op in ops], axis=-1)
+        # a column-major (K, m) view: the integrands reduce over m without a copy
+        grads = (stack @ v).reshape(group.m, -1).T
         return float(np.sum(f(grads)) * cellvol), grads
 
     def subgradient(grads):
         df = f.grad(grads)
         g = np.zeros_like(u0)
-        for j, op in enumerate(ops):
-            g += op.T @ df[:, j]
+        for j, adjoint in enumerate(adjoints):
+            g += adjoint @ df[:, j]
         return g * cellvol
 
     def project(v):
@@ -273,12 +287,14 @@ def gamma_experiment(group: StratifiedGroup, integrands, u_list, domain: GridDom
     entries = []
     prev_rec = None
     xi_grid = np.atleast_2d(np.asarray(xi_grid, dtype=float))
+    operators = _descent_operators(group, domain) if u_list else None
     for h, integrand in integrands:
         functional = IntegrandFunctional(group, integrand)
         rec = recover_integrand(functional, group, base_domain, xi_grid)
         per_field = []
         for u in u_list:
-            res = minimize_convex(group, functional, u, domain, delta, p, settings)
+            res = minimize_convex(group, functional, u, domain, delta, p, settings,
+                                  operators=operators)
             per_field.append({
                 "field": u.name,
                 "lower": res.value,

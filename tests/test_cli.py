@@ -102,6 +102,14 @@ class TestConfigBoundary:
         (["verify", "--suite", "lsc"], {"grid": 5}),
         (["gamma"], {"minimizer": 5}),
         (["recover"], {"recovery": 5}),
+        (["gamma"], {"fields": [{"expr": "x1**"}]}),
+        (["gamma"], {"fields": [{"expr": "x1 +* 2"}]}),
+        (["gamma"], {"fields": [{"expr": "y9 + x1"}]}),
+        (["verify", "--suite", "mollify"], {"p": 0}),
+        (["verify", "--suite", "mollify"], {"p": -1}),
+        (["verify", "--suite", "axioms"], {"tol_scale": 0}),
+        (["verify", "--suite", "axioms"], {"tol_scale": -1}),
+        (["verify", "--suite", "axioms", "--tol-scale", "0"], {}),
     ], ids=["n5-mollify", "resolution2-sandwich", "shape2-gamma", "points0-recover",
             "shape4-mollify", "empty-h-gamma", "empty-h-lsc", "shape0-axioms",
             "points-string-recover", "group-int-info", "step-rule-gamma",
@@ -110,12 +118,16 @@ class TestConfigBoundary:
             "delta-string-gamma", "schedules-int-lsc", "eps-string-mollify",
             "p-string-mollify", "tol-scale-string-axioms", "empty-rho-recover",
             "seed-negative-axioms", "delta-negative-gamma", "eps-zero-mollify",
-            "grid-int-lsc", "minimizer-int-gamma", "recovery-int-recover"])
+            "grid-int-lsc", "minimizer-int-gamma", "recovery-int-recover",
+            "expr-dangling-gamma", "expr-double-operator-gamma", "expr-foreign-symbol-gamma",
+            "p-zero-mollify", "p-negative-mollify", "tol-scale-zero-axioms",
+            "tol-scale-negative-axioms", "tol-scale-flag-zero-axioms"])
     def test_out_of_range_config_exits_config(self, tmp_path, capsys, argv, payload):
         # each of these used to escape as a traceback with exit 1, or to run
         # as if it were valid (an empty grid passing the axioms suite, an
         # unknown step rule falling back to a fixed step, a non-convex table
-        # on uneven axes passing the convexity guard)
+        # on uneven axes passing the convexity guard, a negative p reporting
+        # an L^p error)
         cfg = _write(tmp_path, "c.json", payload)
         assert main(argv + ["--config", cfg]) == EXIT_CONFIG
         err = capsys.readouterr().err

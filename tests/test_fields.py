@@ -88,6 +88,12 @@ class TestFields:
         expect = np.stack([-pts[:, 1] / 2, pts[:, 0] / 2], axis=-1)
         np.testing.assert_allclose(u.hgrad(pts), expect, atol=1e-14)
 
+    def test_expression_rejects_malformed(self):
+        g = heisenberg(1)
+        for expr in ("x1**", "x1 +* 2", "y9 + x1", "x4"):
+            with pytest.raises(ValueError):
+                from_expression(g, expr)
+
     def test_domain_guard(self):
         dom = GridDomain.box(-np.ones(2), np.ones(2), 4)
         u = ScalarField(values=lambda p: np.atleast_2d(p)[:, 0], domain=dom)
@@ -176,13 +182,22 @@ class TestInterpolation:
                 GridDomain.from_centers([axis])
 
     def test_import_does_not_load_scipy_interpolate(self):
-        src = str(Path(carnot.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
-        code = "import sys, carnot.cli; print('scipy.interpolate' in sys.modules)"
-        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                             capture_output=True, text=True).stdout
-        assert out.strip() == "False"
+        assert not _loaded_by_cli_import("scipy.interpolate")
+
+    def test_import_does_not_load_sympy(self):
+        # only fields given by an expression need sympy, and it is slow to import
+        assert not _loaded_by_cli_import("sympy")
+
+
+def _loaded_by_cli_import(module: str) -> bool:
+    """Whether a fresh `import carnot.cli` puts `module` in sys.modules."""
+    src = str(Path(carnot.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    code = f"import sys, carnot.cli; print({module!r} in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    return out.strip() == "True"
 
 
 class TestTranslation:
