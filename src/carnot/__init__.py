@@ -20,8 +20,7 @@ from .functionals import (Integrand, PowerIntegrand, QuadraticIntegrand,
                           jensen_check, sandwich_check, lsc_check)
 from .recovery import (HypothesisError, uniform_xi_grid, RecoveredIntegrand,
                        recover_integrand, constancy_probe, verify_uniqueness,
-                       MinimizeSettings, MinimizeResult, minimize_convex,
-                       gamma_experiment)
+                       MinimizeResult, minimize_convex, gamma_experiment)
 from .config import ConfigError, load_config
 
 __version__ = "0.1.0"
@@ -40,7 +39,6 @@ __all__ = [
     "jensen_check", "sandwich_check", "lsc_check",
     "HypothesisError", "uniform_xi_grid", "RecoveredIntegrand",
     "recover_integrand", "constancy_probe", "verify_uniqueness",
-    "MinimizeSettings", "MinimizeResult", "minimize_convex",
-    "gamma_experiment",
+    "MinimizeResult", "minimize_convex", "gamma_experiment",
     "ConfigError", "load_config",
 ]

@@ -188,12 +188,12 @@ def cmd_gamma(args) -> int:
     grid = cfgmod.build_grid(cfg, group)
     sequence = cfgmod.build_gamma_sequence(cfg, group)
     xi_grid = cfgmod.build_xi_grid(cfg, group)
-    settings = cfgmod.build_minimizer_settings(cfg)
+    max_iter = cfgmod.build_max_iter(cfg)
     base = cfgmod.build_recovery_ball(cfg, norm)
     fields = cfgmod.build_fields(cfg, group)
     report = gamma_experiment(group, sequence, fields, grid,
                               cfgmod.build_scalar(cfg, "schedules.delta", minimum=0.0),
-                              cfgmod.build_scalar(cfg, "p"), base, xi_grid, settings)
+                              cfgmod.build_scalar(cfg, "p"), base, xi_grid, max_iter)
 
     rows = []
     for entry in report["entries"]:

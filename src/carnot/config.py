@@ -18,7 +18,7 @@ from .fields import GridDomain, from_expression, probe_field
 from .functionals import (Functional, IntegrandFunctional, BlackBoxFunctional,
                           integrand_from_config)
 from .mollify import MollifierFamily
-from .recovery import MinimizeSettings, uniform_xi_grid
+from .recovery import uniform_xi_grid
 
 
 class ConfigError(ValueError):
@@ -42,7 +42,7 @@ DEFAULTS = {
     "xi_grid": {"radius": 4.0, "points": 9},
     "recovery": {"ball_radius": 1.0, "cells_per_axis": 12},
     "gamma": {"kind": "offset", "base": {"kind": "power", "p": 2}, "scale": 1.0},
-    "minimizer": {"max_iter": 200, "step_rule": "sqrt"},
+    "minimizer": {"max_iter": 200},
     "samples": 200,
     "seed": 0,
     "tol_scale": 1.0,
@@ -203,17 +203,12 @@ def build_recovery_ball(cfg: dict, norm: groups.HomogeneousNorm) -> GridDomain:
     return GridDomain.ball(norm, norm.group.origin(), radius, cells)
 
 
-def build_minimizer_settings(cfg: dict) -> MinimizeSettings:
-    spec = _section(cfg, "minimizer")
-    max_iter = _read(int, spec.get("max_iter", 200), "minimizer.max_iter")
-    scale = spec.get("step_scale")
-    if scale is not None:
-        scale = _read(float, scale, "minimizer.step_scale")
-    try:
-        return MinimizeSettings(max_iter=max_iter, step_rule=str(spec.get("step_rule", "sqrt")),
-                                step_scale=scale)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+def build_max_iter(cfg: dict) -> int:
+    """minimizer.max_iter, the minimizer's budget and its section's only key."""
+    unknown = sorted(set(_section(cfg, "minimizer")) - {"max_iter"})
+    if unknown:
+        raise ConfigError(f"unknown minimizer keys {unknown}, the only key is max_iter")
+    return build_scalar(cfg, "minimizer.max_iter", int, minimum=0)
 
 
 def build_schedule(cfg: dict, key: str, kind=float) -> list:

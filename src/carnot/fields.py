@@ -307,31 +307,43 @@ def from_expression(group: StratifiedGroup, expr) -> ScalarField:
 
     The Euclidean gradient is differentiated symbolically; the horizontal
     gradient then comes from the frame coefficient matrix.  Raises ValueError
-    when the expression does not parse or uses a symbol other than x1..xn.
+    when the expression does not parse, uses a symbol other than x1..xn, or
+    has no real numpy evaluator; non-finite values are the caller's to reject.
     """
     import sympy as sp  # only expression fields need it; it is slow to import
 
     syms = sp.symbols(f"x1:{group.n + 1}")
-    try:
+    try:  # sympy reports malformed text through many exception types
         expr = sp.sympify(expr, locals={s.name: s for s in syms})
-    except (sp.SympifyError, SyntaxError, TypeError, AttributeError) as exc:
+    except Exception as exc:
         raise ValueError(f"cannot parse field expression {expr!r}") from exc
     if not isinstance(expr, sp.Expr) or not expr.free_symbols <= set(syms):
         raise ValueError(f"field expression '{expr}' must be an expression "
                          f"in x1..x{group.n}")
-    fv = sp.lambdify(syms, expr, modules="numpy")
-    fg = [sp.lambdify(syms, sp.diff(expr, s), modules="numpy") for s in syms]
+
+    def evaluate(fn, p):
+        with np.errstate(all="ignore"):
+            out = np.asarray(fn(*p.T))
+        if np.iscomplexobj(out):
+            raise ValueError(f"field expression '{expr}' is not real")
+        return np.broadcast_to(out.astype(float), (len(p),))
 
     def values(p):
-        p = np.atleast_2d(p)
-        return np.broadcast_to(np.asarray(fv(*p.T), dtype=float), (len(p),)).copy()
+        return evaluate(fv, np.atleast_2d(p)).copy()
 
     def egrad(p):
         p = np.atleast_2d(p)
-        cols = [np.broadcast_to(np.asarray(g(*p.T), dtype=float), (len(p),))
-                for g in fg]
-        return np.stack(cols, axis=-1)
+        return np.stack([evaluate(g, p) for g in fg], axis=-1)
 
+    # a missing numpy printer, a failing evaluator and a complex value each raise
+    # their own exception type; one evaluation at the origin surfaces them here
+    try:
+        fv = sp.lambdify(syms, expr, modules="numpy")
+        fg = [sp.lambdify(syms, sp.diff(expr, s), modules="numpy") for s in syms]
+        values(group.origin())
+        egrad(group.origin())
+    except Exception as exc:
+        raise ValueError(f"field expression '{expr}' has no real numpy evaluator") from exc
     field = ScalarField(values=values, egrad=egrad, name=str(expr))
     return replace(field, hgrad=_hgrad_from_egrad(group, egrad))
 

@@ -125,10 +125,6 @@ class StratifiedGroup:
             out[..., l] += c * (x[..., i] * y[..., j] - x[..., j] * y[..., i])
         return out
 
-    def ad(self, z) -> np.ndarray:
-        """Matrix of v -> [z, v]."""
-        return np.einsum("...i,ijl->...lj", np.asarray(z), self.c)
-
     # -- group operations --------------------------------------------------
 
     def multiply(self, x, y) -> np.ndarray:
@@ -153,29 +149,36 @@ class StratifiedGroup:
         return self._coerce(x) * lam[..., None] ** self.weights
 
     def translation_jacobian(self, z, x) -> np.ndarray:
-        """d(z.x)/dx, the Jacobian of left translation by z at x."""
+        """d(z.x)/dx, the Jacobian of left translation by z at x.
+
+        Column k is e_k + [z,e_k]/2 + ([z,[z,e_k]] + [e_k,[x,z]] + [x,[e_k,z]])/12.
+        """
         z = self._coerce(z)
         x = self._coerce(x)
         eye = np.eye(self.n)
-        adz = self.ad(z)
-        jac = eye + 0.5 * adz
+        zb = self.bracket(z[..., None, :], eye)  # row k is [z, e_k]
+        cols = eye + 0.5 * zb
         if self.step >= 3:
-            jac = jac + (adz @ adz - self.ad(self.bracket(x, z)) - self.ad(x) @ adz) / 12.0
-        # broadcast against the point batch even when z is a single point
-        return jac + np.zeros(x.shape[:-1] + (1, 1))
+            cols = cols + (self.bracket(z[..., None, :], zb)
+                           + self.bracket(eye, self.bracket(x, z)[..., None, :])
+                           - self.bracket(x[..., None, :], zb)) / 12.0
+        # C order, as the contractions sum in; broadcast even for a single z
+        return np.ascontiguousarray(np.swapaxes(cols, -1, -2)) + np.zeros(x.shape[:-1] + (1, 1))
 
     def vector_field_coeffs(self, x) -> np.ndarray:
         """Coefficient matrix A(x) of the horizontal frame X_1..X_m.
 
-        Column j is d/dt (x . t e_j) at t = 0, so X_j u = A(x)[:, j] . grad u.
+        Column j is d/dt (x . t e_j) at t = 0, that is
+        e_j + [x,e_j]/2 + [x,[x,e_j]]/12, so X_j u = A(x)[:, j] . grad u.
         """
-        x = self._coerce(x)
-        eye = np.eye(self.n)[:, : self.m]
-        adx = self.ad(x)
-        coeffs = eye + 0.5 * adx[..., : self.m]
+        x = self._coerce(x)[..., None, :]
+        eye = np.eye(self.n)[: self.m]
+        xb = self.bracket(x, eye)  # row j is [x, e_j]
+        rows = eye + 0.5 * xb
         if self.step >= 3:
-            coeffs = coeffs + (adx @ adx)[..., : self.m] / 12.0
-        return coeffs
+            rows = rows + self.bracket(x, xb) / 12.0
+        # in C order, the layout the contraction in X_j u sums in
+        return np.ascontiguousarray(np.swapaxes(rows, -1, -2))
 
     def norm(self, kind: str = "weighted-max") -> "HomogeneousNorm":
         return HomogeneousNorm(self, kind)

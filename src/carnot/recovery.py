@@ -28,7 +28,6 @@ __all__ = [
     "recover_integrand",
     "constancy_probe",
     "verify_uniqueness",
-    "MinimizeSettings",
     "MinimizeResult",
     "minimize_convex",
     "gamma_experiment",
@@ -137,17 +136,9 @@ def verify_uniqueness(f_functional: Functional, g_functional: Functional,
 # -- constrained first-order minimization --------------------------------------
 
 
-@dataclass(frozen=True)
-class MinimizeSettings:
-    max_iter: int = 400
-    step_rule: str = "sqrt"      # "sqrt": s0/sqrt(t); "fixed": constant s0
-    step_scale: Optional[float] = None  # s0; probed from a line search when None
-    rel_tol: float = 1e-10
-    patience: int = 50
-
-    def __post_init__(self):
-        if self.step_rule not in ("sqrt", "fixed"):
-            raise ValueError(f"unknown step rule {self.step_rule!r}, expected 'sqrt' or 'fixed'")
+# stall rule: stop after `_PATIENCE` steps in a row that miss a relative `_REL_TOL` gain
+_REL_TOL = 1e-10
+_PATIENCE = 50
 
 
 @dataclass(frozen=True)
@@ -197,23 +188,25 @@ def _lp_norm(w: np.ndarray, mask_flat: np.ndarray, cellvol: float, p: float) -> 
 
 def minimize_convex(group: StratifiedGroup, functional: IntegrandFunctional,
                     anchor: ScalarField, domain: GridDomain, delta: float,
-                    p: float = 2.0,
-                    settings: MinimizeSettings = MinimizeSettings(), *,
+                    p: float = 2.0, max_iter: int = 400, *,
                     operators: Optional[tuple] = None) -> MinimizeResult:
     """Projected subgradient descent over grid fields v with
-    ||v - anchor||_{L^p(A)} <= delta, minimizing the discrete functional.
+    ||v - anchor||_{L^p(A)} <= delta, minimizing the discrete functional in
+    at most `max_iter` steps of size s0/sqrt(t), s0 line-searched once.
 
     The iterate starts at the anchor (the delta = 0 feasible point), so the
     reported value never exceeds the anchor's, and the best iterate is kept.
     `operators` is `_descent_operators(group, domain)`, built here when absent;
     callers minimizing on one domain repeatedly pass it to build it once."""
-    if delta < 0:
-        raise ValueError("the constraint radius must be nonnegative")
+    if delta < 0 or max_iter < 0:
+        raise ValueError("the constraint radius and the iteration budget must be nonnegative")
     f = functional.integrand
     mask_flat = domain.mask.ravel()
     cellvol = domain.cell_volume
     stack, adjoints = operators if operators is not None else _descent_operators(group, domain)
     u0 = anchor.values(domain.all_centers())
+    if not np.isfinite(u0).all():
+        raise DomainError(f"the field {anchor.name} is not finite at every cell center")
 
     def objective(v):
         # a column-major (K, m) view: the integrands reduce over m without a copy
@@ -237,35 +230,30 @@ def minimize_convex(group: StratifiedGroup, functional: IntegrandFunctional,
         return u0 + w * (delta / nrm)
 
     start_value, grads = objective(u0)
-    if delta == 0 or settings.max_iter == 0:
+    if delta == 0 or max_iter == 0:
         return MinimizeResult(u0, start_value, start_value, 0, True)
 
     v = u0.copy()
     best_v, best_val = v.copy(), start_value
     g = subgradient(grads)
-    s0 = settings.step_scale
-    if s0 is None:
-        gn = np.linalg.norm(g)
-        probes = np.logspace(-4, 1, 12) * (np.linalg.norm(u0 - u0.mean()) + 1.0) / (gn + 1e-30)
-        vals = [objective(project(v - s * g))[0] for s in probes]
-        s0 = float(probes[int(np.argmin(vals))])
+    gn = np.linalg.norm(g)
+    probes = np.logspace(-4, 1, 12) * (np.linalg.norm(u0 - u0.mean()) + 1.0) / (gn + 1e-30)
+    vals = [objective(project(v - s * g))[0] for s in probes]
+    s0 = float(probes[int(np.argmin(vals))])
 
     stalled = 0
-    it = 0
-    for it in range(1, settings.max_iter + 1):
-        step = s0 / np.sqrt(it) if settings.step_rule == "sqrt" else s0
-        v = project(v - step * g)
+    for it in range(1, max_iter + 1):
+        v = project(v - s0 / np.sqrt(it) * g)
         val, grads = objective(v)
-        if val < best_val - settings.rel_tol * max(1.0, abs(best_val)):
+        if val < best_val - _REL_TOL * max(1.0, abs(best_val)):
             best_val, best_v = val, v.copy()
             stalled = 0
         else:
             stalled += 1
-            if stalled >= settings.patience:
+            if stalled >= _PATIENCE:
                 break
         g = subgradient(grads)
-    converged = stalled >= settings.patience or it < settings.max_iter
-    return MinimizeResult(best_v, best_val, start_value, it, converged)
+    return MinimizeResult(best_v, best_val, start_value, it, stalled >= _PATIENCE)
 
 
 # -- variational limit experiment -----------------------------------------------
@@ -273,7 +261,7 @@ def minimize_convex(group: StratifiedGroup, functional: IntegrandFunctional,
 
 def gamma_experiment(group: StratifiedGroup, integrands, u_list, domain: GridDomain,
                      delta: float, p: float, base_domain: GridDomain, xi_grid,
-                     settings: MinimizeSettings = MinimizeSettings()) -> dict:
+                     max_iter: int = 400) -> dict:
     """Bracket the variational limit of a functional sequence.
 
     `integrands` is a list of (h, Integrand) with h increasing.  Per h the
@@ -293,7 +281,7 @@ def gamma_experiment(group: StratifiedGroup, integrands, u_list, domain: GridDom
         rec = recover_integrand(functional, group, base_domain, xi_grid)
         per_field = []
         for u in u_list:
-            res = minimize_convex(group, functional, u, domain, delta, p, settings,
+            res = minimize_convex(group, functional, u, domain, delta, p, max_iter,
                                   operators=operators)
             per_field.append({
                 "field": u.name,

@@ -19,7 +19,7 @@ from carnot.functionals import (PowerIntegrand, QuadraticIntegrand,
                                 ShiftedArgIntegrand, IntegrandFunctional,
                                 check_left_invariance, jensen_check)
 from carnot.recovery import (uniform_xi_grid, recover_integrand, constancy_probe,
-                             verify_uniqueness, MinimizeSettings, gamma_experiment)
+                             verify_uniqueness, gamma_experiment)
 from carnot.suites import (suite_axioms, suite_functional, suite_sandwich,
                            random_quadratic, menu_integrands)
 from carnot.cli import main as cli_main, EXIT_HYPOTHESIS
@@ -269,8 +269,7 @@ def test_criterion_12_gamma_experiment():
     fields = [probe_field(H1, np.array([0.6, -0.2])),
               random_quadratic(H1, np.random.default_rng(10))]
     seq = [(h, OffsetIntegrand(base, 1.0 / h)) for h in (1, 2, 4, 8, 16)]
-    rep = gamma_experiment(H1, seq, fields, dom, 0.5, 2.0, ball, xi_grid,
-                           MinimizeSettings(max_iter=50))
+    rep = gamma_experiment(H1, seq, fields, dom, 0.5, 2.0, ball, xi_grid, max_iter=50)
     gap = float(np.abs(rep["limit"].values - base(xi_grid)).max())
     assert gap <= 1.0 / 16.0 + 1e-6
     for entry in rep["entries"]:

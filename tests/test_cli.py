@@ -71,6 +71,19 @@ class TestVerify:
         assert main(["verify", "--suite", "functional", "--config", cfg]) == EXIT_OK
 
 
+# field expressions that parse but have no real numpy evaluator, or whose
+# values are not finite on the grid
+_BAD_EXPRESSIONS = {"lambda": "lambda: 1", "imaginary-unit": "I", "complex-infinity": "zoo",
+                    "undefined-function": "f(x1)", "integral": "Integral(x1, x1)",
+                    "complex": "x1 + I", "nan": "nan", "infinity": "oo",
+                    "sqrt-negative": "sqrt(x1)"}
+
+
+def _small_gamma(expr):
+    return {"grid": {"shape": 4}, "xi_grid": {"points": 2}, "schedules": {"h": [1]},
+            "minimizer": {"max_iter": 2}, "fields": [{"expr": _BAD_EXPRESSIONS[expr]}]}
+
+
 class TestConfigBoundary:
     @pytest.mark.parametrize("argv, payload", [
         (["verify", "--suite", "mollify"], {"group": "heisenberg:2"}),
@@ -110,7 +123,12 @@ class TestConfigBoundary:
         (["verify", "--suite", "axioms"], {"tol_scale": 0}),
         (["verify", "--suite", "axioms"], {"tol_scale": -1}),
         (["verify", "--suite", "axioms", "--tol-scale", "0"], {}),
-    ], ids=["n5-mollify", "resolution2-sandwich", "shape2-gamma", "points0-recover",
+        (["gamma"], {"minimizer": {"step_rule": "fixed"}}),
+        (["gamma"], {"minimizer": {"step_scale": 0.1}}),
+        (["gamma"], {"minimizer": {"stepscale": 5}}),
+        (["gamma"], {"minimizer": {"max_iter": -1}}),
+    ] + [(["gamma"], _small_gamma(expr)) for expr in _BAD_EXPRESSIONS],
+       ids=["n5-mollify", "resolution2-sandwich", "shape2-gamma", "points0-recover",
             "shape4-mollify", "empty-h-gamma", "empty-h-lsc", "shape0-axioms",
             "points-string-recover", "group-int-info", "step-rule-gamma",
             "uneven-tabulated-functional", "seed-string-axioms",
@@ -121,13 +139,16 @@ class TestConfigBoundary:
             "grid-int-lsc", "minimizer-int-gamma", "recovery-int-recover",
             "expr-dangling-gamma", "expr-double-operator-gamma", "expr-foreign-symbol-gamma",
             "p-zero-mollify", "p-negative-mollify", "tol-scale-zero-axioms",
-            "tol-scale-negative-axioms", "tol-scale-flag-zero-axioms"])
+            "tol-scale-negative-axioms", "tol-scale-flag-zero-axioms",
+            "step-rule-fixed-gamma", "step-scale-gamma", "misspelled-minimizer-key-gamma",
+            "max-iter-negative-gamma"] + [f"expr-{name}-gamma" for name in _BAD_EXPRESSIONS])
     def test_out_of_range_config_exits_config(self, tmp_path, capsys, argv, payload):
         # each of these used to escape as a traceback with exit 1, or to run
         # as if it were valid (an empty grid passing the axioms suite, an
         # unknown step rule falling back to a fixed step, a non-convex table
         # on uneven axes passing the convexity guard, a negative p reporting
-        # an L^p error)
+        # an L^p error, a misspelled minimizer key being ignored, a complex
+        # field losing its imaginary part)
         cfg = _write(tmp_path, "c.json", payload)
         assert main(argv + ["--config", cfg]) == EXIT_CONFIG
         err = capsys.readouterr().err

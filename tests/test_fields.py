@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -90,9 +91,21 @@ class TestFields:
 
     def test_expression_rejects_malformed(self):
         g = heisenberg(1)
-        for expr in ("x1**", "x1 +* 2", "y9 + x1", "x4"):
+        # the last six parse, but sympy has no numpy printer for them, the
+        # printed evaluator fails, or it returns complex values
+        for expr in ("x1**", "x1 +* 2", "y9 + x1", "x4", "lambda: 1", "I", "zoo",
+                     "f(x1)", "Integral(x1, x1)", "x1 + I"):
             with pytest.raises(ValueError):
                 from_expression(g, expr)
+
+    def test_expression_keeps_non_finite_values(self):
+        # a non-finite value is the caller's to reject, and it raises no warning
+        g = heisenberg(1)
+        pts = np.array([[-1.0, 0.0, 0.0], [4.0, 0.0, 0.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = from_expression(g, "sqrt(x1)").values(pts)
+        np.testing.assert_array_equal(values, [np.nan, 2.0])
 
     def test_domain_guard(self):
         dom = GridDomain.box(-np.ones(2), np.ones(2), 4)

@@ -77,12 +77,15 @@ class TestBracket:
             np.testing.assert_allclose(g.bracket(x, y), self._dense(g, x, y),
                                        rtol=1e-14, atol=1e-14)
 
-    @pytest.mark.parametrize("spec", [
+    CUSTOM = [
         {"layer_dims": [4, 1], "brackets": [{"i": 1, "j": 2, "out": {"5": 2.5}},
                                              {"i": 3, "j": 4, "out": {"5": -0.75}}]},
         {"layer_dims": [2, 1, 1], "brackets": [{"i": 1, "j": 2, "out": {"3": 1.5}},
                                                 {"i": 1, "j": 3, "out": {"4": -0.3}}]},
-    ], ids=["two-pairs-one-output", "step3-non-unit"])
+    ]
+    CUSTOM_IDS = ["two-pairs-one-output", "step3-non-unit"]
+
+    @pytest.mark.parametrize("spec", CUSTOM, ids=CUSTOM_IDS)
     def test_custom_constants(self, spec):
         g = from_config(spec)
         x, y = np.random.default_rng(6).normal(size=(2, 300, g.n))
@@ -100,6 +103,55 @@ class TestBracket:
         np.testing.assert_array_equal(g.bracket(point, batch), self._dense(g, point, batch))
         assert g.bracket(point, point).shape == (g.n,)
         np.testing.assert_array_equal(g.bracket(batch[0], point), self._dense(g, batch[0], point))
+
+
+class TestFrameKernels:
+    """The frame and the translation Jacobian, built from the sparse bracket,
+    against the dense matrices of v -> [z, v] contracted over all of c."""
+
+    @staticmethod
+    def _ad(g, z):
+        return np.einsum("...i,ijl->...lj", z, g.c)
+
+    @classmethod
+    def _dense_frame(cls, g, x):
+        adx = cls._ad(g, x)
+        coeffs = np.eye(g.n)[:, : g.m] + 0.5 * adx[..., : g.m]
+        if g.step >= 3:
+            coeffs = coeffs + (adx @ adx)[..., : g.m] / 12.0
+        return coeffs
+
+    @classmethod
+    def _dense_jacobian(cls, g, z, x):
+        adz = cls._ad(g, z)
+        jac = np.eye(g.n) + 0.5 * adz
+        if g.step >= 3:
+            jac = jac + (adz @ adz - cls._ad(g, g.bracket(x, z)) - cls._ad(g, x) @ adz) / 12.0
+        return jac + np.zeros(x.shape[:-1] + (1, 1))
+
+    def _check(self, g, exact):
+        rng = np.random.default_rng(8)
+        x, z = rng.normal(size=(2, 500, g.n))
+        if exact:
+            compare = np.testing.assert_array_equal
+        else:
+            compare = lambda a, b: np.testing.assert_allclose(a, b, rtol=1e-14, atol=1e-14)
+        frame = g.vector_field_coeffs(x)
+        assert frame.shape == (500, g.n, g.m) and frame.flags.c_contiguous
+        compare(frame, self._dense_frame(g, x))
+        for zz in (z, z[0]):
+            jac = g.translation_jacobian(zz, x)
+            assert jac.shape == (500, g.n, g.n) and jac.flags.c_contiguous
+            compare(jac, self._dense_jacobian(g, zz, x))
+
+    @pytest.mark.parametrize("name", ["euclidean:3", "heisenberg:1", "heisenberg:2",
+                                      "heisenberg:3", "engel"])
+    def test_presets(self, name):
+        self._check(preset(name), exact=True)
+
+    @pytest.mark.parametrize("spec", TestBracket.CUSTOM, ids=TestBracket.CUSTOM_IDS)
+    def test_custom_constants(self, spec):
+        self._check(from_config(spec), exact=False)
 
 
 class TestDilations:

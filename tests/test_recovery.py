@@ -6,14 +6,14 @@ import pytest
 
 from carnot import recovery
 from carnot.groups import euclidean, heisenberg, engel
-from carnot.fields import GridDomain, probe_field, quadratic_field
+from carnot.fields import GridDomain, DomainError, ScalarField, probe_field, quadratic_field
 from carnot.functionals import (PowerIntegrand, QuadraticIntegrand,
                                 MaxAffineIntegrand, OffsetIntegrand,
                                 ShiftedArgIntegrand, IntegrandFunctional)
 from carnot.recovery import (HypothesisError, uniform_xi_grid, recover_integrand,
-                             constancy_probe, verify_uniqueness, MinimizeSettings,
+                             constancy_probe, verify_uniqueness,
                              minimize_convex, gamma_experiment,
-                             _gradient_operators, _lp_norm)
+                             _gradient_operators, _lp_norm, _PATIENCE, _REL_TOL)
 
 from conftest import x_weighted_functional
 
@@ -185,8 +185,7 @@ class TestMinimizer:
     def test_never_exceeds_anchor(self, problem):
         g, dom, F, u, _ = problem
         for delta in (0.1, 0.5, 2.0):
-            res = minimize_convex(g, F, u, dom, delta,
-                                  settings=MinimizeSettings(max_iter=100))
+            res = minimize_convex(g, F, u, dom, delta, max_iter=100)
             assert res.value <= res.start_value + 1e-12
 
     def test_matches_trust_region_oracle(self, problem):
@@ -194,24 +193,38 @@ class TestMinimizer:
         u0 = u.values(dom.all_centers())
         for delta in (0.25, 0.5):
             exact = _trust_region_optimum(H, u0, delta, dom.cell_volume)
-            res = minimize_convex(g, F, u, dom, delta,
-                                  settings=MinimizeSettings(max_iter=600,
-                                                            patience=600))
+            res = minimize_convex(g, F, u, dom, delta, max_iter=600)
             assert res.value == pytest.approx(exact, rel=1e-6)
 
     def test_large_ball_approaches_zero_energy(self, problem):
         g, dom, F, u, _ = problem
-        res = minimize_convex(g, F, u, dom, 50.0,
-                              settings=MinimizeSettings(max_iter=800, patience=800))
+        res = minimize_convex(g, F, u, dom, 50.0, max_iter=800)
         assert res.value <= 0.05 * res.start_value
 
     def test_negative_radius_rejected(self, problem):
         g, dom, F, u, _ = problem
         with pytest.raises(ValueError):
             minimize_convex(g, F, u, dom, -1.0)
+        with pytest.raises(ValueError, match="budget"):
+            minimize_convex(g, F, u, dom, 0.5, max_iter=-1)
+
+    def test_non_finite_anchor_rejected(self, problem):
+        g, dom, F, u, _ = problem
+        holed = ScalarField(values=lambda p: np.where(np.atleast_2d(p)[:, 0] > 0.5, np.nan, 0.0),
+                            name="holed")
+        with pytest.raises(DomainError, match="holed"):
+            minimize_convex(g, F, holed, dom, 0.5)
+
+    def test_converged_means_stalled(self, problem):
+        # a large ball keeps improving for the whole budget; a tiny one stalls
+        g, dom, F, u, _ = problem
+        res = minimize_convex(g, F, u, dom, 50.0, max_iter=20)
+        assert (res.iterations, res.converged) == (20, False)
+        res = minimize_convex(g, F, u, dom, 1e-12, max_iter=400)
+        assert res.converged and res.iterations < 400
 
 
-def _reference_minimize(group, functional, anchor, domain, delta, p, settings):
+def _reference_minimize(group, functional, anchor, domain, delta, p, max_iter):
     """The descent of `minimize_convex` with the per-direction layout: each
     directional derivative its own array, stacked on a trailing axis, and the
     adjoint applied through each operator's transpose."""
@@ -245,14 +258,14 @@ def _reference_minimize(group, functional, anchor, domain, delta, p, settings):
         np.linalg.norm(g) + 1e-30)
     s0 = float(probes[int(np.argmin([objective(project(v - s * g))[0] for s in probes]))])
     stalled = 0
-    for it in range(1, settings.max_iter + 1):
+    for it in range(1, max_iter + 1):
         v = project(v - s0 / np.sqrt(it) * g)
         val, grads = objective(v)
-        if val < best_val - settings.rel_tol * max(1.0, abs(best_val)):
+        if val < best_val - _REL_TOL * max(1.0, abs(best_val)):
             best_val, best_v, stalled = val, v.copy(), 0
         else:
             stalled += 1
-            if stalled >= settings.patience:
+            if stalled >= _PATIENCE:
                 break
         g = subgradient(grads)
     return best_v, best_val, it
@@ -275,12 +288,10 @@ class TestMinimizerLayout:
         dom = GridDomain.box(-np.ones(group.n), np.ones(group.n), shape)
         u = quadratic_field(group, 0.2, rng.normal(size=group.n),
                             rng.normal(size=(group.n, group.n)))
-        settings = MinimizeSettings(max_iter=30)
         for name, f in _integrand_menu(group.m, rng).items():
             F = IntegrandFunctional(group, f)
-            res = minimize_convex(group, F, u, dom, 0.5, 2.0, settings)
-            samples, value, iterations = _reference_minimize(group, F, u, dom, 0.5, 2.0,
-                                                             settings)
+            res = minimize_convex(group, F, u, dom, 0.5, 2.0, 30)
+            samples, value, iterations = _reference_minimize(group, F, u, dom, 0.5, 2.0, 30)
             np.testing.assert_array_equal(res.samples, samples, err_msg=name)
             assert (res.value, res.iterations) == (value, iterations), name
 
@@ -298,7 +309,7 @@ class TestMinimizerLayout:
                   quadratic_field(g, 0.0, [1.0, 0.0, 0.5], 0.3 * np.eye(3))]
         dom = GridDomain.box(-np.ones(3), np.ones(3), 6)
         rep = gamma_experiment(g, seq, fields, dom, 0.5, 2.0, ball, np.zeros((1, 2)),
-                               MinimizeSettings(max_iter=5))
+                               max_iter=5)
         assert sum(len(e["fields"]) for e in rep["entries"]) == 6
         assert len(calls) == 1
 
@@ -318,8 +329,7 @@ class TestGamma:
         dom = GridDomain.box(-np.ones(3), np.ones(3), 6)
         xi_grid = uniform_xi_grid(2, 4.0, 5)
         u = probe_field(g, np.array([0.5, 0.5]))
-        rep = gamma_experiment(g, seq, [u], dom, 0.5, 2.0, ball, xi_grid,
-                               MinimizeSettings(max_iter=40))
+        rep = gamma_experiment(g, seq, [u], dom, 0.5, 2.0, ball, xi_grid, max_iter=40)
         gap = np.abs(rep["limit"].values - base(xi_grid)).max()
         assert gap <= 1.0 / 16.0 + 1e-6
         for entry in rep["entries"]:
@@ -334,7 +344,7 @@ class TestGamma:
         dom = GridDomain.box(-np.ones(3), np.ones(3), 6)
         u = probe_field(g, np.array([1.0, 0.0]))
         rep = gamma_experiment(g, seq, [u], dom, 0.0, 2.0, ball,
-                               np.zeros((1, 2)), MinimizeSettings(max_iter=0))
+                               np.zeros((1, 2)), max_iter=0)
         uppers = {per["upper"] for e in rep["entries"] for per in e["fields"]}
         lowers = {per["lower"] for e in rep["entries"] for per in e["fields"]}
         assert len(uppers) == 1 and uppers == lowers
