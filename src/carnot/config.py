@@ -73,7 +73,12 @@ def load_config(path: str | None = None, overrides: dict | None = None) -> dict:
 
 
 def _read(kind, value, key: str):
-    """kind(value), or a ConfigError naming the config key."""
+    """kind(value), or a ConfigError naming the config key.  An int must be
+    given as an integer: int() would truncate 2.5 to 2 and read true as 1,
+    while an integral float such as 3.0 stays valid."""
+    if kind is int and (isinstance(value, bool)
+                        or isinstance(value, float) and not value.is_integer()):
+        raise ConfigError(f"{key} must be int, got {value!r}")
     try:
         return kind(value)
     except (TypeError, ValueError) as exc:
@@ -138,9 +143,11 @@ def build_grid(cfg: dict, group: groups.StratifiedGroup) -> GridDomain:
         raise ConfigError(f"grid box must have {group.n} axes")
     try:
         lo, hi = np.asarray(lo, float), np.asarray(hi, float)
-        shape = tuple(int(s) for s in np.broadcast_to(spec["shape"], (group.n,)))
+        # object dtype keeps each entry's JSON type for _read
+        shape = np.broadcast_to(np.array(spec["shape"], dtype=object), (group.n,))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"malformed grid spec {spec!r}: {exc}") from exc
+    shape = tuple(_read(int, s, "grid.shape") for s in shape)
     if min(shape) < 1:
         raise ConfigError(f"grid needs at least one cell per axis, got shape {shape}")
     return GridDomain.box(lo, hi, shape)
@@ -217,7 +224,7 @@ def build_schedule(cfg: dict, key: str, kind=float) -> list:
     raw = _section(cfg, "schedules")[key]
     message = f"schedules.{key} must be a nonempty list of positive {kind.__name__}, got {raw!r}"
     try:
-        values = [kind(v) for v in raw]
+        values = [_read(kind, v, key) for v in raw]
     except (TypeError, ValueError) as exc:
         raise ConfigError(message) from exc
     if not values or min(values) <= 0:

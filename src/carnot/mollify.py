@@ -96,14 +96,50 @@ class MollifierFamily:
 
 _ERODE_CACHE: dict = {}
 
+# erosion batches: a tile's first batch tests _FIRST_CELLS candidate cells,
+# each later one twice as many, capped at _MAX_PAIRS (center, cell) pairs
+_FIRST_CELLS = 64
+_MAX_PAIRS = 1 << 16
+_TILE_CENTERS = 16
+
+
+def _column_offsets(mask: np.ndarray, m: int) -> np.ndarray:
+    """Offsets of each horizontal column's cells among the true cells of
+    `mask` in C order; the m horizontal axes lead, so a column's vertical
+    cells are contiguous."""
+    per_column = mask.reshape(int(np.prod(mask.shape[:m])), -1).sum(axis=1)
+    return np.concatenate([[0], np.cumsum(per_column)])
+
 
 def erode_domain(group: StratifiedGroup, norm: HomogeneousNorm,
                  omega: GridDomain, eps: float) -> GridDomain:
     """Right-distance erosion: cells whose center is farther than eps (in d^R)
     from every complement cell center, including a ring outside the box.
 
-    Brackets land in layers >= 2, so (x.y^{-1})_h = x_h - y_h and rho >= max|x_h - y_h|:
-    only complement cells within ceil(eps/h) + 1 cells horizontally can have d^R <= eps.
+    Exact horizontal window.  Brackets land in layers >= 2, so on a horizontal
+    axis k the product z = x.y^{-1} has z_k = fl(x_k - y_k), and both norms
+    give rho(z) >= |z_k|(1 - 4u), u = 2^-53 (the Koranyi norm rounds two
+    squares, a sum and a fourth root; the weighted-max norm is exact there).
+    Let h be the box spacing on axis k and W = max(|lo_k|, |hi_k|) over the
+    padded box, so W bounds every coordinate, the pad width and eps.  The ideal
+    centers lo + h(i + 1/2) of the box and of its padded lattice, whose corner
+    is lo - p.h, differ by exactly d.h, d the integer cell offset.  Computing a
+    box center as fl(lo + fl(h(i + 1/2))) errs by at most 3uW; the padded
+    lattice rounds its corner (2uW), its spacing fl(fl(hi' - lo')/s') (12uW
+    over the whole axis) and each center (3uW), 17uW in all.  So a pair with
+    rho(z) <= eps has |d| h <= eps(1 + 5u) + 20uW, and with two more roundings
+    in forming eps/h + margin, |d| <= eps/h + (7 eps + 20W)u/h <= eps/h + 27uW/h
+    to first order.  The window reach_k = floor(eps/h + 32uW/h) therefore holds
+    every killer; no pair outside it is evaluated, and every pair inside is
+    tested exactly.  The ring's pad stays ceil(eps^w/h) + 1 per axis, because
+    it defines which complement cells exist.
+
+    Centers are taken one tile at a time: a horizontal column (all vertical
+    cells over one horizontal cell), or a short run of neighbouring columns
+    when columns hold few cells.  A tile's candidates are the complement cells
+    of the columns within reach of it, nearest column first, in batches that
+    grow geometrically; a tile stops as soon as each of its centers has a
+    complement cell within eps.
 
     Results are memoized; convolving the same domain at the same scale reuses
     the mask."""
@@ -114,41 +150,54 @@ def erode_domain(group: StratifiedGroup, norm: HomogeneousNorm,
     cached = _ERODE_CACHE.get(key)
     if cached is not None:
         return cached
+    m = group.m
     h = omega.spacing
     pad = np.ceil(eps ** group.weights.astype(float) / h).astype(int) + 1
     padded = GridDomain.box(omega.lo - pad * h, omega.hi + pad * h,
                             tuple(s + 2 * p for s, p in zip(omega.shape, pad)))
     inner = np.zeros(padded.shape, dtype=bool)
     inner[tuple(slice(p, p + s) for p, s in zip(pad, omega.shape))] = omega.mask
-    complement = padded.all_centers()[~inner.ravel()]
-    # horizontal cell indices on the padded lattice, for the window below
-    cells = np.indices(padded.shape, dtype=np.int32)[: group.m].reshape(group.m, -1).T
-    comp_cells = cells[~inner.ravel()]
-    center_cells = cells[inner.ravel()]
+    columns = padded.shape[:m]
+    comp_inv = group.inverse(padded.all_centers()[~inner.ravel()])
+    col_start = _column_offsets(~inner, m)
+    coord_max = np.maximum(np.abs(padded.lo), np.abs(padded.hi))[:m]  # W
+    u = np.finfo(float).eps / 2
+    reach = np.floor(eps / h[:m] + 32 * u * coord_max / h[:m]).astype(int)
 
     centers = omega.centers()
-    keep = np.empty(len(centers), dtype=bool)
-    comp_inv = group.inverse(complement)
-    reach = pad[: group.m]  # ceil(eps / h) + 1 on the horizontal axes
-    for start in range(0, len(centers), _CHUNK):
-        block = centers[start:start + _CHUNK]
-        block_cells = center_cells[start:start + _CHUNK]
-        near = np.flatnonzero(np.all((comp_cells >= block_cells.min(axis=0) - reach)
-                                     & (comp_cells <= block_cells.max(axis=0) + reach), axis=1))
-        alive = np.ones(len(block), dtype=bool)
-        for cstart in range(0, len(near), 32 * _CHUNK):
-            csl = near[cstart:cstart + 32 * _CHUNK]
+    bounds = _column_offsets(omega.mask, m)
+    keep = np.ones(len(centers), dtype=bool)
+    # a tile is a run of columns along the last horizontal axis holding about
+    # _TILE_CENTERS cells: one column when columns are tall, several when they
+    # are short (m = n leaves one cell per column)
+    last = omega.shape[m - 1]
+    run = max(1, _TILE_CENTERS // int(np.prod(omega.shape[m:])))
+    tiles = [(t, min(t + run, row + last)) for row in range(0, len(bounds) - 1, last)
+             for t in range(row, row + last, run)]
+    for t0, t1 in tiles:
+        if bounds[t0] == bounds[t1]:
+            continue
+        tile_lo = np.array(np.unravel_index(t0, omega.shape[:m])) + pad[:m]
+        tile_hi = tile_lo.copy()
+        tile_hi[-1] += t1 - t0 - 1
+        ranges = [np.arange(max(a - r, 0), min(b + r + 1, s))
+                  for a, b, r, s in zip(tile_lo, tile_hi, reach, columns)]
+        near = np.stack(np.meshgrid(*ranges, indexing="ij"), axis=-1).reshape(-1, m)
+        gap = np.maximum(np.maximum(tile_lo - near, near - tile_hi), 0) * h[:m]
+        near = near[np.argsort(gap.max(axis=1), kind="stable")]
+        col = np.ravel_multi_index(tuple(near.T), columns)
+        first, counts = col_start[col], col_start[col + 1] - col_start[col]
+        cand = np.arange(counts.sum()) + np.repeat(first - np.cumsum(counts) + counts, counts)
+        block = centers[bounds[t0]:bounds[t1]]
+        alive = keep[bounds[t0]:bounds[t1]]
+        done, size = 0, _FIRST_CELLS
+        while done < len(cand) and alive.any():
             live = np.flatnonzero(alive)
-            # the same window per (center, cell) pair
-            pair = np.ones((len(live), len(csl)), dtype=bool)
-            for k in range(group.m):
-                pair &= np.abs(block_cells[live, None, k] - comp_cells[None, csl, k]) <= reach[k]
-            b, c = np.nonzero(pair)
-            prod = group.multiply(block[live[b]], comp_inv[csl[c]])
-            alive[live[b[norm(prod) <= eps]]] = False
-            if not alive.any():
-                break
-        keep[start:start + len(block)] = alive
+            cells = cand[done:done + max(1, min(size, _MAX_PAIRS // len(live)))]
+            prod = group.multiply(block[live, None, :], comp_inv[None, cells, :])
+            alive[live[(norm(prod) <= eps).any(axis=1)]] = False
+            done += len(cells)
+            size *= 2
     mask = np.zeros(omega.shape, dtype=bool)
     mask.ravel()[np.flatnonzero(omega.mask.ravel())[keep]] = True
     out = replace(omega, mask=mask)

@@ -127,6 +127,17 @@ class TestConfigBoundary:
         (["gamma"], {"minimizer": {"step_scale": 0.1}}),
         (["gamma"], {"minimizer": {"stepscale": 5}}),
         (["gamma"], {"minimizer": {"max_iter": -1}}),
+        (["gamma"], {"minimizer": {"max_iter": 2.5}}),
+        (["verify", "--suite", "functional"], {"samples": 3.7}),
+        (["verify", "--suite", "functional"], {"samples": True}),
+        (["verify", "--suite", "axioms"], {"seed": 1.5}),
+        (["verify", "--suite", "axioms"], {"seed": True}),
+        (["recover"], {"xi_grid": {"points": 2.5}}),
+        (["recover"], {"recovery": {"cells_per_axis": 6.5}}),
+        (["verify", "--suite", "axioms"], {"grid": {"shape": 4.9}}),
+        (["verify", "--suite", "axioms"], {"grid": {"shape": [4, True, 4]}}),
+        (["verify", "--suite", "mollify"], {"mollifier_resolution": 9.5}),
+        (["verify", "--suite", "lsc"], {"schedules": {"h": [1, 2.5]}}),
     ] + [(["gamma"], _small_gamma(expr)) for expr in _BAD_EXPRESSIONS],
        ids=["n5-mollify", "resolution2-sandwich", "shape2-gamma", "points0-recover",
             "shape4-mollify", "empty-h-gamma", "empty-h-lsc", "shape0-axioms",
@@ -141,7 +152,11 @@ class TestConfigBoundary:
             "p-zero-mollify", "p-negative-mollify", "tol-scale-zero-axioms",
             "tol-scale-negative-axioms", "tol-scale-flag-zero-axioms",
             "step-rule-fixed-gamma", "step-scale-gamma", "misspelled-minimizer-key-gamma",
-            "max-iter-negative-gamma"] + [f"expr-{name}-gamma" for name in _BAD_EXPRESSIONS])
+            "max-iter-negative-gamma", "max-iter-fraction-gamma",
+            "samples-fraction-functional", "samples-bool-functional", "seed-fraction-axioms",
+            "seed-bool-axioms", "points-fraction-recover", "cells-per-axis-fraction-recover",
+            "shape-fraction-axioms", "shape-bool-axioms", "resolution-fraction-mollify",
+            "h-fraction-lsc"] + [f"expr-{name}-gamma" for name in _BAD_EXPRESSIONS])
     def test_out_of_range_config_exits_config(self, tmp_path, capsys, argv, payload):
         # each of these used to escape as a traceback with exit 1, or to run
         # as if it were valid (an empty grid passing the axioms suite, an
@@ -154,6 +169,14 @@ class TestConfigBoundary:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and err.count("\n") == 1
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv, payload", [
+        (["verify", "--suite", "axioms"], {"grid": {"shape": [4.0, 4, 4]}, "seed": 3.0}),
+        (["verify", "--suite", "functional"], {"samples": 20.0}),
+    ], ids=["shape-seed-axioms", "samples-functional"])
+    def test_integral_float_counts_accepted(self, tmp_path, capsys, argv, payload):
+        cfg = _write(tmp_path, "c.json", payload)
+        assert main(argv + ["--config", cfg]) == EXIT_OK
 
 
 class TestRecover:

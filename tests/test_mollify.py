@@ -131,6 +131,45 @@ class TestErosionWindow:
             got = erode_domain(g, norm, omega, eps).mask
             np.testing.assert_array_equal(got, _all_pairs_erosion(g, norm, omega, eps))
 
+    @pytest.mark.parametrize("lo, hi, eps", [
+        # eps < h = 0.5 on both horizontal axes: reach 0, so only cells in a
+        # center's own column can kill it, here at rho = sqrt(0.125) on e3
+        ([-1, -1, -0.25, -1], [1, 1, 0.25, 1], 0.45),
+        # eps = h = 0.5: centers next to a horizontal face are killed by a
+        # ring cell exactly one spacing away, on the edge of the window
+        ([-1] * 4, [1] * 4, 0.5),
+    ], ids=["below-one-spacing", "one-spacing"])
+    def test_engel_4(self, lo, hi, eps):
+        g = engel()
+        norm = g.norm()
+        omega = GridDomain.box(lo, hi, 4)
+        got = erode_domain(g, norm, omega, eps).mask
+        np.testing.assert_array_equal(got, _all_pairs_erosion(g, norm, omega, eps))
+        assert 0 < got.sum() < got.size
+
+    @pytest.mark.parametrize("kind", ["weighted-max", "koranyi"])
+    def test_unequal_horizontal_spacings(self, kind):
+        g = heisenberg(1)
+        norm = g.norm(kind)
+        # h = (0.25, 0.125): eps = 0.375 reaches 1.5 cells on x and 3 on y
+        omega = GridDomain.box([-1, -0.5, -1], [1, 0.5, 1], 8)
+        got = erode_domain(g, norm, omega, 0.375).mask
+        np.testing.assert_array_equal(got, _all_pairs_erosion(g, norm, omega, 0.375))
+        assert 0 < got.sum() < got.size
+
+    @pytest.mark.parametrize("kind", ["weighted-max", "koranyi"])
+    def test_far_from_origin(self, kind):
+        g = euclidean(2)
+        norm = g.norm(kind)
+        # h = 0.1 and eps = 0.3, but eps/h rounds to just below 3, while centers
+        # near 1e3 carry 1e-13 of rounding: cells three spacings from a face
+        # are killed only when the window keeps its margin
+        omega = GridDomain.box([1000, 1000], [1001, 1001], 10)
+        assert np.floor(0.3 / omega.spacing).max() == 2
+        got = erode_domain(g, norm, omega, 0.3).mask
+        np.testing.assert_array_equal(got, _all_pairs_erosion(g, norm, omega, 0.3))
+        assert got.sum() == 16
+
     def test_mask_with_hole(self):
         g = heisenberg(1)
         norm = g.norm()
