@@ -10,6 +10,7 @@ from __future__ import annotations
 import copy
 import importlib
 import json
+import numbers
 
 import numpy as np
 
@@ -73,16 +74,20 @@ def load_config(path: str | None = None, overrides: dict | None = None) -> dict:
 
 
 def _read(kind, value, key: str):
-    """kind(value), or a ConfigError naming the config key.  An int must be
-    given as an integer: int() would truncate 2.5 to 2 and read true as 1,
-    while an integral float such as 3.0 stays valid."""
-    if kind is int and (isinstance(value, bool)
-                        or isinstance(value, float) and not value.is_integer()):
-        raise ConfigError(f"{key} must be int, got {value!r}")
+    """kind(value) for a JSON number `value`, or a ConfigError naming the
+    config key.  Booleans and strings are not numbers, although float() reads
+    true as 1.0 and "1e-3" as 0.001.  An int must be given as an integer:
+    int() would truncate 2.5 to 2, while an integral float such as 3.0 stays
+    valid."""
+    message = f"{key} must be {kind.__name__}, got {value!r}"
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigError(message)
+    if kind is int and isinstance(value, float) and not value.is_integer():
+        raise ConfigError(message)
     try:
         return kind(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{key} must be {kind.__name__}, got {value!r}") from exc
+    except OverflowError as exc:  # float() of an integer beyond 1e308
+        raise ConfigError(message) from exc
 
 
 def _section(cfg: dict, key: str) -> dict:

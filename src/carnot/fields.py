@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
-from scipy import ndimage, sparse
+from scipy import sparse
 
 from .groups import StratifiedGroup
 
@@ -204,11 +204,18 @@ class GridDomain:
         return not (self.mask & ~other.mask).any()
 
     def erode_cells(self, rings: int) -> "GridDomain":
-        """Peel `rings` cell layers off the mask (box boundary counts as outside)."""
-        if rings <= 0:
-            return self
-        eroded = ndimage.binary_erosion(self.mask, iterations=rings, border_value=0)
-        return replace(self, mask=eroded)
+        """Peel `rings` cell layers off the mask: each ring drops every cell with
+        a face neighbour outside the mask (the box boundary counts as outside)."""
+        mask = self.mask
+        for _ in range(max(rings, 0)):
+            padded = np.pad(mask, 1)
+            kept = mask.copy()
+            for ax in range(self.ndim):
+                for side in (slice(None, -2), slice(2, None)):
+                    kept &= padded[tuple(side if k == ax else slice(1, -1)
+                                         for k in range(self.ndim))]
+            mask = kept
+        return self if mask is self.mask else replace(self, mask=mask)
 
     def refine(self, factor: int) -> "GridDomain":
         """Split every cell into factor**n subcells, keeping the same set."""

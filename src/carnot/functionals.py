@@ -15,7 +15,7 @@ import numpy as np
 
 from .groups import StratifiedGroup
 from .fields import GridDomain, ScalarField, DomainError, horizontal_gradient, translate_field, translate_domain
-from .mollify import MollifierFamily, convolve
+from .mollify import MollifierFamily, LocalAverage, convolve
 
 __all__ = [
     "Integrand",
@@ -335,9 +335,12 @@ class IntegrandFunctional(Functional):
         if domain.is_empty:
             return 0.0
         dom = domain.refine(self.refine)
-        grads = horizontal_gradient(self.group, u, dom.centers())
-        vals = self.integrand(grads)
-        total = float(np.sum(vals) * dom.cell_volume)
+        return self.quadrature(horizontal_gradient(self.group, u, dom.centers()),
+                               dom.cell_volume)
+
+    def quadrature(self, grads, cell_volume: float) -> float:
+        """cell_volume * sum of f over the gradient rows, +inf if not finite."""
+        total = float(np.sum(self.integrand(grads)) * cell_volume)
         return float("inf") if not np.isfinite(total) else total
 
 
@@ -420,19 +423,22 @@ def jensen_check(group: StratifiedGroup, functional: IntegrandFunctional,
     """Both sides of the Jensen step: F(phi_eps * u, A') on the left and the
     mollifier average of F(tau_y u, A') on the right; left <= right holds
     exactly at quadrature level for convex integrands."""
-    u_eps = convolve(group, mollifier, eps, u, omega)
+    average = LocalAverage.of(group, mollifier, eps, omega)
     fine = inner_domain.refine(functional.refine)
     centers = fine.centers()
-    if not u_eps.domain.contains(centers).all():
+    if not average.domain.contains(centers).all():
         raise DomainError("inner domain is not eroded by eps inside the field's domain")
-    lhs = functional.eval(u_eps, inner_domain)
     # grad_G(tau_y u)(x) = (grad_G u)(y^{-1} . x) by left-invariance of the frame,
-    # so the mollifier average of F(tau_y u, A') is phi_eps * f(grad_G u) summed over A'
-    density = ScalarField(
-        values=lambda p: functional.integrand(horizontal_gradient(group, u, p)),
-        name=f"f(grad_G {u.name})")
-    averaged = convolve(group, mollifier, eps, density, omega).values(centers)
-    return lhs, float(np.sum(averaged)) * fine.cell_volume
+    # so the mollifier average of F(tau_y u, A') is phi_eps * f(grad_G u) summed
+    # over A'; one gradient sample G per chunk feeds both phi_eps * G and
+    # phi_eps * f(G)
+    def sample(points):
+        grads = horizontal_gradient(group, u, points)
+        return grads, functional.integrand(grads)
+
+    grads, density = average(sample, centers, ((group.m,), ()))
+    return (functional.quadrature(grads, fine.cell_volume),
+            float(np.sum(density)) * fine.cell_volume)
 
 
 def sandwich_check(group: StratifiedGroup, functional: Functional,

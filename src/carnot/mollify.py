@@ -4,6 +4,19 @@ The convolution is evaluated through its unit-ball form
     (phi_eps * u)(x) = integral over B(0,1) of phi(z) u((delta_eps z)^{-1} . x) dz
 with a fixed midpoint product rule, so convolving a constant is exact and
 the node set is symmetric under negation.
+
+Every average x -> sum_k m_k g(y_k^{-1} . x) over the live nodes y_k goes
+through one pull-back kernel, `pull_back`, one chunk of _CHUNK query points
+at a time, so the group law's temporaries and g's samples stay one chunk in
+size.  The kernel memoizes the (chunk, K, n) products y_k^{-1} . x_i per
+process.  Its key is the group's layer dimensions and structure constants,
+the bytes of y^{-1} (which fix the nodes, the live mask, eps and the
+dilation, hence the mollifier's resolution and norm) and the chunk's shape
+and bytes.  The cached arrays are read-only, and the memo is cleared before
+it would hold more than _PULLBACK_BYTES, so its memory stays bounded however
+many points are queried.  Convolving several fields, or a field and its
+gradient, at the same scale and points therefore pulls back once.  Whether
+the points lie in the eroded domain is checked on every query.
 """
 
 from __future__ import annotations
@@ -18,12 +31,14 @@ from .fields import GridDomain, ScalarField, DomainError, horizontal_gradient
 __all__ = [
     "MollifierFamily",
     "erode_domain",
+    "pull_back",
+    "LocalAverage",
     "convolve",
     "commutation_residual",
     "convergence_table",
 ]
 
-_CHUNK = 256
+_CHUNK = 64
 
 
 @dataclass(frozen=True)
@@ -111,6 +126,18 @@ def _column_offsets(mask: np.ndarray, m: int) -> np.ndarray:
     return np.concatenate([[0], np.cumsum(per_column)])
 
 
+def _window_offsets(reach: np.ndarray, length: int, h: np.ndarray) -> np.ndarray:
+    """Offsets from a tile's first column to every column within `reach` of a
+    tile of `length` columns along the last horizontal axis, nearest first:
+    C order, stably sorted by the distance to the tile."""
+    last = np.zeros_like(reach)
+    last[-1] = length - 1
+    ranges = [np.arange(-r, b + r + 1) for r, b in zip(reach, last)]
+    near = np.stack(np.meshgrid(*ranges, indexing="ij"), axis=-1).reshape(-1, len(reach))
+    gap = np.maximum(np.maximum(-near, near - last), 0) * h
+    return near[np.argsort(gap.max(axis=1), kind="stable")]
+
+
 def erode_domain(group: StratifiedGroup, norm: HomogeneousNorm,
                  omega: GridDomain, eps: float) -> GridDomain:
     """Right-distance erosion: cells whose center is farther than eps (in d^R)
@@ -139,7 +166,8 @@ def erode_domain(group: StratifiedGroup, norm: HomogeneousNorm,
     when columns hold few cells.  A tile's candidates are the complement cells
     of the columns within reach of it, nearest column first, in batches that
     grow geometrically; a tile stops as soon as each of its centers has a
-    complement cell within eps.
+    complement cell within eps.  A tile with no complement cell within reach
+    keeps all its centers and is skipped before its candidates are set up.
 
     Results are memoized; convolving the same domain at the same scale reuses
     the mask."""
@@ -160,6 +188,7 @@ def erode_domain(group: StratifiedGroup, norm: HomogeneousNorm,
     columns = padded.shape[:m]
     comp_inv = group.inverse(padded.all_centers()[~inner.ravel()])
     col_start = _column_offsets(~inner, m)
+    has_comp = np.diff(col_start).reshape(columns) > 0
     coord_max = np.maximum(np.abs(padded.lo), np.abs(padded.hi))[:m]  # W
     u = np.finfo(float).eps / 2
     reach = np.floor(eps / h[:m] + 32 * u * coord_max / h[:m]).astype(int)
@@ -174,17 +203,22 @@ def erode_domain(group: StratifiedGroup, norm: HomogeneousNorm,
     run = max(1, _TILE_CENTERS // int(np.prod(omega.shape[m:])))
     tiles = [(t, min(t + run, row + last)) for row in range(0, len(bounds) - 1, last)
              for t in range(row, row + last, run)]
-    for t0, t1 in tiles:
+    # the pad exceeds the reach (reach <= ceil(eps/h) = pad - 1 while 32uW < h),
+    # so every tile's window lies inside the padded lattice
+    tile_los = np.stack(np.unravel_index([t0 for t0, _ in tiles], omega.shape[:m]),
+                        axis=-1) + pad[:m]
+    offsets = {}
+    for (t0, t1), tile_lo in zip(tiles, tile_los):
         if bounds[t0] == bounds[t1]:
             continue
-        tile_lo = np.array(np.unravel_index(t0, omega.shape[:m])) + pad[:m]
         tile_hi = tile_lo.copy()
         tile_hi[-1] += t1 - t0 - 1
-        ranges = [np.arange(max(a - r, 0), min(b + r + 1, s))
-                  for a, b, r, s in zip(tile_lo, tile_hi, reach, columns)]
-        near = np.stack(np.meshgrid(*ranges, indexing="ij"), axis=-1).reshape(-1, m)
-        gap = np.maximum(np.maximum(tile_lo - near, near - tile_hi), 0) * h[:m]
-        near = near[np.argsort(gap.max(axis=1), kind="stable")]
+        window = tuple(slice(a - r, b + r + 1) for a, b, r in zip(tile_lo, tile_hi, reach))
+        if not has_comp[window].any():
+            continue
+        if t1 - t0 not in offsets:
+            offsets[t1 - t0] = _window_offsets(reach, t1 - t0, h[:m])
+        near = tile_lo + offsets[t1 - t0]
         col = np.ravel_multi_index(tuple(near.T), columns)
         first, counts = col_start[col], col_start[col + 1] - col_start[col]
         cand = np.arange(counts.sum()) + np.repeat(first - np.cumsum(counts) + counts, counts)
@@ -207,6 +241,69 @@ def erode_domain(group: StratifiedGroup, norm: HomogeneousNorm,
     return out
 
 
+_PULLBACK_CACHE: dict = {}
+_PULLBACK_BYTES = 64 << 20
+
+
+def pull_back(group: StratifiedGroup, y_inv: np.ndarray, points) -> np.ndarray:
+    """The products y_k^{-1} . x_i of every query point x_i with every row of
+    `y_inv`, shape (N, K, n).
+
+    Memoized per (group, y_inv, points); the returned array is read-only, so
+    an evaluator that writes to its argument raises instead of corrupting
+    the memo, which is cleared before it would hold more than
+    _PULLBACK_BYTES."""
+    points = np.asarray(points, dtype=float)
+    key = (group.layer_dims, group.c.tobytes(), y_inv.tobytes(),
+           points.shape, points.tobytes())
+    cached = _PULLBACK_CACHE.get(key)
+    if cached is None:
+        cached = group.multiply(y_inv[None], points[:, None])
+        cached.setflags(write=False)
+        if sum(a.nbytes for a in _PULLBACK_CACHE.values()) + cached.nbytes > _PULLBACK_BYTES:
+            _PULLBACK_CACHE.clear()
+        _PULLBACK_CACHE[key] = cached
+    return cached
+
+
+@dataclass(frozen=True)
+class LocalAverage:
+    """x -> sum_k m_k g(y_k^{-1} . x), the quadrature form of phi_eps * g, over
+    the nodes y_k = delta_eps z_k of positive mass m_k; queries must lie in
+    `domain`, the eps-erosion of the field's domain."""
+
+    group: StratifiedGroup
+    domain: GridDomain
+    masses: np.ndarray
+    y_inv: np.ndarray
+
+    @classmethod
+    def of(cls, group: StratifiedGroup, mollifier: MollifierFamily, eps: float,
+           omega: GridDomain) -> "LocalAverage":
+        eroded = erode_domain(group, mollifier.norm, omega, eps)
+        if eroded.is_empty:
+            raise DomainError(f"erosion by eps={eps} empties the domain")
+        masses = mollifier.node_masses()
+        live = masses > 0
+        return cls(group, eroded, masses[live],
+                   group.inverse(group.dilate(eps, mollifier.nodes[live])))
+
+    def __call__(self, g, points, shapes=((),)) -> list:
+        """The averages of each output of g, where g maps (P, n) points to a
+        tuple of per-point arrays with trailing shapes `shapes`; g sees each
+        chunk of pulled-back points once."""
+        points = np.atleast_2d(np.asarray(points, dtype=float))
+        if not self.domain.contains(points).all():
+            raise DomainError("convolution queried outside the eroded domain")
+        outs = [np.empty((len(points),) + shape) for shape in shapes]
+        for start in range(0, len(points), _CHUNK):
+            pts = pull_back(self.group, self.y_inv, points[start:start + _CHUNK])
+            for out, vals, shape in zip(outs, g(pts.reshape(-1, self.group.n)), shapes):
+                vals = vals.reshape(pts.shape[:2] + shape)
+                out[start:start + len(pts)] = np.moveaxis(vals, 1, -1) @ self.masses
+        return outs
+
+
 def convolve(group: StratifiedGroup, mollifier: MollifierFamily, eps: float,
              u: ScalarField, omega: GridDomain) -> ScalarField:
     """Local convolution phi_eps * u, defined on the eroded domain.
@@ -214,33 +311,19 @@ def convolve(group: StratifiedGroup, mollifier: MollifierFamily, eps: float,
     The returned field's horizontal gradient, when u carries one, is the
     convolution of the gradient node-by-node, which is the commutation
     identity X_j(phi_eps * u) = phi_eps * (X_j u)."""
-    eroded = erode_domain(group, mollifier.norm, omega, eps)
-    if eroded.is_empty:
-        raise DomainError(f"erosion by eps={eps} empties the domain")
-    masses = mollifier.node_masses()
-    live = masses > 0
-    masses = masses[live]
-    y_inv = group.inverse(group.dilate(eps, mollifier.nodes[live]))
+    average = LocalAverage.of(group, mollifier, eps, omega)
 
-    def average(g, points, shape=()):
-        """x -> sum_k m_k g(y_k^{-1} . x) for a per-point g with values of `shape`."""
-        points = np.atleast_2d(points)
-        if not eroded.contains(points).all():
-            raise DomainError("convolution queried outside the eroded domain")
-        out = np.empty((len(points),) + shape)
-        for start in range(0, len(points), _CHUNK):
-            pts = group.multiply(y_inv[None, :, :], points[start:start + _CHUNK, None, :])
-            vals = g(pts.reshape(-1, group.n)).reshape(pts.shape[:2] + shape)
-            out[start:start + len(pts)] = np.moveaxis(vals, 1, -1) @ masses
-        return out
+    def values(points):
+        return average(lambda p: (u.values(p),), points)[0]
 
     hgrad = None
     if u.hgrad is not None or u.egrad is not None:
         def hgrad(points):
-            return average(lambda p: horizontal_gradient(group, u, p), points, (group.m,))
+            return average(lambda p: (horizontal_gradient(group, u, p),), points,
+                           ((group.m,),))[0]
 
-    return ScalarField(values=lambda points: average(u.values, points), hgrad=hgrad,
-                       domain=eroded, name=f"phi_{eps:g}*{u.name}")
+    return ScalarField(values=values, hgrad=hgrad, domain=average.domain,
+                       name=f"phi_{eps:g}*{u.name}")
 
 
 def commutation_residual(group: StratifiedGroup, mollifier: MollifierFamily,

@@ -138,6 +138,15 @@ class TestConfigBoundary:
         (["verify", "--suite", "axioms"], {"grid": {"shape": [4, True, 4]}}),
         (["verify", "--suite", "mollify"], {"mollifier_resolution": 9.5}),
         (["verify", "--suite", "lsc"], {"schedules": {"h": [1, 2.5]}}),
+        (["verify", "--suite", "axioms"], {"tol_scale": True}),
+        (["verify", "--suite", "axioms"], {"tol_scale": "1e-3"}),
+        (["verify", "--suite", "mollify"], {"p": True}),
+        (["recover"], {"xi_grid": {"radius": True, "points": 3}}),
+        (["recover"], {"recovery": {"ball_radius": True}}),
+        (["recover"], {"schedules": {"rho": ["0.9"]}}),
+        (["gamma"], {"schedules": {"delta": True}}),
+        (["verify", "--suite", "functional"], {"samples": "5"}),
+        (["verify", "--suite", "axioms"], {"tol_scale": 10**400}),
     ] + [(["gamma"], _small_gamma(expr)) for expr in _BAD_EXPRESSIONS],
        ids=["n5-mollify", "resolution2-sandwich", "shape2-gamma", "points0-recover",
             "shape4-mollify", "empty-h-gamma", "empty-h-lsc", "shape0-axioms",
@@ -156,7 +165,11 @@ class TestConfigBoundary:
             "samples-fraction-functional", "samples-bool-functional", "seed-fraction-axioms",
             "seed-bool-axioms", "points-fraction-recover", "cells-per-axis-fraction-recover",
             "shape-fraction-axioms", "shape-bool-axioms", "resolution-fraction-mollify",
-            "h-fraction-lsc"] + [f"expr-{name}-gamma" for name in _BAD_EXPRESSIONS])
+            "h-fraction-lsc", "tol-scale-bool-axioms", "tol-scale-numeric-string-axioms",
+            "p-bool-mollify", "radius-bool-recover", "ball-radius-bool-recover",
+            "rho-numeric-string-recover", "delta-bool-gamma",
+            "samples-numeric-string-functional", "tol-scale-beyond-float-axioms"]
+       + [f"expr-{name}-gamma" for name in _BAD_EXPRESSIONS])
     def test_out_of_range_config_exits_config(self, tmp_path, capsys, argv, payload):
         # each of these used to escape as a traceback with exit 1, or to run
         # as if it were valid (an empty grid passing the axioms suite, an

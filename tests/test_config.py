@@ -34,6 +34,24 @@ def test_builders_roundtrip():
     assert xi.shape == (81, 2)
 
 
+@pytest.mark.parametrize("key, value", [
+    ("eps", [0.4, True]), ("eps", ["0.2"]), ("rho", [True]), ("h", ["2"]),
+])
+def test_schedule_entries_must_be_numbers(key, value):
+    # float() reads true as 1.0 and "0.2" as 0.2; a schedule takes JSON numbers only
+    cfg = load_config(overrides={"schedules": {key: value}})
+    with pytest.raises(ConfigError, match=f"schedules.{key}"):
+        cfgmod.build_schedule(cfg, key, int if key == "h" else float)
+
+
+def test_numbers_of_any_json_type_accepted():
+    cfg = load_config(overrides={"tol_scale": 1, "xi_grid": {"radius": np.float64(2.5)},
+                                 "schedules": {"eps": [1, 0.5]}})
+    assert cfgmod.build_tol_scale(cfg) == 1.0
+    assert cfgmod.build_scalar(cfg, "xi_grid.radius") == 2.5
+    assert cfgmod.build_schedule(cfg, "eps") == [1.0, 0.5]
+
+
 def test_grid_axis_mismatch():
     cfg = load_config(overrides={"grid": {"lo": [0.0], "hi": [1.0]}})
     group = cfgmod.build_group(cfg)

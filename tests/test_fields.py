@@ -48,6 +48,24 @@ class TestGridDomain:
         assert fine.shape == (18, 18)
         assert fine.volume == pytest.approx(dom.volume)
 
+    @pytest.mark.parametrize("shape", [(7,), (5, 9), (4, 6, 3), (3, 5, 4, 6)])
+    def test_erode_cells_matches_binary_erosion(self, shape):
+        # reference: scipy's face-connected erosion with an outside border
+        from scipy import ndimage
+
+        rng = np.random.default_rng(len(shape))
+        for density in (0.7, 0.95, 1.0):
+            mask = rng.random(shape) < density
+            dom = GridDomain(-np.ones(len(shape)), np.ones(len(shape)), shape, mask)
+            for rings in (1, 2, 3):
+                np.testing.assert_array_equal(
+                    dom.erode_cells(rings).mask,
+                    ndimage.binary_erosion(mask, iterations=rings, border_value=0))
+        full = GridDomain.box(-np.ones(len(shape)), np.ones(len(shape)), shape)
+        assert full.erode_cells(2).is_empty == (min(shape) <= 4)
+        assert full.erode_cells(max(shape)).is_empty
+        assert full.erode_cells(0) is full
+
     def test_ball_matches_norm(self):
         g = heisenberg(1)
         norm = g.norm()
@@ -196,6 +214,9 @@ class TestInterpolation:
 
     def test_import_does_not_load_scipy_interpolate(self):
         assert not _loaded_by_cli_import("scipy.interpolate")
+
+    def test_import_does_not_load_scipy_ndimage(self):
+        assert not _loaded_by_cli_import("scipy.ndimage")
 
     def test_import_does_not_load_sympy(self):
         # only fields given by an expression need sympy, and it is slow to import

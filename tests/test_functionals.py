@@ -1,12 +1,15 @@
 """Integrand menu and the integral functionals with their property checkers."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from carnot.groups import euclidean, heisenberg
-from carnot.fields import (GridDomain, DomainError, constant_field, probe_field,
-                           quadratic_field)
-from carnot.mollify import MollifierFamily, erode_domain
+from carnot.groups import euclidean, heisenberg, engel
+from carnot.fields import (GridDomain, DomainError, ScalarField, constant_field,
+                           probe_field, quadratic_field, horizontal_gradient)
+from carnot.mollify import MollifierFamily, erode_domain, convolve
+from carnot.suites import menu_integrands, random_quadratic
 from carnot.functionals import (PowerIntegrand, QuadraticIntegrand,
                                 MaxAffineIntegrand, TabulatedIntegrand,
                                 OffsetIntegrand, ShiftedArgIntegrand,
@@ -208,6 +211,35 @@ class TestSandwichAndLsc:
         u = probe_field(g, np.array([1.0, -1.0]))
         lhs, rhs = jensen_check(g, F, u, inner, mol, 0.3, omega)
         assert lhs == pytest.approx(rhs, rel=1e-12)
+
+    @pytest.mark.parametrize("case", ["h1", "engel", "h1-refine2"])
+    def test_jensen_matches_two_convolutions(self, setting, case):
+        # reference: the left side as F(phi_eps * u, A') and the right side as
+        # a second convolution of f(grad_G u), each pulling back on its own
+        if case == "engel":
+            g = engel()
+            omega = GridDomain.box(-np.ones(4), np.ones(4), 5)
+            mol = MollifierFamily(g.norm(), resolution=4)
+            eps = 0.4
+            inner = erode_domain(g, mol.norm, omega, eps)
+        else:
+            g, mol, omega, inner = setting
+            eps = 0.3
+        refine = 2 if case == "h1-refine2" else 1
+        # 80 fine points: more than one chunk of the average
+        keep = np.zeros(inner.mask.size, dtype=bool)
+        keep[np.flatnonzero(inner.mask)[:80 // refine ** g.n]] = True
+        inner = dataclasses.replace(inner, mask=keep.reshape(inner.shape))
+        rng = np.random.default_rng(11)
+        u = random_quadratic(g, rng)
+        for f in menu_integrands(g.m, rng):
+            F = IntegrandFunctional(g, f, refine=refine)
+            fine = inner.refine(refine)
+            density = ScalarField(values=lambda p: f(horizontal_gradient(g, u, p)), name="f")
+            lhs = F.eval(convolve(g, mol, eps, u, omega), inner)
+            rhs = (float(np.sum(convolve(g, mol, eps, density, omega).values(fine.centers())))
+                   * fine.cell_volume)
+            assert jensen_check(g, F, u, inner, mol, eps, omega) == (lhs, rhs)
 
     def test_lsc_constant_sequence(self, setting):
         g, _, omega, _ = setting

@@ -5,10 +5,11 @@ import dataclasses
 import numpy as np
 import pytest
 
-from carnot.groups import euclidean, heisenberg, engel
-from carnot.fields import (GridDomain, DomainError, constant_field, probe_field,
-                           quadratic_field, from_expression)
-from carnot.mollify import (MollifierFamily, erode_domain, convolve,
+from carnot import mollify
+from carnot.groups import StratifiedGroup, euclidean, heisenberg, engel
+from carnot.fields import (GridDomain, DomainError, ScalarField, constant_field,
+                           probe_field, quadratic_field, from_expression)
+from carnot.mollify import (MollifierFamily, erode_domain, convolve, pull_back,
                             commutation_residual, convergence_table)
 
 
@@ -225,6 +226,117 @@ class TestConvolve:
         masses = mol.node_masses()
         direct = np.array([float(masses @ u.values(x - eps * mol.nodes)) for x in pts])
         np.testing.assert_allclose(u_eps.values(pts), direct, atol=1e-12)
+
+
+@pytest.fixture
+def multiply_points(monkeypatch):
+    """A fresh pull-back memo, and a list that records how many points every
+    later group multiplication pushes through the group law."""
+    monkeypatch.setattr(mollify, "_PULLBACK_CACHE", {})
+    counts = []
+    multiply = StratifiedGroup.multiply
+
+    def counted(self, x, y):
+        counts.append(int(np.prod(np.broadcast_shapes(np.shape(x), np.shape(y))[:-1])))
+        return multiply(self, x, y)
+
+    monkeypatch.setattr(StratifiedGroup, "multiply", counted)
+    return counts
+
+
+def _scaled_heisenberg():
+    """H^1 with [e1, e2] = 2 e3: the layer dimensions of H^1, other constants."""
+    c = np.zeros((3, 3, 3))
+    c[0, 1, 2], c[1, 0, 2] = 2.0, -2.0
+    return StratifiedGroup((2, 1), c, name="heisenberg-scaled")
+
+
+class TestPullBack:
+    def test_one_pull_back_per_scale_and_point_set(self, h1, multiply_points):
+        g, norm = h1
+        mol = MollifierFamily(norm, resolution=5)
+        omega = GridDomain.box(-np.ones(3), np.ones(3), 8)
+        quad = quadratic_field(g, 0.5, [1.0, -0.5, 0.25], 0.3 * np.eye(3))
+        probe = probe_field(g, [0.7, -0.2])
+        first = convolve(g, mol, 0.3, quad, omega)
+        second = convolve(g, mol, 0.3, probe, omega)
+        pts = first.domain.centers()
+        live = int((mol.node_masses() > 0).sum())
+        multiply_points.clear()
+        first.values(pts)
+        assert sum(multiply_points) == len(pts) * live
+        second.values(pts)
+        first.hgrad(pts)
+        second.hgrad(pts)
+        assert sum(multiply_points) == len(pts) * live
+        first.values(pts[::-1])
+        assert sum(multiply_points) == 2 * len(pts) * live
+        other = convolve(g, mol, 0.25, quad, omega)
+        multiply_points.clear()
+        other.values(pts)
+        assert sum(multiply_points) == len(pts) * live
+
+    def test_no_false_hit(self, h1, multiply_points):
+        # every variant pulls back again and matches a cold memo; the point
+        # variant keeps the base set's shape, the eps variant its node count
+        g, norm = h1
+        omega = GridDomain.box(-np.ones(3), np.ones(3), 8)
+        base = dict(group=g, norm=norm, resolution=5, eps=0.3)
+        pts = erode_domain(g, norm, omega, 0.4).centers()[:40]
+        scaled = _scaled_heisenberg()
+        variants = [(dict(base, eps=0.35), pts), (dict(base, resolution=7), pts),
+                    (dict(base, norm=g.norm("koranyi")), pts),
+                    (dict(base, group=scaled, norm=scaled.norm()), pts),
+                    (base, pts[::-1].copy())]
+
+        def values(spec, points):
+            group = spec["group"]
+            u = quadratic_field(group, 0.0, [1.0, 0.5, -1.0],
+                                np.outer([1.0, 2.0, 0.5], [0.3, -1.0, 1.0]))
+            mol = MollifierFamily(spec["norm"], resolution=spec["resolution"])
+            return convolve(group, mol, spec["eps"], u, omega).values(points)
+
+        warm = values(base, pts)
+        for spec, points in variants:
+            multiply_points.clear()
+            got = values(spec, points)
+            assert sum(multiply_points) > 0
+            mollify._PULLBACK_CACHE.clear()
+            np.testing.assert_array_equal(got, values(spec, points))
+            values(base, pts)  # warm the base entry again
+        np.testing.assert_array_equal(values(base, pts), warm)
+
+    def test_memo_is_read_only(self, h1, multiply_points):
+        g, norm = h1
+        mol = MollifierFamily(norm, resolution=5)
+        omega = GridDomain.box(-np.ones(3), np.ones(3), 8)
+        pts = erode_domain(g, norm, omega, 0.3).centers()[:10]
+        y_inv = -g.dilate(0.3, mol.nodes)
+        pulled = pull_back(g, y_inv, pts)
+        assert pulled.shape == (10, len(mol.nodes), 3) and not pulled.flags.writeable
+        assert pull_back(g, y_inv, pts) is pulled
+        np.testing.assert_array_equal(pulled, g.multiply(y_inv[None], pts[:, None]))
+
+        def scribble(p):
+            p[:] = 0.0
+            return p[:, 0]
+
+        u_eps = convolve(g, mol, 0.3, ScalarField(values=scribble, name="scribble"), omega)
+        with pytest.raises(ValueError, match="read-only"):
+            u_eps.values(pts)
+
+    def test_memo_bytes_bounded(self, h1, multiply_points, monkeypatch):
+        g, norm = h1
+        mol = MollifierFamily(norm, resolution=5)
+        omega = GridDomain.box(-np.ones(3), np.ones(3), 8)
+        u_eps = convolve(g, mol, 0.3, constant_field(g, 2.0), omega)
+        pts = u_eps.domain.centers()
+        chunk = mollify._CHUNK * len(mol.nodes) * g.n * 8
+        monkeypatch.setattr(mollify, "_PULLBACK_BYTES", 3 * chunk)
+        assert len(pts) > 4 * mollify._CHUNK
+        np.testing.assert_allclose(u_eps.values(pts), 2.0, atol=1e-12)
+        held = sum(a.nbytes for a in mollify._PULLBACK_CACHE.values())
+        assert 0 < held <= 3 * chunk
 
 
 class TestCommutation:
