@@ -13,6 +13,7 @@ import json
 import numbers
 
 import numpy as np
+import numpy.random  # numpy loads it on first use; every seeded command needs it
 
 from . import groups
 from .fields import GridDomain, from_expression, probe_field
@@ -244,10 +245,10 @@ def build_gamma_sequence(cfg: dict, group: groups.StratifiedGroup) -> list:
     spec = _section(cfg, "gamma")
     hs = build_schedule(cfg, "h", int)
     try:
-        base = integrand_from_config(spec["base"], group.m)
+        base = integrand_from_config(spec["base"], group.m, "gamma.base")
         kind = spec.get("kind", "constant")
         if kind == "offset":
-            scale = float(spec.get("scale", 1.0))
+            scale = _read(float, spec.get("scale", 1.0), "gamma.scale")
             return [(h, OffsetIntegrand(base, scale / h)) for h in hs]
         if kind == "alternating":
             shift = np.asarray(spec["shift"], float)

@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
-from scipy import sparse
 
 from .groups import StratifiedGroup
 
@@ -88,12 +88,30 @@ class GridDomain:
         return [self.lo[k] + h[k] * (np.arange(self.shape[k]) + 0.5) for k in range(self.ndim)]
 
     def all_centers(self) -> np.ndarray:
-        grids = np.meshgrid(*self.axis_centers(), indexing="ij")
-        return np.stack([c.ravel() for c in grids], axis=-1)
+        """Centers of every cell in C order, shape (prod(shape), n), read-only."""
+        return self._all_centers
 
     def centers(self) -> np.ndarray:
-        """Centers of the masked cells, shape (count, n)."""
-        return self.all_centers()[self.mask.ravel()]
+        """Centers of the masked cells, shape (count, n), read-only; the
+        `all_centers` array itself when every cell is masked."""
+        return self._centers
+
+    # computed once per instance: `replace` builds a new instance, which
+    # recomputes them for its own lattice and mask
+    @cached_property
+    def _all_centers(self) -> np.ndarray:
+        grids = np.meshgrid(*self.axis_centers(), indexing="ij")
+        out = np.stack([c.ravel() for c in grids], axis=-1)
+        out.setflags(write=False)
+        return out
+
+    @cached_property
+    def _centers(self) -> np.ndarray:
+        if self.mask.all():
+            return self._all_centers
+        out = self._all_centers[self.mask.ravel()]
+        out.setflags(write=False)
+        return out
 
     def cell_index(self, points) -> np.ndarray:
         points = np.atleast_2d(np.asarray(points, dtype=float))
@@ -110,10 +128,13 @@ class GridDomain:
         t = self._node_coords(points)
         return ((t >= -1e-9) & (t <= np.asarray(self.shape) - 1 + 1e-9)).all(axis=-1)
 
-    def interpolation(self, points) -> sparse.csr_matrix:
-        """Sparse multilinear interpolation matrix W from samples at all cell
-        centers (C order) to `points`: W @ samples.ravel() is the interpolant.
-        Raises DomainError for points outside the hull of the centers."""
+    def interpolation(self, points):
+        """Sparse (CSR) multilinear interpolation matrix W from samples at all
+        cell centers (C order) to `points`: W @ samples.ravel() is the
+        interpolant.  Raises DomainError for points outside the hull of the
+        centers."""
+        from scipy import sparse  # only operator builders need it; it is slow to import
+
         if not self.in_hull(points).all():
             raise DomainError("interpolation query outside the hull of the cell centers")
         t = self._node_coords(points)

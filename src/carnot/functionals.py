@@ -14,7 +14,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .groups import StratifiedGroup
-from .fields import GridDomain, ScalarField, DomainError, horizontal_gradient, translate_field, translate_domain
+from .fields import (GridDomain, ScalarField, DomainError, horizontal_gradient, probe_field,
+                     translate_field, translate_domain)
 from .mollify import MollifierFamily, LocalAverage, convolve
 
 __all__ = [
@@ -51,6 +52,11 @@ class Integrand:
         """A subgradient at each row of eta."""
         raise NotImplementedError
 
+    def value_and_grad(self, eta) -> tuple:
+        """(self(eta), self.grad(eta)); integrands that share work between
+        the two override it with the same values bit for bit."""
+        return self(eta), self.grad(eta)
+
     def _coerce(self, eta) -> np.ndarray:
         eta = np.atleast_2d(np.asarray(eta, dtype=float))
         if eta.shape[-1] != self.m:
@@ -73,14 +79,28 @@ class PowerIntegrand(Integrand):
     def growth(self):
         return (0.0, 1.0, self.p)
 
+    @staticmethod
+    def _magnitude(eta) -> np.ndarray:
+        # what np.linalg.norm(eta, axis=-1) computes for real input, without
+        # its conjugate copy
+        return np.sqrt(np.add.reduce(eta * eta, axis=-1))
+
+    def _grad(self, eta, mag):
+        mag = mag[..., None]
+        safe = np.where(mag > 0, mag, 1.0)
+        return self.p * safe ** (self.p - 2) * np.where(mag > 0, eta, 0.0)
+
     def __call__(self, eta):
-        return np.linalg.norm(self._coerce(eta), axis=-1) ** self.p
+        return self._magnitude(self._coerce(eta)) ** self.p
 
     def grad(self, eta):
         eta = self._coerce(eta)
-        mag = np.linalg.norm(eta, axis=-1, keepdims=True)
-        safe = np.where(mag > 0, mag, 1.0)
-        return self.p * safe ** (self.p - 2) * np.where(mag > 0, eta, 0.0)
+        return self._grad(eta, self._magnitude(eta))
+
+    def value_and_grad(self, eta):
+        eta = self._coerce(eta)
+        mag = self._magnitude(eta)
+        return mag ** self.p, self._grad(eta, mag)
 
 
 @dataclass(frozen=True)
@@ -236,6 +256,10 @@ class OffsetIntegrand(Integrand):
     def grad(self, eta):
         return self.inner.grad(eta)
 
+    def value_and_grad(self, eta):
+        value, grad = self.inner.value_and_grad(eta)
+        return value + self.c, grad
+
 
 @dataclass(frozen=True)
 class ShiftedArgIntegrand(Integrand):
@@ -270,18 +294,24 @@ class ShiftedArgIntegrand(Integrand):
     def grad(self, eta):
         return self.inner.grad(self._coerce(eta) - self.shift)
 
+    def value_and_grad(self, eta):
+        return self.inner.value_and_grad(self._coerce(eta) - self.shift)
 
-def integrand_from_config(spec: dict, m: int) -> Integrand:
+
+def integrand_from_config(spec: dict, m: int, key: str = "integrand") -> Integrand:
     """Deserialize the integrand menu: power / quadratic / max_affine /
-    tabulated, with optional "offset" and "shift" wrappers."""
+    tabulated, with optional "offset" and "shift" wrappers.  `key` names the
+    config section in error messages."""
+    from .config import _read  # config imports this module
+
     kind = spec.get("kind")
     if kind == "power":
-        f = PowerIntegrand(m, float(spec.get("p", 2.0)))
+        f = PowerIntegrand(m, _read(float, spec.get("p", 2.0), f"{key}.p"))
     elif kind == "quadratic":
         f = QuadraticIntegrand(np.asarray(spec["M"], dtype=float))
     elif kind == "max_affine":
         planes = [pl["a"] for pl in spec["planes"]]
-        offsets = [pl.get("b", 0.0) for pl in spec["planes"]]
+        offsets = [_read(float, pl.get("b", 0.0), f"{key}.planes.b") for pl in spec["planes"]]
         f = MaxAffineIntegrand(np.asarray(planes, float), np.asarray(offsets, float))
     elif kind == "tabulated":
         f = TabulatedIntegrand(tuple(np.asarray(a, float) for a in spec["axes"]),
@@ -293,7 +323,7 @@ def integrand_from_config(spec: dict, m: int) -> Integrand:
     if "shift" in spec:
         f = ShiftedArgIntegrand(f, np.asarray(spec["shift"], float))
     if "offset" in spec:
-        f = OffsetIntegrand(f, float(spec["offset"]))
+        f = OffsetIntegrand(f, _read(float, spec["offset"], f"{key}.offset"))
     return f
 
 
@@ -315,6 +345,10 @@ class Functional:
 
     def eval(self, u: ScalarField, domain: GridDomain) -> float:
         raise NotImplementedError
+
+    def probe_values(self, group: StratifiedGroup, xi_grid, domain: GridDomain) -> np.ndarray:
+        """F(u_xi, A) for the linear probe u_xi of every row xi of `xi_grid`."""
+        return np.array([self.eval(probe_field(group, xi), domain) for xi in xi_grid])
 
 
 @dataclass(frozen=True)
@@ -338,10 +372,27 @@ class IntegrandFunctional(Functional):
         return self.quadrature(horizontal_gradient(self.group, u, dom.centers()),
                                dom.cell_volume)
 
+    def probe_values(self, group: StratifiedGroup, xi_grid, domain: GridDomain) -> np.ndarray:
+        """`eval` of every linear probe, with f evaluated once per probe: a
+        probe's horizontal gradient is xi at every cell, so its quadrature
+        sums K copies of f(xi), the same numbers `eval` would sum."""
+        xi_grid = np.atleast_2d(np.asarray(xi_grid, dtype=float))
+        if domain.is_empty:
+            return np.zeros(len(xi_grid))
+        dom = domain.refine(self.refine)
+        cells = int(np.count_nonzero(dom.mask))
+        return np.array([_total(np.full(cells, value), dom.cell_volume)
+                         for value in self.integrand(xi_grid)])
+
     def quadrature(self, grads, cell_volume: float) -> float:
         """cell_volume * sum of f over the gradient rows, +inf if not finite."""
-        total = float(np.sum(self.integrand(grads)) * cell_volume)
-        return float("inf") if not np.isfinite(total) else total
+        return _total(self.integrand(grads), cell_volume)
+
+
+def _total(values, cell_volume: float) -> float:
+    """cell_volume * sum of the integrand values, +inf if not finite."""
+    total = float(np.sum(values) * cell_volume)
+    return float("inf") if not np.isfinite(total) else total
 
 
 @dataclass(frozen=True)

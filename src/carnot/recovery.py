@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy import sparse
 
 from .groups import StratifiedGroup, HomogeneousNorm
 from .fields import GridDomain, ScalarField, DomainError, probe_field
@@ -84,8 +83,7 @@ def recover_integrand(functional: Functional, group: StratifiedGroup,
     vol = base_domain.volume
     if vol <= 0:
         raise DomainError("recovery needs a base domain of positive volume")
-    values = np.array([functional.eval(probe_field(group, xi), base_domain) / vol
-                       for xi in xi_grid])
+    values = functional.probe_values(group, xi_grid, base_domain) / vol
     points = round(len(xi_grid) ** (1.0 / xi_grid.shape[1]))
     return RecoveredIntegrand(xi_grid, values, points)
 
@@ -178,12 +176,19 @@ def _descent_operators(group: StratifiedGroup, domain: GridDomain) -> tuple:
     of shape (m*K, N), whose product with the samples holds the m directional
     derivatives one after another, and the per-direction CSR transposes for
     the adjoint (kept apart, so each entry sums in the order of `op.T @`)."""
+    from scipy import sparse  # only operator builders need it; it is slow to import
+
     ops = _gradient_operators(group, domain)
     return sparse.vstack(ops, format="csr"), [op.T.tocsr() for op in ops]
 
 
-def _lp_norm(w: np.ndarray, mask_flat: np.ndarray, cellvol: float, p: float) -> float:
-    return float((np.sum(np.abs(w[mask_flat]) ** p) * cellvol) ** (1.0 / p))
+def _lp_norm(w: np.ndarray, mask_flat: Optional[np.ndarray], cellvol: float,
+             p: float) -> float:
+    """The discrete L^p norm of w over the masked cells; a mask of None
+    stands for a full one and skips the gather."""
+    if mask_flat is not None:
+        w = w[mask_flat]
+    return float((np.sum(np.abs(w) ** p) * cellvol) ** (1.0 / p))
 
 
 def minimize_convex(group: StratifiedGroup, functional: IntegrandFunctional,
@@ -201,20 +206,25 @@ def minimize_convex(group: StratifiedGroup, functional: IntegrandFunctional,
     if delta < 0 or max_iter < 0:
         raise ValueError("the constraint radius and the iteration budget must be nonnegative")
     f = functional.integrand
-    mask_flat = domain.mask.ravel()
+    mask_flat = None if domain.mask.all() else domain.mask.ravel()
     cellvol = domain.cell_volume
     stack, adjoints = operators if operators is not None else _descent_operators(group, domain)
     u0 = anchor.values(domain.all_centers())
     if not np.isfinite(u0).all():
         raise DomainError(f"the field {anchor.name} is not finite at every cell center")
 
-    def objective(v):
+    def gradients(v):
         # a column-major (K, m) view: the integrands reduce over m without a copy
-        grads = (stack @ v).reshape(group.m, -1).T
-        return float(np.sum(f(grads)) * cellvol), grads
+        return (stack @ v).reshape(group.m, -1).T
 
-    def subgradient(grads):
-        df = f.grad(grads)
+    def objective(v):
+        return float(np.sum(f(gradients(v))) * cellvol)
+
+    def objective_and_df(v):
+        values, df = f.value_and_grad(gradients(v))
+        return float(np.sum(values) * cellvol), df
+
+    def subgradient(df):
         g = np.zeros_like(u0)
         for j, adjoint in enumerate(adjoints):
             g += adjoint @ df[:, j]
@@ -229,22 +239,23 @@ def minimize_convex(group: StratifiedGroup, functional: IntegrandFunctional,
             return v
         return u0 + w * (delta / nrm)
 
-    start_value, grads = objective(u0)
     if delta == 0 or max_iter == 0:
+        start_value = objective(u0)
         return MinimizeResult(u0, start_value, start_value, 0, True)
+    start_value, df = objective_and_df(u0)
 
     v = u0.copy()
     best_v, best_val = v.copy(), start_value
-    g = subgradient(grads)
+    g = subgradient(df)
     gn = np.linalg.norm(g)
     probes = np.logspace(-4, 1, 12) * (np.linalg.norm(u0 - u0.mean()) + 1.0) / (gn + 1e-30)
-    vals = [objective(project(v - s * g))[0] for s in probes]
+    vals = [objective(project(v - s * g)) for s in probes]
     s0 = float(probes[int(np.argmin(vals))])
 
     stalled = 0
     for it in range(1, max_iter + 1):
         v = project(v - s0 / np.sqrt(it) * g)
-        val, grads = objective(v)
+        val, df = objective_and_df(v)
         if val < best_val - _REL_TOL * max(1.0, abs(best_val)):
             best_val, best_v = val, v.copy()
             stalled = 0
@@ -252,7 +263,7 @@ def minimize_convex(group: StratifiedGroup, functional: IntegrandFunctional,
             stalled += 1
             if stalled >= _PATIENCE:
                 break
-        g = subgradient(grads)
+        g = subgradient(df)
     return MinimizeResult(best_v, best_val, start_value, it, stalled >= _PATIENCE)
 
 

@@ -1,4 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
+import pytest
+
+import carnot
 
 from carnot.fields import horizontal_gradient
 from carnot.functionals import BlackBoxFunctional
@@ -15,3 +23,19 @@ def x_weighted_functional(group):
         return float(np.sum(weight * np.sum(grads**2, axis=-1)) * domain.cell_volume)
 
     return BlackBoxFunctional(fn, name="x_weighted_energy")
+
+
+def run_fresh(code: str) -> str:
+    """stdout of `code` run in a fresh interpreter that imports carnot from the
+    same source tree as the tests."""
+    src = str(Path(carnot.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True).stdout
+
+
+@pytest.fixture(scope="session")
+def cli_import_modules() -> frozenset:
+    """Every module a bare `import carnot.cli` loads, from one fresh interpreter."""
+    return frozenset(run_fresh("import sys, carnot.cli; print(*sys.modules)").split())

@@ -7,6 +7,8 @@ import pytest
 
 from carnot.cli import main, EXIT_OK, EXIT_FAIL, EXIT_CONFIG, EXIT_HYPOTHESIS
 
+from conftest import run_fresh
+
 
 def _write(tmp_path, name, payload):
     path = tmp_path / name
@@ -147,6 +149,13 @@ class TestConfigBoundary:
         (["gamma"], {"schedules": {"delta": True}}),
         (["verify", "--suite", "functional"], {"samples": "5"}),
         (["verify", "--suite", "axioms"], {"tol_scale": 10**400}),
+        (["verify", "--suite", "functional"], {"integrand": {"kind": "power", "p": True}}),
+        (["verify", "--suite", "functional"],
+         {"integrand": {"kind": "power", "p": 2, "offset": "1"}}),
+        (["verify", "--suite", "functional"],
+         {"integrand": {"kind": "max_affine", "planes": [{"a": [1, 0], "b": True}]}}),
+        (["gamma"], {"gamma": {"scale": "0.5"}}),
+        (["gamma"], {"gamma": {"base": {"kind": "power", "p": "2"}}}),
     ] + [(["gamma"], _small_gamma(expr)) for expr in _BAD_EXPRESSIONS],
        ids=["n5-mollify", "resolution2-sandwich", "shape2-gamma", "points0-recover",
             "shape4-mollify", "empty-h-gamma", "empty-h-lsc", "shape0-axioms",
@@ -168,7 +177,10 @@ class TestConfigBoundary:
             "h-fraction-lsc", "tol-scale-bool-axioms", "tol-scale-numeric-string-axioms",
             "p-bool-mollify", "radius-bool-recover", "ball-radius-bool-recover",
             "rho-numeric-string-recover", "delta-bool-gamma",
-            "samples-numeric-string-functional", "tol-scale-beyond-float-axioms"]
+            "samples-numeric-string-functional", "tol-scale-beyond-float-axioms",
+            "integrand-p-bool-functional", "integrand-offset-string-functional",
+            "plane-offset-bool-functional", "gamma-scale-string-gamma",
+            "gamma-base-p-string-gamma"]
        + [f"expr-{name}-gamma" for name in _BAD_EXPRESSIONS])
     def test_out_of_range_config_exits_config(self, tmp_path, capsys, argv, payload):
         # each of these used to escape as a traceback with exit 1, or to run
@@ -190,6 +202,39 @@ class TestConfigBoundary:
     def test_integral_float_counts_accepted(self, tmp_path, capsys, argv, payload):
         cfg = _write(tmp_path, "c.json", payload)
         assert main(argv + ["--config", cfg]) == EXIT_OK
+
+
+class TestStartup:
+    def test_only_operator_builders_load_scipy(self, tmp_path):
+        # every suite and recover run without scipy; gamma builds sparse
+        # gradient operators and loads it then
+        small = _write(tmp_path, "small.json", {
+            "grid": {"shape": 6}, "samples": 5, "mollifier_resolution": 5,
+            "schedules": {"eps": [0.2, 0.1], "h": [1, 2]},
+            "xi_grid": {"points": 3}, "minimizer": {"max_iter": 5}})
+        code = f"""
+import contextlib, io, json, sys
+from carnot.cli import main
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+report = {{}}
+with contextlib.redirect_stdout(io.StringIO()):
+    for suite in ("axioms", "mollify", "functional", "sandwich", "lsc"):
+        report[suite] = main(["verify", "--suite", suite, "--config", {small!r}])
+    report["recover"] = main(["recover"])
+    report["scipy_before_gamma"] = scipy_modules()
+    report["gamma"] = main(["gamma", "--config", {small!r}])
+    report["scipy_after_gamma"] = scipy_modules()
+print(json.dumps(report))
+"""
+        report = json.loads(run_fresh(code))
+        for command in ("axioms", "mollify", "functional", "sandwich", "lsc",
+                        "recover", "gamma"):
+            assert report[command] == EXIT_OK, command
+        assert report["scipy_before_gamma"] == []
+        assert "scipy.sparse" in report["scipy_after_gamma"]
 
 
 class TestRecover:

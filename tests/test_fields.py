@@ -1,16 +1,11 @@
 """Grid domains, scalar fields, translations and horizontal gradients."""
 
-import os
-import subprocess
-import sys
+import dataclasses
 import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.interpolate import RegularGridInterpolator
-
-import carnot
 
 from carnot.groups import euclidean, heisenberg, engel
 from carnot.fields import (GridDomain, DomainError, ScalarField, constant_field,
@@ -29,6 +24,33 @@ class TestGridDomain:
         dom = GridDomain.box(-np.ones(2), np.ones(2), 4)
         assert dom.contains([[0.1, 0.1], [3.0, 0.0]]).tolist() == [True, False]
         assert len(dom.centers()) == 16
+
+    def test_centers_computed_once_and_read_only(self):
+        g = heisenberg(1)
+        ball = GridDomain.ball(g.norm(), g.origin(), 1.0, 6)
+        box = GridDomain.box(-np.ones(3), np.ones(3), 4)
+        for dom in (ball, box):
+            fresh = np.stack([c.ravel() for c in np.meshgrid(*dom.axis_centers(),
+                                                             indexing="ij")], axis=-1)
+            np.testing.assert_array_equal(dom.all_centers(), fresh)
+            np.testing.assert_array_equal(dom.centers(), fresh[dom.mask.ravel()])
+            for arr in (dom.all_centers(), dom.centers()):
+                assert not arr.flags.writeable
+                with pytest.raises(ValueError):
+                    arr[0, 0] = 1.0
+            assert dom.all_centers() is dom.all_centers()
+            assert dom.centers() is dom.centers()
+        # a full mask has one centers array; a masked one its own gather
+        assert box.centers() is box.all_centers()
+        assert ball.centers() is not ball.all_centers()
+        # a replaced domain computes its own
+        half = np.zeros(box.shape, bool)
+        half[:2] = True
+        cut = dataclasses.replace(box, mask=half)
+        assert len(cut.centers()) == half.sum() and cut.centers() is not box.centers()
+        np.testing.assert_array_equal(cut.centers(), box.all_centers()[half.ravel()])
+        moved = dataclasses.replace(box, lo=box.lo + 1.0, hi=box.hi + 1.0)
+        np.testing.assert_array_equal(moved.all_centers(), box.all_centers() + 1.0)
 
     def test_mask_algebra(self):
         dom = GridDomain.box(-np.ones(2), np.ones(2), 4)
@@ -212,26 +234,20 @@ class TestInterpolation:
             with pytest.raises(DomainError):
                 GridDomain.from_centers([axis])
 
-    def test_import_does_not_load_scipy_interpolate(self):
-        assert not _loaded_by_cli_import("scipy.interpolate")
+    def test_import_does_not_load_scipy_interpolate(self, cli_import_modules):
+        assert "scipy.interpolate" not in cli_import_modules
 
-    def test_import_does_not_load_scipy_ndimage(self):
-        assert not _loaded_by_cli_import("scipy.ndimage")
+    def test_import_does_not_load_scipy_ndimage(self, cli_import_modules):
+        assert "scipy.ndimage" not in cli_import_modules
 
-    def test_import_does_not_load_sympy(self):
+    def test_import_does_not_load_sympy(self, cli_import_modules):
         # only fields given by an expression need sympy, and it is slow to import
-        assert not _loaded_by_cli_import("sympy")
+        assert "sympy" not in cli_import_modules
 
-
-def _loaded_by_cli_import(module: str) -> bool:
-    """Whether a fresh `import carnot.cli` puts `module` in sys.modules."""
-    src = str(Path(carnot.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
-    code = f"import sys, carnot.cli; print({module!r} in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    return out.strip() == "True"
+    def test_import_does_not_load_scipy(self, cli_import_modules):
+        # only sparse operator builders need scipy, and it is slow to import
+        assert not [m for m in cli_import_modules if m.split(".")[0] == "scipy"]
+        assert "numpy.random" in cli_import_modules  # seeded commands need it
 
 
 class TestTranslation:

@@ -91,6 +91,43 @@ class TestIntegrands:
             integrand_from_config({"kind": "mystery"}, 2)
 
 
+def _value_and_grad_menu(m, rng):
+    """Every menu family (powers at p = 1, 2 and 3) and both wrappers."""
+    b = rng.normal(size=(m, m))
+    axis = np.linspace(-4.0, 4.0, 9)
+    table = np.add.outer(axis**2, axis**2) if m == 2 else axis**2
+    menu = {"power1": PowerIntegrand(m, 1.0), "power2": PowerIntegrand(m, 2.0),
+            "power3": PowerIntegrand(m, 3.0),
+            "quadratic": QuadraticIntegrand(b.T @ b + 0.1 * np.eye(m)),
+            "max_affine": MaxAffineIntegrand(rng.normal(size=(5, m)), rng.normal(size=5)),
+            "tabulated": TabulatedIntegrand((axis,) * m, table)}
+    menu["offset"] = OffsetIntegrand(menu["power3"], 0.25)
+    menu["shifted"] = ShiftedArgIntegrand(menu["power2"], rng.normal(size=m))
+    menu["offset-shifted-tabulated"] = OffsetIntegrand(
+        ShiftedArgIntegrand(menu["tabulated"], np.full(m, 0.5)), 1.0)
+    return menu
+
+
+class TestValueAndGrad:
+    @pytest.mark.parametrize("layout", ["rows", "column-major"])
+    def test_matches_separate_calls_bit_for_bit(self, layout):
+        rng = np.random.default_rng(11)
+        eta = rng.uniform(-3.0, 3.0, size=(64, 2))
+        eta[::7] = 0.0  # zero rows: |eta| = 0 takes the other branch of the power grad
+        if layout == "column-major":
+            # the minimizer's (K, m) view of its stacked directional derivatives
+            eta = np.ascontiguousarray(eta.T).T
+        for name, f in _value_and_grad_menu(2, rng).items():
+            value, grad = f.value_and_grad(eta)
+            np.testing.assert_array_equal(value, f(eta), err_msg=name)
+            np.testing.assert_array_equal(grad, f.grad(eta), err_msg=name)
+
+    def test_power_magnitude_is_linalg_norm(self):
+        eta = np.random.default_rng(12).normal(size=(200, 4))
+        np.testing.assert_array_equal(PowerIntegrand._magnitude(eta),
+                                      np.linalg.norm(eta, axis=-1))
+
+
 class TestEval:
     def test_probe_closed_form(self):
         # constant-gradient probes make midpoint quadrature exact

@@ -8,8 +8,9 @@ from carnot import recovery
 from carnot.groups import euclidean, heisenberg, engel
 from carnot.fields import GridDomain, DomainError, ScalarField, probe_field, quadratic_field
 from carnot.functionals import (PowerIntegrand, QuadraticIntegrand,
-                                MaxAffineIntegrand, OffsetIntegrand,
-                                ShiftedArgIntegrand, IntegrandFunctional)
+                                MaxAffineIntegrand, TabulatedIntegrand, OffsetIntegrand,
+                                ShiftedArgIntegrand, Functional, IntegrandFunctional,
+                                BlackBoxFunctional)
 from carnot.recovery import (HypothesisError, uniform_xi_grid, recover_integrand,
                              constancy_probe, verify_uniqueness,
                              minimize_convex, gamma_experiment,
@@ -73,6 +74,64 @@ class TestRecovery:
                                 uniform_xi_grid(2, 4.0, 17))
         # grid nodes are exact; midpoints interpolate the convex envelope from above
         assert rec.interp([[1.0, 1.0]])[0] == pytest.approx(2.0, rel=1e-10)
+
+
+class TestProbeValues:
+    """The one-pass probe recovery of an integrand functional against the
+    per-probe evaluation every functional falls back on."""
+
+    @staticmethod
+    def _menu(rng):
+        b = rng.normal(size=(2, 2))
+        axis = np.linspace(-4.0, 4.0, 9)
+        power = PowerIntegrand(2, 2.0)
+        return {"power1": PowerIntegrand(2, 1.0), "power2": power,
+                "power3": PowerIntegrand(2, 3.0),
+                "quadratic": QuadraticIntegrand(b.T @ b + 0.1 * np.eye(2)),
+                "max_affine": MaxAffineIntegrand(rng.normal(size=(5, 2)), rng.normal(size=5)),
+                "tabulated": TabulatedIntegrand((axis, axis), np.add.outer(axis**2, axis**2)),
+                "offset": OffsetIntegrand(power, 0.75),
+                "shifted": ShiftedArgIntegrand(power, [1.0, -0.5])}
+
+    # refine 2 sums 8K copies at an eighth of the cell volume, which rounds as
+    # K copies do; refine 3 rounds differently
+    @pytest.mark.parametrize("refine", [1, 2, 3])
+    def test_matches_per_probe_eval_bit_for_bit(self, h1, ball, refine):
+        g, _ = h1
+        rng = np.random.default_rng(5)
+        xi_grid = np.vstack([uniform_xi_grid(2, 4.0, 5), rng.uniform(-4, 4, size=(7, 2))])
+        assert not ball.mask.all()
+        for name, f in self._menu(rng).items():
+            F = IntegrandFunctional(g, f, refine=refine)
+            fast = F.probe_values(g, xi_grid, ball)
+            np.testing.assert_array_equal(fast, Functional.probe_values(F, g, xi_grid, ball),
+                                          err_msg=name)
+            for k in (0, 12, len(xi_grid) - 1):
+                assert fast[k] == F.eval(probe_field(g, xi_grid[k]), ball), name
+            single = F.probe_values(g, xi_grid[:1], ball)
+            assert single.shape == (1,) and single[0] == fast[0], name
+
+    def test_blackbox_evaluates_every_probe(self, h1, ball):
+        g, _ = h1
+        F = IntegrandFunctional(g, PowerIntegrand(2, 3.0))
+        seen = []
+
+        def fn(u, domain):
+            seen.append(u.name)
+            return F.eval(u, domain)
+
+        xi_grid = uniform_xi_grid(2, 4.0, 5)
+        values = BlackBoxFunctional(fn).probe_values(g, xi_grid, ball)
+        assert len(seen) == len(xi_grid)
+        np.testing.assert_array_equal(values, F.probe_values(g, xi_grid, ball))
+
+    def test_recovery_reads_probe_values(self, h1, ball):
+        g, _ = h1
+        F = x_weighted_functional(g)
+        xi_grid = uniform_xi_grid(2, 2.0, 3)
+        rec = recover_integrand(F, g, ball, xi_grid)
+        np.testing.assert_array_equal(rec.values,
+                                      F.probe_values(g, xi_grid, ball) / ball.volume)
 
 
 class TestConstancy:
