@@ -11,6 +11,7 @@ import copy
 import importlib
 import json
 import numbers
+from dataclasses import replace
 
 import numpy as np
 import numpy.random  # numpy loads it on first use; every seeded command needs it
@@ -18,7 +19,7 @@ import numpy.random  # numpy loads it on first use; every seeded command needs i
 from . import groups
 from .fields import GridDomain, from_expression, probe_field
 from .functionals import (Functional, IntegrandFunctional, BlackBoxFunctional,
-                          integrand_from_config)
+                          OffsetIntegrand, ShiftedArgIntegrand, integrand_from_config)
 from .mollify import MollifierFamily
 from .recovery import uniform_xi_grid
 
@@ -172,8 +173,7 @@ def build_fields(cfg: dict, group: groups.StratifiedGroup) -> list:
         else:
             raise ConfigError(f"field entry needs 'expr' or 'probe': {entry}")
         if "name" in entry:
-            import dataclasses
-            field = dataclasses.replace(field, name=entry["name"])
+            field = replace(field, name=entry["name"])
         out.append(field)
     return out
 
@@ -240,8 +240,6 @@ def build_schedule(cfg: dict, key: str, kind=float) -> list:
 
 def build_gamma_sequence(cfg: dict, group: groups.StratifiedGroup) -> list:
     """(h, integrand) pairs for the variational-limit experiment."""
-    from .functionals import OffsetIntegrand, ShiftedArgIntegrand
-
     spec = _section(cfg, "gamma")
     hs = build_schedule(cfg, "h", int)
     try:

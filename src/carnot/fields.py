@@ -197,28 +197,12 @@ class GridDomain:
         dist = norm.dist_left(dom.all_centers(), center)
         return replace(dom, mask=(dist < radius).reshape(dom.shape))
 
-    # -- mask algebra (same lattice only) -----------------------------------
+    # -- set relations (same lattice only) ---------------------------------
 
     def _check_lattice(self, other: "GridDomain"):
         if (self.shape != other.shape or not np.allclose(self.lo, other.lo)
                 or not np.allclose(self.hi, other.hi)):
             raise DomainError("set operations require domains on the same lattice")
-
-    def union(self, other: "GridDomain") -> "GridDomain":
-        self._check_lattice(other)
-        return replace(self, mask=self.mask | other.mask)
-
-    def intersect(self, other: "GridDomain") -> "GridDomain":
-        self._check_lattice(other)
-        return replace(self, mask=self.mask & other.mask)
-
-    def difference(self, other: "GridDomain") -> "GridDomain":
-        self._check_lattice(other)
-        return replace(self, mask=self.mask & ~other.mask)
-
-    def is_disjoint(self, other: "GridDomain") -> bool:
-        self._check_lattice(other)
-        return not (self.mask & other.mask).any()
 
     def is_subset(self, other: "GridDomain") -> bool:
         self._check_lattice(other)
@@ -500,5 +484,9 @@ def sobolev_seminorm(group: StratifiedGroup, u: ScalarField, domain: GridDomain,
     if domain.is_empty:
         raise DomainError("seminorm over an empty domain")
     grads = horizontal_gradient(group, u, domain.centers(), mode=mode, h=h)
-    mags = np.linalg.norm(grads, axis=-1)
-    return float((np.sum(mags**p) * domain.cell_volume) ** (1.0 / p))
+    return _lp_norm(np.linalg.norm(grads, axis=-1), domain.cell_volume, p)
+
+
+def _lp_norm(w: np.ndarray, cellvol: float, p: float) -> float:
+    """The discrete L^p norm (sum of |w|^p cellvol)^(1/p) of cell values w."""
+    return float((np.sum(np.abs(w) ** p) * cellvol) ** (1.0 / p))

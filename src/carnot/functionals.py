@@ -8,7 +8,7 @@ with midpoint quadrature, or opaque black boxes supplied by callers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -48,14 +48,13 @@ class Integrand:
     def __call__(self, eta) -> np.ndarray:
         raise NotImplementedError
 
-    def grad(self, eta) -> np.ndarray:
-        """A subgradient at each row of eta."""
+    def value_and_grad(self, eta) -> tuple:
+        """(self(eta), a subgradient at each row of eta)."""
         raise NotImplementedError
 
-    def value_and_grad(self, eta) -> tuple:
-        """(self(eta), self.grad(eta)); integrands that share work between
-        the two override it with the same values bit for bit."""
-        return self(eta), self.grad(eta)
+    def grad(self, eta) -> np.ndarray:
+        """A subgradient at each row of eta."""
+        return self.value_and_grad(eta)[1]
 
     def _coerce(self, eta) -> np.ndarray:
         eta = np.atleast_2d(np.asarray(eta, dtype=float))
@@ -85,22 +84,15 @@ class PowerIntegrand(Integrand):
         # its conjugate copy
         return np.sqrt(np.add.reduce(eta * eta, axis=-1))
 
-    def _grad(self, eta, mag):
-        mag = mag[..., None]
-        safe = np.where(mag > 0, mag, 1.0)
-        return self.p * safe ** (self.p - 2) * np.where(mag > 0, eta, 0.0)
-
     def __call__(self, eta):
         return self._magnitude(self._coerce(eta)) ** self.p
-
-    def grad(self, eta):
-        eta = self._coerce(eta)
-        return self._grad(eta, self._magnitude(eta))
 
     def value_and_grad(self, eta):
         eta = self._coerce(eta)
         mag = self._magnitude(eta)
-        return mag ** self.p, self._grad(eta, mag)
+        live = mag[..., None] > 0
+        safe = np.where(live, mag[..., None], 1.0)
+        return mag ** self.p, self.p * safe ** (self.p - 2) * np.where(live, eta, 0.0)
 
 
 @dataclass(frozen=True)
@@ -131,8 +123,9 @@ class QuadraticIntegrand(Integrand):
         eta = self._coerce(eta)
         return np.einsum("...i,ij,...j->...", eta, self.M, eta)
 
-    def grad(self, eta):
-        return 2.0 * self._coerce(eta) @ self.M
+    def value_and_grad(self, eta):
+        eta = self._coerce(eta)
+        return self(eta), 2.0 * eta @ self.M
 
 
 @dataclass(frozen=True)
@@ -168,12 +161,16 @@ class MaxAffineIntegrand(Integrand):
     def __call__(self, eta):
         return np.maximum(self._affine(eta).max(axis=-1), 0.0)
 
-    def grad(self, eta):
+    def value_and_grad(self, eta):
         vals = self._affine(eta)
-        best = vals.argmax(axis=-1)
-        grad = self.planes[best]
-        grad[vals.max(axis=-1) <= 0] = 0.0
-        return grad
+        top = vals.max(axis=-1)
+        grad = self.planes[vals.argmax(axis=-1)]
+        grad[top <= 0] = 0.0
+        return np.maximum(top, 0.0), grad
+
+
+# step of the tabulated integrand's central-difference subgradient
+_TABLE_FD_STEP = 1e-6
 
 
 @dataclass(frozen=True)
@@ -211,14 +208,16 @@ class TabulatedIntegrand(Integrand):
     def __call__(self, eta):
         return self._interp(self._coerce(eta))
 
-    def grad(self, eta, h: float = 1e-6):
+    def value_and_grad(self, eta):
+        """Values and central differences of step _TABLE_FD_STEP."""
         eta = self._coerce(eta)
+        h = _TABLE_FD_STEP
         out = np.empty_like(eta)
         for j in range(self.m):
             step = np.zeros(self.m)
             step[j] = h
             out[:, j] = (self._interp(eta + step) - self._interp(eta - step)) / (2 * h)
-        return out
+        return self._interp(eta), out
 
 
 def _midpoint_defect(table) -> np.ndarray:
@@ -252,9 +251,6 @@ class OffsetIntegrand(Integrand):
 
     def __call__(self, eta):
         return self.inner(eta) + self.c
-
-    def grad(self, eta):
-        return self.inner.grad(eta)
 
     def value_and_grad(self, eta):
         value, grad = self.inner.value_and_grad(eta)
@@ -290,9 +286,6 @@ class ShiftedArgIntegrand(Integrand):
 
     def __call__(self, eta):
         return self.inner(self._coerce(eta) - self.shift)
-
-    def grad(self, eta):
-        return self.inner.grad(self._coerce(eta) - self.shift)
 
     def value_and_grad(self, eta):
         return self.inner.value_and_grad(self._coerce(eta) - self.shift)
@@ -422,18 +415,21 @@ def check_left_invariance(group: StratifiedGroup, functional: Functional,
     return {"base": base, "residuals": residuals, "max_residual": max(residuals)}
 
 
+# tolerance of the set-function comparisons, and the number of cell rings
+# the inner-regularity exhaustion peels off at most
+_SET_TOL = 1e-10
+_EXHAUSTION_RINGS = 4
+
+
 def check_set_function(functional: Functional, u: ScalarField,
-                       domain: GridDomain, tol: float = 1e-10,
-                       max_rings: int = 4) -> dict:
+                       domain: GridDomain) -> dict:
     """Sample-based report on the set-function properties of F(u, .):
     monotone, additive on disjoint splits, subadditive on overlapping covers,
     superadditive, and inner regular along the cell-ring exhaustion."""
-    import dataclasses
-
     half = np.zeros(domain.shape, dtype=bool)
     half[: domain.shape[0] // 2] = True
-    a1 = dataclasses.replace(domain, mask=domain.mask & half)
-    a2 = dataclasses.replace(domain, mask=domain.mask & ~half)
+    a1 = replace(domain, mask=domain.mask & half)
+    a2 = replace(domain, mask=domain.mask & ~half)
     f_all = functional.eval(u, domain)
     f1, f2 = functional.eval(u, a1), functional.eval(u, a2)
 
@@ -443,28 +439,28 @@ def check_set_function(functional: Functional, u: ScalarField,
     c1[:cut] = True
     c2 = np.zeros(domain.shape, dtype=bool)
     c2[domain.shape[0] - cut:] = True
-    g1 = functional.eval(u, dataclasses.replace(domain, mask=domain.mask & c1))
-    g2 = functional.eval(u, dataclasses.replace(domain, mask=domain.mask & c2))
+    g1 = functional.eval(u, replace(domain, mask=domain.mask & c1))
+    g2 = functional.eval(u, replace(domain, mask=domain.mask & c2))
 
     # exhaust from the innermost rings outward so the sets grow toward A
-    exhaustion = []
-    for k in range(max_rings, 0, -1):
+    by_rings = {}
+    for k in range(_EXHAUSTION_RINGS, 0, -1):
         sub = domain.erode_cells(k)
         if not sub.is_empty:
-            exhaustion.append(functional.eval(u, sub))
+            by_rings[k] = functional.eval(u, sub)
+    exhaustion = list(by_rings.values())
 
     report = {
         "additivity_gap": abs(f_all - f1 - f2),
-        "increasing": all(functional.eval(u, domain.erode_cells(k)) <= f_all + tol
-                          for k in (1, 2) if not domain.erode_cells(k).is_empty),
-        "subadditive": f_all <= g1 + g2 + tol,
-        "superadditive": f1 + f2 <= f_all + tol,
+        "increasing": all(by_rings[k] <= f_all + _SET_TOL for k in (1, 2) if k in by_rings),
+        "subadditive": f_all <= g1 + g2 + _SET_TOL,
+        "superadditive": f1 + f2 <= f_all + _SET_TOL,
         "inner_regular_gap": f_all - max(exhaustion) if exhaustion else float("nan"),
         "exhaustion": exhaustion,
         "value": f_all,
     }
-    report["additive"] = report["additivity_gap"] <= tol
-    report["monotone_exhaustion"] = all(x <= y + tol for x, y in zip(exhaustion, exhaustion[1:]))
+    report["additive"] = report["additivity_gap"] <= _SET_TOL
+    report["monotone_exhaustion"] = all(x <= y + _SET_TOL for x, y in zip(exhaustion, exhaustion[1:]))
     return report
 
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass, replace, field as dc_field
 import numpy as np
 
 from .groups import StratifiedGroup, HomogeneousNorm
-from .fields import GridDomain, ScalarField, DomainError, horizontal_gradient
+from .fields import GridDomain, ScalarField, DomainError, horizontal_gradient, _lp_norm
 
 __all__ = [
     "MollifierFamily",
@@ -101,12 +101,11 @@ class MollifierFamily:
         """Quadrature masses w * phi(z_k); they sum to one by normalization."""
         return self.profile(self.nodes) * self.node_weight
 
-    def unit_mass(self, eps: float = 1.0, resolution: int | None = None) -> float:
-        """Quadrature of phi_eps over B(0, eps), optionally at another resolution."""
-        fam = self if resolution in (None, self.resolution) else replace(self, resolution=resolution)
-        scale = self.group.dilate(eps, fam.nodes)
+    def unit_mass(self, eps: float = 1.0) -> float:
+        """Quadrature of phi_eps over B(0, eps)."""
+        scale = self.group.dilate(eps, self.nodes)
         jac = eps ** self.group.homogeneous_dimension()
-        return float(np.sum(self.scaled(eps, scale)) * fam.node_weight * jac)
+        return float(np.sum(self.scaled(eps, scale)) * self.node_weight * jac)
 
 
 _ERODE_CACHE: dict = {}
@@ -326,11 +325,16 @@ def convolve(group: StratifiedGroup, mollifier: MollifierFamily, eps: float,
                        name=f"phi_{eps:g}*{u.name}")
 
 
+# the commutation check's group-difference step and its sample-point budget
+_COMMUTATION_FD_STEP = 1e-3
+_COMMUTATION_POINTS = 64
+
+
 def commutation_residual(group: StratifiedGroup, mollifier: MollifierFamily,
-                         eps: float, u: ScalarField, omega: GridDomain, j: int,
-                         fd_step: float = 1e-3, max_points: int = 64) -> float:
-    """max |X_j(phi_eps * u) - phi_eps * (X_j u)| over interior sample points,
-    the left side taken by a central group difference of the convolved values."""
+                         eps: float, u: ScalarField, omega: GridDomain, j: int) -> float:
+    """max |X_j(phi_eps * u) - phi_eps * (X_j u)| over at most
+    _COMMUTATION_POINTS interior cell centers, the left side taken by a
+    central group difference of the convolved values."""
     if not 0 <= j < group.m:
         raise ValueError(f"horizontal direction j={j} out of range")
     u_eps = convolve(group, mollifier, eps, u, omega)
@@ -339,10 +343,10 @@ def commutation_residual(group: StratifiedGroup, mollifier: MollifierFamily,
     if interior.is_empty:
         raise DomainError("eroded domain too small for a finite-difference check")
     pts = interior.centers()
-    if len(pts) > max_points:
-        idx = np.linspace(0, len(pts) - 1, max_points).astype(int)
+    if len(pts) > _COMMUTATION_POINTS:
+        idx = np.linspace(0, len(pts) - 1, _COMMUTATION_POINTS).astype(int)
         pts = pts[idx]
-    lhs = horizontal_gradient(group, u_eps, pts, mode="group-fd", h=fd_step)[:, j]
+    lhs = horizontal_gradient(group, u_eps, pts, mode="group-fd", h=_COMMUTATION_FD_STEP)[:, j]
     rhs = u_eps.hgrad(pts)[:, j]
     return float(np.abs(lhs - rhs).max())
 
@@ -365,11 +369,11 @@ def convergence_table(group: StratifiedGroup, mollifier: MollifierFamily,
         u_eps = convolve(group, mollifier, eps, u, omega)
         if not u_eps.domain.contains(pts).all():
             raise DomainError(f"inner set is not compactly inside the domain at eps={eps}")
-        dv = np.abs(u_eps.values(pts) - base_vals)
+        dv = u_eps.values(pts) - base_vals
         dg = np.linalg.norm(u_eps.hgrad(pts) - base_grad, axis=-1)
         rows.append({
             "epsilon": float(eps),
-            "Lp_err": float((np.sum(dv**p) * vol) ** (1.0 / p)),
-            "W1p_err": float((np.sum(dg**p) * vol) ** (1.0 / p)),
+            "Lp_err": _lp_norm(dv, vol, p),
+            "W1p_err": _lp_norm(dg, vol, p),
         })
     return rows

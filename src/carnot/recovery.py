@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .groups import StratifiedGroup, HomogeneousNorm
-from .fields import GridDomain, ScalarField, DomainError, probe_field
+from .fields import GridDomain, ScalarField, DomainError, probe_field, _lp_norm
 from .functionals import Functional, IntegrandFunctional, _midpoint_defect
 
 __all__ = [
@@ -182,15 +182,6 @@ def _descent_operators(group: StratifiedGroup, domain: GridDomain) -> tuple:
     return sparse.vstack(ops, format="csr"), [op.T.tocsr() for op in ops]
 
 
-def _lp_norm(w: np.ndarray, mask_flat: Optional[np.ndarray], cellvol: float,
-             p: float) -> float:
-    """The discrete L^p norm of w over the masked cells; a mask of None
-    stands for a full one and skips the gather."""
-    if mask_flat is not None:
-        w = w[mask_flat]
-    return float((np.sum(np.abs(w) ** p) * cellvol) ** (1.0 / p))
-
-
 def minimize_convex(group: StratifiedGroup, functional: IntegrandFunctional,
                     anchor: ScalarField, domain: GridDomain, delta: float,
                     p: float = 2.0, max_iter: int = 400, *,
@@ -231,11 +222,9 @@ def minimize_convex(group: StratifiedGroup, functional: IntegrandFunctional,
         return g * cellvol
 
     def project(v):
-        if delta == 0:
-            return u0.copy()
         w = v - u0
-        nrm = _lp_norm(w, mask_flat, cellvol, p)
-        if nrm <= delta or nrm == 0:
+        nrm = _lp_norm(w if mask_flat is None else w[mask_flat], cellvol, p)
+        if nrm <= delta:
             return v
         return u0 + w * (delta / nrm)
 

@@ -6,7 +6,8 @@ import pytest
 
 from carnot import recovery
 from carnot.groups import euclidean, heisenberg, engel
-from carnot.fields import GridDomain, DomainError, ScalarField, probe_field, quadratic_field
+from carnot.fields import (GridDomain, DomainError, ScalarField, probe_field, quadratic_field,
+                           _lp_norm)
 from carnot.functionals import (PowerIntegrand, QuadraticIntegrand,
                                 MaxAffineIntegrand, TabulatedIntegrand, OffsetIntegrand,
                                 ShiftedArgIntegrand, Functional, IntegrandFunctional,
@@ -14,7 +15,7 @@ from carnot.functionals import (PowerIntegrand, QuadraticIntegrand,
 from carnot.recovery import (HypothesisError, uniform_xi_grid, recover_integrand,
                              constancy_probe, verify_uniqueness,
                              minimize_convex, gamma_experiment,
-                             _gradient_operators, _lp_norm, _PATIENCE, _REL_TOL)
+                             _gradient_operators, _PATIENCE, _REL_TOL)
 
 from conftest import x_weighted_functional
 
@@ -306,7 +307,7 @@ def _reference_minimize(group, functional, anchor, domain, delta, p, max_iter):
 
     def project(v):
         w = v - u0
-        nrm = _lp_norm(w, mask_flat, cellvol, p)
+        nrm = _lp_norm(w[mask_flat], cellvol, p)
         return v if nrm <= delta or nrm == 0 else u0 + w * (delta / nrm)
 
     start_value, grads = objective(u0)
