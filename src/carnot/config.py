@@ -92,12 +92,31 @@ def _read(kind, value, key: str):
         raise ConfigError(message) from exc
 
 
+def _read_array(value, key: str) -> np.ndarray:
+    """The float array of a JSON number or nested lists of JSON numbers, read
+    entry by entry through `_read`, or a ConfigError naming the config key:
+    np.asarray(value, float) would read true as 1.0 and "1" as 1.0."""
+    entries = np.array(value, dtype=object)
+    return np.array([_read(float, v, key) for v in entries.flat]).reshape(entries.shape)
+
+
+def _mapping(value, key: str) -> dict:
+    """`value`, which must be a JSON object."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{key} must be a mapping, got {value!r}")
+    return value
+
+
+def _list(value, key: str) -> list:
+    """`value`, which must be a JSON array."""
+    if not isinstance(value, list):
+        raise ConfigError(f"{key} must be a list, got {value!r}")
+    return value
+
+
 def _section(cfg: dict, key: str) -> dict:
     """cfg[key], which must be a mapping."""
-    spec = cfg[key]
-    if not isinstance(spec, dict):
-        raise ConfigError(f"{key} must be a mapping, got {spec!r}")
-    return spec
+    return _mapping(cfg[key], key)
 
 
 def build_scalar(cfg: dict, key: str, kind=float, minimum=None):
@@ -129,7 +148,7 @@ def build_rng(cfg: dict) -> np.random.Generator:
 def build_group(cfg: dict) -> groups.StratifiedGroup:
     try:
         return groups.from_config(cfg["group"])
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, OverflowError) as exc:
         raise ConfigError(f"malformed group spec {cfg['group']!r}: {exc}") from exc
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
@@ -144,12 +163,11 @@ def build_norm(cfg: dict, group: groups.StratifiedGroup) -> groups.HomogeneousNo
 
 def build_grid(cfg: dict, group: groups.StratifiedGroup) -> GridDomain:
     spec = _section(cfg, "grid")
-    lo = spec.get("lo") or [-1.0] * group.n
-    hi = spec.get("hi") or [1.0] * group.n
-    if len(lo) != group.n or len(hi) != group.n:
+    lo = _read_array(spec.get("lo") or [-1.0] * group.n, "grid.lo")
+    hi = _read_array(spec.get("hi") or [1.0] * group.n, "grid.hi")
+    if lo.shape != (group.n,) or hi.shape != (group.n,):
         raise ConfigError(f"grid box must have {group.n} axes")
     try:
-        lo, hi = np.asarray(lo, float), np.asarray(hi, float)
         # object dtype keeps each entry's JSON type for _read
         shape = np.broadcast_to(np.array(spec["shape"], dtype=object), (group.n,))
     except (TypeError, ValueError) as exc:
@@ -162,14 +180,18 @@ def build_grid(cfg: dict, group: groups.StratifiedGroup) -> GridDomain:
 
 def build_fields(cfg: dict, group: groups.StratifiedGroup) -> list:
     out = []
-    for entry in cfg["fields"]:
+    for i, entry in enumerate(_list(cfg["fields"], "fields")):
+        entry = _mapping(entry, f"fields[{i}]")
         if "expr" in entry:
             try:
                 field = from_expression(group, entry["expr"])
             except ValueError as exc:
                 raise ConfigError(str(exc)) from exc
         elif "probe" in entry:
-            field = probe_field(group, np.asarray(entry["probe"], float))
+            xi = _read_array(entry["probe"], f"fields[{i}].probe")
+            if xi.shape != (group.m,):
+                raise ConfigError(f"fields[{i}].probe must have {group.m} entries, got {xi}")
+            field = probe_field(group, xi)
         else:
             raise ConfigError(f"field entry needs 'expr' or 'probe': {entry}")
         if "name" in entry:
@@ -179,8 +201,10 @@ def build_fields(cfg: dict, group: groups.StratifiedGroup) -> list:
 
 
 def build_functional(cfg: dict, group: groups.StratifiedGroup) -> Functional:
-    spec = cfg["integrand"]
+    spec = _section(cfg, "integrand")
     if "blackbox" in spec:
+        if not isinstance(spec["blackbox"], str):
+            raise ConfigError(f"integrand.blackbox must be a string, got {spec['blackbox']!r}")
         mod_name, _, attr = spec["blackbox"].partition(":")
         try:
             target = getattr(importlib.import_module(mod_name), attr)
@@ -249,7 +273,7 @@ def build_gamma_sequence(cfg: dict, group: groups.StratifiedGroup) -> list:
             scale = _read(float, spec.get("scale", 1.0), "gamma.scale")
             return [(h, OffsetIntegrand(base, scale / h)) for h in hs]
         if kind == "alternating":
-            shift = np.asarray(spec["shift"], float)
+            shift = _read_array(spec["shift"], "gamma.shift")
             return [(h, ShiftedArgIntegrand(base, (-1) ** h * shift)) for h in hs]
         if kind == "constant":
             return [(h, base) for h in hs]

@@ -197,7 +197,7 @@ class GridDomain:
         dist = norm.dist_left(dom.all_centers(), center)
         return replace(dom, mask=(dist < radius).reshape(dom.shape))
 
-    # -- set relations (same lattice only) ---------------------------------
+    # -- mask algebra (same lattice only) -----------------------------------
 
     def _check_lattice(self, other: "GridDomain"):
         if (self.shape != other.shape or not np.allclose(self.lo, other.lo)

@@ -211,12 +211,12 @@ class TabulatedIntegrand(Integrand):
     def value_and_grad(self, eta):
         """Values and central differences of step _TABLE_FD_STEP."""
         eta = self._coerce(eta)
-        h = _TABLE_FD_STEP
         out = np.empty_like(eta)
         for j in range(self.m):
             step = np.zeros(self.m)
-            step[j] = h
-            out[:, j] = (self._interp(eta + step) - self._interp(eta - step)) / (2 * h)
+            step[j] = _TABLE_FD_STEP
+            out[:, j] = ((self._interp(eta + step) - self._interp(eta - step))
+                         / (2 * _TABLE_FD_STEP))
         return self._interp(eta), out
 
 
@@ -295,26 +295,30 @@ def integrand_from_config(spec: dict, m: int, key: str = "integrand") -> Integra
     """Deserialize the integrand menu: power / quadratic / max_affine /
     tabulated, with optional "offset" and "shift" wrappers.  `key` names the
     config section in error messages."""
-    from .config import _read  # config imports this module
+    from .config import _list, _mapping, _read, _read_array  # config imports this module
 
+    spec = _mapping(spec, key)
     kind = spec.get("kind")
     if kind == "power":
         f = PowerIntegrand(m, _read(float, spec.get("p", 2.0), f"{key}.p"))
     elif kind == "quadratic":
-        f = QuadraticIntegrand(np.asarray(spec["M"], dtype=float))
+        f = QuadraticIntegrand(_read_array(spec["M"], f"{key}.M"))
     elif kind == "max_affine":
-        planes = [pl["a"] for pl in spec["planes"]]
-        offsets = [_read(float, pl.get("b", 0.0), f"{key}.planes.b") for pl in spec["planes"]]
-        f = MaxAffineIntegrand(np.asarray(planes, float), np.asarray(offsets, float))
+        planes = [_mapping(pl, f"{key}.planes[{i}]")
+                  for i, pl in enumerate(_list(spec["planes"], f"{key}.planes"))]
+        f = MaxAffineIntegrand(
+            np.array([_read_array(pl["a"], f"{key}.planes.a") for pl in planes]),
+            np.array([_read(float, pl.get("b", 0.0), f"{key}.planes.b") for pl in planes]))
     elif kind == "tabulated":
-        f = TabulatedIntegrand(tuple(np.asarray(a, float) for a in spec["axes"]),
-                               np.asarray(spec["table"], float))
+        f = TabulatedIntegrand(
+            tuple(_read_array(a, f"{key}.axes") for a in _list(spec["axes"], f"{key}.axes")),
+            _read_array(spec["table"], f"{key}.table"))
     else:
         raise ValueError(f"unknown integrand kind {kind!r}")
     if f.m != m:
         raise ValueError(f"integrand dimension {f.m} != horizontal dimension {m}")
     if "shift" in spec:
-        f = ShiftedArgIntegrand(f, np.asarray(spec["shift"], float))
+        f = ShiftedArgIntegrand(f, _read_array(spec["shift"], f"{key}.shift"))
     if "offset" in spec:
         f = OffsetIntegrand(f, _read(float, spec["offset"], f"{key}.offset"))
     return f
@@ -460,7 +464,8 @@ def check_set_function(functional: Functional, u: ScalarField,
         "value": f_all,
     }
     report["additive"] = report["additivity_gap"] <= _SET_TOL
-    report["monotone_exhaustion"] = all(x <= y + _SET_TOL for x, y in zip(exhaustion, exhaustion[1:]))
+    report["monotone_exhaustion"] = all(x <= y + _SET_TOL
+                                        for x, y in zip(exhaustion, exhaustion[1:]))
     return report
 
 

@@ -8,6 +8,7 @@ for nilpotency step <= 3.  All operations broadcast over leading axes.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -279,11 +280,29 @@ def preset(name: str) -> StratifiedGroup:
     raise ValueError(f"unknown group preset {name!r}")
 
 
+def _whole(value, what: str) -> int:
+    """An integral JSON number as an int; int() would truncate 2.5 and read
+    true as 1."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _coordinate(value, n: int) -> int:
+    """The 0-based index of a 1-based coordinate index in 1..n; unchecked,
+    index 0 would wrap around to the last coordinate."""
+    index = _whole(value, "bracket index")
+    if not 1 <= index <= n:
+        raise ValueError(f"bracket index {value!r} outside 1..{n}")
+    return index - 1
+
+
 def from_config(spec) -> StratifiedGroup:
     """Build a group from a preset name, a config dict, or a JSON file path.
 
     Dict form: {"layer_dims": [...], "brackets": [{"i": 1, "j": 2, "out": {"3": 1.0}}]}
-    with 1-based coordinate indices.
+    with 1-based coordinate indices in 1..n and numeric constants.
     """
     if isinstance(spec, str):
         if spec.endswith(".json"):
@@ -291,12 +310,17 @@ def from_config(spec) -> StratifiedGroup:
                 spec = json.load(fh)
         else:
             return preset(spec)
-    dims = tuple(spec["layer_dims"])
-    n = int(sum(dims))
+    dims = tuple(_whole(d, "layer dimension") for d in spec["layer_dims"])
+    n = sum(dims)
     c = _empty_constants(n)
     for entry in spec.get("brackets", []):
-        i, j = int(entry["i"]) - 1, int(entry["j"]) - 1
-        for l, val in entry["out"].items():
-            c[i, j, int(l) - 1] = float(val)
-            c[j, i, int(l) - 1] = -float(val)
+        i, j = _coordinate(entry["i"], n), _coordinate(entry["j"], n)
+        if not isinstance(entry["out"], dict):
+            raise ValueError(f"bracket outputs must be a mapping, got {entry['out']!r}")
+        for key, val in entry["out"].items():
+            if isinstance(val, bool) or not isinstance(val, (int, float)) or not math.isfinite(val):
+                raise ValueError(f"bracket constant must be a finite number, got {val!r}")
+            l = _coordinate(int(key), n)
+            c[i, j, l] = val
+            c[j, i, l] = -val
     return StratifiedGroup(dims, c, name=str(spec.get("name", "custom")))

@@ -86,6 +86,10 @@ def _small_gamma(expr):
             "minimizer": {"max_iter": 2}, "fields": [{"expr": _BAD_EXPRESSIONS[expr]}]}
 
 
+# |eta|^2 on the nodes {-4, 0, 4}^2, which cover the default recover probes
+_CONE_TABLE = [[32, 16, 32], [16, 0, 16], [32, 16, 32]]
+
+
 class TestConfigBoundary:
     @pytest.mark.parametrize("argv, payload", [
         (["verify", "--suite", "mollify"], {"group": "heisenberg:2"}),
@@ -156,6 +160,38 @@ class TestConfigBoundary:
          {"integrand": {"kind": "max_affine", "planes": [{"a": [1, 0], "b": True}]}}),
         (["gamma"], {"gamma": {"scale": "0.5"}}),
         (["gamma"], {"gamma": {"base": {"kind": "power", "p": "2"}}}),
+        (["verify", "--suite", "functional"], {"integrand": "power"}),
+        (["verify", "--suite", "functional"], {"integrand": 5}),
+        (["verify", "--suite", "functional"], {"integrand": {"kind": "max_affine", "planes": 5}}),
+        (["verify", "--suite", "functional"], {"integrand": {"kind": "max_affine", "planes": [5]}}),
+        (["verify", "--suite", "functional"],
+         {"integrand": {"kind": "tabulated", "axes": 5, "table": [1]}}),
+        (["verify", "--suite", "functional"], {"integrand": {"blackbox": 5}}),
+        (["gamma"], {"gamma": {"base": 5}}),
+        (["gamma"], {"fields": 5}),
+        (["gamma"], {"fields": [5]}),
+        (["gamma"], {"fields": [{"probe": [1]}]}),
+        (["verify", "--suite", "axioms"], {"grid": {"lo": ["-1", "-1", "-1"]}}),
+        (["verify", "--suite", "axioms"], {"grid": {"lo": 5}}),
+        (["gamma"], {"fields": [{"probe": [True, 0]}]}),
+        (["verify", "--suite", "functional"],
+         {"integrand": {"kind": "quadratic", "M": [[True, 0], [0, 1]]}}),
+        (["verify", "--suite", "functional"],
+         {"integrand": {"kind": "max_affine", "planes": [{"a": ["1", 0]}]}}),
+        (["verify", "--suite", "functional"], {"integrand": {"kind": "power", "shift": [True, 0]}}),
+        (["recover"], {"integrand": {"kind": "tabulated", "axes": [[-4, 0, 4], [-4, 0, "4"]],
+                                     "table": _CONE_TABLE}}),
+        (["recover"], {"integrand": {"kind": "tabulated", "axes": [[-4, 0, 4], [-4, 0, 4]],
+                                     "table": [_CONE_TABLE[0], [16, False, 16], _CONE_TABLE[2]]}}),
+        (["gamma"], {"gamma": {"kind": "alternating", "shift": [True, 0]}}),
+        (["group-info"], {"group": {"layer_dims": [2, 1],
+                                    "brackets": [{"i": 1, "j": 2, "out": {"0": 1}}]}}),
+        (["group-info"], {"group": {"layer_dims": [2.5, 1],
+                                    "brackets": [{"i": 1, "j": 2, "out": {"3": 1}}]}}),
+        (["group-info"], {"group": {"layer_dims": [2, 1],
+                                    "brackets": [{"i": 1, "j": 2, "out": {"3": True}}]}}),
+        (["group-info"], {"group": {"layer_dims": [2, 1],
+                                    "brackets": [{"i": 1, "j": 2, "out": 5}]}}),
     ] + [(["gamma"], _small_gamma(expr)) for expr in _BAD_EXPRESSIONS],
        ids=["n5-mollify", "resolution2-sandwich", "shape2-gamma", "points0-recover",
             "shape4-mollify", "empty-h-gamma", "empty-h-lsc", "shape0-axioms",
@@ -180,7 +216,17 @@ class TestConfigBoundary:
             "samples-numeric-string-functional", "tol-scale-beyond-float-axioms",
             "integrand-p-bool-functional", "integrand-offset-string-functional",
             "plane-offset-bool-functional", "gamma-scale-string-gamma",
-            "gamma-base-p-string-gamma"]
+            "gamma-base-p-string-gamma",
+            "integrand-string-functional", "integrand-int-functional",
+            "planes-int-functional", "plane-int-functional", "axes-int-functional",
+            "blackbox-int-functional", "gamma-base-int-gamma", "fields-int-gamma",
+            "field-entry-int-gamma", "probe-short-gamma",
+            "grid-lo-numeric-string-axioms", "grid-lo-int-axioms", "probe-bool-gamma",
+            "quadratic-m-bool-functional", "plane-a-numeric-string-functional",
+            "shift-bool-functional", "axes-numeric-string-recover", "table-bool-recover",
+            "gamma-shift-bool-gamma", "bracket-index-zero-info",
+            "layer-dims-fraction-info", "bracket-constant-bool-info",
+            "bracket-out-int-info"]
        + [f"expr-{name}-gamma" for name in _BAD_EXPRESSIONS])
     def test_out_of_range_config_exits_config(self, tmp_path, capsys, argv, payload):
         # each of these used to escape as a traceback with exit 1, or to run
@@ -198,7 +244,9 @@ class TestConfigBoundary:
     @pytest.mark.parametrize("argv, payload", [
         (["verify", "--suite", "axioms"], {"grid": {"shape": [4.0, 4, 4]}, "seed": 3.0}),
         (["verify", "--suite", "functional"], {"samples": 20.0}),
-    ], ids=["shape-seed-axioms", "samples-functional"])
+        (["group-info"], {"group": {"layer_dims": [2.0, 1],
+                                    "brackets": [{"i": 1, "j": 2.0, "out": {"3": 1}}]}}),
+    ], ids=["shape-seed-axioms", "samples-functional", "layer-dims-index-group-info"])
     def test_integral_float_counts_accepted(self, tmp_path, capsys, argv, payload):
         cfg = _write(tmp_path, "c.json", payload)
         assert main(argv + ["--config", cfg]) == EXIT_OK
