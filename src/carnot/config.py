@@ -148,7 +148,7 @@ def build_rng(cfg: dict) -> np.random.Generator:
 def build_group(cfg: dict) -> groups.StratifiedGroup:
     try:
         return groups.from_config(cfg["group"])
-    except (KeyError, TypeError, OverflowError) as exc:
+    except (KeyError, TypeError) as exc:
         raise ConfigError(f"malformed group spec {cfg['group']!r}: {exc}") from exc
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc

@@ -8,7 +8,6 @@ for nilpotency step <= 3.  All operations broadcast over leading axes.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -280,24 +279,6 @@ def preset(name: str) -> StratifiedGroup:
     raise ValueError(f"unknown group preset {name!r}")
 
 
-def _whole(value, what: str) -> int:
-    """An integral JSON number as an int; int() would truncate 2.5 and read
-    true as 1."""
-    if (isinstance(value, bool) or not isinstance(value, (int, float))
-            or isinstance(value, float) and not value.is_integer()):
-        raise ValueError(f"{what} must be an integer, got {value!r}")
-    return int(value)
-
-
-def _coordinate(value, n: int) -> int:
-    """The 0-based index of a 1-based coordinate index in 1..n; unchecked,
-    index 0 would wrap around to the last coordinate."""
-    index = _whole(value, "bracket index")
-    if not 1 <= index <= n:
-        raise ValueError(f"bracket index {value!r} outside 1..{n}")
-    return index - 1
-
-
 def from_config(spec) -> StratifiedGroup:
     """Build a group from a preset name, a config dict, or a JSON file path.
 
@@ -310,17 +291,27 @@ def from_config(spec) -> StratifiedGroup:
                 spec = json.load(fh)
         else:
             return preset(spec)
-    dims = tuple(_whole(d, "layer dimension") for d in spec["layer_dims"])
+    from .config import _read  # config imports this module
+
+    dims = tuple(_read(int, d, "group.layer_dims") for d in spec["layer_dims"])
     n = sum(dims)
     c = _empty_constants(n)
+
+    def coordinate(value) -> int:
+        # unchecked, index 0 would wrap around to the last coordinate
+        index = _read(int, value, "group bracket index")
+        if not 1 <= index <= n:
+            raise ValueError(f"group bracket index {value!r} outside 1..{n}")
+        return index - 1
+
     for entry in spec.get("brackets", []):
-        i, j = _coordinate(entry["i"], n), _coordinate(entry["j"], n)
+        i, j = coordinate(entry["i"]), coordinate(entry["j"])
         if not isinstance(entry["out"], dict):
-            raise ValueError(f"bracket outputs must be a mapping, got {entry['out']!r}")
+            raise ValueError(f"group bracket out must be a mapping, got {entry['out']!r}")
         for key, val in entry["out"].items():
-            if isinstance(val, bool) or not isinstance(val, (int, float)) or not math.isfinite(val):
-                raise ValueError(f"bracket constant must be a finite number, got {val!r}")
-            l = _coordinate(int(key), n)
-            c[i, j, l] = val
-            c[j, i, l] = -val
+            l = coordinate(int(key))
+            value = _read(float, val, "group bracket constant")
+            if not np.isfinite(value):
+                raise ValueError(f"group bracket constant must be finite, got {val!r}")
+            c[i, j, l], c[j, i, l] = value, -value
     return StratifiedGroup(dims, c, name=str(spec.get("name", "custom")))
