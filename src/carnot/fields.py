@@ -184,16 +184,23 @@ class GridDomain:
 
     @classmethod
     def ball(cls, norm, center, radius: float, shape) -> "GridDomain":
-        """Left-metric ball B(center, radius) masked over its bounding box."""
+        """Left-metric ball B(center, radius) masked over its bounding box.
+        Raises DomainError when that box or its volume overflows floats."""
         g = norm.group
         center = np.asarray(center, dtype=float)
-        # |z_i| <= r**d_i on the ball; higher-layer coords of center.z pick up
-        # bracket corrections, bounded crudely below (a loose box only wastes cells)
-        extent = radius ** g.weights.astype(float) + 1e-9
-        cmax = float(np.abs(g.c).max())
-        slack = cmax * (1.0 + np.abs(center).sum()) ** 2 * max(radius, radius**2)
-        extent[g.weights > 1] += slack
-        dom = cls.box(center - extent, center + extent, shape)
+        radius = np.float64(radius)  # overflows to inf, where a float raises
+        with np.errstate(over="ignore", invalid="ignore"):
+            # |z_i| <= r**d_i on the ball; higher-layer coords of center.z pick up
+            # bracket corrections, bounded crudely below (a loose box only wastes cells)
+            extent = radius ** g.weights.astype(float) + 1e-9
+            cmax = float(np.abs(g.c).max())
+            slack = cmax * (1.0 + np.abs(center).sum()) ** 2 * max(radius, radius**2)
+            extent[g.weights > 1] += slack
+            dom = cls.box(center - extent, center + extent, shape)
+            box_volume = np.prod(dom.hi - dom.lo)
+        if not np.isfinite(box_volume):
+            raise DomainError(f"ball of radius {radius:g} does not fit in floats: "
+                              f"its bounding box has volume {box_volume:g}")
         dist = norm.dist_left(dom.all_centers(), center)
         return replace(dom, mask=(dist < radius).reshape(dom.shape))
 
@@ -318,7 +325,7 @@ def from_expression(group: StratifiedGroup, expr) -> ScalarField:
     """Closed-form field from a sympy expression in x1..xn.
 
     The Euclidean gradient is differentiated symbolically; the horizontal
-    gradient then comes from the frame coefficient matrix.  Raises ValueError
+    gradient then comes from the group's structure constants.  Raises ValueError
     when the expression does not parse, uses a symbol other than x1..xn, or
     has no real numpy evaluator; non-finite values are the caller's to reject.
     """
@@ -347,11 +354,14 @@ def from_expression(group: StratifiedGroup, expr) -> ScalarField:
         p = np.atleast_2d(p)
         return np.stack([evaluate(g, p) for g in fg], axis=-1)
 
+    # the numpy module itself as namespace: modules="numpy" runs
+    # `from numpy import *`, which loads dozens of numpy submodules
+    namespace = [{"numpy": np}, np]
     # a missing numpy printer, a failing evaluator and a complex value each raise
     # their own exception type; one evaluation at the origin surfaces them here
     try:
-        fv = sp.lambdify(syms, expr, modules="numpy")
-        fg = [sp.lambdify(syms, sp.diff(expr, s), modules="numpy") for s in syms]
+        fv = sp.lambdify(syms, expr, modules=namespace)
+        fg = [sp.lambdify(syms, sp.diff(expr, s), modules=namespace) for s in syms]
         values(group.origin())
         egrad(group.origin())
     except Exception as exc:
@@ -363,8 +373,7 @@ def from_expression(group: StratifiedGroup, expr) -> ScalarField:
 def _hgrad_from_egrad(group: StratifiedGroup, egrad: Callable) -> Callable:
     def hgrad(p):
         p = np.atleast_2d(p)
-        coeffs = group.vector_field_coeffs(p)  # (N, n, m)
-        return np.einsum("...nj,...n->...j", coeffs, egrad(p))
+        return group.hgrad_from_egrad(p, egrad(p))
 
     return hgrad
 

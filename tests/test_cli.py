@@ -192,6 +192,9 @@ class TestConfigBoundary:
                                     "brackets": [{"i": 1, "j": 2, "out": {"3": True}}]}}),
         (["group-info"], {"group": {"layer_dims": [2, 1],
                                     "brackets": [{"i": 1, "j": 2, "out": 5}]}}),
+        (["recover"], {"recovery": {"ball_radius": 1e200}}),
+        (["gamma"], {"recovery": {"ball_radius": 1e200}}),
+        (["recover"], {"recovery": {"ball_radius": 1e100}}),
     ] + [(["gamma"], _small_gamma(expr)) for expr in _BAD_EXPRESSIONS],
        ids=["n5-mollify", "resolution2-sandwich", "shape2-gamma", "points0-recover",
             "shape4-mollify", "empty-h-gamma", "empty-h-lsc", "shape0-axioms",
@@ -226,7 +229,8 @@ class TestConfigBoundary:
             "shift-bool-functional", "axes-numeric-string-recover", "table-bool-recover",
             "gamma-shift-bool-gamma", "bracket-index-zero-info",
             "layer-dims-fraction-info", "bracket-constant-bool-info",
-            "bracket-out-int-info"]
+            "bracket-out-int-info", "ball-radius-beyond-float-recover",
+            "ball-radius-beyond-float-gamma", "ball-volume-beyond-float-recover"]
        + [f"expr-{name}-gamma" for name in _BAD_EXPRESSIONS])
     def test_out_of_range_config_exits_config(self, tmp_path, capsys, argv, payload):
         # each of these used to escape as a traceback with exit 1, or to run

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.interpolate import RegularGridInterpolator
 
+from conftest import run_fresh
 from carnot.groups import euclidean, heisenberg, engel
 from carnot.fields import (GridDomain, DomainError, ScalarField, constant_field,
                            probe_field, from_expression, quadratic_field,
@@ -243,6 +244,15 @@ class TestInterpolation:
         # only sparse operator builders need scipy, and it is slow to import
         assert not [m for m in cli_import_modules if m.split(".")[0] == "scipy"]
         assert "numpy.random" in cli_import_modules  # seeded commands need it
+
+    def test_expression_field_does_not_load_numpy_f2py(self):
+        # lambdify's modules="numpy" runs `from numpy import *`, which loads
+        # numpy.f2py, numpy.ma, numpy.polynomial and dozens more
+        loaded = run_fresh(
+            "import sys; from carnot.groups import heisenberg; "
+            "from carnot.fields import from_expression; "
+            "from_expression(heisenberg(1), 'sin(x1) * exp(x3)'); print(*sys.modules)").split()
+        assert "sympy" in loaded and "numpy.f2py" not in loaded
 
 
 class TestTranslation:

@@ -154,6 +154,31 @@ class TestFrameKernels:
         self._check(from_config(spec), exact=False)
 
 
+class TestHgradKernel:
+    """X u straight from the structure constants against the contraction of
+    grad u with the dense frame A(x)."""
+
+    @staticmethod
+    def _check(g, compare):
+        x, grad = np.random.default_rng(9).normal(size=(2, 500, g.n))
+        out = g.hgrad_from_egrad(x, grad)
+        assert out.shape == (500, g.m) and out.flags.c_contiguous
+        compare(out, np.einsum("...nj,...n->...j", g.vector_field_coeffs(x), grad))
+        assert g.hgrad_from_egrad(x[0], grad[0]).shape == (g.m,)
+
+    @pytest.mark.parametrize("name", ["euclidean:3", "heisenberg:1", "heisenberg:2",
+                                      "heisenberg:3"])
+    def test_step2_presets_bit_for_bit(self, name):
+        # each X_j u is g_j plus one product, summed in the same order
+        self._check(preset(name), np.testing.assert_array_equal)
+
+    @pytest.mark.parametrize("spec", ["engel"] + TestBracket.CUSTOM,
+                             ids=["engel"] + TestBracket.CUSTOM_IDS)
+    def test_against_frame(self, spec):
+        self._check(from_config(spec), lambda a, b: np.testing.assert_allclose(
+            a, b, rtol=1e-14, atol=1e-14))
+
+
 class TestDilations:
     def test_automorphism(self):
         g = engel()
