@@ -67,7 +67,7 @@ def load_config(path: str | None = None, overrides: dict | None = None) -> dict:
     if path is not None:
         try:
             with open(path) as fh:
-                cfg = _merge(cfg, json.load(fh))
+                cfg = _merge(cfg, _mapping(json.load(fh), f"config {path}"))
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
     if overrides:
@@ -150,6 +150,8 @@ def build_group(cfg: dict) -> groups.StratifiedGroup:
         return groups.from_config(cfg["group"])
     except (KeyError, TypeError) as exc:
         raise ConfigError(f"malformed group spec {cfg['group']!r}: {exc}") from exc
+    except OSError as exc:  # a group file that cannot be read
+        raise ConfigError(f"cannot read group file {cfg['group']!r}: {exc}") from exc
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -213,6 +215,9 @@ def build_functional(cfg: dict, group: groups.StratifiedGroup) -> Functional:
         obj = target(group) if callable(target) and not isinstance(target, Functional) else target
         if isinstance(obj, Functional):
             return obj
+        if not callable(obj):
+            raise ConfigError(f"blackbox {spec['blackbox']} gives {obj!r}, "
+                              f"which is neither a Functional nor callable")
         return BlackBoxFunctional(obj, name=spec["blackbox"])
     try:
         return IntegrandFunctional(group, integrand_from_config(spec, group.m))

@@ -1,9 +1,11 @@
 """Scalar fields and grid domains on a stratified group.
 
 Fields are evaluator-first: a closed-form vectorized evaluator is always
-present, optionally with a Euclidean gradient and/or a horizontal gradient
-evaluator.  Grid-sampled fields interpolate multilinearly between cell
-centers.  Domains are uniform Cartesian boxes with a boolean cell mask.
+present, optionally with a horizontal gradient evaluator: the one gradient
+a functional F(u, A) = integral over A of f(grad_G u) reads.  Grid-sampled
+fields carry none and are differentiated by group differences; they
+interpolate multilinearly between cell centers.  Domains are uniform
+Cartesian boxes with a boolean cell mask.
 """
 
 from __future__ import annotations
@@ -249,13 +251,11 @@ class ScalarField:
     """A real-valued function on the group.
 
     values : vectorized evaluator, (N, n) -> (N,)
-    egrad  : optional Euclidean gradient, (N, n) -> (N, n)
     hgrad  : optional horizontal gradient, (N, n) -> (N, m)
     domain : set on which the evaluator is guaranteed (None = everywhere)
     """
 
     values: Callable
-    egrad: Optional[Callable] = None
     hgrad: Optional[Callable] = None
     domain: Optional[GridDomain] = None
     name: str = "field"
@@ -271,19 +271,15 @@ class ScalarField:
                        name=f"{self.name}+{c:g}")
 
     def __add__(self, other: "ScalarField") -> "ScalarField":
-        eg = None
-        if self.egrad is not None and other.egrad is not None:
-            eg = lambda p, a=self.egrad, b=other.egrad: a(p) + b(p)
         hg = None
         if self.hgrad is not None and other.hgrad is not None:
             hg = lambda p, a=self.hgrad, b=other.hgrad: a(p) + b(p)
         return ScalarField(lambda p, a=self.values, b=other.values: a(p) + b(p),
-                           egrad=eg, hgrad=hg, name=f"{self.name}+{other.name}")
+                           hgrad=hg, name=f"{self.name}+{other.name}")
 
     def scaled(self, s: float) -> "ScalarField":
-        eg = None if self.egrad is None else (lambda p, g=self.egrad: s * g(p))
         hg = None if self.hgrad is None else (lambda p, g=self.hgrad: s * g(p))
-        return ScalarField(lambda p, v=self.values: s * v(p), egrad=eg, hgrad=hg,
+        return ScalarField(lambda p, v=self.values: s * v(p), hgrad=hg,
                            name=f"{s:g}*{self.name}")
 
 
@@ -291,11 +287,9 @@ class ScalarField:
 
 
 def constant_field(group: StratifiedGroup, c: float) -> ScalarField:
-    n, m = group.n, group.m
     return ScalarField(
         values=lambda p: np.full(len(np.atleast_2d(p)), float(c)),
-        egrad=lambda p: np.zeros((len(np.atleast_2d(p)), n)),
-        hgrad=lambda p: np.zeros((len(np.atleast_2d(p)), m)),
+        hgrad=lambda p: np.zeros((len(np.atleast_2d(p)), group.m)),
         name=f"const({c:g})",
     )
 
@@ -306,16 +300,13 @@ def probe_field(group: StratifiedGroup, xi) -> ScalarField:
     xi = np.asarray(xi, dtype=float)
     if xi.shape != (group.m,):
         raise ValueError(f"probe direction must have length m={group.m}")
-    n, m = group.n, group.m
-    exi = np.zeros(n)
-    exi[:m] = xi
+    m = group.m
 
     def values(p):
         return np.atleast_2d(p)[..., :m] @ xi
 
     return ScalarField(
         values=values,
-        egrad=lambda p: np.broadcast_to(exi, np.atleast_2d(p).shape).copy(),
         hgrad=lambda p: np.broadcast_to(xi, (len(np.atleast_2d(p)), m)).copy(),
         name=f"probe({np.array2string(xi, precision=3)})",
     )
@@ -366,8 +357,7 @@ def from_expression(group: StratifiedGroup, expr) -> ScalarField:
         egrad(group.origin())
     except Exception as exc:
         raise ValueError(f"field expression '{expr}' has no real numpy evaluator") from exc
-    field = ScalarField(values=values, egrad=egrad, name=str(expr))
-    return replace(field, hgrad=_hgrad_from_egrad(group, egrad))
+    return ScalarField(values=values, hgrad=_hgrad_from_egrad(group, egrad), name=str(expr))
 
 
 def _hgrad_from_egrad(group: StratifiedGroup, egrad: Callable) -> Callable:
@@ -394,8 +384,7 @@ def quadratic_field(group: StratifiedGroup, const: float, lin, quad=None,
     def egrad(p):
         return lin + np.atleast_2d(p) @ sym
 
-    field = ScalarField(values=values, egrad=egrad, name=name)
-    return replace(field, hgrad=_hgrad_from_egrad(group, egrad))
+    return ScalarField(values=values, hgrad=_hgrad_from_egrad(group, egrad), name=name)
 
 
 def grid_field(group: StratifiedGroup, domain: GridDomain, samples,
@@ -411,27 +400,16 @@ def grid_field(group: StratifiedGroup, domain: GridDomain, samples,
 
 
 def translate_field(group: StratifiedGroup, y, u: ScalarField) -> ScalarField:
-    """Left translation of a field: (tau_y u)(x) = u(y^{-1} . x)."""
+    """Left translation of a field: (tau_y u)(x) = u(y^{-1} . x).  Its
+    horizontal gradient is u's pulled back the same way, by left-invariance
+    of the frame: X_j(tau_y u) = tau_y(X_j u)."""
     y_inv = group.inverse(y)
 
     def pull(p):
         return group.multiply(y_inv, np.atleast_2d(p))
 
-    values = lambda p: u.values(pull(p))
-    egrad = None
-    hgrad = None
-    if u.egrad is not None:
-        # chain rule through the translation diffeomorphism
-        def egrad(p):
-            p = np.atleast_2d(p)
-            jac = group.translation_jacobian(y_inv, p)
-            return np.einsum("...ij,...i->...j", jac, u.egrad(pull(p)))
-
-        hgrad = _hgrad_from_egrad(group, egrad)
-    elif u.hgrad is not None:
-        # left-invariance of the frame: X_j(tau_y u) = tau_y(X_j u)
-        hgrad = lambda p: u.hgrad(pull(p))
-    return ScalarField(values=values, egrad=egrad, hgrad=hgrad,
+    hgrad = None if u.hgrad is None else (lambda p: u.hgrad(pull(p)))
+    return ScalarField(values=lambda p: u.values(pull(p)), hgrad=hgrad,
                        name=f"tau[{np.array2string(np.asarray(y, float), precision=3)}]{u.name}")
 
 
@@ -464,17 +442,15 @@ def horizontal_gradient(group: StratifiedGroup, u: ScalarField, points,
                         mode: str = "analytic", h: float = 1e-3) -> np.ndarray:
     """Horizontal gradient (X_1 u, .., X_m u) at the given points.
 
-    analytic mode uses the field's closed-form gradient data; group-fd mode
+    analytic mode uses the field's horizontal gradient evaluator; group-fd mode
     takes central differences along the group exponential directions
     x . (t e_j), which is what X_j means off the horizontal layer.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     if mode == "analytic":
-        if u.hgrad is not None:
-            return np.atleast_2d(np.asarray(u.hgrad(points), dtype=float))
-        if u.egrad is not None:
-            return _hgrad_from_egrad(group, u.egrad)(points)
-        raise ValueError(f"field {u.name!r} has no closed-form gradient; use mode='group-fd'")
+        if u.hgrad is None:
+            raise ValueError(f"field {u.name!r} has no closed-form gradient; use mode='group-fd'")
+        return np.atleast_2d(np.asarray(u.hgrad(points), dtype=float))
     if mode != "group-fd":
         raise ValueError(f"unknown gradient mode {mode!r}")
     out = np.empty((len(points), group.m))

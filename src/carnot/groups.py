@@ -176,23 +176,6 @@ class StratifiedGroup:
             raise ValueError(f"dilation factor must be positive, got {lam}")
         return self._coerce(x) * lam[..., None] ** self.weights
 
-    def translation_jacobian(self, z, x) -> np.ndarray:
-        """d(z.x)/dx, the Jacobian of left translation by z at x.
-
-        Column k is e_k + [z,e_k]/2 + ([z,[z,e_k]] + [e_k,[x,z]] + [x,[e_k,z]])/12.
-        """
-        z = self._coerce(z)
-        x = self._coerce(x)
-        eye = np.eye(self.n)
-        zb = self.bracket(z[..., None, :], eye)  # row k is [z, e_k]
-        cols = eye + 0.5 * zb
-        if self.step >= 3:
-            cols = cols + (self.bracket(z[..., None, :], zb)
-                           + self.bracket(eye, self.bracket(x, z)[..., None, :])
-                           - self.bracket(x[..., None, :], zb)) / 12.0
-        # C order, as the contractions sum in; broadcast even for a single z
-        return np.ascontiguousarray(np.swapaxes(cols, -1, -2)) + np.zeros(x.shape[:-1] + (1, 1))
-
     def vector_field_coeffs(self, x) -> np.ndarray:
         """Coefficient matrix A(x) of the horizontal frame X_1..X_m.
 

@@ -316,7 +316,7 @@ def convolve(group: StratifiedGroup, mollifier: MollifierFamily, eps: float,
         return average(lambda p: (u.values(p),), points)[0]
 
     hgrad = None
-    if u.hgrad is not None or u.egrad is not None:
+    if u.hgrad is not None:
         def hgrad(points):
             return average(lambda p: (horizontal_gradient(group, u, p),), points,
                            ((group.m,),))[0]

@@ -48,7 +48,12 @@ def test_criterion_01_group_algebra_axioms():
 
 
 def test_criterion_02_frame_left_invariance():
-    """X_j(tau_y u) = tau_y(X_j u) on 100 random pairs: residual <= 1e-10."""
+    """X_j(tau_y u) = tau_y(X_j u) on 100 random pairs: residual <= 1e-10.
+
+    The left side differentiates the values of tau_y u along x . (t e_j);
+    t -> u(x . t e_j) is a quadratic on a step-2 group, so a central group
+    difference of any step is exact up to roundoff.  It must match both
+    tau_y(X_j u) and the gradient the translated field carries."""
     from carnot.fields import translate_field
     rng = np.random.default_rng(1)
     worst = 0.0
@@ -56,9 +61,10 @@ def test_criterion_02_frame_left_invariance():
         y = rng.uniform(-1, 1, H1.n)
         u = random_quadratic(H1, rng)
         pts = rng.uniform(-1, 1, (20, H1.n))
-        lhs = translate_field(H1, y, u).hgrad(pts)
-        rhs = u.hgrad(H1.multiply(H1.inverse(y), pts))
-        worst = max(worst, float(np.abs(lhs - rhs).max()))
+        tu = translate_field(H1, y, u)
+        lhs = horizontal_gradient(H1, tu, pts, "group-fd", h=0.25)
+        for rhs in (u.hgrad(H1.multiply(H1.inverse(y), pts)), tu.hgrad(pts)):
+            worst = max(worst, float(np.abs(lhs - rhs).max()))
     assert worst <= 1e-10
     print(f"PASS criterion 2: frame invariance residual {worst:.3g} <= 1e-10")
 

@@ -195,6 +195,10 @@ class TestConfigBoundary:
         (["recover"], {"recovery": {"ball_radius": 1e200}}),
         (["gamma"], {"recovery": {"ball_radius": 1e200}}),
         (["recover"], {"recovery": {"ball_radius": 1e100}}),
+        (["group-info"], [1, 2]),
+        (["group-info"], "hello"),
+        (["group-info"], None),
+        (["recover"], {"integrand": {"blackbox": "math:pi"}}),
     ] + [(["gamma"], _small_gamma(expr)) for expr in _BAD_EXPRESSIONS],
        ids=["n5-mollify", "resolution2-sandwich", "shape2-gamma", "points0-recover",
             "shape4-mollify", "empty-h-gamma", "empty-h-lsc", "shape0-axioms",
@@ -230,7 +234,9 @@ class TestConfigBoundary:
             "gamma-shift-bool-gamma", "bracket-index-zero-info",
             "layer-dims-fraction-info", "bracket-constant-bool-info",
             "bracket-out-int-info", "ball-radius-beyond-float-recover",
-            "ball-radius-beyond-float-gamma", "ball-volume-beyond-float-recover"]
+            "ball-radius-beyond-float-gamma", "ball-volume-beyond-float-recover",
+            "config-list-info", "config-string-info", "config-null-info",
+            "blackbox-not-callable-recover"]
        + [f"expr-{name}-gamma" for name in _BAD_EXPRESSIONS])
     def test_out_of_range_config_exits_config(self, tmp_path, capsys, argv, payload):
         # each of these used to escape as a traceback with exit 1, or to run
@@ -244,6 +250,14 @@ class TestConfigBoundary:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and err.count("\n") == 1
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("name", ["missing.json", "directory.json"])
+    def test_unreadable_group_file_exits_config(self, tmp_path, capsys, name):
+        (tmp_path / "directory.json").mkdir()
+        cfg = _write(tmp_path, "c.json", {"group": str(tmp_path / name)})
+        assert main(["group-info", "--config", cfg]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1
 
     @pytest.mark.parametrize("argv, payload", [
         (["verify", "--suite", "axioms"], {"grid": {"shape": [4.0, 4, 4]}, "seed": 3.0}),

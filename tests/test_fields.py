@@ -267,15 +267,21 @@ class TestTranslation:
                                    u.values(g.multiply(g.inverse(y), pts)), atol=1e-12)
 
     def test_frame_left_invariance(self):
-        # X_j(tau_y u) and tau_y(X_j u) computed through different formulas
+        # X_j(tau_y u) from the values of tau_y u, by its definition
+        # d/dt tau_y u(x . t e_j): on Engel t -> u(x . t e_j) is a quartic, so
+        # its central differences are u' + c h^2 exactly and one Richardson
+        # step leaves the derivative; it must match both tau_y(X_j u) and the
+        # gradient the translated field carries
         g = engel()
         rng = np.random.default_rng(3)
         y = rng.normal(size=4)
         u = quadratic_field(g, 0.0, rng.normal(size=4), rng.normal(size=(4, 4)))
         tu = translate_field(g, y, u)
         pts = rng.normal(size=(25, 4))
-        np.testing.assert_allclose(tu.hgrad(pts),
-                                   u.hgrad(g.multiply(g.inverse(y), pts)), atol=1e-10)
+        fd = lambda h: horizontal_gradient(g, tu, pts, "group-fd", h=h)
+        lhs = (4.0 * fd(0.1) - fd(0.2)) / 3.0
+        for rhs in (u.hgrad(g.multiply(g.inverse(y), pts)), tu.hgrad(pts)):
+            np.testing.assert_allclose(lhs, rhs, atol=1e-10)
 
     def test_domain_volume_preserved(self):
         # Haar measure: translation keeps the volume up to mask resolution

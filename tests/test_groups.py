@@ -106,8 +106,8 @@ class TestBracket:
 
 
 class TestFrameKernels:
-    """The frame and the translation Jacobian, built from the sparse bracket,
-    against the dense matrices of v -> [z, v] contracted over all of c."""
+    """The frame, built from the sparse bracket, against the dense matrices
+    of v -> [z, v] contracted over all of c."""
 
     @staticmethod
     def _ad(g, z):
@@ -121,17 +121,9 @@ class TestFrameKernels:
             coeffs = coeffs + (adx @ adx)[..., : g.m] / 12.0
         return coeffs
 
-    @classmethod
-    def _dense_jacobian(cls, g, z, x):
-        adz = cls._ad(g, z)
-        jac = np.eye(g.n) + 0.5 * adz
-        if g.step >= 3:
-            jac = jac + (adz @ adz - cls._ad(g, g.bracket(x, z)) - cls._ad(g, x) @ adz) / 12.0
-        return jac + np.zeros(x.shape[:-1] + (1, 1))
-
     def _check(self, g, exact):
         rng = np.random.default_rng(8)
-        x, z = rng.normal(size=(2, 500, g.n))
+        x = rng.normal(size=(500, g.n))
         if exact:
             compare = np.testing.assert_array_equal
         else:
@@ -139,10 +131,6 @@ class TestFrameKernels:
         frame = g.vector_field_coeffs(x)
         assert frame.shape == (500, g.n, g.m) and frame.flags.c_contiguous
         compare(frame, self._dense_frame(g, x))
-        for zz in (z, z[0]):
-            jac = g.translation_jacobian(zz, x)
-            assert jac.shape == (500, g.n, g.n) and jac.flags.c_contiguous
-            compare(jac, self._dense_jacobian(g, zz, x))
 
     @pytest.mark.parametrize("name", ["euclidean:3", "heisenberg:1", "heisenberg:2",
                                       "heisenberg:3", "engel"])
@@ -227,18 +215,6 @@ class TestFrame:
             step[j] = t
             fd = (g.multiply(x, step) - g.multiply(x, -step)) / (2 * t)
             np.testing.assert_allclose(coeffs[:, j], fd, atol=1e-8)
-
-    def test_translation_jacobian_vs_fd(self):
-        g = engel()
-        rng = np.random.default_rng(4)
-        z, x = rng.normal(size=(2, 4))
-        jac = g.translation_jacobian(z, x)
-        t = 1e-6
-        for k in range(4):
-            step = np.zeros(4)
-            step[k] = t
-            fd = (g.multiply(z, x + step) - g.multiply(z, x - step)) / (2 * t)
-            np.testing.assert_allclose(jac[:, k], fd, atol=1e-7)
 
 
 class TestAxioms:
