@@ -14,14 +14,13 @@ from .fields import (GridDomain, DomainError, ScalarField, constant_field,
 from .mollify import MollifierFamily, erode_domain, convolve
 from .functionals import (Integrand, PowerIntegrand, QuadraticIntegrand,
                           MaxAffineIntegrand, TabulatedIntegrand,
-                          OffsetIntegrand, ShiftedArgIntegrand,
-                          integrand_from_config, Functional,
+                          OffsetIntegrand, ShiftedArgIntegrand, Functional,
                           IntegrandFunctional, BlackBoxFunctional,
                           jensen_check, sandwich_check, lsc_check)
 from .recovery import (HypothesisError, uniform_xi_grid, RecoveredIntegrand,
                        recover_integrand, constancy_probe, verify_uniqueness,
                        MinimizeResult, minimize_convex, gamma_experiment)
-from .config import ConfigError, load_config
+from .config import ConfigError, integrand_from_config, load_config
 
 __version__ = "0.1.0"
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import os
 import sys
@@ -38,20 +39,16 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def write_csv(path: str, rows: list, fieldnames: list):
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(fieldnames)
-        for row in rows:
-            writer.writerow([_fmt(row[k]) for k in fieldnames])
+def _csv(rows: list, fieldnames: list) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(fieldnames)
+    writer.writerows([_fmt(row[k]) for k in fieldnames] for row in rows)
+    return buf.getvalue()
 
 
-def write_json(path: str, payload: dict):
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True, default=_json_default)
-        fh.write("\n")
+def _json(payload: dict) -> str:
+    return json.dumps(payload, indent=2, sort_keys=True, default=_json_default) + "\n"
 
 
 def _json_default(obj):
@@ -62,20 +59,27 @@ def _json_default(obj):
     raise TypeError(f"not JSON serializable: {type(obj)}")
 
 
+def _xi_rows(xi: np.ndarray) -> tuple:
+    """The column names xi_1..xi_m and one {name: value} row per row of xi."""
+    names = [f"xi_{j + 1}" for j in range(xi.shape[1])]
+    return names, [dict(zip(names, map(float, point))) for point in xi]
+
+
 def _load(args) -> dict:
     overrides = {}
     if args.seed is not None:
         overrides["seed"] = args.seed
-    if getattr(args, "tol_scale", None) is not None:
+    if args.tol_scale is not None:
         overrides["tol_scale"] = args.tol_scale
     return cfgmod.load_config(args.config, overrides)
 
 
 # -- subcommands ---------------------------------------------------------------
+# each takes the merged config and returns (stdout text, {file name: contents},
+# whether every check passed)
 
 
-def cmd_group_info(args) -> int:
-    cfg = _load(args)
+def cmd_group_info(cfg: dict) -> tuple:
     spec = cfg["group"]
     group = cfgmod.build_group(cfg)
     report = {
@@ -89,13 +93,10 @@ def cmd_group_info(args) -> int:
                      for i, j, l, c in group.structure],
         "axiom_violations": group.axiom_violations(),
     }
-    print(json.dumps(report, indent=2))
-    if args.out:
-        write_json(os.path.join(args.out, "group_info.json"), report)
-    return EXIT_OK
+    return json.dumps(report, indent=2), {"group_info.json": _json(report)}, True
 
 
-def _run_suite(cfg: dict, suite: str) -> list:
+def cmd_verify(cfg: dict, suite: str) -> tuple:
     group = cfgmod.build_group(cfg)
     norm = cfgmod.build_norm(cfg, group)
     grid = cfgmod.build_grid(cfg, group)
@@ -122,22 +123,13 @@ def _run_suite(cfg: dict, suite: str) -> list:
         rows = suite_sandwich(group, norm, mollifier, grid, inner, rng, eps_list=eps)
     elif suite == "lsc":
         rows = suite_lsc(group, grid, rng, h_list=cfgmod.build_schedule(cfg, "h", int))
-    return rows
+    text = "\n".join(f"{'pass' if row['passed'] else 'FAIL':5s} {row['name']:40s} "
+                     f"value={row['value']:.6g} tol={row['tolerance']:.6g}" for row in rows)
+    files = {f"verify_{suite}.csv": _csv(rows, ["name", "value", "tolerance", "passed"])}
+    return text, files, all(r["passed"] for r in rows)
 
 
-def cmd_verify(args) -> int:
-    rows = _run_suite(_load(args), args.suite)
-    for row in rows:
-        status = "pass" if row["passed"] else "FAIL"
-        print(f"{status:5s} {row['name']:40s} value={row['value']:.6g} tol={row['tolerance']:.6g}")
-    if args.out:
-        write_csv(os.path.join(args.out, f"verify_{args.suite}.csv"), rows,
-                  ["name", "value", "tolerance", "passed"])
-    return EXIT_OK if all(r["passed"] for r in rows) else EXIT_FAIL
-
-
-def cmd_recover(args) -> int:
-    cfg = _load(args)
+def cmd_recover(cfg: dict) -> tuple:
     group = cfgmod.build_group(cfg)
     norm = cfgmod.build_norm(cfg, group)
     functional = cfgmod.build_functional(cfg, group)
@@ -146,18 +138,13 @@ def cmd_recover(args) -> int:
     radii = cfgmod.build_schedule(cfg, "rho")
     rec = recover_integrand(functional, group, base, xi_grid)
     defects = rec.pointwise_convexity_defect()
-    growth = getattr(functional, "growth", None)
-    slack = rec.growth_slack(growth) if growth is not None else np.full(len(xi_grid), np.nan)
+    slack = (rec.growth_slack(functional.growth) if functional.growth is not None
+             else np.full(len(xi_grid), np.nan))
 
-    rows = []
-    for k in range(len(xi_grid)):
-        row = {f"xi_{j + 1}": float(xi_grid[k, j]) for j in range(group.m)}
-        row.update({"f_rec": float(rec.values[k]),
-                    "convexity_violation": float(defects[k]),
-                    "growth_slack": float(slack[k])})
-        rows.append(row)
-    fieldnames = [f"xi_{j + 1}" for j in range(group.m)] + [
-        "f_rec", "convexity_violation", "growth_slack"]
+    names, rows = _xi_rows(xi_grid)
+    for row, value, defect, gap in zip(rows, rec.values, defects, slack):
+        row.update(f_rec=float(value), convexity_violation=float(defect),
+                   growth_slack=float(gap))
 
     xi0 = np.zeros(group.m)
     xi0[0] = 1.0
@@ -172,15 +159,13 @@ def cmd_recover(args) -> int:
         "constancy_max_spread": probe["max_spread"],
         "probes": len(xi_grid),
     }
-    print(json.dumps(summary, indent=2, default=_json_default))
-    if args.out:
-        write_csv(os.path.join(args.out, "recovered.csv"), rows, fieldnames)
-        write_json(os.path.join(args.out, "recover_summary.json"), summary)
-    return EXIT_OK
+    files = {"recovered.csv": _csv(rows, names + ["f_rec", "convexity_violation",
+                                                  "growth_slack"]),
+             "recover_summary.json": _json(summary)}
+    return json.dumps(summary, indent=2, default=_json_default), files, True
 
 
-def cmd_gamma(args) -> int:
-    cfg = _load(args)
+def cmd_gamma(cfg: dict) -> tuple:
     group = cfgmod.build_group(cfg)
     norm = cfgmod.build_norm(cfg, group)
     grid = cfgmod.build_grid(cfg, group)
@@ -201,22 +186,20 @@ def cmd_gamma(args) -> int:
                          "converged": per["converged"],
                          "cauchy_gap": entry["cauchy_gap"]})
     limit = report["limit"]
-    limit_rows = [dict({f"xi_{j + 1}": float(limit.xi[k, j]) for j in range(group.m)},
-                       f_limit=float(limit.values[k])) for k in range(len(limit.xi))]
+    names, limit_rows = _xi_rows(limit.xi)
+    for row, value in zip(limit_rows, limit.values):
+        row["f_limit"] = float(value)
     summary = {
         "h_schedule": [e["h"] for e in report["entries"]],
         "limit_convexity_violation": report["limit_convexity_violation"],
         "limit_growth_slack_min": report["limit_growth_slack_min"],
         "bracket_ok": all(r["lower"] <= r["upper"] + 1e-12 for r in rows),
     }
-    print(json.dumps(summary, indent=2, default=_json_default))
-    if args.out:
-        write_csv(os.path.join(args.out, "gamma_brackets.csv"), rows,
-                  ["h", "field", "lower", "upper", "converged", "cauchy_gap"])
-        write_csv(os.path.join(args.out, "gamma_limit.csv"), limit_rows,
-                  [f"xi_{j + 1}" for j in range(group.m)] + ["f_limit"])
-        write_json(os.path.join(args.out, "gamma_summary.json"), summary)
-    return EXIT_OK if summary["bracket_ok"] else EXIT_FAIL
+    files = {"gamma_brackets.csv": _csv(rows, ["h", "field", "lower", "upper", "converged",
+                                               "cauchy_gap"]),
+             "gamma_limit.csv": _csv(limit_rows, names + ["f_limit"]),
+             "gamma_summary.json": _json(summary)}
+    return json.dumps(summary, indent=2, default=_json_default), files, summary["bracket_ok"]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -224,7 +207,8 @@ def build_parser() -> argparse.ArgumentParser:
     shared.add_argument("--config", default=None, help="JSON config path")
     shared.add_argument("--out", default=None, help="output directory for CSV/JSON")
     shared.add_argument("--seed", type=int, default=None)
-    shared.add_argument("--tol-scale", type=float, default=None, dest="tol_scale")
+    shared.add_argument("--tol-scale", type=float, default=None, dest="tol_scale",
+                        help="factor on the axioms suite's tolerances, must be > 0")
     parser = argparse.ArgumentParser(
         prog="carnot",
         description="verification suites and experiments for left-invariant "
@@ -243,17 +227,26 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """The only place that prints command output, writes --out and picks the
+    exit code."""
     args = build_parser().parse_args(argv)
-    handlers = {"group-info": cmd_group_info, "verify": cmd_verify,
-                "recover": cmd_recover, "gamma": cmd_gamma}
+    commands = {"group-info": cmd_group_info, "recover": cmd_recover, "gamma": cmd_gamma,
+                "verify": lambda cfg: cmd_verify(cfg, args.suite)}
     try:
-        return handlers[args.command](args)
+        text, files, passed = commands[args.command](_load(args))
     except (ConfigError, DomainError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except HypothesisError as exc:
         print(f"hypothesis violation: {exc}", file=sys.stderr)
         return EXIT_HYPOTHESIS
+    print(text)
+    if args.out:
+        os.makedirs(args.out, exist_ok=True)
+        for name, contents in files.items():
+            with open(os.path.join(args.out, name), "w", newline="") as fh:
+                fh.write(contents)
+    return EXIT_OK if passed else EXIT_FAIL
 
 
 if __name__ == "__main__":

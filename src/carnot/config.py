@@ -10,6 +10,7 @@ from __future__ import annotations
 import copy
 import importlib
 import json
+import math
 import numbers
 from dataclasses import replace
 
@@ -18,8 +19,9 @@ import numpy.random  # numpy loads it on first use; every seeded command needs i
 
 from . import groups
 from .fields import GridDomain, from_expression, probe_field
-from .functionals import (Functional, IntegrandFunctional, BlackBoxFunctional,
-                          OffsetIntegrand, ShiftedArgIntegrand, integrand_from_config)
+from .functionals import (Integrand, PowerIntegrand, QuadraticIntegrand, MaxAffineIntegrand,
+                          TabulatedIntegrand, OffsetIntegrand, ShiftedArgIntegrand,
+                          Functional, IntegrandFunctional, BlackBoxFunctional)
 from .mollify import MollifierFamily
 from .recovery import uniform_xi_grid
 
@@ -76,20 +78,23 @@ def load_config(path: str | None = None, overrides: dict | None = None) -> dict:
 
 
 def _read(kind, value, key: str):
-    """kind(value) for a JSON number `value`, or a ConfigError naming the
-    config key.  Booleans and strings are not numbers, although float() reads
-    true as 1.0 and "1e-3" as 0.001.  An int must be given as an integer:
-    int() would truncate 2.5 to 2, while an integral float such as 3.0 stays
-    valid."""
+    """kind(value) for a finite JSON number `value`, or a ConfigError naming
+    the config key.  Booleans and strings are not numbers, although float()
+    reads true as 1.0 and "1e-3" as 0.001.  An int must be given as an
+    integer: int() would truncate 2.5 to 2, while an integral float such as
+    3.0 stays valid.  json reads 1e400 and Infinity as inf, and NaN as nan."""
     message = f"{key} must be {kind.__name__}, got {value!r}"
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ConfigError(message)
     if kind is int and isinstance(value, float) and not value.is_integer():
         raise ConfigError(message)
     try:
-        return kind(value)
+        out = kind(value)
     except OverflowError as exc:  # float() of an integer beyond 1e308
         raise ConfigError(message) from exc
+    if kind is float and not math.isfinite(out):
+        raise ConfigError(f"{key} must be finite, got {value!r}")
+    return out
 
 
 def _read_array(value, key: str) -> np.ndarray:
@@ -146,14 +151,41 @@ def build_rng(cfg: dict) -> np.random.Generator:
 
 
 def build_group(cfg: dict) -> groups.StratifiedGroup:
+    """The group of cfg["group"]: a preset name, the path of a .json file, or
+    {"layer_dims": [...], "brackets": [{"i": 1, "j": 2, "out": {"3": 1.0}}]}
+    with 1-based coordinate indices in 1..n and numeric constants."""
+    spec = cfg["group"]
     try:
-        return groups.from_config(cfg["group"])
+        if isinstance(spec, str) and not spec.endswith(".json"):
+            return groups.preset(spec)
+        if isinstance(spec, str):
+            with open(spec) as fh:
+                spec = json.load(fh)
+        dims = tuple(_read(int, d, "group.layer_dims") for d in spec["layer_dims"])
+        n = sum(dims)
+        c = np.zeros((n, n, n))
+        for entry in spec.get("brackets", []):
+            i, j = _coordinate(entry["i"], n), _coordinate(entry["j"], n)
+            for key, val in _mapping(entry["out"], "group bracket out").items():
+                l = _coordinate(int(key), n)
+                value = _read(float, val, "group bracket constant")
+                c[i, j, l], c[j, i, l] = value, -value
+        return groups.StratifiedGroup(dims, c, name=str(spec.get("name", "custom")))
     except (KeyError, TypeError) as exc:
         raise ConfigError(f"malformed group spec {cfg['group']!r}: {exc}") from exc
     except OSError as exc:  # a group file that cannot be read
         raise ConfigError(f"cannot read group file {cfg['group']!r}: {exc}") from exc
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+
+
+def _coordinate(value, n: int) -> int:
+    """The 0-based index of the 1-based group coordinate `value`, checked
+    against 1..n: unchecked, index 0 would wrap around to the last one."""
+    index = _read(int, value, "group bracket index")
+    if not 1 <= index <= n:
+        raise ConfigError(f"group bracket index {value!r} outside 1..{n}")
+    return index - 1
 
 
 def build_norm(cfg: dict, group: groups.StratifiedGroup) -> groups.HomogeneousNorm:
@@ -212,7 +244,13 @@ def build_functional(cfg: dict, group: groups.StratifiedGroup) -> Functional:
             target = getattr(importlib.import_module(mod_name), attr)
         except (ImportError, AttributeError) as exc:
             raise ConfigError(f"cannot resolve blackbox {spec['blackbox']}: {exc}") from exc
-        obj = target(group) if callable(target) and not isinstance(target, Functional) else target
+        obj = target
+        if callable(target) and not isinstance(target, Functional):
+            try:
+                obj = target(group)
+            except Exception as exc:  # not a make(group) factory, or one that fails
+                raise ConfigError(f"blackbox factory {spec['blackbox']}(group) raised "
+                                  f"{type(exc).__name__}: {exc}") from exc
         if isinstance(obj, Functional):
             return obj
         if not callable(obj):
@@ -223,6 +261,37 @@ def build_functional(cfg: dict, group: groups.StratifiedGroup) -> Functional:
         return IntegrandFunctional(group, integrand_from_config(spec, group.m))
     except (KeyError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
+
+
+def integrand_from_config(spec: dict, m: int, key: str = "integrand") -> Integrand:
+    """Deserialize the integrand menu: power / quadratic / max_affine /
+    tabulated, with optional "offset" and "shift" wrappers.  `key` names the
+    config section in error messages."""
+    spec = _mapping(spec, key)
+    kind = spec.get("kind")
+    if kind == "power":
+        f = PowerIntegrand(m, _read(float, spec.get("p", 2.0), f"{key}.p"))
+    elif kind == "quadratic":
+        f = QuadraticIntegrand(_read_array(spec["M"], f"{key}.M"))
+    elif kind == "max_affine":
+        planes = [_mapping(pl, f"{key}.planes[{i}]")
+                  for i, pl in enumerate(_list(spec["planes"], f"{key}.planes"))]
+        f = MaxAffineIntegrand(
+            np.array([_read_array(pl["a"], f"{key}.planes.a") for pl in planes]),
+            np.array([_read(float, pl.get("b", 0.0), f"{key}.planes.b") for pl in planes]))
+    elif kind == "tabulated":
+        f = TabulatedIntegrand(
+            tuple(_read_array(a, f"{key}.axes") for a in _list(spec["axes"], f"{key}.axes")),
+            _read_array(spec["table"], f"{key}.table"))
+    else:
+        raise ConfigError(f"unknown integrand kind {kind!r}")
+    if f.m != m:
+        raise ConfigError(f"integrand dimension {f.m} != horizontal dimension {m}")
+    if "shift" in spec:
+        f = ShiftedArgIntegrand(f, _read_array(spec["shift"], f"{key}.shift"))
+    if "offset" in spec:
+        f = OffsetIntegrand(f, _read(float, spec["offset"], f"{key}.offset"))
+    return f
 
 
 def build_mollifier(cfg: dict, norm: groups.HomogeneousNorm) -> MollifierFamily:

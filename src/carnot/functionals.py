@@ -26,7 +26,6 @@ __all__ = [
     "TabulatedIntegrand",
     "OffsetIntegrand",
     "ShiftedArgIntegrand",
-    "integrand_from_config",
     "Functional",
     "IntegrandFunctional",
     "BlackBoxFunctional",
@@ -291,39 +290,6 @@ class ShiftedArgIntegrand(Integrand):
         return self.inner.value_and_grad(self._coerce(eta) - self.shift)
 
 
-def integrand_from_config(spec: dict, m: int, key: str = "integrand") -> Integrand:
-    """Deserialize the integrand menu: power / quadratic / max_affine /
-    tabulated, with optional "offset" and "shift" wrappers.  `key` names the
-    config section in error messages."""
-    from .config import _list, _mapping, _read, _read_array  # config imports this module
-
-    spec = _mapping(spec, key)
-    kind = spec.get("kind")
-    if kind == "power":
-        f = PowerIntegrand(m, _read(float, spec.get("p", 2.0), f"{key}.p"))
-    elif kind == "quadratic":
-        f = QuadraticIntegrand(_read_array(spec["M"], f"{key}.M"))
-    elif kind == "max_affine":
-        planes = [_mapping(pl, f"{key}.planes[{i}]")
-                  for i, pl in enumerate(_list(spec["planes"], f"{key}.planes"))]
-        f = MaxAffineIntegrand(
-            np.array([_read_array(pl["a"], f"{key}.planes.a") for pl in planes]),
-            np.array([_read(float, pl.get("b", 0.0), f"{key}.planes.b") for pl in planes]))
-    elif kind == "tabulated":
-        f = TabulatedIntegrand(
-            tuple(_read_array(a, f"{key}.axes") for a in _list(spec["axes"], f"{key}.axes")),
-            _read_array(spec["table"], f"{key}.table"))
-    else:
-        raise ValueError(f"unknown integrand kind {kind!r}")
-    if f.m != m:
-        raise ValueError(f"integrand dimension {f.m} != horizontal dimension {m}")
-    if "shift" in spec:
-        f = ShiftedArgIntegrand(f, _read_array(spec["shift"], f"{key}.shift"))
-    if "offset" in spec:
-        f = OffsetIntegrand(f, _read(float, spec["offset"], f"{key}.offset"))
-    return f
-
-
 def convexity_violation(f: Integrand, rng: np.random.Generator,
                         samples: int = 200, radius: float = 4.0) -> float:
     """max over random pairs of f((a+b)/2) - (f(a)+f(b))/2 (<= 0 for convex f)."""
@@ -399,6 +365,10 @@ class BlackBoxFunctional(Functional):
     fn: Callable
     name: str = "blackbox"
     growth: Optional[tuple] = None
+
+    def __post_init__(self):
+        if not callable(self.fn):
+            raise TypeError(f"BlackBoxFunctional needs a callable fn, got {self.fn!r}")
 
     def eval(self, u: ScalarField, domain: GridDomain) -> float:
         return float(self.fn(u, domain))

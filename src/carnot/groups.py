@@ -7,7 +7,6 @@ for nilpotency step <= 3.  All operations broadcast over leading axes.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,7 +18,6 @@ __all__ = [
     "euclidean",
     "heisenberg",
     "engel",
-    "from_config",
     "preset",
 ]
 
@@ -251,7 +249,7 @@ class HomogeneousNorm:
         return f"HomogeneousNorm({self.kind!r} on {self.group.name})"
 
 
-# -- presets and config ----------------------------------------------------
+# -- presets -------------------------------------------------------------------
 
 
 def _empty_constants(n: int) -> np.ndarray:
@@ -291,41 +289,3 @@ def preset(name: str) -> StratifiedGroup:
     if base == "heisenberg":
         return heisenberg(int(arg) if arg else 1)
     raise ValueError(f"unknown group preset {name!r}")
-
-
-def from_config(spec) -> StratifiedGroup:
-    """Build a group from a preset name, a config dict, or a JSON file path.
-
-    Dict form: {"layer_dims": [...], "brackets": [{"i": 1, "j": 2, "out": {"3": 1.0}}]}
-    with 1-based coordinate indices in 1..n and numeric constants.
-    """
-    if isinstance(spec, str):
-        if spec.endswith(".json"):
-            with open(spec) as fh:
-                spec = json.load(fh)
-        else:
-            return preset(spec)
-    from .config import _read  # config imports this module
-
-    dims = tuple(_read(int, d, "group.layer_dims") for d in spec["layer_dims"])
-    n = sum(dims)
-    c = _empty_constants(n)
-
-    def coordinate(value) -> int:
-        # unchecked, index 0 would wrap around to the last coordinate
-        index = _read(int, value, "group bracket index")
-        if not 1 <= index <= n:
-            raise ValueError(f"group bracket index {value!r} outside 1..{n}")
-        return index - 1
-
-    for entry in spec.get("brackets", []):
-        i, j = coordinate(entry["i"]), coordinate(entry["j"])
-        if not isinstance(entry["out"], dict):
-            raise ValueError(f"group bracket out must be a mapping, got {entry['out']!r}")
-        for key, val in entry["out"].items():
-            l = coordinate(int(key))
-            value = _read(float, val, "group bracket constant")
-            if not np.isfinite(value):
-                raise ValueError(f"group bracket constant must be finite, got {val!r}")
-            c[i, j, l], c[j, i, l] = value, -value
-    return StratifiedGroup(dims, c, name=str(spec.get("name", "custom")))

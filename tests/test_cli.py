@@ -199,6 +199,8 @@ class TestConfigBoundary:
         (["group-info"], "hello"),
         (["group-info"], None),
         (["recover"], {"integrand": {"blackbox": "math:pi"}}),
+        (["recover"], {"integrand": {"blackbox": "math:sqrt"}}),
+        (["recover"], {"integrand": {"blackbox": "carnot.functionals:BlackBoxFunctional"}}),
     ] + [(["gamma"], _small_gamma(expr)) for expr in _BAD_EXPRESSIONS],
        ids=["n5-mollify", "resolution2-sandwich", "shape2-gamma", "points0-recover",
             "shape4-mollify", "empty-h-gamma", "empty-h-lsc", "shape0-axioms",
@@ -236,7 +238,8 @@ class TestConfigBoundary:
             "bracket-out-int-info", "ball-radius-beyond-float-recover",
             "ball-radius-beyond-float-gamma", "ball-volume-beyond-float-recover",
             "config-list-info", "config-string-info", "config-null-info",
-            "blackbox-not-callable-recover"]
+            "blackbox-not-callable-recover", "blackbox-factory-raises-recover",
+            "blackbox-class-recover"]
        + [f"expr-{name}-gamma" for name in _BAD_EXPRESSIONS])
     def test_out_of_range_config_exits_config(self, tmp_path, capsys, argv, payload):
         # each of these used to escape as a traceback with exit 1, or to run
@@ -250,6 +253,28 @@ class TestConfigBoundary:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and err.count("\n") == 1
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv, text, key", [
+        (["verify", "--suite", "axioms"], '{"tol_scale": 1e400}', "tol_scale"),
+        (["verify", "--suite", "axioms", "--tol-scale", "inf"], "{}", "tol_scale"),
+        (["verify", "--suite", "axioms"], '{"grid": {"lo": [-1e400, -1, -1]}}', "grid.lo"),
+        (["recover"], '{"xi_grid": {"radius": 1e400, "points": 3}}', "xi_grid.radius"),
+        (["gamma"], '{"schedules": {"delta": 1e400}}', "schedules.delta"),
+        (["verify", "--suite", "mollify"], '{"p": Infinity}', "p"),
+        (["verify", "--suite", "mollify"], '{"schedules": {"eps": [Infinity, 0.2, 0.1]}}',
+         "schedules.eps"),
+        (["recover"], '{"recovery": {"ball_radius": NaN}}', "recovery.ball_radius"),
+    ], ids=["tol-scale-axioms", "tol-scale-flag-axioms", "grid-lo-axioms", "radius-recover",
+            "delta-gamma", "p-mollify", "eps-mollify", "ball-radius-nan-recover"])
+    def test_non_finite_number_exits_config(self, tmp_path, capsys, argv, text, key):
+        # json reads 1e400 and Infinity as inf and NaN as nan; each of these
+        # used to run (an inf tolerance passing every axiom, a NaN summary)
+        # or to end in a traceback with exit 1
+        path = tmp_path / "c.json"
+        path.write_text(text)
+        assert main(argv + ["--config", str(path)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {key} must be") and err.count("\n") == 1
 
     @pytest.mark.parametrize("name", ["missing.json", "directory.json"])
     def test_unreadable_group_file_exits_config(self, tmp_path, capsys, name):

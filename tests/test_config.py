@@ -1,7 +1,9 @@
 """Config loading and object construction."""
 
+import ast
 import json
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ import pytest
 from carnot import config as cfgmod
 from carnot.config import ConfigError, load_config
 from carnot.functionals import IntegrandFunctional, BlackBoxFunctional
+from carnot.groups import heisenberg
 
 
 def test_defaults_and_merge(tmp_path):
@@ -50,6 +53,19 @@ def test_numbers_of_any_json_type_accepted():
     assert cfgmod.build_tol_scale(cfg) == 1.0
     assert cfgmod.build_scalar(cfg, "xi_grid.radius") == 2.5
     assert cfgmod.build_schedule(cfg, "eps") == [1.0, 0.5]
+
+
+def test_group_dict_spec_matches_preset():
+    spec = {"layer_dims": [2, 1],
+            "brackets": [{"i": 1, "j": 2, "out": {"3": 1.0}}]}
+    g = cfgmod.build_group({"group": spec})
+    np.testing.assert_array_equal(g.c, heisenberg(1).c)
+
+
+def test_group_json_file(tmp_path):
+    path = tmp_path / "g.json"
+    path.write_text('{"layer_dims": [2], "brackets": []}')
+    assert cfgmod.build_group({"group": str(path)}).n == 2
 
 
 def test_grid_axis_mismatch():
@@ -104,3 +120,21 @@ def test_gamma_sequence_kinds():
     with pytest.raises(ConfigError):
         cfgmod.build_gamma_sequence(
             load_config(overrides={"gamma": {"kind": "chaotic"}}), group)
+
+
+@pytest.mark.parametrize("module", ["groups", "fields", "mollify", "functionals",
+                                    "recovery", "suites"])
+def test_numerics_modules_do_not_import_config(module):
+    # config imports the numerics, so they must not import it back, not even
+    # inside a function: the JSON format and ConfigError stay in config
+    path = Path(cfgmod.__file__).with_name(f"{module}.py")
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [f"{node.module or ''}.{alias.name}" for alias in node.names]
+            names += [node.module or ""]
+        else:
+            continue
+        assert not any("config" in name.split(".") for name in names), \
+            f"{module}.py line {node.lineno} imports config"

@@ -10,10 +10,11 @@ from carnot.fields import (GridDomain, DomainError, ScalarField, constant_field,
                            probe_field, quadratic_field, horizontal_gradient)
 from carnot.mollify import MollifierFamily, erode_domain, convolve
 from carnot.suites import menu_integrands, random_quadratic
+from carnot.config import integrand_from_config
 from carnot.functionals import (PowerIntegrand, QuadraticIntegrand,
                                 MaxAffineIntegrand, TabulatedIntegrand,
                                 OffsetIntegrand, ShiftedArgIntegrand,
-                                integrand_from_config, convexity_violation,
+                                convexity_violation,
                                 IntegrandFunctional, BlackBoxFunctional,
                                 check_left_invariance, check_set_function,
                                 jensen_check, sandwich_check, lsc_check)
@@ -158,6 +159,8 @@ class TestEval:
     def test_blackbox_passthrough(self):
         F = BlackBoxFunctional(lambda u, dom: 42.0)
         assert F.eval(None, None) == 42.0
+        with pytest.raises(TypeError, match="callable"):
+            BlackBoxFunctional(heisenberg(1))
 
 
 class TestSetFunction:

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from carnot.config import build_group
 from carnot.groups import (StratifiedGroup, GroupAxiomError, euclidean,
-                           heisenberg, engel, preset, from_config)
+                           heisenberg, engel, preset)
 
 
 def _coords(n, scale=2.0):
@@ -87,7 +88,7 @@ class TestBracket:
 
     @pytest.mark.parametrize("spec", CUSTOM, ids=CUSTOM_IDS)
     def test_custom_constants(self, spec):
-        g = from_config(spec)
+        g = build_group({"group": spec})
         x, y = np.random.default_rng(6).normal(size=(2, 300, g.n))
         np.testing.assert_allclose(g.bracket(x, y), self._dense(g, x, y),
                                    rtol=1e-14, atol=1e-14)
@@ -139,7 +140,7 @@ class TestFrameKernels:
 
     @pytest.mark.parametrize("spec", TestBracket.CUSTOM, ids=TestBracket.CUSTOM_IDS)
     def test_custom_constants(self, spec):
-        self._check(from_config(spec), exact=False)
+        self._check(build_group({"group": spec}), exact=False)
 
 
 class TestHgradKernel:
@@ -163,7 +164,7 @@ class TestHgradKernel:
     @pytest.mark.parametrize("spec", ["engel"] + TestBracket.CUSTOM,
                              ids=["engel"] + TestBracket.CUSTOM_IDS)
     def test_against_frame(self, spec):
-        self._check(from_config(spec), lambda a, b: np.testing.assert_allclose(
+        self._check(build_group({"group": spec}), lambda a, b: np.testing.assert_allclose(
             a, b, rtol=1e-14, atol=1e-14))
 
 
@@ -288,14 +289,3 @@ class TestConfig:
         assert preset("engel").step == 3
         with pytest.raises(ValueError):
             preset("torus:2")
-
-    def test_dict_spec_matches_preset(self):
-        spec = {"layer_dims": [2, 1],
-                "brackets": [{"i": 1, "j": 2, "out": {"3": 1.0}}]}
-        g = from_config(spec)
-        np.testing.assert_array_equal(g.c, heisenberg(1).c)
-
-    def test_json_file(self, tmp_path):
-        path = tmp_path / "g.json"
-        path.write_text('{"layer_dims": [2], "brackets": []}')
-        assert from_config(str(path)).n == 2
