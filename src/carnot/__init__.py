@@ -10,7 +10,7 @@ from .groups import (StratifiedGroup, HomogeneousNorm, GroupAxiomError,
                      euclidean, heisenberg, engel, preset)
 from .fields import (GridDomain, DomainError, ScalarField, constant_field,
                      probe_field, from_expression, quadratic_field, grid_field,
-                     translate_field, horizontal_gradient, sobolev_seminorm)
+                     translate_field, horizontal_gradient)
 from .mollify import MollifierFamily, erode_domain, convolve
 from .functionals import (Integrand, PowerIntegrand, QuadraticIntegrand,
                           MaxAffineIntegrand, TabulatedIntegrand,
@@ -29,7 +29,7 @@ __all__ = [
     "euclidean", "heisenberg", "engel", "preset",
     "GridDomain", "DomainError", "ScalarField", "constant_field",
     "probe_field", "from_expression", "quadratic_field", "grid_field",
-    "translate_field", "horizontal_gradient", "sobolev_seminorm",
+    "translate_field", "horizontal_gradient",
     "MollifierFamily", "erode_domain", "convolve",
     "Integrand", "PowerIntegrand", "QuadraticIntegrand",
     "MaxAffineIntegrand", "TabulatedIntegrand", "OffsetIntegrand",

@@ -80,10 +80,9 @@ def _load(args) -> dict:
 
 
 def cmd_group_info(cfg: dict) -> tuple:
-    spec = cfg["group"]
     group = cfgmod.build_group(cfg)
     report = {
-        "group": spec if isinstance(spec, str) else spec.get("name", "custom"),
+        "group": group.name,
         "n": group.n,
         "m": group.m,
         "k": group.step,
@@ -138,8 +137,11 @@ def cmd_recover(cfg: dict) -> tuple:
     radii = cfgmod.build_schedule(cfg, "rho")
     rec = recover_integrand(functional, group, base, xi_grid)
     defects = rec.pointwise_convexity_defect()
-    slack = (rec.growth_slack(functional.growth) if functional.growth is not None
-             else np.full(len(xi_grid), np.nan))
+    if functional.growth is None:  # no certificate: no slack to measure
+        slack, min_slack = np.full(len(xi_grid), np.nan), None
+    else:
+        slack = rec.growth_slack(functional.growth)
+        min_slack = float(np.nanmin(slack))
 
     names, rows = _xi_rows(xi_grid)
     for row, value, defect, gap in zip(rows, rec.values, defects, slack):
@@ -154,7 +156,7 @@ def cmd_recover(cfg: dict) -> tuple:
                             cells_per_axis=base.shape[0])
     summary = {
         "max_convexity_violation": float(defects.max()),
-        "min_growth_slack": float(np.nanmin(slack)),
+        "min_growth_slack": min_slack,
         "constancy_spread": probe["spreads"],
         "constancy_max_spread": probe["max_spread"],
         "probes": len(xi_grid),

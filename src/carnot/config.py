@@ -119,6 +119,14 @@ def _list(value, key: str) -> list:
     return value
 
 
+def _required(spec: dict, name: str, key: str):
+    """spec[name], or a ConfigError naming the missing dotted config `key`."""
+    try:
+        return spec[name]
+    except KeyError:
+        raise ConfigError(f"{key} is missing") from None
+
+
 def _section(cfg: dict, key: str) -> dict:
     """cfg[key], which must be a mapping."""
     return _mapping(cfg[key], key)
@@ -161,17 +169,20 @@ def build_group(cfg: dict) -> groups.StratifiedGroup:
         if isinstance(spec, str):
             with open(spec) as fh:
                 spec = json.load(fh)
-        dims = tuple(_read(int, d, "group.layer_dims") for d in spec["layer_dims"])
+        dims = tuple(_read(int, d, "group.layer_dims")
+                     for d in _required(spec, "layer_dims", "group.layer_dims"))
         n = sum(dims)
         c = np.zeros((n, n, n))
         for entry in spec.get("brackets", []):
-            i, j = _coordinate(entry["i"], n), _coordinate(entry["j"], n)
-            for key, val in _mapping(entry["out"], "group bracket out").items():
+            i = _coordinate(_required(entry, "i", "group.brackets.i"), n)
+            j = _coordinate(_required(entry, "j", "group.brackets.j"), n)
+            out = _required(entry, "out", "group.brackets.out")
+            for key, val in _mapping(out, "group bracket out").items():
                 l = _coordinate(int(key), n)
                 value = _read(float, val, "group bracket constant")
                 c[i, j, l], c[j, i, l] = value, -value
         return groups.StratifiedGroup(dims, c, name=str(spec.get("name", "custom")))
-    except (KeyError, TypeError) as exc:
+    except TypeError as exc:
         raise ConfigError(f"malformed group spec {cfg['group']!r}: {exc}") from exc
     except OSError as exc:  # a group file that cannot be read
         raise ConfigError(f"cannot read group file {cfg['group']!r}: {exc}") from exc
@@ -259,7 +270,7 @@ def build_functional(cfg: dict, group: groups.StratifiedGroup) -> Functional:
         return BlackBoxFunctional(obj, name=spec["blackbox"])
     try:
         return IntegrandFunctional(group, integrand_from_config(spec, group.m))
-    except (KeyError, ValueError) as exc:
+    except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
 
@@ -272,17 +283,19 @@ def integrand_from_config(spec: dict, m: int, key: str = "integrand") -> Integra
     if kind == "power":
         f = PowerIntegrand(m, _read(float, spec.get("p", 2.0), f"{key}.p"))
     elif kind == "quadratic":
-        f = QuadraticIntegrand(_read_array(spec["M"], f"{key}.M"))
+        f = QuadraticIntegrand(_read_array(_required(spec, "M", f"{key}.M"), f"{key}.M"))
     elif kind == "max_affine":
-        planes = [_mapping(pl, f"{key}.planes[{i}]")
-                  for i, pl in enumerate(_list(spec["planes"], f"{key}.planes"))]
+        planes = [_mapping(pl, f"{key}.planes[{i}]") for i, pl in
+                  enumerate(_list(_required(spec, "planes", f"{key}.planes"), f"{key}.planes"))]
         f = MaxAffineIntegrand(
-            np.array([_read_array(pl["a"], f"{key}.planes.a") for pl in planes]),
+            np.array([_read_array(_required(pl, "a", f"{key}.planes.a"), f"{key}.planes.a")
+                      for pl in planes]),
             np.array([_read(float, pl.get("b", 0.0), f"{key}.planes.b") for pl in planes]))
     elif kind == "tabulated":
-        f = TabulatedIntegrand(
-            tuple(_read_array(a, f"{key}.axes") for a in _list(spec["axes"], f"{key}.axes")),
-            _read_array(spec["table"], f"{key}.table"))
+        axes = _list(_required(spec, "axes", f"{key}.axes"), f"{key}.axes")
+        f = TabulatedIntegrand(tuple(_read_array(a, f"{key}.axes") for a in axes),
+                               _read_array(_required(spec, "table", f"{key}.table"),
+                                           f"{key}.table"))
     else:
         raise ConfigError(f"unknown integrand kind {kind!r}")
     if f.m != m:
@@ -342,15 +355,15 @@ def build_gamma_sequence(cfg: dict, group: groups.StratifiedGroup) -> list:
     hs = build_schedule(cfg, "h", int)
     try:
         base = integrand_from_config(spec["base"], group.m, "gamma.base")
-        kind = spec.get("kind", "constant")
+        kind = spec["kind"]
         if kind == "offset":
-            scale = _read(float, spec.get("scale", 1.0), "gamma.scale")
+            scale = _read(float, spec["scale"], "gamma.scale")
             return [(h, OffsetIntegrand(base, scale / h)) for h in hs]
         if kind == "alternating":
-            shift = _read_array(spec["shift"], "gamma.shift")
+            shift = _read_array(_required(spec, "shift", "gamma.shift"), "gamma.shift")
             return [(h, ShiftedArgIntegrand(base, (-1) ** h * shift)) for h in hs]
         if kind == "constant":
             return [(h, base) for h in hs]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
-    raise ConfigError(f"unknown gamma sequence kind {spec.get('kind')!r}")
+    raise ConfigError(f"unknown gamma sequence kind {spec['kind']!r}")

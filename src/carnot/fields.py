@@ -29,7 +29,6 @@ __all__ = [
     "translate_field",
     "translate_domain",
     "horizontal_gradient",
-    "sobolev_seminorm",
 ]
 
 
@@ -461,15 +460,6 @@ def horizontal_gradient(group: StratifiedGroup, u: ScalarField, points,
         bwd = u(group.multiply(points, -step))
         out[:, j] = (fwd - bwd) / (2.0 * h)
     return out
-
-
-def sobolev_seminorm(group: StratifiedGroup, u: ScalarField, domain: GridDomain,
-                     p: float, mode: str = "analytic", h: float = 1e-3) -> float:
-    """(integral over A of |grad_G u|^p)^(1/p) by midpoint quadrature."""
-    if domain.is_empty:
-        raise DomainError("seminorm over an empty domain")
-    grads = horizontal_gradient(group, u, domain.centers(), mode=mode, h=h)
-    return _lp_norm(np.linalg.norm(grads, axis=-1), domain.cell_volume, p)
 
 
 def _lp_norm(w: np.ndarray, cellvol: float, p: float) -> float:

@@ -29,7 +29,6 @@ __all__ = [
     "Functional",
     "IntegrandFunctional",
     "BlackBoxFunctional",
-    "convexity_violation",
     "check_left_invariance",
     "check_set_function",
     "jensen_check",
@@ -50,10 +49,6 @@ class Integrand:
     def value_and_grad(self, eta) -> tuple:
         """(self(eta), a subgradient at each row of eta)."""
         raise NotImplementedError
-
-    def grad(self, eta) -> np.ndarray:
-        """A subgradient at each row of eta."""
-        return self.value_and_grad(eta)[1]
 
     def _coerce(self, eta) -> np.ndarray:
         eta = np.atleast_2d(np.asarray(eta, dtype=float))
@@ -288,14 +283,6 @@ class ShiftedArgIntegrand(Integrand):
 
     def value_and_grad(self, eta):
         return self.inner.value_and_grad(self._coerce(eta) - self.shift)
-
-
-def convexity_violation(f: Integrand, rng: np.random.Generator,
-                        samples: int = 200, radius: float = 4.0) -> float:
-    """max over random pairs of f((a+b)/2) - (f(a)+f(b))/2 (<= 0 for convex f)."""
-    a = rng.uniform(-radius, radius, size=(samples, f.m))
-    b = rng.uniform(-radius, radius, size=(samples, f.m))
-    return float((f(0.5 * (a + b)) - 0.5 * (f(a) + f(b))).max())
 
 
 # -- functionals ---------------------------------------------------------------

@@ -331,12 +331,10 @@ _COMMUTATION_POINTS = 64
 
 
 def commutation_residual(group: StratifiedGroup, mollifier: MollifierFamily,
-                         eps: float, u: ScalarField, omega: GridDomain, j: int) -> float:
-    """max |X_j(phi_eps * u) - phi_eps * (X_j u)| over at most
-    _COMMUTATION_POINTS interior cell centers, the left side taken by a
-    central group difference of the convolved values."""
-    if not 0 <= j < group.m:
-        raise ValueError(f"horizontal direction j={j} out of range")
+                         eps: float, u: ScalarField, omega: GridDomain) -> float:
+    """max |X_j(phi_eps * u) - phi_eps * (X_j u)| over every horizontal
+    direction j and at most _COMMUTATION_POINTS interior cell centers, the
+    left side taken by a central group difference of the convolved values."""
     u_eps = convolve(group, mollifier, eps, u, omega)
     # stay a ring of cells inside the eroded mask so fd queries remain legal
     interior = u_eps.domain.erode_cells(1)
@@ -346,8 +344,8 @@ def commutation_residual(group: StratifiedGroup, mollifier: MollifierFamily,
     if len(pts) > _COMMUTATION_POINTS:
         idx = np.linspace(0, len(pts) - 1, _COMMUTATION_POINTS).astype(int)
         pts = pts[idx]
-    lhs = horizontal_gradient(group, u_eps, pts, mode="group-fd", h=_COMMUTATION_FD_STEP)[:, j]
-    rhs = u_eps.hgrad(pts)[:, j]
+    lhs = horizontal_gradient(group, u_eps, pts, mode="group-fd", h=_COMMUTATION_FD_STEP)
+    rhs = u_eps.hgrad(pts)
     return float(np.abs(lhs - rhs).max())
 
 

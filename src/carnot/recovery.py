@@ -57,8 +57,11 @@ class RecoveredIntegrand:
         """The values on the (axis_points,)^m probe lattice."""
         return self.values.reshape((self.axis_points,) * self.xi.shape[1])
 
-    def convexity_violation(self) -> float:
-        """Worst midpoint-convexity defect along grid lines (<= 0 is convex)."""
+    def convexity_violation(self) -> Optional[float]:
+        """Worst midpoint-convexity defect along grid lines (<= 0 is convex),
+        or None when no node is interior to an axis (fewer than 3 points)."""
+        if self.axis_points < 3:
+            return None
         return float(_midpoint_defect(self.table).max())
 
     def pointwise_convexity_defect(self) -> np.ndarray:
@@ -70,10 +73,6 @@ class RecoveredIntegrand:
         """a + b |xi|^p - f_rec(xi); nonnegative when the bound holds."""
         a, b, p = certificate
         return a + b * np.linalg.norm(self.xi, axis=-1) ** p - self.values
-
-    def interp(self, xi_query) -> np.ndarray:
-        axes = [np.unique(self.xi[:, j]) for j in range(self.xi.shape[1])]
-        return GridDomain.from_centers(axes).interpolation(xi_query) @ self.values
 
 
 def recover_integrand(functional: Functional, group: StratifiedGroup,
@@ -301,5 +300,5 @@ def gamma_experiment(group: StratifiedGroup, integrands, u_list, domain: GridDom
         "limit": limit,
         "limit_convexity_violation": limit.convexity_violation(),
         "limit_growth_slack_min": (float(limit.growth_slack(growth).min())
-                                   if growth is not None else float("nan")),
+                                   if growth is not None else None),
     }

@@ -40,6 +40,15 @@ class TestGroupInfo:
         cfg = _write(tmp_path, "c.json", {"group": "torus:7"})
         assert main(["group-info", "--config", cfg]) == EXIT_CONFIG
 
+    def test_json_file_reports_its_name(self, tmp_path, capsys):
+        # the report names the built group, not the path it was read from
+        group = _write(tmp_path, "custom-group.json", {
+            "layer_dims": [2, 1], "name": "engel-like",
+            "brackets": [{"i": 1, "j": 2, "out": {"3": 1.5}}]})
+        cfg = _write(tmp_path, "c.json", {"group": group})
+        assert main(["group-info", "--config", cfg]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["group"] == "engel-like"
+
     def test_malformed_json_exits_config(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
@@ -276,6 +285,22 @@ class TestConfigBoundary:
         err = capsys.readouterr().err
         assert err.startswith(f"config error: {key} must be") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("argv, payload, key", [
+        (["verify", "--suite", "functional"], {"integrand": {"kind": "quadratic"}},
+         "integrand.M"),
+        (["gamma"], {"gamma": {"kind": "alternating"}}, "gamma.shift"),
+        (["verify", "--suite", "functional"],
+         {"integrand": {"kind": "max_affine", "planes": [{"b": 0.0}]}}, "integrand.planes.a"),
+        (["recover"], {"integrand": {"kind": "tabulated", "axes": [[-4, 0, 4], [-4, 0, 4]]}},
+         "integrand.table"),
+    ], ids=["quadratic-m-functional", "alternating-shift-gamma", "plane-a-functional",
+            "tabulated-table-recover"])
+    def test_missing_key_names_itself(self, tmp_path, capsys, argv, payload, key):
+        cfg = _write(tmp_path, "c.json", payload)
+        assert main(argv + ["--config", cfg]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err == f"config error: {key} is missing\n"
+
     @pytest.mark.parametrize("name", ["missing.json", "directory.json"])
     def test_unreadable_group_file_exits_config(self, tmp_path, capsys, name):
         (tmp_path / "directory.json").mkdir()
@@ -293,6 +318,40 @@ class TestConfigBoundary:
     def test_integral_float_counts_accepted(self, tmp_path, capsys, argv, payload):
         cfg = _write(tmp_path, "c.json", payload)
         assert main(argv + ["--config", cfg]) == EXIT_OK
+
+
+def _strict_json(text: str):
+    """json.loads that rejects NaN, Infinity and -Infinity, as strict parsers do."""
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+    return json.loads(text, parse_constant=reject)
+
+
+class TestSummaryJson:
+    _SMALL_GAMMA = {"grid": {"shape": 6}, "schedules": {"h": [1, 2]},
+                    "minimizer": {"max_iter": 10}}
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("argv, payload, name, key", [
+        (["recover"], {"integrand": {"kind": "tabulated", "axes": [[-4, 0, 4], [-4, 0, 4]],
+                                     "table": _CONE_TABLE}},
+         "recover_summary.json", "min_growth_slack"),
+        (["gamma"], dict(_SMALL_GAMMA, xi_grid={"points": 2}),
+         "gamma_summary.json", "limit_convexity_violation"),
+        (["gamma"], dict(_SMALL_GAMMA, gamma={"base": {
+            "kind": "tabulated", "axes": [[-4, 0, 4], [-4, 0, 4]], "table": _CONE_TABLE}}),
+         "gamma_summary.json", "limit_growth_slack_min"),
+    ], ids=["tabulated-recover", "two-points-gamma", "tabulated-base-gamma"])
+    def test_unmeasured_value_is_null(self, tmp_path, capsys, argv, payload, name, key):
+        # nothing to measure: no growth certificate, or no probe node interior
+        # to an axis for a midpoint defect
+        cfg = _write(tmp_path, "c.json", payload)
+        out = tmp_path / "out"
+        assert main(argv + ["--config", cfg, "--out", str(out)]) == EXIT_OK
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert _strict_json(captured.out)[key] is None
+        assert _strict_json((out / name).read_text())[key] is None
 
 
 class TestStartup:

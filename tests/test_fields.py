@@ -12,7 +12,7 @@ from carnot.groups import euclidean, heisenberg, engel
 from carnot.fields import (GridDomain, DomainError, ScalarField, constant_field,
                            probe_field, from_expression, quadratic_field,
                            grid_field, translate_field, translate_domain,
-                           horizontal_gradient, sobolev_seminorm)
+                           horizontal_gradient)
 
 
 class TestGridDomain:
@@ -325,11 +325,3 @@ class TestHorizontalGradient:
         g = euclidean(2)
         with pytest.raises(ValueError):
             horizontal_gradient(g, probe_field(g, [1.0, 0.0]), [[0.0, 0.0]], mode="spectral")
-
-    def test_seminorm_probe_closed_form(self):
-        g = heisenberg(1)
-        xi = np.array([3.0, 4.0])
-        dom = GridDomain.box(-np.ones(3), np.ones(3), 6)
-        for p in (1.0, 2.0, 3.0):
-            expect = 5.0 * dom.volume ** (1.0 / p)
-            assert sobolev_seminorm(g, probe_field(g, xi), dom, p) == pytest.approx(expect)

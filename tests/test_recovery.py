@@ -68,14 +68,6 @@ class TestRecovery:
             recover_integrand(IntegrandFunctional(g, PowerIntegrand(2, 2.0)),
                               g, empty, np.zeros((1, 2)))
 
-    def test_interp(self, h1, ball):
-        g, _ = h1
-        f = PowerIntegrand(2, 2.0)
-        rec = recover_integrand(IntegrandFunctional(g, f), g, ball,
-                                uniform_xi_grid(2, 4.0, 17))
-        # grid nodes are exact; midpoints interpolate the convex envelope from above
-        assert rec.interp([[1.0, 1.0]])[0] == pytest.approx(2.0, rel=1e-10)
-
 
 class TestProbeValues:
     """The one-pass probe recovery of an integrand functional against the
@@ -299,7 +291,7 @@ def _reference_minimize(group, functional, anchor, domain, delta, p, max_iter):
         return float(np.sum(f(grads)) * cellvol), grads
 
     def subgradient(grads):
-        df = f.grad(grads)
+        df = f.value_and_grad(grads)[1]
         g = np.zeros_like(u0)
         for j, op in enumerate(ops):
             g += op.T @ df[:, j]
