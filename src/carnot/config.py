@@ -169,25 +169,37 @@ def build_group(cfg: dict) -> groups.StratifiedGroup:
         if isinstance(spec, str):
             with open(spec) as fh:
                 spec = json.load(fh)
-        dims = tuple(_read(int, d, "group.layer_dims")
-                     for d in _required(spec, "layer_dims", "group.layer_dims"))
+        if not isinstance(spec, dict):
+            raise ConfigError(f"group must be a preset name, a .json path or a mapping, "
+                              f"got {spec!r}")
+        dims = tuple(_read(int, d, "group.layer_dims") for d in _list(
+            _required(spec, "layer_dims", "group.layer_dims"), "group.layer_dims"))
         n = sum(dims)
         c = np.zeros((n, n, n))
-        for entry in spec.get("brackets", []):
+        for k, entry in enumerate(_list(spec.get("brackets", []), "group.brackets")):
+            entry = _mapping(entry, f"group.brackets[{k}]")
             i = _coordinate(_required(entry, "i", "group.brackets.i"), n)
             j = _coordinate(_required(entry, "j", "group.brackets.j"), n)
-            out = _required(entry, "out", "group.brackets.out")
-            for key, val in _mapping(out, "group bracket out").items():
-                l = _coordinate(int(key), n)
+            out = _mapping(_required(entry, "out", "group.brackets.out"), "group.brackets.out")
+            for key, val in out.items():
+                l = _coordinate(_out_key(key), n)
                 value = _read(float, val, "group bracket constant")
                 c[i, j, l], c[j, i, l] = value, -value
         return groups.StratifiedGroup(dims, c, name=str(spec.get("name", "custom")))
-    except TypeError as exc:
-        raise ConfigError(f"malformed group spec {cfg['group']!r}: {exc}") from exc
     except OSError as exc:  # a group file that cannot be read
         raise ConfigError(f"cannot read group file {cfg['group']!r}: {exc}") from exc
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+
+
+def _out_key(key) -> int:
+    """The coordinate named by a key of a bracket's `out` mapping: JSON keys
+    are strings, so "3" names coordinate 3."""
+    try:
+        return int(key)
+    except ValueError:
+        raise ConfigError(f"group.brackets.out keys must be integer coordinates, "
+                          f"got {key!r}") from None
 
 
 def _coordinate(value, n: int) -> int:
@@ -361,7 +373,9 @@ def build_gamma_sequence(cfg: dict, group: groups.StratifiedGroup) -> list:
             return [(h, OffsetIntegrand(base, scale / h)) for h in hs]
         if kind == "alternating":
             shift = _read_array(_required(spec, "shift", "gamma.shift"), "gamma.shift")
-            return [(h, ShiftedArgIntegrand(base, (-1) ** h * shift)) for h in hs]
+            # one integrand per parity, so the minimizer sees two, not len(hs)
+            by_sign = {sign: ShiftedArgIntegrand(base, sign * shift) for sign in (1, -1)}
+            return [(h, by_sign[(-1) ** h]) for h in hs]
         if kind == "constant":
             return [(h, base) for h in hs]
     except (TypeError, ValueError) as exc:

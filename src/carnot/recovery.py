@@ -18,7 +18,8 @@ import numpy as np
 
 from .groups import StratifiedGroup, HomogeneousNorm
 from .fields import GridDomain, ScalarField, DomainError, probe_field, _lp_norm
-from .functionals import Functional, IntegrandFunctional, _midpoint_defect
+from .functionals import (Functional, IntegrandFunctional, OffsetIntegrand,
+                          _midpoint_defect)
 
 __all__ = [
     "HypothesisError",
@@ -140,9 +141,15 @@ _PATIENCE = 50
 
 @dataclass(frozen=True)
 class MinimizeResult:
+    """One row per integrand: its best iterate `samples[i]`, its `value[i]`
+    there, its anchor value `start_value[i]`, and whether its stall rule
+    fired (`stalled[i]`).  `iterations` counts the descent steps taken, summed
+    over the descents; `converged` is every integrand stalled."""
+
     samples: np.ndarray
-    value: float
-    start_value: float
+    value: np.ndarray
+    start_value: np.ndarray
+    stalled: np.ndarray
     iterations: int
     converged: bool
 
@@ -181,21 +188,34 @@ def _descent_operators(group: StratifiedGroup, domain: GridDomain) -> tuple:
     return sparse.vstack(ops, format="csr"), [op.T.tocsr() for op in ops]
 
 
-def minimize_convex(group: StratifiedGroup, functional: IntegrandFunctional,
-                    anchor: ScalarField, domain: GridDomain, delta: float,
-                    p: float = 2.0, max_iter: int = 400, *,
+def _core(f):
+    """`f` without its `OffsetIntegrand` layers: integrands with one core
+    differ by a constant, so they share every subgradient."""
+    while isinstance(f, OffsetIntegrand):
+        f = f.inner
+    return f
+
+
+def minimize_convex(group: StratifiedGroup, integrands, anchor: ScalarField,
+                    domain: GridDomain, delta: float, p: float = 2.0, max_iter: int = 400, *,
                     operators: Optional[tuple] = None) -> MinimizeResult:
     """Projected subgradient descent over grid fields v with
-    ||v - anchor||_{L^p(A)} <= delta, minimizing the discrete functional in
-    at most `max_iter` steps of size s0/sqrt(t), s0 line-searched once.
+    ||v - anchor||_{L^p(A)} <= delta, minimizing the discrete functional of
+    each integrand in `integrands` in at most `max_iter` steps of size
+    s0/sqrt(t), s0 line-searched once.
 
     The iterate starts at the anchor (the delta = 0 feasible point), so the
     reported value never exceeds the anchor's, and the best iterate is kept.
+    Integrands with one core (`_core`) whose line searches pick the same s0
+    walk the same iterates, so they share one descent; within it each keeps
+    its own best iterate and stall counter, and reads exactly what a descent
+    of its own would give.  Only the first member of a descent takes
+    `value_and_grad`; the others are evaluated through `f(eta)`.
     `operators` is `_descent_operators(group, domain)`, built here when absent;
     callers minimizing on one domain repeatedly pass it to build it once."""
     if delta < 0 or max_iter < 0:
         raise ValueError("the constraint radius and the iteration budget must be nonnegative")
-    f = functional.integrand
+    integrands = list(integrands)
     mask_flat = None if domain.mask.all() else domain.mask.ravel()
     cellvol = domain.cell_volume
     stack, adjoints = operators if operators is not None else _descent_operators(group, domain)
@@ -207,12 +227,8 @@ def minimize_convex(group: StratifiedGroup, functional: IntegrandFunctional,
         # a column-major (K, m) view: the integrands reduce over m without a copy
         return (stack @ v).reshape(group.m, -1).T
 
-    def objective(v):
-        return float(np.sum(f(gradients(v))) * cellvol)
-
-    def objective_and_df(v):
-        values, df = f.value_and_grad(gradients(v))
-        return float(np.sum(values) * cellvol), df
+    def total(values):
+        return float(np.sum(values) * cellvol)
 
     def subgradient(df):
         g = np.zeros_like(u0)
@@ -227,32 +243,57 @@ def minimize_convex(group: StratifiedGroup, functional: IntegrandFunctional,
             return v
         return u0 + w * (delta / nrm)
 
+    samples = np.repeat(u0[None], len(integrands), axis=0)
+    stalled = np.ones(len(integrands), dtype=bool)
+    grads0 = gradients(u0)
+    start_value = np.array([total(f(grads0)) for f in integrands])
     if delta == 0 or max_iter == 0:
-        start_value = objective(u0)
-        return MinimizeResult(u0, start_value, start_value, 0, True)
-    start_value, df = objective_and_df(u0)
+        return MinimizeResult(samples, start_value, start_value.copy(), stalled, 0, True)
+    value = start_value.copy()
 
-    v = u0.copy()
-    best_v, best_val = v.copy(), start_value
-    g = subgradient(df)
-    gn = np.linalg.norm(g)
-    probes = np.logspace(-4, 1, 12) * (np.linalg.norm(u0 - u0.mean()) + 1.0) / (gn + 1e-30)
-    vals = [objective(project(v - s * g)) for s in probes]
-    s0 = float(probes[int(np.argmin(vals))])
-
-    stalled = 0
-    for it in range(1, max_iter + 1):
-        v = project(v - s0 / np.sqrt(it) * g)
-        val, df = objective_and_df(v)
-        if val < best_val - _REL_TOL * max(1.0, abs(best_val)):
-            best_val, best_v = val, v.copy()
-            stalled = 0
-        else:
-            stalled += 1
-            if stalled >= _PATIENCE:
+    def descend(members, s0, g):
+        """One descent shared by `members`; returns the steps it took."""
+        lead, live = members[0], list(members)
+        counts = dict.fromkeys(members, 0)
+        v = u0
+        for it in range(1, max_iter + 1):
+            v = project(v - s0 / np.sqrt(it) * g)
+            grads = gradients(v)
+            lead_values, df = integrands[lead].value_and_grad(grads)
+            for i in list(live):
+                val = total(lead_values if i == lead else integrands[i](grads))
+                if val < value[i] - _REL_TOL * max(1.0, abs(value[i])):
+                    value[i], samples[i], counts[i] = val, v, 0
+                else:
+                    counts[i] += 1
+                    if counts[i] >= _PATIENCE:
+                        live.remove(i)
+            if not live:
                 break
-        g = subgradient(df)
-    return MinimizeResult(best_v, best_val, start_value, it, stalled >= _PATIENCE)
+            g = subgradient(df)
+        stalled[list(live)] = False
+        return it
+
+    families = {}
+    for i, f in enumerate(integrands):
+        families.setdefault(id(_core(f)), []).append(i)
+    scale = np.linalg.norm(u0 - u0.mean()) + 1.0
+    iterations = 0
+    for members in families.values():
+        g = subgradient(integrands[members[0]].value_and_grad(grads0)[1])
+        probes = np.logspace(-4, 1, 12) * scale / (np.linalg.norm(g) + 1e-30)
+        trials = np.empty((len(probes), len(members)))
+        for k, s in enumerate(probes):
+            grads = gradients(project(u0 - s * g))
+            trials[k] = [total(integrands[i](grads)) for i in members]
+        # rounding of the offsets can tip a line search: one descent per pick
+        picks = {}
+        for i, k in zip(members, trials.argmin(axis=0)):
+            picks.setdefault(int(k), []).append(i)
+        for k, same in picks.items():
+            iterations += descend(same, float(probes[k]), g)
+    return MinimizeResult(samples, value, start_value, stalled, iterations,
+                          bool(stalled.all()))
 
 
 # -- variational limit experiment -----------------------------------------------
@@ -271,28 +312,24 @@ def gamma_experiment(group: StratifiedGroup, integrands, u_list, domain: GridDom
     """
     if p <= 1:
         raise HypothesisError("the variational-limit experiment requires p > 1")
-    entries = []
-    prev_rec = None
     xi_grid = np.atleast_2d(np.asarray(xi_grid, dtype=float))
+    recs = [recover_integrand(IntegrandFunctional(group, f), group, base_domain, xi_grid)
+            for _, f in integrands]
     operators = _descent_operators(group, domain) if u_list else None
-    for h, integrand in integrands:
-        functional = IntegrandFunctional(group, integrand)
-        rec = recover_integrand(functional, group, base_domain, xi_grid)
-        per_field = []
-        for u in u_list:
-            res = minimize_convex(group, functional, u, domain, delta, p, max_iter,
-                                  operators=operators)
-            per_field.append({
-                "field": u.name,
-                "lower": res.value,
-                "upper": res.start_value,
-                "converged": res.converged,
-            })
-        cauchy = (float(np.abs(rec.values - prev_rec.values).max())
-                  if prev_rec is not None else float("nan"))
-        entries.append({"h": h, "recovered": rec, "fields": per_field,
+    # one call per field: the whole sequence shares its descents
+    results = [minimize_convex(group, [f for _, f in integrands], u, domain, delta, p,
+                               max_iter, operators=operators) for u in u_list]
+    entries = []
+    for i, (h, _) in enumerate(integrands):
+        per_field = [{"field": u.name,
+                      "lower": float(res.value[i]),
+                      "upper": float(res.start_value[i]),
+                      "converged": bool(res.stalled[i])}
+                     for u, res in zip(u_list, results)]
+        cauchy = (float(np.abs(recs[i].values - recs[i - 1].values).max())
+                  if i else float("nan"))
+        entries.append({"h": h, "recovered": recs[i], "fields": per_field,
                         "cauchy_gap": cauchy})
-        prev_rec = rec
     limit = entries[-1]["recovered"]
     growth = integrands[-1][1].growth
     return {

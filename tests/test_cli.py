@@ -301,6 +301,28 @@ class TestConfigBoundary:
         err = capsys.readouterr().err
         assert err == f"config error: {key} is missing\n"
 
+    _NOT_A_GROUP = "group must be a preset name, a .json path or a mapping, got "
+
+    @pytest.mark.parametrize("group, message", [
+        ([1, 2], _NOT_A_GROUP + "[1, 2]"),
+        (5, _NOT_A_GROUP + "5"),
+        (None, _NOT_A_GROUP + "None"),
+        (True, _NOT_A_GROUP + "True"),
+        ("list-group.json", _NOT_A_GROUP + "[1, 2]"),
+        ({"layer_dims": [2, 1], "brackets": 5}, "group.brackets must be a list, got 5"),
+        ({"layer_dims": [2, 1], "brackets": [5]}, "group.brackets[0] must be a mapping, got 5"),
+        ({"layer_dims": 5}, "group.layer_dims must be a list, got 5"),
+        ({"layer_dims": [2, 1], "brackets": [{"i": 1, "j": 2, "out": {"x": 1}}]},
+         "group.brackets.out keys must be integer coordinates, got 'x'"),
+    ], ids=["list", "int", "null", "bool", "json-file-list", "brackets-int",
+            "bracket-int", "layer-dims-int", "out-key-letter"])
+    def test_group_spec_of_wrong_type_names_its_key(self, tmp_path, capsys, group, message):
+        if isinstance(group, str):  # a .json group file holding a list
+            group = _write(tmp_path, group, [1, 2])
+        cfg = _write(tmp_path, "c.json", {"group": group})
+        assert main(["group-info", "--config", cfg]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: {message}\n"
+
     @pytest.mark.parametrize("name", ["missing.json", "directory.json"])
     def test_unreadable_group_file_exits_config(self, tmp_path, capsys, name):
         (tmp_path / "directory.json").mkdir()

@@ -124,6 +124,19 @@ class TestValueAndGrad:
             value, _ = f.value_and_grad(eta)
             np.testing.assert_array_equal(value, f(eta), err_msg=name)
 
+    def test_wrapped_values_match_value_and_grad(self):
+        # the shared descent reads every member but its lead through f(eta):
+        # that must be the value value_and_grad gives, bare and wrapped
+        rng = np.random.default_rng(13)
+        eta = np.ascontiguousarray(rng.uniform(-3.0, 3.0, size=(2, 64))).T
+        eta[::5] = 0.0
+        for name, f in _value_and_grad_menu(2, rng).items():
+            for wrapped in (f, OffsetIntegrand(f, 1.0 / 3.0),
+                            ShiftedArgIntegrand(f, np.array([0.5, -0.25])),
+                            OffsetIntegrand(ShiftedArgIntegrand(f, np.array([-0.5, 0.5])), 0.1)):
+                np.testing.assert_array_equal(wrapped(eta), wrapped.value_and_grad(eta)[0],
+                                              err_msg=name)
+
     def test_power_magnitude_is_linalg_norm(self):
         eta = np.random.default_rng(12).normal(size=(200, 4))
         np.testing.assert_array_equal(PowerIntegrand._magnitude(eta),

@@ -1,10 +1,12 @@
 """Integrand recovery, uniqueness checks, the constrained minimizer and the
 variational-limit experiment."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
-from carnot import recovery
+from carnot import config, recovery
 from carnot.groups import euclidean, heisenberg, engel
 from carnot.fields import (GridDomain, DomainError, ScalarField, probe_field, quadratic_field,
                            _lp_norm)
@@ -230,49 +232,49 @@ def problem():
 class TestMinimizer:
     def test_delta_zero_returns_anchor(self, problem):
         g, dom, F, u, _ = problem
-        res = minimize_convex(g, F, u, dom, 0.0)
-        assert res.value == res.start_value
-        np.testing.assert_array_equal(res.samples, u.values(dom.all_centers()))
+        res = minimize_convex(g, [F.integrand], u, dom, 0.0)
+        assert res.value[0] == res.start_value[0]
+        np.testing.assert_array_equal(res.samples[0], u.values(dom.all_centers()))
 
     def test_never_exceeds_anchor(self, problem):
         g, dom, F, u, _ = problem
         for delta in (0.1, 0.5, 2.0):
-            res = minimize_convex(g, F, u, dom, delta, max_iter=100)
-            assert res.value <= res.start_value + 1e-12
+            res = minimize_convex(g, [F.integrand], u, dom, delta, max_iter=100)
+            assert res.value[0] <= res.start_value[0] + 1e-12
 
     def test_matches_trust_region_oracle(self, problem):
         g, dom, F, u, H = problem
         u0 = u.values(dom.all_centers())
         for delta in (0.25, 0.5):
             exact = _trust_region_optimum(H, u0, delta, dom.cell_volume)
-            res = minimize_convex(g, F, u, dom, delta, max_iter=600)
-            assert res.value == pytest.approx(exact, rel=1e-6)
+            res = minimize_convex(g, [F.integrand], u, dom, delta, max_iter=600)
+            assert res.value[0] == pytest.approx(exact, rel=1e-6)
 
     def test_large_ball_approaches_zero_energy(self, problem):
         g, dom, F, u, _ = problem
-        res = minimize_convex(g, F, u, dom, 50.0, max_iter=800)
-        assert res.value <= 0.05 * res.start_value
+        res = minimize_convex(g, [F.integrand], u, dom, 50.0, max_iter=800)
+        assert res.value[0] <= 0.05 * res.start_value[0]
 
     def test_negative_radius_rejected(self, problem):
         g, dom, F, u, _ = problem
         with pytest.raises(ValueError):
-            minimize_convex(g, F, u, dom, -1.0)
+            minimize_convex(g, [F.integrand], u, dom, -1.0)
         with pytest.raises(ValueError, match="budget"):
-            minimize_convex(g, F, u, dom, 0.5, max_iter=-1)
+            minimize_convex(g, [F.integrand], u, dom, 0.5, max_iter=-1)
 
     def test_non_finite_anchor_rejected(self, problem):
         g, dom, F, u, _ = problem
         holed = ScalarField(values=lambda p: np.where(np.atleast_2d(p)[:, 0] > 0.5, np.nan, 0.0),
                             name="holed")
         with pytest.raises(DomainError, match="holed"):
-            minimize_convex(g, F, holed, dom, 0.5)
+            minimize_convex(g, [F.integrand], holed, dom, 0.5)
 
     def test_converged_means_stalled(self, problem):
         # a large ball keeps improving for the whole budget; a tiny one stalls
         g, dom, F, u, _ = problem
-        res = minimize_convex(g, F, u, dom, 50.0, max_iter=20)
+        res = minimize_convex(g, [F.integrand], u, dom, 50.0, max_iter=20)
         assert (res.iterations, res.converged) == (20, False)
-        res = minimize_convex(g, F, u, dom, 1e-12, max_iter=400)
+        res = minimize_convex(g, [F.integrand], u, dom, 1e-12, max_iter=400)
         assert res.converged and res.iterations < 400
 
 
@@ -342,10 +344,10 @@ class TestMinimizerLayout:
                             rng.normal(size=(group.n, group.n)))
         for name, f in _integrand_menu(group.m, rng).items():
             F = IntegrandFunctional(group, f)
-            res = minimize_convex(group, F, u, dom, 0.5, 2.0, 30)
+            res = minimize_convex(group, [F.integrand], u, dom, 0.5, 2.0, 30)
             samples, value, iterations = _reference_minimize(group, F, u, dom, 0.5, 2.0, 30)
-            np.testing.assert_array_equal(res.samples, samples, err_msg=name)
-            assert (res.value, res.iterations) == (value, iterations), name
+            np.testing.assert_array_equal(res.samples[0], samples, err_msg=name)
+            assert (res.value[0], res.iterations) == (value, iterations), name
 
     def test_gamma_builds_operators_once(self, h1, ball, monkeypatch):
         g, _ = h1
@@ -364,6 +366,92 @@ class TestMinimizerLayout:
                                max_iter=5)
         assert sum(len(e["fields"]) for e in rep["entries"]) == 6
         assert len(calls) == 1
+
+
+@pytest.fixture(scope="module")
+def shared():
+    g = heisenberg(1)
+    base = PowerIntegrand(2, 2.0)
+    return SimpleNamespace(
+        g=g, dom=GridDomain.box(-np.ones(3), np.ones(3), 6), base=base,
+        u=quadratic_field(g, 0.0, [1.0, 0.0, 0.5], np.diag([1.0, 0.3, 0.0])),
+        offsets=[OffsetIntegrand(base, 1.0 / h) for h in (1, 2, 4, 8, 16)])
+
+
+class TestSharedDescent:
+    """One call over a family of integrands gives each integrand exactly what
+    `_reference_minimize` gives it on its own: samples, value and start value."""
+
+    @staticmethod
+    def _check(shared, family, delta, max_iter=400):
+        """The shared result and each integrand's own step count."""
+        g, dom, u = shared.g, shared.dom, shared.u
+        res = minimize_convex(g, family, u, dom, delta, 2.0, max_iter)
+        u0 = u.values(dom.all_centers())
+        grads0 = np.stack([op @ u0 for op in _gradient_operators(g, dom)], axis=-1)
+        steps = []
+        for i, f in enumerate(family):
+            samples, value, it = _reference_minimize(g, IntegrandFunctional(g, f), u, dom,
+                                                     delta, 2.0, max_iter)
+            np.testing.assert_array_equal(res.samples[i], samples, err_msg=str(i))
+            assert res.value[i] == value, i
+            assert res.start_value[i] == float(np.sum(f(grads0)) * dom.cell_volume), i
+            steps.append(it)
+        return res, steps
+
+    def test_split_line_search(self, shared):
+        # rounding of the offsets tips the line search of h = 4, 8, 16 to
+        # another s0: two descents, each as long as its slowest member
+        res, steps = self._check(shared, shared.offsets, 0.02)
+        assert steps == [59, 59, 55, 55, 55]
+        assert res.iterations == 59 + 55
+        assert res.converged and res.stalled.all()
+
+    def test_members_stall_at_their_own_step(self, shared):
+        res, steps = self._check(shared, shared.offsets, 0.03)
+        assert steps == [67, 66, 66, 66, 66]
+        assert res.iterations == 67 and res.converged
+        # a budget between the two stall steps: only h = 1 has not stalled
+        res, _ = self._check(shared, shared.offsets, 0.03, max_iter=66)
+        assert res.stalled.tolist() == [False, True, True, True, True]
+        assert res.iterations == 66 and not res.converged
+
+    def test_constant_family(self, shared):
+        res, steps = self._check(shared, [shared.base] * 3, 0.03)
+        assert res.iterations == steps[0]
+        assert res.stalled.all()
+
+    def test_offsets_mixed_with_shifts(self, shared):
+        shift = np.array([0.5, -0.25])
+        left, right = (ShiftedArgIntegrand(shared.base, s) for s in (shift, -shift))
+        family = [shared.offsets[0], left, shared.offsets[1], right, shared.offsets[2]]
+        res, steps = self._check(shared, family, 0.03)
+        # three descents: the offsets, then each shift on its own
+        assert res.iterations == max(steps[0], steps[2], steps[4]) + steps[1] + steps[3]
+
+    @pytest.mark.parametrize("gamma, cores", [
+        ({"kind": "offset"}, 1), ({"kind": "constant"}, 1),
+        ({"kind": "alternating", "shift": [1.0, 0.0]}, 2)],
+        ids=["offset", "constant", "alternating"])
+    def test_gamma_calls_once_per_field(self, shared, ball, monkeypatch, gamma, cores):
+        g, dom, u = shared.g, shared.dom, shared.u
+        cfg = config.load_config(overrides={"gamma": gamma, "schedules": {"h": [1, 2, 3, 4]}})
+        seq = config.build_gamma_sequence(cfg, g)
+        calls = []
+
+        def counted(group, integrands, *args, **kwargs):
+            calls.append(integrands)
+            return minimize_convex(group, integrands, *args, **kwargs)
+
+        monkeypatch.setattr(recovery, "minimize_convex", counted)
+        fields = [u, probe_field(g, np.array([0.5, 0.5]))]
+        rep = gamma_experiment(g, seq, fields, dom, 0.5, 2.0, ball, np.zeros((1, 2)),
+                               max_iter=5)
+        assert [len(e["fields"]) for e in rep["entries"]] == [2] * 4
+        assert len(calls) == 2
+        for integrands in calls:
+            assert [id(f) for f in integrands] == [id(f) for _, f in seq]
+            assert len({id(recovery._core(f)) for f in integrands}) == cores
 
 
 class TestGamma:
