@@ -9,7 +9,7 @@ variational-limit bracketing experiment.
 from .groups import (StratifiedGroup, HomogeneousNorm, GroupAxiomError,
                      euclidean, heisenberg, engel, preset)
 from .fields import (GridDomain, DomainError, ScalarField, constant_field,
-                     probe_field, from_expression, quadratic_field, grid_field,
+                     probe_field, from_expression, quadratic_field,
                      translate_field, horizontal_gradient)
 from .mollify import MollifierFamily, erode_domain, convolve
 from .functionals import (Integrand, PowerIntegrand, QuadraticIntegrand,
@@ -28,7 +28,7 @@ __all__ = [
     "StratifiedGroup", "HomogeneousNorm", "GroupAxiomError",
     "euclidean", "heisenberg", "engel", "preset",
     "GridDomain", "DomainError", "ScalarField", "constant_field",
-    "probe_field", "from_expression", "quadratic_field", "grid_field",
+    "probe_field", "from_expression", "quadratic_field",
     "translate_field", "horizontal_gradient",
     "MollifierFamily", "erode_domain", "convolve",
     "Integrand", "PowerIntegrand", "QuadraticIntegrand",

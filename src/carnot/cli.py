@@ -180,25 +180,18 @@ def cmd_gamma(cfg: dict) -> tuple:
                               cfgmod.build_scalar(cfg, "schedules.delta", minimum=0.0),
                               cfgmod.build_scalar(cfg, "p"), base, xi_grid, max_iter)
 
-    rows = []
-    for entry in report["entries"]:
-        for per in entry["fields"]:
-            rows.append({"h": entry["h"], "field": per["field"],
-                         "lower": per["lower"], "upper": per["upper"],
-                         "converged": per["converged"],
-                         "cauchy_gap": entry["cauchy_gap"]})
     limit = report["limit"]
     names, limit_rows = _xi_rows(limit.xi)
     for row, value in zip(limit_rows, limit.values):
         row["f_limit"] = float(value)
     summary = {
-        "h_schedule": [e["h"] for e in report["entries"]],
+        "h_schedule": [h for h, _ in sequence],
         "limit_convexity_violation": report["limit_convexity_violation"],
         "limit_growth_slack_min": report["limit_growth_slack_min"],
-        "bracket_ok": all(r["lower"] <= r["upper"] + 1e-12 for r in rows),
+        "bracket_ok": report["bracket_ok"],
     }
-    files = {"gamma_brackets.csv": _csv(rows, ["h", "field", "lower", "upper", "converged",
-                                               "cauchy_gap"]),
+    files = {"gamma_brackets.csv": _csv(report["brackets"], ["h", "field", "lower", "upper",
+                                                          "converged", "cauchy_gap"]),
              "gamma_limit.csv": _csv(limit_rows, names + ["f_limit"]),
              "gamma_summary.json": _json(summary)}
     return json.dumps(summary, indent=2, default=_json_default), files, summary["bracket_ok"]

@@ -119,6 +119,13 @@ def _list(value, key: str) -> list:
     return value
 
 
+def _string(value, key: str) -> str:
+    """`value`, which must be a JSON string."""
+    if not isinstance(value, str):
+        raise ConfigError(f"{key} must be a string, got {value!r}")
+    return value
+
+
 def _required(spec: dict, name: str, key: str):
     """spec[name], or a ConfigError naming the missing dotted config `key`."""
     try:
@@ -185,8 +192,9 @@ def build_group(cfg: dict) -> groups.StratifiedGroup:
                 l = _coordinate(_out_key(key), n)
                 value = _read(float, val, "group bracket constant")
                 c[i, j, l], c[j, i, l] = value, -value
-        return groups.StratifiedGroup(dims, c, name=str(spec.get("name", "custom")))
-    except OSError as exc:  # a group file that cannot be read
+        return groups.StratifiedGroup(dims, c, name=_string(spec.get("name", "custom"),
+                                                            "group.name"))
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:  # an unreadable file
         raise ConfigError(f"cannot read group file {cfg['group']!r}: {exc}") from exc
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
@@ -252,7 +260,7 @@ def build_fields(cfg: dict, group: groups.StratifiedGroup) -> list:
         else:
             raise ConfigError(f"field entry needs 'expr' or 'probe': {entry}")
         if "name" in entry:
-            field = replace(field, name=entry["name"])
+            field = replace(field, name=_string(entry["name"], f"fields[{i}].name"))
         out.append(field)
     return out
 
@@ -260,9 +268,7 @@ def build_fields(cfg: dict, group: groups.StratifiedGroup) -> list:
 def build_functional(cfg: dict, group: groups.StratifiedGroup) -> Functional:
     spec = _section(cfg, "integrand")
     if "blackbox" in spec:
-        if not isinstance(spec["blackbox"], str):
-            raise ConfigError(f"integrand.blackbox must be a string, got {spec['blackbox']!r}")
-        mod_name, _, attr = spec["blackbox"].partition(":")
+        mod_name, _, attr = _string(spec["blackbox"], "integrand.blackbox").partition(":")
         try:
             target = getattr(importlib.import_module(mod_name), attr)
         except (ImportError, AttributeError) as exc:
@@ -280,16 +286,23 @@ def build_functional(cfg: dict, group: groups.StratifiedGroup) -> Functional:
             raise ConfigError(f"blackbox {spec['blackbox']} gives {obj!r}, "
                               f"which is neither a Functional nor callable")
         return BlackBoxFunctional(obj, name=spec["blackbox"])
-    try:
-        return IntegrandFunctional(group, integrand_from_config(spec, group.m))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return IntegrandFunctional(group, integrand_from_config(spec, group.m))
 
 
 def integrand_from_config(spec: dict, m: int, key: str = "integrand") -> Integrand:
     """Deserialize the integrand menu: power / quadratic / max_affine /
     tabulated, with optional "offset" and "shift" wrappers.  `key` names the
-    config section in error messages."""
+    config section in error messages.  A malformed spec raises ConfigError,
+    also where an integrand's own check rejects it (its message kept)."""
+    try:
+        return _integrand(spec, m, key)
+    except ConfigError:
+        raise
+    except ValueError as exc:  # DomainError included: uneven tabulated axes
+        raise ConfigError(str(exc)) from exc
+
+
+def _integrand(spec: dict, m: int, key: str) -> Integrand:
     spec = _mapping(spec, key)
     kind = spec.get("kind")
     if kind == "power":

@@ -2,10 +2,9 @@
 
 Fields are evaluator-first: a closed-form vectorized evaluator is always
 present, optionally with a horizontal gradient evaluator: the one gradient
-a functional F(u, A) = integral over A of f(grad_G u) reads.  Grid-sampled
-fields carry none and are differentiated by group differences; they
-interpolate multilinearly between cell centers.  Domains are uniform
-Cartesian boxes with a boolean cell mask.
+a functional F(u, A) = integral over A of f(grad_G u) reads.  Fields without
+one are differentiated by group differences.  Domains are uniform Cartesian
+boxes with a boolean cell mask.
 """
 
 from __future__ import annotations
@@ -25,7 +24,6 @@ __all__ = [
     "probe_field",
     "constant_field",
     "from_expression",
-    "grid_field",
     "translate_field",
     "translate_domain",
     "horizontal_gradient",
@@ -251,7 +249,7 @@ class ScalarField:
 
     values : vectorized evaluator, (N, n) -> (N,)
     hgrad  : optional horizontal gradient, (N, n) -> (N, m)
-    domain : set on which the evaluator is guaranteed (None = everywhere)
+    domain : set the field is defined on (None = everywhere)
     """
 
     values: Callable
@@ -261,8 +259,6 @@ class ScalarField:
 
     def __call__(self, points) -> np.ndarray:
         points = np.atleast_2d(np.asarray(points, dtype=float))
-        if self.domain is not None and not self.domain.contains(points).all():
-            raise DomainError(f"evaluation of {self.name!r} outside its domain")
         return np.asarray(self.values(points), dtype=float)
 
     def shifted(self, c: float) -> "ScalarField":
@@ -384,15 +380,6 @@ def quadratic_field(group: StratifiedGroup, const: float, lin, quad=None,
         return lin + np.atleast_2d(p) @ sym
 
     return ScalarField(values=values, hgrad=_hgrad_from_egrad(group, egrad), name=name)
-
-
-def grid_field(group: StratifiedGroup, domain: GridDomain, samples,
-               name: str = "grid") -> ScalarField:
-    """Field carried by samples at the cell centers of `domain`, with
-    multilinear interpolation off nodes.  Queries outside the node hull
-    raise.  Horizontal gradients must be taken in group-fd mode."""
-    samples = np.asarray(samples, dtype=float).reshape(domain.shape).ravel()
-    return ScalarField(values=lambda p: domain.interpolation(p) @ samples, name=name)
 
 
 # -- translation operators ----------------------------------------------------

@@ -431,12 +431,11 @@ def jensen_check(group: StratifiedGroup, functional: IntegrandFunctional,
                  mollifier: MollifierFamily, eps: float, omega: GridDomain) -> tuple:
     """Both sides of the Jensen step: F(phi_eps * u, A') on the left and the
     mollifier average of F(tau_y u, A') on the right; left <= right holds
-    exactly at quadrature level for convex integrands."""
+    exactly at quadrature level for convex integrands.  The average raises
+    DomainError when A' leaves its eroded domain."""
     average = LocalAverage.of(group, mollifier, eps, omega)
     fine = inner_domain.refine(functional.refine)
     centers = fine.centers()
-    if not average.domain.contains(centers).all():
-        raise DomainError("inner domain is not eroded by eps inside the field's domain")
     # grad_G(tau_y u)(x) = (grad_G u)(y^{-1} . x) by left-invariance of the frame,
     # so the mollifier average of F(tau_y u, A') is phi_eps * f(grad_G u) summed
     # over A'; one gradient sample G per chunk feeds both phi_eps * G and
@@ -454,7 +453,8 @@ def sandwich_check(group: StratifiedGroup, functional: Functional,
                    u: ScalarField, inner_domain: GridDomain, domain: GridDomain,
                    mollifier: MollifierFamily, eps_list) -> dict:
     """The three-term chain F(u, A') <= F(phi_eps * u, A') <= F(u, A) along an
-    eps schedule; returns the raw values so callers apply their tolerance."""
+    eps schedule; returns the raw values so callers apply their tolerance.
+    The convolution raises DomainError when A' leaves its eroded domain."""
     if inner_domain.shape == domain.shape and not inner_domain.is_subset(domain):
         raise DomainError("inner domain must sit inside the outer one")
     lower = functional.eval(u, inner_domain)
@@ -462,8 +462,6 @@ def sandwich_check(group: StratifiedGroup, functional: Functional,
     rows = []
     for eps in sorted(eps_list, reverse=True):
         u_eps = convolve(group, mollifier, eps, u, domain)
-        if not u_eps.domain.contains(inner_domain.centers()).all():
-            raise DomainError(f"margin between A' and A is below eps={eps}")
         rows.append({"epsilon": float(eps), "middle": functional.eval(u_eps, inner_domain)})
     return {"lower": lower, "upper": upper, "rows": rows}
 

@@ -280,12 +280,15 @@ def engel() -> StratifiedGroup:
 
 
 def preset(name: str) -> StratifiedGroup:
-    """Resolve a preset name: "euclidean:n", "heisenberg:n" or "engel"."""
+    """Resolve a preset name: "euclidean:n", "heisenberg:n" or "engel", with
+    n a positive integer ("heisenberg" alone is "heisenberg:1")."""
     if name == "engel":
         return engel()
     base, _, arg = name.partition(":")
-    if base == "euclidean" and arg:
-        return euclidean(int(arg))
+    if base in ("euclidean", "heisenberg") and arg:
+        if not (arg.isdecimal() and int(arg) > 0):
+            raise ValueError(f"group preset {name!r} needs a positive integer after ':'")
+        return euclidean(int(arg)) if base == "euclidean" else heisenberg(int(arg))
     if base == "heisenberg":
-        return heisenberg(int(arg) if arg else 1)
+        return heisenberg()
     raise ValueError(f"unknown group preset {name!r}")

@@ -19,7 +19,7 @@ import numpy as np
 from .groups import StratifiedGroup, HomogeneousNorm
 from .fields import GridDomain, ScalarField, DomainError, probe_field, _lp_norm
 from .functionals import (Functional, IntegrandFunctional, OffsetIntegrand,
-                          _midpoint_defect)
+                          _midpoint_defect, _total)
 
 __all__ = [
     "HypothesisError",
@@ -227,9 +227,6 @@ def minimize_convex(group: StratifiedGroup, integrands, anchor: ScalarField,
         # a column-major (K, m) view: the integrands reduce over m without a copy
         return (stack @ v).reshape(group.m, -1).T
 
-    def total(values):
-        return float(np.sum(values) * cellvol)
-
     def subgradient(df):
         g = np.zeros_like(u0)
         for j, adjoint in enumerate(adjoints):
@@ -246,7 +243,7 @@ def minimize_convex(group: StratifiedGroup, integrands, anchor: ScalarField,
     samples = np.repeat(u0[None], len(integrands), axis=0)
     stalled = np.ones(len(integrands), dtype=bool)
     grads0 = gradients(u0)
-    start_value = np.array([total(f(grads0)) for f in integrands])
+    start_value = np.array([_total(f(grads0), cellvol) for f in integrands])
     if delta == 0 or max_iter == 0:
         return MinimizeResult(samples, start_value, start_value.copy(), stalled, 0, True)
     value = start_value.copy()
@@ -261,7 +258,7 @@ def minimize_convex(group: StratifiedGroup, integrands, anchor: ScalarField,
             grads = gradients(v)
             lead_values, df = integrands[lead].value_and_grad(grads)
             for i in list(live):
-                val = total(lead_values if i == lead else integrands[i](grads))
+                val = _total(lead_values if i == lead else integrands[i](grads), cellvol)
                 if val < value[i] - _REL_TOL * max(1.0, abs(value[i])):
                     value[i], samples[i], counts[i] = val, v, 0
                 else:
@@ -285,7 +282,7 @@ def minimize_convex(group: StratifiedGroup, integrands, anchor: ScalarField,
         trials = np.empty((len(probes), len(members)))
         for k, s in enumerate(probes):
             grads = gradients(project(u0 - s * g))
-            trials[k] = [total(integrands[i](grads)) for i in members]
+            trials[k] = [_total(integrands[i](grads), cellvol) for i in members]
         # rounding of the offsets can tip a line search: one descent per pick
         picks = {}
         for i, k in zip(members, trials.argmin(axis=0)):
@@ -304,11 +301,14 @@ def gamma_experiment(group: StratifiedGroup, integrands, u_list, domain: GridDom
                      max_iter: int = 400) -> dict:
     """Bracket the variational limit of a functional sequence.
 
-    `integrands` is a list of (h, Integrand) with h increasing.  Per h the
-    report carries, for each target field, the constrained-minimization lower
-    estimate and the plain evaluation upper estimate, plus the probe-recovered
-    integrand values; the fitted limit is the recovery at the largest h with a
-    Cauchy column against the previous entry.  Requires p > 1.
+    `integrands` is a list of (h, Integrand) with h increasing.  The report's
+    `brackets` holds one row per (h, target field), h-major: the
+    constrained-minimization lower estimate, the plain evaluation upper
+    estimate, whether the minimizer's stall rule fired, and the Cauchy gap of
+    the probe-recovered integrand against the previous h.  `recovered` holds
+    the recovery per h; the fitted `limit` is the one at the largest h, and
+    `bracket_ok` says every lower estimate stays below its upper one.
+    Requires p > 1.
     """
     if p <= 1:
         raise HypothesisError("the variational-limit experiment requires p > 1")
@@ -319,23 +319,26 @@ def gamma_experiment(group: StratifiedGroup, integrands, u_list, domain: GridDom
     # one call per field: the whole sequence shares its descents
     results = [minimize_convex(group, [f for _, f in integrands], u, domain, delta, p,
                                max_iter, operators=operators) for u in u_list]
-    entries = []
+    brackets = []
     for i, (h, _) in enumerate(integrands):
-        per_field = [{"field": u.name,
-                      "lower": float(res.value[i]),
-                      "upper": float(res.start_value[i]),
-                      "converged": bool(res.stalled[i])}
-                     for u, res in zip(u_list, results)]
         cauchy = (float(np.abs(recs[i].values - recs[i - 1].values).max())
                   if i else float("nan"))
-        entries.append({"h": h, "recovered": recs[i], "fields": per_field,
-                        "cauchy_gap": cauchy})
-    limit = entries[-1]["recovered"]
+        brackets.extend({"h": h, "field": u.name,
+                         "lower": float(res.value[i]),
+                         "upper": float(res.start_value[i]),
+                         "converged": bool(res.stalled[i]),
+                         "cauchy_gap": cauchy}
+                        for u, res in zip(u_list, results))
+    limit = recs[-1]
     growth = integrands[-1][1].growth
     return {
-        "entries": entries,
+        "brackets": brackets,
+        "recovered": recs,
         "limit": limit,
         "limit_convexity_violation": limit.convexity_violation(),
         "limit_growth_slack_min": (float(limit.growth_slack(growth).min())
                                    if growth is not None else None),
+        # holds by construction while `lower` is the best iterate's value: the
+        # descent starts at the anchor, whose value is `upper`
+        "bracket_ok": all(r["lower"] <= r["upper"] + 1e-12 for r in brackets),
     }

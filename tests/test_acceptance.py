@@ -276,9 +276,8 @@ def test_criterion_12_gamma_experiment():
     rep = gamma_experiment(H1, seq, fields, dom, 0.5, 2.0, ball, xi_grid, max_iter=50)
     gap = float(np.abs(rep["limit"].values - base(xi_grid)).max())
     assert gap <= 1.0 / 16.0 + 1e-6
-    for entry in rep["entries"]:
-        for per in entry["fields"]:
-            assert per["lower"] <= per["upper"] + 1e-12
+    for row in rep["brackets"]:
+        assert row["lower"] <= row["upper"] + 1e-12
     elapsed = time.monotonic() - t0
     assert elapsed < 120.0
 
@@ -286,7 +285,7 @@ def test_criterion_12_gamma_experiment():
            for h in (1, 2, 3, 4, 5, 6)]
     small = GridDomain.box(-np.ones(3), np.ones(3), 6)
     rep2 = gamma_experiment(H1, alt, [], small, 0.0, 2.0, ball, xi_grid)
-    recs = [e["recovered"].values for e in rep2["entries"]]
+    recs = [rec.values for rec in rep2["recovered"]]
     for sub in (recs[0::2], recs[1::2]):
         for r in sub[1:]:
             np.testing.assert_allclose(r, sub[0], atol=1e-10)

@@ -1,11 +1,14 @@
 """Exit-code contract, determinism and output formats of the command line."""
 
+import csv
 import json
 
 import numpy as np
 import pytest
 
+from carnot import cli
 from carnot.cli import main, EXIT_OK, EXIT_FAIL, EXIT_CONFIG, EXIT_HYPOTHESIS
+from carnot.recovery import gamma_experiment
 
 from conftest import run_fresh
 
@@ -323,6 +326,33 @@ class TestConfigBoundary:
         assert main(["group-info", "--config", cfg]) == EXIT_CONFIG
         assert capsys.readouterr().err == f"config error: {message}\n"
 
+    def test_group_file_not_json_names_the_file(self, tmp_path, capsys):
+        path = tmp_path / "broken-group.json"
+        path.write_text("not json")
+        cfg = _write(tmp_path, "c.json", {"group": str(path)})
+        assert main(["group-info", "--config", cfg]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (f"config error: cannot read group file "
+                                           f"{str(path)!r}: Expecting value: line 1 "
+                                           f"column 1 (char 0)\n")
+
+    @pytest.mark.parametrize("argv, payload, message", [
+        (["group-info"], {"group": {"layer_dims": [2, 1], "name": [1]}},
+         "group.name must be a string, got [1]"),
+        (["gamma"], {"fields": [{"probe": [1, 0], "name": 5}]},
+         "fields[0].name must be a string, got 5"),
+    ], ids=["group-name-list-info", "field-name-int-gamma"])
+    def test_name_must_be_a_string(self, tmp_path, capsys, argv, payload, message):
+        cfg = _write(tmp_path, "c.json", payload)
+        assert main(argv + ["--config", cfg]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: {message}\n"
+
+    @pytest.mark.parametrize("preset", ["heisenberg:x", "euclidean:1.5", "heisenberg:0"])
+    def test_preset_argument_must_be_a_positive_integer(self, tmp_path, capsys, preset):
+        cfg = _write(tmp_path, "c.json", {"group": preset})
+        assert main(["group-info", "--config", cfg]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (f"config error: group preset {preset!r} needs "
+                                           f"a positive integer after ':'\n")
+
     @pytest.mark.parametrize("name", ["missing.json", "directory.json"])
     def test_unreadable_group_file_exits_config(self, tmp_path, capsys, name):
         (tmp_path / "directory.json").mkdir()
@@ -464,6 +494,33 @@ class TestGamma:
         assert summary["bracket_ok"] is True
         limits = (out / "gamma_limit.csv").read_text().splitlines()
         assert limits[0] == "xi_1,xi_2,f_limit"
+
+    def test_brackets_are_the_csv_rows(self, tmp_path, capsys, monkeypatch):
+        # gamma writes the experiment's bracket table as it is: same columns,
+        # one row per (h, field), h-major
+        reports = []
+
+        def recorded(*args, **kwargs):
+            reports.append(gamma_experiment(*args, **kwargs))
+            return reports[-1]
+
+        monkeypatch.setattr(cli, "gamma_experiment", recorded)
+        cfg = _write(tmp_path, "c.json", {
+            "grid": {"shape": 6}, "xi_grid": {"points": 3}, "schedules": {"h": [1, 2, 4]},
+            "minimizer": {"max_iter": 10},
+            "fields": [{"expr": "x1*x3 + x2**2"}, {"probe": [1, 0]}]})
+        out = tmp_path / "out"
+        assert main(["gamma", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        with open(out / "gamma_brackets.csv", newline="") as fh:
+            reader = csv.DictReader(fh)
+            rows = [{"h": int(r["h"]), "field": r["field"], "lower": float(r["lower"]),
+                     "upper": float(r["upper"]), "converged": r["converged"] == "true",
+                     "cauchy_gap": float(r["cauchy_gap"])} for r in reader]
+        brackets = reports[0]["brackets"]
+        assert reader.fieldnames == list(brackets[0])
+        assert [(r["h"], r["field"]) for r in brackets] == [
+            (h, name) for h in (1, 2, 4) for name in ("x1*x3 + x2**2", "probe([1. 0.])")]
+        np.testing.assert_equal(rows, brackets)
 
     def test_p_one_exits_hypothesis(self, tmp_path, capsys):
         cfg = _write(tmp_path, "c.json", {"p": 1.0})

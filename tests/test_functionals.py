@@ -10,7 +10,7 @@ from carnot.fields import (GridDomain, DomainError, ScalarField, constant_field,
                            probe_field, quadratic_field, horizontal_gradient)
 from carnot.mollify import MollifierFamily, erode_domain, convolve
 from carnot.suites import menu_integrands, random_quadratic
-from carnot.config import integrand_from_config
+from carnot.config import ConfigError, integrand_from_config
 from carnot.functionals import (PowerIntegrand, QuadraticIntegrand,
                                 MaxAffineIntegrand, TabulatedIntegrand,
                                 OffsetIntegrand, ShiftedArgIntegrand,
@@ -92,6 +92,20 @@ class TestIntegrands:
             integrand_from_config({"kind": "quadratic", "M": [[1.0]]}, 2)  # m mismatch
         with pytest.raises(ValueError):
             integrand_from_config({"kind": "mystery"}, 2)
+
+    @pytest.mark.parametrize("spec, message", [
+        ({"kind": "power", "p": 0.5}, "power integrands need p >= 1 for convexity"),
+        ({"kind": "quadratic", "M": [[1.0, 0.0], [0.0, -1.0]]},
+         "quadratic integrand matrix must be positive semidefinite"),
+        ({"kind": "tabulated", "axes": [[0, 1, 3], [0, 1, 2]], "table": [[0] * 3] * 3},
+         "nodes must be increasing and uniformly spaced: [0.0, 1.0, 3.0]"),
+        ({"kind": "power", "shift": [1.0, 0.0, 0.0]}, "shift must have m components"),
+    ], ids=["power-p-half", "quadratic-not-psd", "tabulated-uneven-axes", "shift-length"])
+    def test_config_errors_are_config_errors(self, spec, message):
+        # the integrands' own checks reach callers as ConfigError, text kept
+        with pytest.raises(ConfigError) as info:
+            integrand_from_config(spec, 2)
+        assert str(info.value) == message
 
 
 def _value_and_grad_menu(m, rng):
@@ -248,8 +262,14 @@ class TestSandwichAndLsc:
     def test_margin_violation_raises(self, setting):
         g, mol, omega, _ = setting
         F = IntegrandFunctional(g, PowerIntegrand(2, 2.0))
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="convolution queried outside the eroded domain"):
             sandwich_check(g, F, probe_field(g, [1.0, 0.0]), omega, omega, mol, [0.4])
+
+    def test_jensen_outside_eroded_domain_raises(self, setting):
+        g, mol, omega, _ = setting
+        F = IntegrandFunctional(g, PowerIntegrand(2, 2.0))
+        with pytest.raises(DomainError, match="convolution queried outside the eroded domain"):
+            jensen_check(g, F, probe_field(g, [1.0, 0.0]), omega, mol, 0.3, omega)
 
     def test_jensen_never_violated(self, setting):
         g, mol, omega, inner = setting

@@ -361,6 +361,11 @@ class TestConvergence:
         assert lp[-1] <= 0.25 * lp[0]
         assert w1[-1] <= 0.25 * w1[0]
 
+    def test_inner_outside_eroded_domain_raises(self, h1, mollifier, omega):
+        g, _ = h1
+        with pytest.raises(DomainError, match="convolution queried outside the eroded domain"):
+            convergence_table(g, mollifier, constant_field(g, 1.0), omega, omega, 2.0, [0.4])
+
     def test_empty_inner_raises(self, h1, mollifier, omega):
         g, _ = h1
         empty = dataclasses.replace(omega, mask=np.zeros(omega.shape, dtype=bool))

@@ -364,7 +364,7 @@ class TestMinimizerLayout:
         dom = GridDomain.box(-np.ones(3), np.ones(3), 6)
         rep = gamma_experiment(g, seq, fields, dom, 0.5, 2.0, ball, np.zeros((1, 2)),
                                max_iter=5)
-        assert sum(len(e["fields"]) for e in rep["entries"]) == 6
+        assert len(rep["brackets"]) == 6
         assert len(calls) == 1
 
 
@@ -447,7 +447,7 @@ class TestSharedDescent:
         fields = [u, probe_field(g, np.array([0.5, 0.5]))]
         rep = gamma_experiment(g, seq, fields, dom, 0.5, 2.0, ball, np.zeros((1, 2)),
                                max_iter=5)
-        assert [len(e["fields"]) for e in rep["entries"]] == [2] * 4
+        assert [row["h"] for row in rep["brackets"]] == [1, 1, 2, 2, 3, 3, 4, 4]
         assert len(calls) == 2
         for integrands in calls:
             assert [id(f) for f in integrands] == [id(f) for _, f in seq]
@@ -472,9 +472,8 @@ class TestGamma:
         rep = gamma_experiment(g, seq, [u], dom, 0.5, 2.0, ball, xi_grid, max_iter=40)
         gap = np.abs(rep["limit"].values - base(xi_grid)).max()
         assert gap <= 1.0 / 16.0 + 1e-6
-        for entry in rep["entries"]:
-            for per in entry["fields"]:
-                assert per["lower"] <= per["upper"] + 1e-12
+        for row in rep["brackets"]:
+            assert row["lower"] <= row["upper"] + 1e-12
         assert rep["limit_convexity_violation"] <= 1e-10
 
     def test_constant_sequence_collapses(self, h1, ball):
@@ -485,8 +484,8 @@ class TestGamma:
         u = probe_field(g, np.array([1.0, 0.0]))
         rep = gamma_experiment(g, seq, [u], dom, 0.0, 2.0, ball,
                                np.zeros((1, 2)), max_iter=0)
-        uppers = {per["upper"] for e in rep["entries"] for per in e["fields"]}
-        lowers = {per["lower"] for e in rep["entries"] for per in e["fields"]}
+        uppers = {row["upper"] for row in rep["brackets"]}
+        lowers = {row["lower"] for row in rep["brackets"]}
         assert len(uppers) == 1 and uppers == lowers
 
     def test_alternating_sequence_has_two_limits(self, h1, ball):
@@ -497,7 +496,7 @@ class TestGamma:
         dom = GridDomain.box(-np.ones(3), np.ones(3), 6)
         xi_grid = uniform_xi_grid(2, 4.0, 5)
         rep = gamma_experiment(g, seq, [], dom, 0.0, 2.0, ball, xi_grid)
-        recs = [e["recovered"].values for e in rep["entries"]]
+        recs = [rec.values for rec in rep["recovered"]]
         odd, even = recs[0::2], recs[1::2]
         for sub in (odd, even):
             for r in sub[1:]:
