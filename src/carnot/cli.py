@@ -1,8 +1,9 @@
 """Batch front door: run verification suites and experiments from a JSON
 config, emitting deterministic CSV/JSON tables.
 
-Exit codes: 0 all checks pass, 1 a check failed, 2 config error,
-3 a standing hypothesis is violated (e.g. p = 1 for the gamma command).
+Exit codes: 0 all checks pass, 1 a check failed, 2 config error (also a
+value too large or too small for floating-point arithmetic), 3 a standing
+hypothesis is violated (e.g. p = 1 for the gamma command).
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from . import config as cfgmod
 from .config import ConfigError
 from .fields import DomainError
 from .functionals import IntegrandFunctional
-from .mollify import erode_domain
 from .recovery import (HypothesisError, recover_integrand, constancy_probe,
                        gamma_experiment)
 from .suites import (suite_axioms, suite_mollify, suite_functional,
@@ -101,11 +101,10 @@ def cmd_verify(cfg: dict, suite: str) -> tuple:
     grid = cfgmod.build_grid(cfg, group)
     rng = cfgmod.build_rng(cfg)
     if suite == "axioms":
-        rows = suite_axioms(group, norm, rng, tol=1e-12 * cfgmod.build_tol_scale(cfg))
+        rows = suite_axioms(norm, rng, tol=1e-12 * cfgmod.build_tol_scale(cfg))
     elif suite == "mollify":
         eps = cfgmod.build_schedule(cfg, "eps")
-        mollifier = cfgmod.build_mollifier(cfg, norm)
-        rows = suite_mollify(group, norm, mollifier, grid, rng, eps_list=eps,
+        rows = suite_mollify(cfgmod.build_mollifier(cfg, norm), grid, rng, eps_list=eps,
                              p=cfgmod.build_scalar(cfg, "p", minimum=1.0))
     elif suite == "functional":
         functional = cfgmod.build_functional(cfg, group)
@@ -115,11 +114,7 @@ def cmd_verify(cfg: dict, suite: str) -> tuple:
                                 samples=cfgmod.build_scalar(cfg, "samples", int, minimum=1))
     elif suite == "sandwich":
         eps = cfgmod.build_schedule(cfg, "eps")
-        mollifier = cfgmod.build_mollifier(cfg, norm)
-        inner = erode_domain(group, norm, grid, 1.1 * max(eps))
-        if inner.is_empty:
-            raise ConfigError("eps schedule leaves no room for an inner domain")
-        rows = suite_sandwich(group, norm, mollifier, grid, inner, rng, eps_list=eps)
+        rows = suite_sandwich(cfgmod.build_mollifier(cfg, norm), grid, rng, eps_list=eps)
     elif suite == "lsc":
         rows = suite_lsc(group, grid, rng, h_list=cfgmod.build_schedule(cfg, "h", int))
     text = "\n".join(f"{'pass' if row['passed'] else 'FAIL':5s} {row['name']:40s} "
@@ -152,7 +147,7 @@ def cmd_recover(cfg: dict) -> tuple:
     xi0[0] = 1.0
     centers = np.zeros((2, group.n))
     centers[1, 0] = 1.5
-    probe = constancy_probe(functional, group, norm, xi0, centers, radii,
+    probe = constancy_probe(functional, norm, xi0, centers, radii,
                             cells_per_axis=base.shape[0])
     summary = {
         "max_convexity_violation": float(defects.max()),
@@ -173,7 +168,7 @@ def cmd_gamma(cfg: dict) -> tuple:
     grid = cfgmod.build_grid(cfg, group)
     sequence = cfgmod.build_gamma_sequence(cfg, group)
     xi_grid = cfgmod.build_xi_grid(cfg, group)
-    max_iter = cfgmod.build_max_iter(cfg)
+    max_iter = cfgmod.build_scalar(cfg, "minimizer.max_iter", int, minimum=0)
     base = cfgmod.build_recovery_ball(cfg, norm)
     fields = cfgmod.build_fields(cfg, group)
     report = gamma_experiment(group, sequence, fields, grid,
@@ -228,9 +223,14 @@ def main(argv=None) -> int:
     commands = {"group-info": cmd_group_info, "recover": cmd_recover, "gamma": cmd_gamma,
                 "verify": lambda cfg: cmd_verify(cfg, args.suite)}
     try:
-        text, files, passed = commands[args.command](_load(args))
+        # an overflow, a division by zero or a NaN raises instead of running on
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            text, files, passed = commands[args.command](_load(args))
     except (ConfigError, DomainError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except ArithmeticError as exc:
+        print(f"config error: values out of floating-point range: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except HypothesisError as exc:
         print(f"hypothesis violation: {exc}", file=sys.stderr)

@@ -65,16 +65,63 @@ def _merge(base: dict, override: dict) -> dict:
 
 
 def load_config(path: str | None = None, overrides: dict | None = None) -> dict:
+    """DEFAULTS merged with the config file at `path`, then with `overrides`;
+    a key in either that no reader reads raises ConfigError (`_check_keys`)."""
     cfg = copy.deepcopy(DEFAULTS)
     if path is not None:
         try:
             with open(path) as fh:
-                cfg = _merge(cfg, _mapping(json.load(fh), f"config {path}"))
+                user = _mapping(json.load(fh), f"config {path}")
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
+        _check_keys(user)
+        cfg = _merge(cfg, user)
     if overrides:
+        _check_keys(overrides)
         cfg = _merge(cfg, overrides)
     return cfg
+
+
+# the keys each section's readers read: its defaults, and the alternating gamma
+# sequence's shift; and the keys each integrand kind reads besides "kind" and
+# the "shift" and "offset" wrappers
+_SECTION_KEYS = {name: set(DEFAULTS[name]) for name in
+                 ("grid", "schedules", "xi_grid", "recovery", "minimizer", "gamma")}
+_SECTION_KEYS["gamma"].add("shift")
+_INTEGRAND_KEYS = {"power": {"p"}, "quadratic": {"M"}, "max_affine": {"planes"},
+                   "tabulated": {"axes", "table"}}
+
+
+def _check_keys(user: dict) -> None:
+    """Raise ConfigError on a key of a user config (before it is merged into
+    the defaults) that no reader reads: at the top level, in a section of
+    _SECTION_KEYS, and in an integrand spec by its kind.  Values of the wrong
+    type are left to their readers."""
+    _known(user, DEFAULTS, "config")
+    for name, allowed in _SECTION_KEYS.items():
+        if isinstance(user.get(name), dict):
+            _known(user[name], allowed, name)
+    _check_integrand(user.get("integrand"), DEFAULTS["integrand"], "integrand")
+    if isinstance(user.get("gamma"), dict):
+        _check_integrand(user["gamma"].get("base"), DEFAULTS["gamma"]["base"], "gamma.base")
+
+
+def _check_integrand(spec, default: dict, key: str) -> None:
+    """The key check of one integrand spec, whose kind is the default's when
+    it names none; only the top-level integrand may be a blackbox."""
+    if not isinstance(spec, dict):
+        return
+    kind = spec.get("kind", default["kind"])
+    if key == "integrand" and "blackbox" in spec:
+        _known(spec, {"blackbox"}, key)
+    elif isinstance(kind, str) and kind in _INTEGRAND_KEYS:
+        _known(spec, {"kind", "shift", "offset", *_INTEGRAND_KEYS[kind]}, f"{key} ({kind})")
+
+
+def _known(spec: dict, allowed, key: str) -> None:
+    unknown = sorted(set(spec) - set(allowed), key=str)
+    if unknown:
+        raise ConfigError(f"unknown {key} keys {unknown}, expected some of {sorted(allowed)}")
 
 
 def _read(kind, value, key: str):
@@ -352,17 +399,11 @@ def build_recovery_ball(cfg: dict, norm: groups.HomogeneousNorm) -> GridDomain:
     return GridDomain.ball(norm, norm.group.origin(), radius, cells)
 
 
-def build_max_iter(cfg: dict) -> int:
-    """minimizer.max_iter, the minimizer's budget and its section's only key."""
-    unknown = sorted(set(_section(cfg, "minimizer")) - {"max_iter"})
-    if unknown:
-        raise ConfigError(f"unknown minimizer keys {unknown}, the only key is max_iter")
-    return build_scalar(cfg, "minimizer.max_iter", int, minimum=0)
-
-
 def build_schedule(cfg: dict, key: str, kind=float) -> list:
-    """schedules.<key> as a nonempty list of positive `kind` values (the h
-    schedule is shared by the gamma experiment and the lsc suite)."""
+    """schedules.<key> as a nonempty list of positive `kind` values.  The h
+    schedule, shared by the gamma experiment and the lsc suite, must also
+    strictly increase: the one reads its limit at the last h, the other its
+    tail from the end."""
     raw = _section(cfg, "schedules")[key]
     message = f"schedules.{key} must be a nonempty list of positive {kind.__name__}, got {raw!r}"
     try:
@@ -371,6 +412,8 @@ def build_schedule(cfg: dict, key: str, kind=float) -> list:
         raise ConfigError(message) from exc
     if not values or min(values) <= 0:
         raise ConfigError(message)
+    if key == "h" and any(a >= b for a, b in zip(values, values[1:])):
+        raise ConfigError(f"schedules.h must strictly increase, got {raw!r}")
     return values
 
 

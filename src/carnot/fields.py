@@ -450,5 +450,11 @@ def horizontal_gradient(group: StratifiedGroup, u: ScalarField, points,
 
 
 def _lp_norm(w: np.ndarray, cellvol: float, p: float) -> float:
-    """The discrete L^p norm (sum of |w|^p cellvol)^(1/p) of cell values w."""
-    return float((np.sum(np.abs(w) ** p) * cellvol) ** (1.0 / p))
+    """The discrete L^p norm (sum of |w|^p cellvol)^(1/p) of cell values w.
+    Where |w|^p overflows (a large p), the sum is taken over w / max|w|."""
+    w = np.abs(w)
+    with np.errstate(over="ignore"):
+        total = np.sum(w ** p) * cellvol
+        if not np.isfinite(total) and np.isfinite(top := w.max()):
+            return float(top * (np.sum((w / top) ** p) * cellvol) ** (1.0 / p))
+    return float(total ** (1.0 / p))

@@ -426,32 +426,29 @@ def check_set_function(functional: Functional, u: ScalarField,
     return report
 
 
-def jensen_check(group: StratifiedGroup, functional: IntegrandFunctional,
-                 u: ScalarField, inner_domain: GridDomain,
+def jensen_check(functional: IntegrandFunctional, u: ScalarField, inner_domain: GridDomain,
                  mollifier: MollifierFamily, eps: float, omega: GridDomain) -> tuple:
     """Both sides of the Jensen step: F(phi_eps * u, A') on the left and the
     mollifier average of F(tau_y u, A') on the right; left <= right holds
     exactly at quadrature level for convex integrands.  The average raises
     DomainError when A' leaves its eroded domain."""
-    average = LocalAverage.of(group, mollifier, eps, omega)
+    average = LocalAverage.of(mollifier, eps, omega)
     fine = inner_domain.refine(functional.refine)
-    centers = fine.centers()
     # grad_G(tau_y u)(x) = (grad_G u)(y^{-1} . x) by left-invariance of the frame,
     # so the mollifier average of F(tau_y u, A') is phi_eps * f(grad_G u) summed
     # over A'; one gradient sample G per chunk feeds both phi_eps * G and
     # phi_eps * f(G)
     def sample(points):
-        grads = horizontal_gradient(group, u, points)
+        grads = horizontal_gradient(mollifier.group, u, points)
         return grads, functional.integrand(grads)
 
-    grads, density = average(sample, centers, ((group.m,), ()))
+    grads, density = average(sample, fine.centers())
     return (functional.quadrature(grads, fine.cell_volume),
-            float(np.sum(density)) * fine.cell_volume)
+            _total(density, fine.cell_volume))
 
 
-def sandwich_check(group: StratifiedGroup, functional: Functional,
-                   u: ScalarField, inner_domain: GridDomain, domain: GridDomain,
-                   mollifier: MollifierFamily, eps_list) -> dict:
+def sandwich_check(functional: Functional, u: ScalarField, inner_domain: GridDomain,
+                   domain: GridDomain, mollifier: MollifierFamily, eps_list) -> dict:
     """The three-term chain F(u, A') <= F(phi_eps * u, A') <= F(u, A) along an
     eps schedule; returns the raw values so callers apply their tolerance.
     The convolution raises DomainError when A' leaves its eroded domain."""
@@ -461,7 +458,7 @@ def sandwich_check(group: StratifiedGroup, functional: Functional,
     upper = functional.eval(u, domain)
     rows = []
     for eps in sorted(eps_list, reverse=True):
-        u_eps = convolve(group, mollifier, eps, u, domain)
+        u_eps = convolve(mollifier, eps, u, domain)
         rows.append({"epsilon": float(eps), "middle": functional.eval(u_eps, inner_domain)})
     return {"lower": lower, "upper": upper, "rows": rows}
 

@@ -277,8 +277,8 @@ class LocalAverage:
     y_inv: np.ndarray
 
     @classmethod
-    def of(cls, group: StratifiedGroup, mollifier: MollifierFamily, eps: float,
-           omega: GridDomain) -> "LocalAverage":
+    def of(cls, mollifier: MollifierFamily, eps: float, omega: GridDomain) -> "LocalAverage":
+        group = mollifier.group
         eroded = erode_domain(group, mollifier.norm, omega, eps)
         if eroded.is_empty:
             raise DomainError(f"erosion by eps={eps} empties the domain")
@@ -287,30 +287,35 @@ class LocalAverage:
         return cls(group, eroded, masses[live],
                    group.inverse(group.dilate(eps, mollifier.nodes[live])))
 
-    def __call__(self, g, points, shapes=((),)) -> list:
+    def __call__(self, g, points) -> list:
         """The averages of each output of g, where g maps (P, n) points to a
-        tuple of per-point arrays with trailing shapes `shapes`; g sees each
-        chunk of pulled-back points once."""
+        tuple of per-point arrays; each average takes its trailing shape from
+        g's first chunk, and g sees each chunk of pulled-back points once."""
         points = np.atleast_2d(np.asarray(points, dtype=float))
         if not self.domain.contains(points).all():
             raise DomainError("convolution queried outside the eroded domain")
-        outs = [np.empty((len(points),) + shape) for shape in shapes]
-        for start in range(0, len(points), _CHUNK):
+        outs = []
+        # one pass even without points, so the outputs' shapes are known; g's
+        # outputs are not held while g evaluates the next chunk, which would
+        # cost fresh memory on every chunk
+        for start in range(0, max(len(points), 1), _CHUNK):
             pts = pull_back(self.group, self.y_inv, points[start:start + _CHUNK])
-            for out, vals, shape in zip(outs, g(pts.reshape(-1, self.group.n)), shapes):
-                vals = vals.reshape(pts.shape[:2] + shape)
-                out[start:start + len(pts)] = np.moveaxis(vals, 1, -1) @ self.masses
+            for k, vals in enumerate(g(pts.reshape(-1, self.group.n))):
+                vals = vals.reshape(pts.shape[:2] + vals.shape[1:])
+                if k == len(outs):
+                    outs.append(np.empty((len(points),) + vals.shape[2:]))
+                outs[k][start:start + len(pts)] = np.moveaxis(vals, 1, -1) @ self.masses
         return outs
 
 
-def convolve(group: StratifiedGroup, mollifier: MollifierFamily, eps: float,
-             u: ScalarField, omega: GridDomain) -> ScalarField:
+def convolve(mollifier: MollifierFamily, eps: float, u: ScalarField,
+             omega: GridDomain) -> ScalarField:
     """Local convolution phi_eps * u, defined on the eroded domain.
 
     The returned field's horizontal gradient, when u carries one, is the
     convolution of the gradient node-by-node, which is the commutation
     identity X_j(phi_eps * u) = phi_eps * (X_j u)."""
-    average = LocalAverage.of(group, mollifier, eps, omega)
+    average = LocalAverage.of(mollifier, eps, omega)
 
     def values(points):
         return average(lambda p: (u.values(p),), points)[0]
@@ -318,8 +323,7 @@ def convolve(group: StratifiedGroup, mollifier: MollifierFamily, eps: float,
     hgrad = None
     if u.hgrad is not None:
         def hgrad(points):
-            return average(lambda p: (horizontal_gradient(group, u, p),), points,
-                           ((group.m,),))[0]
+            return average(lambda p: (horizontal_gradient(mollifier.group, u, p),), points)[0]
 
     return ScalarField(values=values, hgrad=hgrad, domain=average.domain,
                        name=f"phi_{eps:g}*{u.name}")
@@ -330,12 +334,12 @@ _COMMUTATION_FD_STEP = 1e-3
 _COMMUTATION_POINTS = 64
 
 
-def commutation_residual(group: StratifiedGroup, mollifier: MollifierFamily,
-                         eps: float, u: ScalarField, omega: GridDomain) -> float:
+def commutation_residual(mollifier: MollifierFamily, eps: float, u: ScalarField,
+                         omega: GridDomain) -> float:
     """max |X_j(phi_eps * u) - phi_eps * (X_j u)| over every horizontal
     direction j and at most _COMMUTATION_POINTS interior cell centers, the
     left side taken by a central group difference of the convolved values."""
-    u_eps = convolve(group, mollifier, eps, u, omega)
+    u_eps = convolve(mollifier, eps, u, omega)
     # stay a ring of cells inside the eroded mask so fd queries remain legal
     interior = u_eps.domain.erode_cells(1)
     if interior.is_empty:
@@ -344,14 +348,14 @@ def commutation_residual(group: StratifiedGroup, mollifier: MollifierFamily,
     if len(pts) > _COMMUTATION_POINTS:
         idx = np.linspace(0, len(pts) - 1, _COMMUTATION_POINTS).astype(int)
         pts = pts[idx]
-    lhs = horizontal_gradient(group, u_eps, pts, mode="group-fd", h=_COMMUTATION_FD_STEP)
+    lhs = horizontal_gradient(mollifier.group, u_eps, pts, mode="group-fd",
+                              h=_COMMUTATION_FD_STEP)
     rhs = u_eps.hgrad(pts)
     return float(np.abs(lhs - rhs).max())
 
 
-def convergence_table(group: StratifiedGroup, mollifier: MollifierFamily,
-                      u: ScalarField, omega: GridDomain, inner: GridDomain,
-                      p: float, eps_list) -> list:
+def convergence_table(mollifier: MollifierFamily, u: ScalarField, omega: GridDomain,
+                      inner: GridDomain, p: float, eps_list) -> list:
     """Rows (eps, Lp_err, W1p_err) of the mollification errors over `inner`.
 
     Requires `inner` to be nonempty and to sit inside the eroded domain for
@@ -362,9 +366,9 @@ def convergence_table(group: StratifiedGroup, mollifier: MollifierFamily,
     pts = inner.centers()
     vol = inner.cell_volume
     base_vals = u.values(pts)
-    base_grad = horizontal_gradient(group, u, pts)
+    base_grad = horizontal_gradient(mollifier.group, u, pts)
     for eps in sorted(eps_list, reverse=True):
-        u_eps = convolve(group, mollifier, eps, u, omega)
+        u_eps = convolve(mollifier, eps, u, omega)
         dv = u_eps.values(pts) - base_vals
         dg = np.linalg.norm(u_eps.hgrad(pts) - base_grad, axis=-1)
         rows.append({

@@ -88,14 +88,13 @@ def recover_integrand(functional: Functional, group: StratifiedGroup,
     return RecoveredIntegrand(xi_grid, values, points)
 
 
-def constancy_probe(functional: Functional, group: StratifiedGroup,
-                    norm: HomogeneousNorm, xi, centers, radii,
+def constancy_probe(functional: Functional, norm: HomogeneousNorm, xi, centers, radii,
                     cells_per_axis: int = 12) -> dict:
     """Ball averages F(u_xi, B_rho(x_i)) / |B_rho(x_i)| over centers and radii.
 
     For a left-invariant functional the spread across centers stays at mask
     resolution for every rho; a genuinely x-dependent functional separates."""
-    u = probe_field(group, np.asarray(xi, dtype=float))
+    u = probe_field(norm.group, np.asarray(xi, dtype=float))
     centers = np.atleast_2d(np.asarray(centers, dtype=float))
     table = {}
     for rho in radii:

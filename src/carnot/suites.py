@@ -10,11 +10,12 @@ from __future__ import annotations
 import numpy as np
 
 from .groups import StratifiedGroup, HomogeneousNorm
-from .fields import (GridDomain, ScalarField, constant_field, probe_field,
+from .fields import (GridDomain, ScalarField, DomainError, constant_field, probe_field,
                      quadratic_field, translate_domain, horizontal_gradient)
-from .mollify import MollifierFamily, convolve, commutation_residual, convergence_table
+from .mollify import (MollifierFamily, erode_domain, convolve, commutation_residual,
+                      convergence_table)
 from .functionals import (Integrand, IntegrandFunctional, check_set_function,
-                          jensen_check, sandwich_check, lsc_check,
+                          jensen_check, sandwich_check, lsc_check, _total,
                           PowerIntegrand, QuadraticIntegrand, MaxAffineIntegrand)
 
 __all__ = [
@@ -64,9 +65,9 @@ def menu_integrands(m: int, rng: np.random.Generator) -> list:
 _AXIOM_SAMPLES = 1000
 
 
-def suite_axioms(group: StratifiedGroup, norm: HomogeneousNorm,
-                 rng: np.random.Generator, tol: float = 1e-12) -> list:
-    g = group
+def suite_axioms(norm: HomogeneousNorm, rng: np.random.Generator,
+                 tol: float = 1e-12) -> list:
+    g = norm.group
     x = random_points(g, rng, _AXIOM_SAMPLES)
     y = random_points(g, rng, _AXIOM_SAMPLES)
     z = random_points(g, rng, _AXIOM_SAMPLES)
@@ -107,38 +108,37 @@ def suite_axioms(group: StratifiedGroup, norm: HomogeneousNorm,
 # -- mollifier laws --------------------------------------------------------------
 
 
-def suite_mollify(group: StratifiedGroup, norm: HomogeneousNorm,
-                  mollifier: MollifierFamily, omega: GridDomain,
-                  rng: np.random.Generator, eps_list=(0.4, 0.2, 0.1), p: float = 2.0) -> list:
-    g = group
+def suite_mollify(mollifier: MollifierFamily, omega: GridDomain, rng: np.random.Generator,
+                  eps_list=(0.4, 0.2, 0.1), p: float = 2.0) -> list:
+    g = mollifier.group
     rows = []
     for eps in eps_list:
         rows.append(_row(f"unit_mass_eps={eps:g}", abs(mollifier.unit_mass(eps) - 1.0), 1e-6))
     pts = random_points(g, rng, 200, scale=2.0)
     rows.append(_row("nonnegativity", max(0.0, -mollifier.profile(pts).min()), 0.0))
-    outside = pts[norm(pts) >= 1.0]
+    outside = pts[mollifier.norm(pts) >= 1.0]
     rows.append(_row("support_containment",
                      np.abs(mollifier.profile(outside)).max() if len(outside) else 0.0, 0.0))
 
     eps0 = float(eps_list[0])
     const = constant_field(g, 3.25)
-    u_eps = convolve(g, mollifier, eps0, const, omega)
+    u_eps = convolve(mollifier, eps0, const, omega)
     rows.append(_row("constant_convolution",
                      np.abs(u_eps.values(u_eps.domain.centers()) - 3.25).max(), 1e-10))
 
     xi = rng.normal(size=g.m)
     u_xi = probe_field(g, xi)
-    probe_eps = convolve(g, mollifier, eps0, u_xi, omega)
+    probe_eps = convolve(mollifier, eps0, u_xi, omega)
     fix_pts = probe_eps.domain.centers()
     rows.append(_row("probe_fixed_point",
                      np.abs(probe_eps.values(fix_pts) - u_xi.values(fix_pts)).max(), 1e-6))
 
     quad = random_quadratic(g, rng)
     rows.append(_row("gradient_commutation",
-                     commutation_residual(g, mollifier, eps0, quad, omega), 1e-4))
+                     commutation_residual(mollifier, eps0, quad, omega), 1e-4))
 
     inner = omega.erode_cells(max(1, int(np.ceil(max(eps_list) / omega.spacing.max())) + 1))
-    table = convergence_table(g, mollifier, quad, omega, inner, p, eps_list)
+    table = convergence_table(mollifier, quad, omega, inner, p, eps_list)
     lp = [r["Lp_err"] for r in table]
     w1 = [r["W1p_err"] for r in table]
     decreasing = all(a > b for a, b in zip(lp, lp[1:])) and all(a > b for a, b in zip(w1, w1[1:]))
@@ -195,8 +195,7 @@ def suite_functional(group: StratifiedGroup, integrand: Integrand,
                        - lam * f_v - (1.0 - lam) * functional.eval(w, domain))
         if growth is not None:
             a, b, p = growth
-            mags = np.linalg.norm(grads, axis=-1)
-            bound = float(np.sum(a + b * mags**p) * domain.cell_volume)
+            bound = _total(a + b * np.linalg.norm(grads, axis=-1) ** p, domain.cell_volume)
             growth_res = max(growth_res, f_v - bound)
     rows.append(_row("constant_shift_invariance", shift_res, 1e-12))
     rows.append(_row("convexity_in_u", conv_res, 1e-10))
@@ -208,11 +207,14 @@ def suite_functional(group: StratifiedGroup, integrand: Integrand,
 # -- sandwich and Jensen ----------------------------------------------------------
 
 
-def suite_sandwich(group: StratifiedGroup, norm: HomogeneousNorm,
-                   mollifier: MollifierFamily, domain: GridDomain,
-                   inner_domain: GridDomain, rng: np.random.Generator,
+def suite_sandwich(mollifier: MollifierFamily, domain: GridDomain, rng: np.random.Generator,
                    eps_list=(0.4, 0.2, 0.1)) -> list:
-    g = group
+    """The sandwich chain and the Jensen step of every menu integrand, on the
+    inner set that erodes `domain` by 1.1 max(eps_list) in the mollifier's norm."""
+    g = mollifier.group
+    inner = erode_domain(g, mollifier.norm, domain, 1.1 * max(eps_list))
+    if inner.is_empty:
+        raise DomainError("eps schedule leaves no room for an inner domain")
     rows = []
     for idx, integrand in enumerate(menu_integrands(g.m, rng)):
         tag = f"{idx}_{type(integrand).__name__}"
@@ -220,15 +222,13 @@ def suite_sandwich(group: StratifiedGroup, norm: HomogeneousNorm,
         for xi_scale in (0.5, 1.5):
             xi = xi_scale * rng.normal(size=g.m)
             u = probe_field(g, xi)
-            chain = sandwich_check(g, functional, u, inner_domain, domain,
-                                   mollifier, eps_list)
+            chain = sandwich_check(functional, u, inner, domain, mollifier, eps_list)
             lo, hi = chain["lower"], chain["upper"]
             worst = max(max(lo - r["middle"], r["middle"] - hi) for r in chain["rows"])
             scale = max(1.0, abs(hi))
             rows.append(_row(f"chain_{tag}_xi{xi_scale:g}", worst / scale, 1e-10))
         u = random_quadratic(g, rng)
-        lhs, rhs = jensen_check(g, functional, u, inner_domain, mollifier,
-                                float(eps_list[0]), domain)
+        lhs, rhs = jensen_check(functional, u, inner, mollifier, float(eps_list[0]), domain)
         rows.append(_row(f"jensen_{tag}", (lhs - rhs) / max(1.0, abs(rhs)), 1e-10))
     return rows
 

@@ -38,7 +38,7 @@ def test_criterion_01_group_algebra_axioms():
     t0 = time.monotonic()
     worst = 0.0
     for g in (euclidean(2), euclidean(3), heisenberg(1), heisenberg(2), engel()):
-        rows = suite_axioms(g, g.norm(), np.random.default_rng(0), tol=1e-12)
+        rows = suite_axioms(g.norm(), np.random.default_rng(0), tol=1e-12)
         algebra = [r for r in rows if r["name"] != "haar_translation_volume"]
         assert all(r["passed"] for r in algebra), [r for r in algebra if not r["passed"]]
         worst = max(worst, max(r["value"] for r in algebra))
@@ -104,16 +104,16 @@ def test_criterion_04_mollifier_laws():
         for eps in (0.4, 0.2, 0.1):
             assert abs(fam.unit_mass(eps) - 1.0) <= 1e-6
     fam = MollifierFamily(norm, resolution=9)
-    c_eps = convolve(H1, fam, 0.3, constant_field(H1, 2.5), omega)
+    c_eps = convolve(fam, 0.3, constant_field(H1, 2.5), omega)
     pts = c_eps.domain.centers()
     const_err = float(np.abs(c_eps.values(pts) - 2.5).max())
     assert const_err <= 1e-10
     u_xi = probe_field(H1, rng.normal(size=2))
-    p_eps = convolve(H1, fam, 0.3, u_xi, omega)
+    p_eps = convolve(fam, 0.3, u_xi, omega)
     probe_err = float(np.abs(p_eps.values(pts) - u_xi.values(pts)).max())
     assert probe_err <= 1e-6
     quad = random_quadratic(H1, rng)
-    comm = commutation_residual(H1, fam, 0.3, quad, omega)
+    comm = commutation_residual(fam, 0.3, quad, omega)
     assert comm <= 1e-4
     print(f"PASS criterion 4: const {const_err:.3g}, probe {probe_err:.3g}, "
           f"commutation {comm:.3g}")
@@ -127,7 +127,7 @@ def test_criterion_05_mollifier_convergence():
     omega = GridDomain.box(-np.ones(3), np.ones(3), 12)
     inner = erode_domain(H1, norm, omega, 0.45)
     u = random_quadratic(H1, np.random.default_rng(4))
-    rows = convergence_table(H1, fam, u, omega, inner, 2.0, [0.4, 0.2, 0.1, 0.05])
+    rows = convergence_table(fam, u, omega, inner, 2.0, [0.4, 0.2, 0.1, 0.05])
     lp = [r["Lp_err"] for r in rows]
     w1 = [r["W1p_err"] for r in rows]
     assert all(a > b for a, b in zip(lp, lp[1:]))
@@ -181,9 +181,7 @@ def test_criterion_08_sandwich_and_jensen():
     norm = H1.norm()
     fam = MollifierFamily(norm, resolution=9)
     omega = GridDomain.box(-np.ones(3), np.ones(3), 12)
-    inner = erode_domain(H1, norm, omega, 0.45)
-    rows = suite_sandwich(H1, norm, fam, omega, inner, np.random.default_rng(7),
-                          eps_list=[0.4, 0.2, 0.1])
+    rows = suite_sandwich(fam, omega, np.random.default_rng(7), eps_list=[0.4, 0.2, 0.1])
     chains = [r for r in rows if r["name"].startswith("chain_")]
     jensens = [r for r in rows if r["name"].startswith("jensen_")]
     assert len(chains) == 10
@@ -222,10 +220,10 @@ def test_criterion_10_constancy_detector():
     invariant_spreads = []
     for f in (PowerIntegrand(2, 2.0), QuadraticIntegrand(np.eye(2)),
               MaxAffineIntegrand(np.array([[1.0, 1.0]]), np.array([0.5]))):
-        rep = constancy_probe(IntegrandFunctional(H1, f), H1, norm,
+        rep = constancy_probe(IntegrandFunctional(H1, f), norm,
                               [1.0, 0.0], centers, radii)
         invariant_spreads.append(rep["max_spread"])
-    dependent = constancy_probe(x_weighted_functional(H1), H1, norm,
+    dependent = constancy_probe(x_weighted_functional(H1), norm,
                                 [1.0, 0.0], centers, radii)["max_spread"]
     assert max(invariant_spreads) <= 1e-12
     assert dependent >= 0.5

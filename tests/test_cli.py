@@ -371,6 +371,73 @@ class TestConfigBoundary:
         cfg = _write(tmp_path, "c.json", payload)
         assert main(argv + ["--config", cfg]) == EXIT_OK
 
+    @pytest.mark.parametrize("argv, payload, message", [
+        (["verify", "--suite", "lsc"], {"sed": 1, "schedules": {"epss": [0.3]}},
+         "unknown config keys ['sed']"),
+        (["verify", "--suite", "lsc"], {"grid": {"shap": 4}}, "unknown grid keys ['shap']"),
+        (["verify", "--suite", "lsc"], {"schedules": {"epss": [0.3]}},
+         "unknown schedules keys ['epss']"),
+        (["verify", "--suite", "axioms"], {"xi_grid": {"point": 3}},
+         "unknown xi_grid keys ['point']"),
+        (["verify", "--suite", "axioms"], {"recovery": {"radius": 0.5}},
+         "unknown recovery keys ['radius']"),
+        (["verify", "--suite", "lsc"], {"minimizer": {"stepscale": 5}},
+         "unknown minimizer keys ['stepscale']"),
+        (["verify", "--suite", "axioms"], {"gamma": {"scal": 2.0}}, "unknown gamma keys ['scal']"),
+        (["verify", "--suite", "functional"], {"integrand": {"kind": "power", "pp": 3}},
+         "unknown integrand (power) keys ['pp']"),
+        (["verify", "--suite", "functional"],
+         {"integrand": {"kind": "quadratic", "M": [[1, 0], [0, 1]], "p": 3}},
+         "unknown integrand (quadratic) keys ['p']"),
+        (["verify", "--suite", "functional"],
+         {"integrand": {"kind": "max_affine", "planes": [{"a": [1, 0]}], "offsets": [1]}},
+         "unknown integrand (max_affine) keys ['offsets']"),
+        (["recover"], {"integrand": {"kind": "tabulated", "axes": [[-4, 0, 4], [-4, 0, 4]],
+                                     "table": _CONE_TABLE, "shfit": [1, 0]}},
+         "unknown integrand (tabulated) keys ['shfit']"),
+        (["verify", "--suite", "axioms"],
+         {"integrand": {"blackbox": "conftest:x_weighted_functional", "shift": [1, 0]}},
+         "unknown integrand keys ['shift']"),
+        (["verify", "--suite", "axioms"], {"gamma": {"base": {"pp": 3}}},
+         "unknown gamma.base (power) keys ['pp']"),
+    ], ids=["top-level", "grid", "schedules", "xi-grid", "recovery", "minimizer", "gamma",
+            "power", "quadratic", "max-affine", "tabulated", "blackbox", "gamma-base"])
+    def test_unknown_key_exits_config(self, tmp_path, capsys, argv, payload, message):
+        # each of these used to run on the defaults it meant to override
+        cfg = _write(tmp_path, "c.json", payload)
+        assert main(argv + ["--config", cfg]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {message}, expected some of [")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv, payload", [
+        (["recover"], {"xi_grid": {"radius": 1e300}}),
+        (["verify", "--suite", "mollify"], {"schedules": {"eps": [1e300]}}),
+        (["verify", "--suite", "functional"], {"grid": {"lo": [-1e300, -1, -1]}}),
+        (["verify", "--suite", "functional"], {"integrand": {"kind": "power", "p": 1e300}}),
+        (["gamma"], {"gamma": {"scale": 1.7e308}}),
+    ], ids=["xi-radius-recover", "eps-mollify", "grid-lo-functional", "power-p-functional",
+            "gamma-scale-gamma"])
+    def test_floating_point_range_exits_config(self, tmp_path, capsys, argv, payload):
+        # each of these used to print numpy overflow warnings and go on with
+        # inf or nan values
+        cfg = _write(tmp_path, "c.json", payload)
+        assert main(argv + ["--config", cfg]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: values out of floating-point range: ")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("h", [[16, 1], [1, 1]], ids=["decreasing", "repeated"])
+    @pytest.mark.parametrize("argv", [["gamma"], ["verify", "--suite", "lsc"]],
+                             ids=["gamma", "lsc"])
+    def test_h_schedule_must_increase(self, tmp_path, capsys, argv, h):
+        # gamma used to report the recovery at the last h as the limit, and
+        # lsc to widen its convergence tolerance by the last h
+        cfg = _write(tmp_path, "c.json", {"schedules": {"h": h}, "grid": {"shape": 8}})
+        assert main(argv + ["--config", cfg]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (f"config error: schedules.h must strictly "
+                                           f"increase, got {h!r}\n")
+
 
 def _strict_json(text: str):
     """json.loads that rejects NaN, Infinity and -Infinity, as strict parsers do."""

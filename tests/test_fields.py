@@ -12,7 +12,7 @@ from carnot.groups import euclidean, heisenberg, engel
 from carnot.fields import (GridDomain, DomainError, constant_field,
                            probe_field, from_expression, quadratic_field,
                            translate_field, translate_domain,
-                           horizontal_gradient)
+                           horizontal_gradient, _lp_norm)
 
 
 class TestGridDomain:
@@ -308,3 +308,11 @@ class TestHorizontalGradient:
         g = euclidean(2)
         with pytest.raises(ValueError):
             horizontal_gradient(g, probe_field(g, [1.0, 0.0]), [[0.0, 0.0]], mode="spectral")
+
+
+class TestLpNorm:
+    def test_large_exponent_does_not_overflow(self):
+        # 20^269 overflows a double; the norm itself is about max |w| = 20
+        w = np.array([20.0, -10.0, 0.0])
+        assert _lp_norm(w, 1.0, 269.0) == pytest.approx(20.0, rel=1e-12)
+        assert _lp_norm(w, 1.0, 2.0) == float(np.sum(w ** 2.0) ** 0.5)

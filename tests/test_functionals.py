@@ -9,6 +9,7 @@ from carnot.groups import euclidean, heisenberg, engel
 from carnot.fields import (GridDomain, DomainError, ScalarField, constant_field,
                            probe_field, quadratic_field, horizontal_gradient)
 from carnot.mollify import MollifierFamily, erode_domain, convolve
+from carnot import suites
 from carnot.suites import menu_integrands, random_quadratic
 from carnot.config import ConfigError, integrand_from_config
 from carnot.functionals import (PowerIntegrand, QuadraticIntegrand,
@@ -252,7 +253,7 @@ class TestSandwichAndLsc:
         g, mol, omega, inner = setting
         F = IntegrandFunctional(g, PowerIntegrand(2, 2.0))
         u = probe_field(g, np.array([0.9, 0.4]))
-        chain = sandwich_check(g, F, u, inner, omega, mol, [0.4, 0.2])
+        chain = sandwich_check(F, u, inner, omega, mol, [0.4, 0.2])
         f_xi = 0.9**2 + 0.4**2
         assert chain["lower"] == pytest.approx(f_xi * inner.volume, rel=1e-12)
         assert chain["upper"] == pytest.approx(f_xi * omega.volume, rel=1e-12)
@@ -263,27 +264,27 @@ class TestSandwichAndLsc:
         g, mol, omega, _ = setting
         F = IntegrandFunctional(g, PowerIntegrand(2, 2.0))
         with pytest.raises(DomainError, match="convolution queried outside the eroded domain"):
-            sandwich_check(g, F, probe_field(g, [1.0, 0.0]), omega, omega, mol, [0.4])
+            sandwich_check(F, probe_field(g, [1.0, 0.0]), omega, omega, mol, [0.4])
 
     def test_jensen_outside_eroded_domain_raises(self, setting):
         g, mol, omega, _ = setting
         F = IntegrandFunctional(g, PowerIntegrand(2, 2.0))
         with pytest.raises(DomainError, match="convolution queried outside the eroded domain"):
-            jensen_check(g, F, probe_field(g, [1.0, 0.0]), omega, mol, 0.3, omega)
+            jensen_check(F, probe_field(g, [1.0, 0.0]), omega, mol, 0.3, omega)
 
     def test_jensen_never_violated(self, setting):
         g, mol, omega, inner = setting
         rng = np.random.default_rng(4)
         u = quadratic_field(g, 0.0, rng.normal(size=3), rng.normal(size=(3, 3)))
         for f in (PowerIntegrand(2, 2.0), PowerIntegrand(2, 3.0)):
-            lhs, rhs = jensen_check(g, IntegrandFunctional(g, f), u, inner, mol, 0.3, omega)
+            lhs, rhs = jensen_check(IntegrandFunctional(g, f), u, inner, mol, 0.3, omega)
             assert lhs <= rhs + 1e-10
 
     def test_jensen_equality_for_probes(self, setting):
         g, mol, omega, inner = setting
         F = IntegrandFunctional(g, PowerIntegrand(2, 2.0))
         u = probe_field(g, np.array([1.0, -1.0]))
-        lhs, rhs = jensen_check(g, F, u, inner, mol, 0.3, omega)
+        lhs, rhs = jensen_check(F, u, inner, mol, 0.3, omega)
         assert lhs == pytest.approx(rhs, rel=1e-12)
 
     @pytest.mark.parametrize("case", ["h1", "engel", "h1-refine2"])
@@ -310,10 +311,10 @@ class TestSandwichAndLsc:
             F = IntegrandFunctional(g, f, refine=refine)
             fine = inner.refine(refine)
             density = ScalarField(values=lambda p: f(horizontal_gradient(g, u, p)), name="f")
-            lhs = F.eval(convolve(g, mol, eps, u, omega), inner)
-            rhs = (float(np.sum(convolve(g, mol, eps, density, omega).values(fine.centers())))
+            lhs = F.eval(convolve(mol, eps, u, omega), inner)
+            rhs = (float(np.sum(convolve(mol, eps, density, omega).values(fine.centers())))
                    * fine.cell_volume)
-            assert jensen_check(g, F, u, inner, mol, eps, omega) == (lhs, rhs)
+            assert jensen_check(F, u, inner, mol, eps, omega) == (lhs, rhs)
 
     def test_lsc_constant_sequence(self, setting):
         g, _, omega, _ = setting
@@ -332,3 +333,31 @@ class TestSandwichAndLsc:
         rep = lsc_check(F, u, [u + w.scaled(1.0 / h) for h in hs], omega)
         assert abs(rep["sequence_values"][-1] - rep["limit_value"]) <= \
             abs(rep["sequence_values"][0] - rep["limit_value"]) * 0.25
+
+
+class TestSuiteSandwich:
+    def test_inner_set_erodes_in_the_mollifier_norm(self, monkeypatch):
+        # the Koranyi and weighted-max erosions of this box differ, so the
+        # recorded inner set shows which norm the suite eroded with
+        g = heisenberg(1)
+        mol = MollifierFamily(g.norm("koranyi"), resolution=5)
+        omega = GridDomain.box(-np.ones(3), np.ones(3), 8)
+        calls = []
+
+        def recorded(group, norm, domain, eps):
+            calls.append((norm.kind, eps, domain))
+            return erode_domain(group, norm, domain, eps)
+
+        monkeypatch.setattr(suites, "erode_domain", recorded)
+        rows = suites.suite_sandwich(mol, omega, np.random.default_rng(0), eps_list=[0.3])
+        assert all(r["passed"] for r in rows)
+        assert calls == [("koranyi", 1.1 * 0.3, omega)]
+        koranyi = erode_domain(g, mol.norm, omega, 0.33).mask
+        assert not np.array_equal(koranyi, erode_domain(g, g.norm(), omega, 0.33).mask)
+
+    def test_emptied_inner_set_raises(self):
+        g = heisenberg(1)
+        mol = MollifierFamily(g.norm(), resolution=5)
+        omega = GridDomain.box(-np.ones(3), np.ones(3), 5)
+        with pytest.raises(DomainError, match="^eps schedule leaves no room for an inner domain$"):
+            suites.suite_sandwich(mol, omega, np.random.default_rng(0), eps_list=[2.5])

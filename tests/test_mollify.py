@@ -8,8 +8,8 @@ import pytest
 from carnot import mollify
 from carnot.groups import StratifiedGroup, euclidean, heisenberg, engel
 from carnot.fields import (GridDomain, DomainError, ScalarField, constant_field,
-                           probe_field, quadratic_field, from_expression)
-from carnot.mollify import (MollifierFamily, erode_domain, convolve, pull_back,
+                           probe_field, quadratic_field, from_expression, horizontal_gradient)
+from carnot.mollify import (MollifierFamily, LocalAverage, erode_domain, convolve, pull_back,
                             commutation_residual, convergence_table)
 
 
@@ -187,7 +187,7 @@ class TestErosionWindow:
 class TestConvolve:
     def test_constant_is_fixed(self, h1, mollifier, omega):
         g, _ = h1
-        u_eps = convolve(g, mollifier, 0.3, constant_field(g, -1.75), omega)
+        u_eps = convolve(mollifier, 0.3, constant_field(g, -1.75), omega)
         pts = u_eps.domain.centers()
         assert np.abs(u_eps.values(pts) + 1.75).max() <= 1e-12
 
@@ -195,14 +195,14 @@ class TestConvolve:
         # symmetric mollifier: affine parts average out node by node
         g, _ = h1
         u = probe_field(g, np.array([0.8, -0.4]))
-        u_eps = convolve(g, mollifier, 0.25, u, omega)
+        u_eps = convolve(mollifier, 0.25, u, omega)
         pts = u_eps.domain.centers()
         assert np.abs(u_eps.values(pts) - u.values(pts)).max() <= 1e-12
         assert np.abs(u_eps.hgrad(pts) - u.hgrad(pts)).max() <= 1e-12
 
     def test_outside_eroded_domain_raises(self, h1, mollifier, omega):
         g, _ = h1
-        u_eps = convolve(g, mollifier, 0.3, constant_field(g, 1.0), omega)
+        u_eps = convolve(mollifier, 0.3, constant_field(g, 1.0), omega)
         with pytest.raises(DomainError):
             u_eps.values(np.array([[0.99, 0.99, 0.99]]))
 
@@ -210,7 +210,7 @@ class TestConvolve:
         g, _ = h1
         tiny = GridDomain.box(-0.1 * np.ones(3), 0.1 * np.ones(3), 4)
         with pytest.raises(DomainError):
-            convolve(g, mollifier, 0.5, constant_field(g, 1.0), tiny)
+            convolve(mollifier, 0.5, constant_field(g, 1.0), tiny)
 
     def test_euclidean_matches_direct_average(self):
         # independent oracle: on (R^2, +) the convolution is a plain
@@ -221,7 +221,7 @@ class TestConvolve:
         omega = GridDomain.box(-np.ones(2), np.ones(2), 10)
         u = quadratic_field(g, 0.2, [1.0, -0.5], 0.3 * np.eye(2))
         eps = 0.3
-        u_eps = convolve(g, mol, eps, u, omega)
+        u_eps = convolve(mol, eps, u, omega)
         pts = u_eps.domain.centers()[:17]
         masses = mol.node_masses()
         direct = np.array([float(masses @ u.values(x - eps * mol.nodes)) for x in pts])
@@ -258,8 +258,8 @@ class TestPullBack:
         omega = GridDomain.box(-np.ones(3), np.ones(3), 8)
         quad = quadratic_field(g, 0.5, [1.0, -0.5, 0.25], 0.3 * np.eye(3))
         probe = probe_field(g, [0.7, -0.2])
-        first = convolve(g, mol, 0.3, quad, omega)
-        second = convolve(g, mol, 0.3, probe, omega)
+        first = convolve(mol, 0.3, quad, omega)
+        second = convolve(mol, 0.3, probe, omega)
         pts = first.domain.centers()
         live = int((mol.node_masses() > 0).sum())
         multiply_points.clear()
@@ -271,7 +271,7 @@ class TestPullBack:
         assert sum(multiply_points) == len(pts) * live
         first.values(pts[::-1])
         assert sum(multiply_points) == 2 * len(pts) * live
-        other = convolve(g, mol, 0.25, quad, omega)
+        other = convolve(mol, 0.25, quad, omega)
         multiply_points.clear()
         other.values(pts)
         assert sum(multiply_points) == len(pts) * live
@@ -294,7 +294,7 @@ class TestPullBack:
             u = quadratic_field(group, 0.0, [1.0, 0.5, -1.0],
                                 np.outer([1.0, 2.0, 0.5], [0.3, -1.0, 1.0]))
             mol = MollifierFamily(spec["norm"], resolution=spec["resolution"])
-            return convolve(group, mol, spec["eps"], u, omega).values(points)
+            return convolve(mol, spec["eps"], u, omega).values(points)
 
         warm = values(base, pts)
         for spec, points in variants:
@@ -321,7 +321,7 @@ class TestPullBack:
             p[:] = 0.0
             return p[:, 0]
 
-        u_eps = convolve(g, mol, 0.3, ScalarField(values=scribble, name="scribble"), omega)
+        u_eps = convolve(mol, 0.3, ScalarField(values=scribble, name="scribble"), omega)
         with pytest.raises(ValueError, match="read-only"):
             u_eps.values(pts)
 
@@ -329,7 +329,7 @@ class TestPullBack:
         g, norm = h1
         mol = MollifierFamily(norm, resolution=5)
         omega = GridDomain.box(-np.ones(3), np.ones(3), 8)
-        u_eps = convolve(g, mol, 0.3, constant_field(g, 2.0), omega)
+        u_eps = convolve(mol, 0.3, constant_field(g, 2.0), omega)
         pts = u_eps.domain.centers()
         chunk = mollify._CHUNK * len(mol.nodes) * g.n * 8
         monkeypatch.setattr(mollify, "_PULLBACK_BYTES", 3 * chunk)
@@ -339,12 +339,41 @@ class TestPullBack:
         assert 0 < held <= 3 * chunk
 
 
+class TestLocalAverage:
+    def test_outputs_match_a_per_chunk_loop(self, h1, mollifier, omega):
+        # each output takes its trailing shape from the evaluator: a scalar, an
+        # (m,) gradient, and both from one evaluator as the Jensen check asks
+        g, _ = h1
+        average = LocalAverage.of(mollifier, 0.3, omega)
+        pts = average.domain.centers()[:150]  # two full chunks and a partial one
+        assert len(pts) == 150 and len(pts) % mollify._CHUNK
+        u = quadratic_field(g, 0.5, [1.0, -0.5, 0.25], np.outer([1.0, 2.0, 0.5], [0.3, -1.0, 1.0]))
+
+        def sample(points):
+            return u.values(points), horizontal_gradient(g, u, points)
+
+        values, grads = np.empty(len(pts)), np.empty((len(pts), g.m))
+        for start in range(0, len(pts), mollify._CHUNK):
+            chunk = pts[start:start + mollify._CHUNK]
+            pulled = g.multiply(average.y_inv[None], chunk[:, None])
+            vals, grad = sample(pulled.reshape(-1, g.n))
+            rows = slice(start, start + len(chunk))
+            values[rows] = vals.reshape(len(chunk), -1) @ average.masses
+            grads[rows] = np.moveaxis(grad.reshape(len(chunk), -1, g.m), 1, -1) @ average.masses
+        (scalar,) = average(lambda p: (u.values(p),), pts)
+        (vector,) = average(lambda p: (horizontal_gradient(g, u, p),), pts)
+        both = average(sample, pts)
+        assert scalar.shape == (150,) and vector.shape == (150, g.m)
+        for got, want in ((scalar, values), (vector, grads), (both[0], values), (both[1], grads)):
+            np.testing.assert_array_equal(got, want)
+
+
 class TestCommutation:
     def test_quadratic_residual_small(self, h1, mollifier, omega):
         g, _ = h1
         rng = np.random.default_rng(3)
         u = quadratic_field(g, 0.0, rng.normal(size=3), rng.normal(size=(3, 3)))
-        assert commutation_residual(g, mollifier, 0.3, u, omega) <= 1e-4
+        assert commutation_residual(mollifier, 0.3, u, omega) <= 1e-4
 
 
 class TestConvergence:
@@ -352,7 +381,7 @@ class TestConvergence:
         g, norm = h1
         u = from_expression(g, "x1**2 - 0.5*x2*x3 + x3")
         inner = erode_domain(g, norm, omega, 0.45)
-        rows = convergence_table(g, mollifier, u, omega, inner, 2.0, [0.4, 0.2, 0.1])
+        rows = convergence_table(mollifier, u, omega, inner, 2.0, [0.4, 0.2, 0.1])
         lp = [r["Lp_err"] for r in rows]
         w1 = [r["W1p_err"] for r in rows]
         assert all(a > b for a, b in zip(lp, lp[1:]))
@@ -364,11 +393,11 @@ class TestConvergence:
     def test_inner_outside_eroded_domain_raises(self, h1, mollifier, omega):
         g, _ = h1
         with pytest.raises(DomainError, match="convolution queried outside the eroded domain"):
-            convergence_table(g, mollifier, constant_field(g, 1.0), omega, omega, 2.0, [0.4])
+            convergence_table(mollifier, constant_field(g, 1.0), omega, omega, 2.0, [0.4])
 
     def test_empty_inner_raises(self, h1, mollifier, omega):
         g, _ = h1
         empty = dataclasses.replace(omega, mask=np.zeros(omega.shape, dtype=bool))
         with pytest.raises(DomainError, match="nonempty inner"):
-            convergence_table(g, mollifier, constant_field(g, 1.0), omega, empty, 2.0,
+            convergence_table(mollifier, constant_field(g, 1.0), omega, empty, 2.0,
                               [0.4, 0.2])

@@ -135,13 +135,13 @@ class TestConstancy:
     def test_left_invariant_spread_is_tiny(self, h1):
         g, norm = h1
         F = IntegrandFunctional(g, PowerIntegrand(2, 2.0))
-        rep = constancy_probe(F, g, norm, [1.0, 0.0], self.CENTERS, [0.9, 0.7, 0.5])
+        rep = constancy_probe(F, norm, [1.0, 0.0], self.CENTERS, [0.9, 0.7, 0.5])
         assert rep["max_spread"] <= 1e-12
 
     def test_x_dependent_fixture_fires(self, h1):
         g, norm = h1
         F = x_weighted_functional(g)
-        rep = constancy_probe(F, g, norm, [1.0, 0.0], self.CENTERS, [0.9, 0.7, 0.5])
+        rep = constancy_probe(F, norm, [1.0, 0.0], self.CENTERS, [0.9, 0.7, 0.5])
         assert rep["max_spread"] >= 0.5
 
 
