@@ -16,7 +16,7 @@ from .functionals import (Integrand, PowerIntegrand, QuadraticIntegrand,
                           MaxAffineIntegrand, TabulatedIntegrand,
                           OffsetIntegrand, ShiftedArgIntegrand, Functional,
                           IntegrandFunctional, BlackBoxFunctional,
-                          jensen_check, sandwich_check, lsc_check)
+                          jensen_check, sandwich_check)
 from .recovery import (HypothesisError, uniform_xi_grid, RecoveredIntegrand,
                        recover_integrand, constancy_probe, verify_uniqueness,
                        MinimizeResult, minimize_convex, gamma_experiment)
@@ -35,7 +35,7 @@ __all__ = [
     "MaxAffineIntegrand", "TabulatedIntegrand", "OffsetIntegrand",
     "ShiftedArgIntegrand", "integrand_from_config", "Functional",
     "IntegrandFunctional", "BlackBoxFunctional",
-    "jensen_check", "sandwich_check", "lsc_check",
+    "jensen_check", "sandwich_check",
     "HypothesisError", "uniform_xi_grid", "RecoveredIntegrand",
     "recover_integrand", "constancy_probe", "verify_uniqueness",
     "MinimizeResult", "minimize_convex", "gamma_experiment",

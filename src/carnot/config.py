@@ -95,12 +95,17 @@ _INTEGRAND_KEYS = {"power": {"p"}, "quadratic": {"M"}, "max_affine": {"planes"},
 def _check_keys(user: dict) -> None:
     """Raise ConfigError on a key of a user config (before it is merged into
     the defaults) that no reader reads: at the top level, in a section of
-    _SECTION_KEYS, and in an integrand spec by its kind.  Values of the wrong
-    type are left to their readers."""
+    _SECTION_KEYS, in a `fields` entry, and in an integrand spec by its kind.
+    Values of the wrong type are left to their readers; the group spec, which
+    may come from a file, is checked by `build_group`."""
     _known(user, DEFAULTS, "config")
     for name, allowed in _SECTION_KEYS.items():
         if isinstance(user.get(name), dict):
             _known(user[name], allowed, name)
+    if isinstance(user.get("fields"), list):
+        for i, entry in enumerate(user["fields"]):
+            if isinstance(entry, dict):
+                _known(entry, {"expr", "probe", "name"}, f"fields[{i}]")
     _check_integrand(user.get("integrand"), DEFAULTS["integrand"], "integrand")
     if isinstance(user.get("gamma"), dict):
         _check_integrand(user["gamma"].get("base"), DEFAULTS["gamma"]["base"], "gamma.base")
@@ -116,6 +121,10 @@ def _check_integrand(spec, default: dict, key: str) -> None:
         _known(spec, {"blackbox"}, key)
     elif isinstance(kind, str) and kind in _INTEGRAND_KEYS:
         _known(spec, {"kind", "shift", "offset", *_INTEGRAND_KEYS[kind]}, f"{key} ({kind})")
+        if kind == "max_affine" and isinstance(spec.get("planes"), list):
+            for i, plane in enumerate(spec["planes"]):
+                if isinstance(plane, dict):
+                    _known(plane, {"a", "b"}, f"{key}.planes[{i}]")
 
 
 def _known(spec: dict, allowed, key: str) -> None:
@@ -226,12 +235,14 @@ def build_group(cfg: dict) -> groups.StratifiedGroup:
         if not isinstance(spec, dict):
             raise ConfigError(f"group must be a preset name, a .json path or a mapping, "
                               f"got {spec!r}")
+        _known(spec, {"layer_dims", "brackets", "name"}, "group")
         dims = tuple(_read(int, d, "group.layer_dims") for d in _list(
             _required(spec, "layer_dims", "group.layer_dims"), "group.layer_dims"))
         n = sum(dims)
         c = np.zeros((n, n, n))
         for k, entry in enumerate(_list(spec.get("brackets", []), "group.brackets")):
             entry = _mapping(entry, f"group.brackets[{k}]")
+            _known(entry, {"i", "j", "out"}, f"group.brackets[{k}]")
             i = _coordinate(_required(entry, "i", "group.brackets.i"), n)
             j = _coordinate(_required(entry, "j", "group.brackets.j"), n)
             out = _mapping(_required(entry, "out", "group.brackets.out"), "group.brackets.out")

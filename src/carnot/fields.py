@@ -140,13 +140,16 @@ class GridDomain:
         shape = np.asarray(self.shape)
         base = np.clip(np.floor(t).astype(int), 0, shape - 2)
         frac = t - base
-        cols, vals = [], []
-        for corner in itertools.product((0, 1), repeat=self.ndim):
+        # one row per point, its 2^n corners in increasing column order
+        corners = 2 ** self.ndim
+        cols = np.empty((len(t), corners), dtype=np.intp)
+        vals = np.empty((len(t), corners))
+        for k, corner in enumerate(itertools.product((0, 1), repeat=self.ndim)):
             corner = np.asarray(corner)
-            cols.append(np.ravel_multi_index(tuple((base + corner).T), self.shape))
-            vals.append(np.prod(np.where(corner, frac, 1.0 - frac), axis=-1))
-        rows = np.tile(np.arange(len(t)), len(cols))
-        return sparse.csr_matrix((np.concatenate(vals), (rows, np.concatenate(cols))),
+            cols[:, k] = np.ravel_multi_index(tuple((base + corner).T), self.shape)
+            vals[:, k] = np.prod(np.where(corner, frac, 1.0 - frac), axis=-1)
+        return sparse.csr_matrix((vals.ravel(), cols.ravel(),
+                                  np.arange(0, cols.size + 1, corners)),
                                  shape=(len(t), int(shape.prod())))
 
     def contains(self, points) -> np.ndarray:
@@ -188,13 +191,21 @@ class GridDomain:
         g = norm.group
         center = np.asarray(center, dtype=float)
         radius = np.float64(radius)  # overflows to inf, where a float raises
+
+        def bound(a, b):
+            # B(a, b)_l = sum over i < j of |c_ijl| (a_i b_j + a_j b_i) bounds
+            # |[x, y]_l| for |x| <= a and |y| <= b coordinatewise
+            out = np.zeros(g.n)
+            for i, j, l, c in g.structure:
+                out[l] += abs(c) * (a[i] * b[j] + a[j] * b[i])
+            return out
+
         with np.errstate(over="ignore", invalid="ignore"):
-            # |z_i| <= r**d_i on the ball; higher-layer coords of center.z pick up
-            # bracket corrections, bounded crudely below (a loose box only wastes cells)
-            extent = radius ** g.weights.astype(float) + 1e-9
-            cmax = float(np.abs(g.c).max())
-            slack = cmax * (1.0 + np.abs(center).sum()) ** 2 * max(radius, radius**2)
-            extent[g.weights > 1] += slack
+            # the ball is center.z over |z|_norm < r, where |z_i| <= r**d_i; bound
+            # center.z - center = z + [c,z]/2 + ([c,[c,z]] + [z,[z,c]])/12 term by term
+            z = radius ** g.weights.astype(float)
+            b = bound(np.abs(center), z)
+            extent = z + b / 2 + (bound(np.abs(center), b) + bound(z, b)) / 12 + 1e-9
             dom = cls.box(center - extent, center + extent, shape)
             box_volume = np.prod(dom.hi - dom.lo)
         if not np.isfinite(box_volume):

@@ -140,10 +140,10 @@ _PATIENCE = 50
 
 @dataclass(frozen=True)
 class MinimizeResult:
-    """One row per integrand: its best iterate `samples[i]`, its `value[i]`
-    there, its anchor value `start_value[i]`, and whether its stall rule
-    fired (`stalled[i]`).  `iterations` counts the descent steps taken, summed
-    over the descents; `converged` is every integrand stalled."""
+    """Arrays indexed [field, integrand]: the best iterate `samples[a, i]`,
+    the `value[a, i]` there, the anchor value `start_value[a, i]`, and whether
+    the stall rule fired (`stalled[a, i]`).  `iterations` counts the descent
+    steps taken, summed over every descent; `converged` is every pair stalled."""
 
     samples: np.ndarray
     value: np.ndarray
@@ -153,38 +153,32 @@ class MinimizeResult:
     converged: bool
 
 
-def _gradient_operators(group: StratifiedGroup, domain: GridDomain) -> list:
-    """Per-direction sparse operators sending cell samples to group-fd
-    horizontal derivatives, kept on the masked cells whose full difference
-    stencil stays inside the sample lattice."""
+def _gradient_operators(group: StratifiedGroup, domain: GridDomain) -> tuple:
+    """The sparse operator sending cell samples to group-fd horizontal
+    derivatives on the K masked cells whose full difference stencil stays
+    inside the sample lattice, laid out for the descent loop: one CSR stack of
+    shape (m*K, N), whose product with the samples holds the m directional
+    derivatives one after another, and the CSR transposes of its m row blocks
+    for the adjoint (kept apart, so each entry sums in the order of `op.T @`)."""
     centers = domain.centers()
-    stencil = []
+    fwd, bwd = [], []
     valid = np.ones(len(centers), dtype=bool)
     for j in range(group.m):
         step = np.zeros(group.n)
         step[j] = domain.spacing[j]
-        fwd = group.multiply(centers, step)
-        bwd = group.multiply(centers, -step)
-        valid &= domain.in_hull(fwd) & domain.in_hull(bwd)
-        stencil.append((fwd, bwd))
+        fwd.append(group.multiply(centers, step))
+        bwd.append(group.multiply(centers, -step))
+        valid &= domain.in_hull(fwd[-1]) & domain.in_hull(bwd[-1])
     if not valid.any():
         raise DomainError("no cell admits a full horizontal difference stencil")
-    ops = []
-    for j, (fwd, bwd) in enumerate(stencil):
-        diff = domain.interpolation(fwd[valid]) - domain.interpolation(bwd[valid])
-        ops.append(diff / (2.0 * domain.spacing[j]))
-    return ops
-
-
-def _descent_operators(group: StratifiedGroup, domain: GridDomain) -> tuple:
-    """The `_gradient_operators` laid out for the descent loop: one CSR stack
-    of shape (m*K, N), whose product with the samples holds the m directional
-    derivatives one after another, and the per-direction CSR transposes for
-    the adjoint (kept apart, so each entry sums in the order of `op.T @`)."""
-    from scipy import sparse  # only operator builders need it; it is slow to import
-
-    ops = _gradient_operators(group, domain)
-    return sparse.vstack(ops, format="csr"), [op.T.tocsr() for op in ops]
+    stack = (domain.interpolation(np.concatenate([x[valid] for x in fwd]))
+             - domain.interpolation(np.concatenate([x[valid] for x in bwd])))
+    k = int(valid.sum())
+    for j in range(group.m):
+        # times the reciprocal, as dividing a CSR matrix by a scalar computes it
+        rows = slice(stack.indptr[j * k], stack.indptr[(j + 1) * k])
+        stack.data[rows] *= 1 / (2.0 * domain.spacing[j])
+    return stack, [stack[j * k:(j + 1) * k].T.tocsr() for j in range(group.m)]
 
 
 def _core(f):
@@ -195,71 +189,65 @@ def _core(f):
     return f
 
 
-def minimize_convex(group: StratifiedGroup, integrands, anchor: ScalarField,
-                    domain: GridDomain, delta: float, p: float = 2.0, max_iter: int = 400, *,
-                    operators: Optional[tuple] = None) -> MinimizeResult:
-    """Projected subgradient descent over grid fields v with
-    ||v - anchor||_{L^p(A)} <= delta, minimizing the discrete functional of
-    each integrand in `integrands` in at most `max_iter` steps of size
-    s0/sqrt(t), s0 line-searched once.
+def minimize_convex(group: StratifiedGroup, integrands, anchors, domain: GridDomain,
+                    delta: float, p: float = 2.0, max_iter: int = 400) -> MinimizeResult:
+    """Projected subgradient descent, for every anchor field u0 in `anchors`
+    and every integrand in `integrands`, over grid fields v with
+    ||v - u0||_{L^p(A)} <= delta, minimizing the discrete functional of the
+    integrand in at most `max_iter` steps of size s0/sqrt(t), s0 line-searched
+    once.
 
-    The iterate starts at the anchor (the delta = 0 feasible point), so the
+    Each iterate starts at its anchor (the delta = 0 feasible point), so the
     reported value never exceeds the anchor's, and the best iterate is kept.
-    Integrands with one core (`_core`) whose line searches pick the same s0
+    The gradient operators are built once, for every field.  Per field,
+    integrands with one core (`_core`) whose line searches pick the same s0
     walk the same iterates, so they share one descent; within it each keeps
     its own best iterate and stall counter, and reads exactly what a descent
     of its own would give.  Only the first member of a descent takes
-    `value_and_grad`; the others are evaluated through `f(eta)`.
-    `operators` is `_descent_operators(group, domain)`, built here when absent;
-    callers minimizing on one domain repeatedly pass it to build it once."""
+    `value_and_grad`; the others are evaluated through `f(eta)`."""
     if delta < 0 or max_iter < 0:
         raise ValueError("the constraint radius and the iteration budget must be nonnegative")
-    integrands = list(integrands)
+    integrands, anchors = list(integrands), list(anchors)
+    shape = (len(anchors), len(integrands))
+    samples = np.empty(shape + (domain.mask.size,))
+    value, start_value = np.empty(shape), np.empty(shape)
+    stalled = np.ones(shape, dtype=bool)
+    if not anchors:  # no field, no operators to build
+        return MinimizeResult(samples, value, start_value, stalled, 0, True)
     mask_flat = None if domain.mask.all() else domain.mask.ravel()
     cellvol = domain.cell_volume
-    stack, adjoints = operators if operators is not None else _descent_operators(group, domain)
-    u0 = anchor.values(domain.all_centers())
-    if not np.isfinite(u0).all():
-        raise DomainError(f"the field {anchor.name} is not finite at every cell center")
+    stack, adjoints = _gradient_operators(group, domain)
 
     def gradients(v):
         # a column-major (K, m) view: the integrands reduce over m without a copy
         return (stack @ v).reshape(group.m, -1).T
 
     def subgradient(df):
-        g = np.zeros_like(u0)
+        g = np.zeros(stack.shape[1])
         for j, adjoint in enumerate(adjoints):
             g += adjoint @ df[:, j]
         return g * cellvol
 
-    def project(v):
+    def project(v, u0):
         w = v - u0
         nrm = _lp_norm(w if mask_flat is None else w[mask_flat], cellvol, p)
         if nrm <= delta:
             return v
         return u0 + w * (delta / nrm)
 
-    samples = np.repeat(u0[None], len(integrands), axis=0)
-    stalled = np.ones(len(integrands), dtype=bool)
-    grads0 = gradients(u0)
-    start_value = np.array([_total(f(grads0), cellvol) for f in integrands])
-    if delta == 0 or max_iter == 0:
-        return MinimizeResult(samples, start_value, start_value.copy(), stalled, 0, True)
-    value = start_value.copy()
-
-    def descend(members, s0, g):
-        """One descent shared by `members`; returns the steps it took."""
+    def descend(a, u0, members, s0, g):
+        """One descent of field `a` shared by `members`; returns the steps it took."""
         lead, live = members[0], list(members)
         counts = dict.fromkeys(members, 0)
         v = u0
         for it in range(1, max_iter + 1):
-            v = project(v - s0 / np.sqrt(it) * g)
+            v = project(v - s0 / np.sqrt(it) * g, u0)
             grads = gradients(v)
             lead_values, df = integrands[lead].value_and_grad(grads)
             for i in list(live):
                 val = _total(lead_values if i == lead else integrands[i](grads), cellvol)
-                if val < value[i] - _REL_TOL * max(1.0, abs(value[i])):
-                    value[i], samples[i], counts[i] = val, v, 0
+                if val < value[a, i] - _REL_TOL * max(1.0, abs(value[a, i])):
+                    value[a, i], samples[a, i], counts[i] = val, v, 0
                 else:
                     counts[i] += 1
                     if counts[i] >= _PATIENCE:
@@ -267,27 +255,37 @@ def minimize_convex(group: StratifiedGroup, integrands, anchor: ScalarField,
             if not live:
                 break
             g = subgradient(df)
-        stalled[list(live)] = False
+        stalled[a, live] = False
         return it
 
     families = {}
     for i, f in enumerate(integrands):
         families.setdefault(id(_core(f)), []).append(i)
-    scale = np.linalg.norm(u0 - u0.mean()) + 1.0
     iterations = 0
-    for members in families.values():
-        g = subgradient(integrands[members[0]].value_and_grad(grads0)[1])
-        probes = np.logspace(-4, 1, 12) * scale / (np.linalg.norm(g) + 1e-30)
-        trials = np.empty((len(probes), len(members)))
-        for k, s in enumerate(probes):
-            grads = gradients(project(u0 - s * g))
-            trials[k] = [_total(integrands[i](grads), cellvol) for i in members]
-        # rounding of the offsets can tip a line search: one descent per pick
-        picks = {}
-        for i, k in zip(members, trials.argmin(axis=0)):
-            picks.setdefault(int(k), []).append(i)
-        for k, same in picks.items():
-            iterations += descend(same, float(probes[k]), g)
+    for a, anchor in enumerate(anchors):
+        u0 = anchor.values(domain.all_centers())
+        if not np.isfinite(u0).all():
+            raise DomainError(f"the field {anchor.name} is not finite at every cell center")
+        samples[a] = u0
+        grads0 = gradients(u0)
+        start_value[a] = [_total(f(grads0), cellvol) for f in integrands]
+        value[a] = start_value[a]
+        if delta == 0 or max_iter == 0:
+            continue
+        scale = np.linalg.norm(u0 - u0.mean()) + 1.0
+        for members in families.values():
+            g = subgradient(integrands[members[0]].value_and_grad(grads0)[1])
+            probes = np.logspace(-4, 1, 12) * scale / (np.linalg.norm(g) + 1e-30)
+            trials = np.empty((len(probes), len(members)))
+            for k, s in enumerate(probes):
+                grads = gradients(project(u0 - s * g, u0))
+                trials[k] = [_total(integrands[i](grads), cellvol) for i in members]
+            # rounding of the offsets can tip a line search: one descent per pick
+            picks = {}
+            for i, k in zip(members, trials.argmin(axis=0)):
+                picks.setdefault(int(k), []).append(i)
+            for k, same in picks.items():
+                iterations += descend(a, u0, same, float(probes[k]), g)
     return MinimizeResult(samples, value, start_value, stalled, iterations,
                           bool(stalled.all()))
 
@@ -314,20 +312,19 @@ def gamma_experiment(group: StratifiedGroup, integrands, u_list, domain: GridDom
     xi_grid = np.atleast_2d(np.asarray(xi_grid, dtype=float))
     recs = [recover_integrand(IntegrandFunctional(group, f), group, base_domain, xi_grid)
             for _, f in integrands]
-    operators = _descent_operators(group, domain) if u_list else None
-    # one call per field: the whole sequence shares its descents
-    results = [minimize_convex(group, [f for _, f in integrands], u, domain, delta, p,
-                               max_iter, operators=operators) for u in u_list]
+    # one call for every field: one operator build, and each field's sequence
+    # shares its descents
+    res = minimize_convex(group, [f for _, f in integrands], u_list, domain, delta, p, max_iter)
     brackets = []
     for i, (h, _) in enumerate(integrands):
         cauchy = (float(np.abs(recs[i].values - recs[i - 1].values).max())
                   if i else float("nan"))
         brackets.extend({"h": h, "field": u.name,
-                         "lower": float(res.value[i]),
-                         "upper": float(res.start_value[i]),
-                         "converged": bool(res.stalled[i]),
+                         "lower": float(res.value[a, i]),
+                         "upper": float(res.start_value[a, i]),
+                         "converged": bool(res.stalled[a, i]),
                          "cauchy_gap": cauchy}
-                        for u, res in zip(u_list, results))
+                        for a, u in enumerate(u_list))
     limit = recs[-1]
     growth = integrands[-1][1].growth
     return {

@@ -2,7 +2,8 @@
 
 Each suite returns a list of row dicts (name, value, tolerance, passed)
 that the CLI serializes to CSV and the test suite asserts on.  Values are
-residuals unless the name says otherwise.
+residuals unless the name says otherwise, and a row passes when its value is
+at most its tolerance; the two rows built by hand say why they do not.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from .fields import (GridDomain, ScalarField, DomainError, constant_field, probe
 from .mollify import (MollifierFamily, erode_domain, convolve, commutation_residual,
                       convergence_table)
 from .functionals import (Integrand, IntegrandFunctional, check_set_function,
-                          jensen_check, sandwich_check, lsc_check, _total,
+                          jensen_check, sandwich_check, _total,
                           PowerIntegrand, QuadraticIntegrand, MaxAffineIntegrand)
 
 __all__ = [
@@ -142,12 +143,17 @@ def suite_mollify(mollifier: MollifierFamily, omega: GridDomain, rng: np.random.
     lp = [r["Lp_err"] for r in table]
     w1 = [r["W1p_err"] for r in table]
     decreasing = all(a > b for a, b in zip(lp, lp[1:])) and all(a > b for a, b in zip(w1, w1[1:]))
+    # hand-built: the h1-mollify and engel-mollify references pin this verdict
     rows.append({"name": "convergence_decreasing", "value": float(lp[-1] / lp[0]),
                  "tolerance": 1.0, "passed": decreasing})
     return rows
 
 
 # -- functional hypotheses --------------------------------------------------------
+
+
+# rounding allowance of the set-function comparisons
+_SET_TOL = 1e-10
 
 
 def suite_functional(group: StratifiedGroup, integrand: Integrand,
@@ -169,14 +175,15 @@ def suite_functional(group: StratifiedGroup, integrand: Integrand,
 
     report = check_set_function(functional, u, domain)
     rows.append(_row("disjoint_additivity", report["additivity_gap"], 1e-12))
-    rows.append({"name": "monotone_in_A", "value": 0.0, "tolerance": 0.0,
-                 "passed": report["increasing"]})
-    rows.append({"name": "subadditive", "value": 0.0, "tolerance": 0.0,
-                 "passed": report["subadditive"]})
-    rows.append({"name": "superadditive", "value": 0.0, "tolerance": 0.0,
-                 "passed": report["superadditive"]})
+    for name, key in (("monotone_in_A", "monotone_defect"), ("subadditive", "subadditive_defect"),
+                      ("superadditive", "superadditive_defect")):
+        # a defect within _SET_TOL is rounding and reads 0; a NaN defect fails
+        defect = report[key]
+        rows.append(_row(name, 0.0 if defect <= _SET_TOL else defect - _SET_TOL, 0.0))
+    # hand-built: the h1-gamma references pin this row's printed numbers
     rows.append({"name": "inner_regular_monotone", "value": report["inner_regular_gap"],
-                 "tolerance": float("inf"), "passed": report["monotone_exhaustion"]})
+                 "tolerance": float("inf"),
+                 "passed": bool(report["exhaustion_defect"] <= _SET_TOL)})
 
     shift_res = conv_res = growth_res = 0.0
     centers = domain.centers()
@@ -255,33 +262,29 @@ def _sawtooth_field(group: StratifiedGroup, freq: float) -> ScalarField:
 
 def suite_lsc(group: StratifiedGroup, domain: GridDomain,
               rng: np.random.Generator, h_list=(1, 2, 4, 8, 16)) -> list:
+    """Lower semicontinuity along two sequences, read on their tails (the
+    second half of `h_list`): u + w/h, which converges to u, and sawtooth
+    oscillations, which converge uniformly to 0 while F stays near |A|."""
     g = group
     functional = IntegrandFunctional(g, PowerIntegrand(g.m, 2.0))
-    rows = []
+    h_tail = h_list[len(h_list) // 2:]
 
     u = random_quadratic(g, rng)
     w = random_quadratic(g, rng)
-    seq = [u + w.scaled(1.0 / h) for h in h_list]
-    rep = lsc_check(functional, u, seq, domain)
-    # Cauchy-Schwarz bound on the quadratic cross term at the head of the tail
     fu, fw = functional.eval(u, domain), functional.eval(w, domain)
-    h_tail = h_list[len(h_list) // 2]
-    drift = 2.0 / h_tail * np.sqrt(fu * fw) + fw / h_tail**2
-    rows.append(_row("lsc_perturbation_liminf",
-                     rep["limit_value"] - rep["tail_min"], drift + 1e-10))
-    rows.append(_row("lsc_perturbation_convergence",
-                     abs(rep["sequence_values"][-1] - rep["limit_value"])
-                     / max(1.0, rep["limit_value"]),
-                     (2.0 * np.sqrt(fu * fw) + fw) / h_list[-1]))
+    values = [functional.eval(u + w.scaled(1.0 / h), domain) for h in h_tail]
 
-    zero = constant_field(g, 0.0)
+    def drift(h):
+        # Cauchy-Schwarz bound on |F(u + w/h) - F(u)|
+        return 2.0 / h * np.sqrt(fu * fw) + fw / h**2
+
+    rows = [_row("lsc_perturbation_liminf", fu - min(values), drift(h_tail[0]) + 1e-10),
+            _row("lsc_perturbation_convergence", abs(values[-1] - fu), drift(h_tail[-1]))]
+
+    f_zero = functional.eval(constant_field(g, 0.0), domain)
     # irrational-ish frequencies keep the sawtooth kinks off the cell centers
-    osc = [_sawtooth_field(g, 0.731 * h / domain.spacing[0]) for h in h_list]
-    rep = lsc_check(functional, zero, osc, domain)
-    rows.append(_row("lsc_oscillation_liminf",
-                     rep["limit_value"] - rep["tail_min"], 1e-10))
-    strict = rep["tail_min"] - rep["limit_value"]
-    rows.append({"name": "lsc_oscillation_strict", "value": float(strict),
-                 "tolerance": float("inf"), "passed": strict > 0.5 * domain.volume})
+    tail_min = min(functional.eval(_sawtooth_field(g, 0.731 * h / domain.spacing[0]), domain)
+                   for h in h_tail)
+    rows.append(_row("lsc_oscillation_liminf", f_zero - tail_min, 1e-10))
+    rows.append(_row("lsc_oscillation_strict", 0.5 * domain.volume - (tail_min - f_zero), 0.0))
     return rows
-

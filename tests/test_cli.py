@@ -400,8 +400,23 @@ class TestConfigBoundary:
          "unknown integrand keys ['shift']"),
         (["verify", "--suite", "axioms"], {"gamma": {"base": {"pp": 3}}},
          "unknown gamma.base (power) keys ['pp']"),
+        (["group-info"], {"group": {"layer_dims": [2, 1],
+                                    "brakets": [{"i": 1, "j": 2, "out": {"3": 1}}]}},
+         "unknown group keys ['brakets']"),
+        (["group-info"], {"group": {"layer_dims": [2, 1],
+                                    "brackets": [{"i": 1, "j": 2, "out": {"3": 1}, "c": 2}]}},
+         "unknown group.brackets[0] keys ['c']"),
+        (["gamma"], {"fields": [{"expr": "x1"}, {"expr": "x1", "nmae": "a"}]},
+         "unknown fields[1] keys ['nmae']"),
+        (["verify", "--suite", "functional"],
+         {"integrand": {"kind": "max_affine", "planes": [{"a": [1, 0], "bb": 3}]}},
+         "unknown integrand.planes[0] keys ['bb']"),
+        (["gamma"], {"gamma": {"base": {"kind": "max_affine",
+                                        "planes": [{"a": [1, 0]}, {"a": [0, 1], "c": 1}]}}},
+         "unknown gamma.base.planes[1] keys ['c']"),
     ], ids=["top-level", "grid", "schedules", "xi-grid", "recovery", "minimizer", "gamma",
-            "power", "quadratic", "max-affine", "tabulated", "blackbox", "gamma-base"])
+            "power", "quadratic", "max-affine", "tabulated", "blackbox", "gamma-base",
+            "group", "group-bracket", "field", "max-affine-plane", "gamma-base-plane"])
     def test_unknown_key_exits_config(self, tmp_path, capsys, argv, payload, message):
         # each of these used to run on the defaults it meant to override
         cfg = _write(tmp_path, "c.json", payload)
@@ -409,6 +424,14 @@ class TestConfigBoundary:
         err = capsys.readouterr().err
         assert err.startswith(f"config error: {message}, expected some of [")
         assert err.count("\n") == 1
+
+    def test_unknown_group_file_key_exits_config(self, tmp_path, capsys):
+        group = _write(tmp_path, "g.json", {"layer_dims": [2, 1], "nmae": "h1",
+                                            "brackets": [{"i": 1, "j": 2, "out": {"3": 1}}]})
+        cfg = _write(tmp_path, "c.json", {"group": group})
+        assert main(["group-info", "--config", cfg]) == EXIT_CONFIG
+        assert capsys.readouterr().err == ("config error: unknown group keys ['nmae'], "
+                                           "expected some of ['brackets', 'layer_dims', 'name']\n")
 
     @pytest.mark.parametrize("argv, payload", [
         (["recover"], {"xi_grid": {"radius": 1e300}}),
@@ -519,6 +542,15 @@ class TestRecover:
         summary = json.loads((out / "recover_summary.json").read_text())
         assert summary["max_convexity_violation"] <= 1e-10
         assert summary["constancy_max_spread"] <= 1e-10
+
+    @pytest.mark.parametrize("cells", [3, 4, 5])
+    def test_off_origin_ball_keeps_cells(self, tmp_path, capsys, cells):
+        # the constancy probe's ball at (1.5, 0, 0): its bounding box is the
+        # bracket bound, so some of its cell centers lie in the ball
+        cfg = _write(tmp_path, "c.json", {"recovery": {"cells_per_axis": cells},
+                                          "xi_grid": {"points": 3}})
+        assert main(["recover", "--config", cfg]) == EXIT_OK
+        assert capsys.readouterr().err == ""
 
     def test_single_point_grid(self, tmp_path, capsys):
         cfg = _write(tmp_path, "c.json", {"xi_grid": {"radius": 0.0, "points": 1}})

@@ -76,9 +76,11 @@ def test_grid_axis_mismatch():
 
 
 def test_field_entry_validation():
-    cfg = load_config(overrides={"fields": [{"nonsense": 1}]})
+    # known keys only, but neither an expression nor a probe (an unknown key
+    # fails earlier, in load_config)
+    cfg = load_config(overrides={"fields": [{"name": "nonsense"}]})
     group = cfgmod.build_group(cfg)
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="field entry needs 'expr' or 'probe'"):
         cfgmod.build_fields(cfg, group)
 
 

@@ -1,6 +1,7 @@
 """Grid domains, scalar fields, translations and horizontal gradients."""
 
 import dataclasses
+import itertools
 import warnings
 
 import numpy as np
@@ -28,7 +29,9 @@ class TestGridDomain:
 
     def test_centers_computed_once_and_read_only(self):
         g = heisenberg(1)
-        ball = GridDomain.ball(g.norm(), g.origin(), 1.0, 6)
+        # a Koranyi ball masks part of its bounding box (a weighted-max one at
+        # the origin is the whole box)
+        ball = GridDomain.ball(g.norm("koranyi"), g.origin(), 1.0, 6)
         box = GridDomain.box(-np.ones(3), np.ones(3), 4)
         for dom in (ball, box):
             fresh = np.stack([c.ravel() for c in np.meshgrid(*dom.axis_centers(),
@@ -91,6 +94,27 @@ class TestGridDomain:
         centers = ball.centers()
         assert (norm(centers) < 0.8).all()
         assert ball.volume > 0
+
+    @pytest.mark.parametrize("group, center", [
+        (heisenberg(1), [1.5, 0.0, 0.0]), (heisenberg(1), [-0.7, 1.2, 2.0]),
+        (engel(), [1.5, 0.0, 0.0, 0.0]), (engel(), [1.5, -0.7, 0.3, 0.2]),
+        (heisenberg(2), [0.4, -1.1, 0.8, 0.5, -0.3])],
+        ids=["h1-axis", "h1", "engel-axis", "engel", "h2"])
+    def test_ball_box_holds_the_ball(self, group, center):
+        # every point center.z with |z_i| <= r**d_i, the weighted-max ball that
+        # holds the Koranyi one, lies in the bounding box, vertices included; on
+        # the axis centers some vertex attains every term of the bound
+        center, radius = np.asarray(center), 0.9
+        dom = GridDomain.ball(group.norm(), center, radius, 5)
+        extent = radius ** group.weights.astype(float)
+        corners = np.array(list(itertools.product((-1.0, 1.0), repeat=group.n)))
+        z = np.vstack([corners, np.random.default_rng(0).uniform(-1, 1, (4000, group.n))])
+        x = group.multiply(center, z * extent)
+        assert ((x >= dom.lo) & (x <= dom.hi)).all()
+        # the box is what the bracket bound gives, not wider than twice the ball's reach
+        reach = np.abs(x - center).max(axis=0)
+        assert ((dom.hi - center) <= 2 * reach + 1e-9).all()
+        assert not dom.is_empty
 
     def test_lattice_mismatch_raises(self):
         a = GridDomain.box(-np.ones(2), np.ones(2), 4)

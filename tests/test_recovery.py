@@ -91,8 +91,10 @@ class TestProbeValues:
     # refine 2 sums 8K copies at an eighth of the cell volume, which rounds as
     # K copies do; refine 3 rounds differently
     @pytest.mark.parametrize("refine", [1, 2, 3])
-    def test_matches_per_probe_eval_bit_for_bit(self, h1, ball, refine):
+    def test_matches_per_probe_eval_bit_for_bit(self, h1, refine):
         g, _ = h1
+        # a Koranyi ball masks part of its box; a weighted-max one at the origin is the box
+        ball = GridDomain.ball(g.norm("koranyi"), g.origin(), 1.0, 12)
         rng = np.random.default_rng(5)
         xi_grid = np.vstack([uniform_xi_grid(2, 4.0, 5), rng.uniform(-4, 4, size=(7, 2))])
         assert not ball.mask.all()
@@ -220,7 +222,7 @@ def problem():
     M = np.array([[2.0, 0.3], [0.3, 1.0]])
     F = IntegrandFunctional(g, QuadraticIntegrand(M))
     u = quadratic_field(g, 0.0, [1.0, -0.5], 0.3 * np.eye(2))
-    ops = _gradient_operators(g, dom)
+    ops = _direction_operators(g, dom)
     H = np.zeros((ops[0].shape[1],) * 2)
     for j in range(2):
         for k in range(2):
@@ -232,50 +234,67 @@ def problem():
 class TestMinimizer:
     def test_delta_zero_returns_anchor(self, problem):
         g, dom, F, u, _ = problem
-        res = minimize_convex(g, [F.integrand], u, dom, 0.0)
-        assert res.value[0] == res.start_value[0]
-        np.testing.assert_array_equal(res.samples[0], u.values(dom.all_centers()))
+        res = minimize_convex(g, [F.integrand], [u], dom, 0.0)
+        assert res.value[0, 0] == res.start_value[0, 0]
+        np.testing.assert_array_equal(res.samples[0, 0], u.values(dom.all_centers()))
 
     def test_never_exceeds_anchor(self, problem):
         g, dom, F, u, _ = problem
         for delta in (0.1, 0.5, 2.0):
-            res = minimize_convex(g, [F.integrand], u, dom, delta, max_iter=100)
-            assert res.value[0] <= res.start_value[0] + 1e-12
+            res = minimize_convex(g, [F.integrand], [u], dom, delta, max_iter=100)
+            assert res.value[0, 0] <= res.start_value[0, 0] + 1e-12
 
     def test_matches_trust_region_oracle(self, problem):
         g, dom, F, u, H = problem
         u0 = u.values(dom.all_centers())
         for delta in (0.25, 0.5):
             exact = _trust_region_optimum(H, u0, delta, dom.cell_volume)
-            res = minimize_convex(g, [F.integrand], u, dom, delta, max_iter=600)
-            assert res.value[0] == pytest.approx(exact, rel=1e-6)
+            res = minimize_convex(g, [F.integrand], [u], dom, delta, max_iter=600)
+            assert res.value[0, 0] == pytest.approx(exact, rel=1e-6)
 
     def test_large_ball_approaches_zero_energy(self, problem):
         g, dom, F, u, _ = problem
-        res = minimize_convex(g, [F.integrand], u, dom, 50.0, max_iter=800)
-        assert res.value[0] <= 0.05 * res.start_value[0]
+        res = minimize_convex(g, [F.integrand], [u], dom, 50.0, max_iter=800)
+        assert res.value[0, 0] <= 0.05 * res.start_value[0, 0]
 
     def test_negative_radius_rejected(self, problem):
         g, dom, F, u, _ = problem
         with pytest.raises(ValueError):
-            minimize_convex(g, [F.integrand], u, dom, -1.0)
+            minimize_convex(g, [F.integrand], [u], dom, -1.0)
         with pytest.raises(ValueError, match="budget"):
-            minimize_convex(g, [F.integrand], u, dom, 0.5, max_iter=-1)
+            minimize_convex(g, [F.integrand], [u], dom, 0.5, max_iter=-1)
 
     def test_non_finite_anchor_rejected(self, problem):
         g, dom, F, u, _ = problem
         holed = ScalarField(values=lambda p: np.where(np.atleast_2d(p)[:, 0] > 0.5, np.nan, 0.0),
                             name="holed")
         with pytest.raises(DomainError, match="holed"):
-            minimize_convex(g, [F.integrand], holed, dom, 0.5)
+            minimize_convex(g, [F.integrand], [holed], dom, 0.5)
 
     def test_converged_means_stalled(self, problem):
         # a large ball keeps improving for the whole budget; a tiny one stalls
         g, dom, F, u, _ = problem
-        res = minimize_convex(g, [F.integrand], u, dom, 50.0, max_iter=20)
+        res = minimize_convex(g, [F.integrand], [u], dom, 50.0, max_iter=20)
         assert (res.iterations, res.converged) == (20, False)
-        res = minimize_convex(g, [F.integrand], u, dom, 1e-12, max_iter=400)
+        res = minimize_convex(g, [F.integrand], [u], dom, 1e-12, max_iter=400)
         assert res.converged and res.iterations < 400
+
+
+def _direction_operators(group, domain):
+    """The per-direction group-fd operators, one CSR matrix per direction,
+    each (fwd - bwd interpolation) / 2h on the cells whose stencils stay in
+    the sample hull: the layout the stacked operator must reproduce."""
+    centers = domain.centers()
+    stencil = []
+    valid = np.ones(len(centers), dtype=bool)
+    for j in range(group.m):
+        step = np.zeros(group.n)
+        step[j] = domain.spacing[j]
+        fwd, bwd = group.multiply(centers, step), group.multiply(centers, -step)
+        valid &= domain.in_hull(fwd) & domain.in_hull(bwd)
+        stencil.append((fwd, bwd))
+    return [(domain.interpolation(fwd[valid]) - domain.interpolation(bwd[valid]))
+            / (2.0 * domain.spacing[j]) for j, (fwd, bwd) in enumerate(stencil)]
 
 
 def _reference_minimize(group, functional, anchor, domain, delta, p, max_iter):
@@ -285,7 +304,7 @@ def _reference_minimize(group, functional, anchor, domain, delta, p, max_iter):
     f = functional.integrand
     mask_flat = domain.mask.ravel()
     cellvol = domain.cell_volume
-    ops = _gradient_operators(group, domain)
+    ops = _direction_operators(group, domain)
     u0 = anchor.values(domain.all_centers())
 
     def objective(v):
@@ -344,10 +363,10 @@ class TestMinimizerLayout:
                             rng.normal(size=(group.n, group.n)))
         for name, f in _integrand_menu(group.m, rng).items():
             F = IntegrandFunctional(group, f)
-            res = minimize_convex(group, [F.integrand], u, dom, 0.5, 2.0, 30)
+            res = minimize_convex(group, [F.integrand], [u], dom, 0.5, 2.0, 30)
             samples, value, iterations = _reference_minimize(group, F, u, dom, 0.5, 2.0, 30)
-            np.testing.assert_array_equal(res.samples[0], samples, err_msg=name)
-            assert (res.value[0], res.iterations) == (value, iterations), name
+            np.testing.assert_array_equal(res.samples[0, 0], samples, err_msg=name)
+            assert (res.value[0, 0], res.iterations) == (value, iterations), name
 
     def test_gamma_builds_operators_once(self, h1, ball, monkeypatch):
         g, _ = h1
@@ -366,6 +385,29 @@ class TestMinimizerLayout:
                                max_iter=5)
         assert len(rep["brackets"]) == 6
         assert len(calls) == 1
+        # no field: nothing to minimize, no operator to build
+        rep = gamma_experiment(g, seq, [], dom, 0.5, 2.0, ball, np.zeros((1, 2)), max_iter=5)
+        assert rep["brackets"] == [] and len(calls) == 1
+
+    @pytest.mark.parametrize("group, shape", [
+        (heisenberg(1), 6), (heisenberg(1), 32), (engel(), 5), (heisenberg(2), 5),
+        (euclidean(2), 8)], ids=["h1-6", "h1-32", "engel-5", "h2-5", "euclidean2-8"])
+    def test_stack_is_the_per_direction_operators(self, group, shape):
+        from scipy import sparse
+
+        dom = GridDomain.box(-np.ones(group.n), np.ones(group.n), shape)
+        stack, adjoints = _gradient_operators(group, dom)
+        ops = _direction_operators(group, dom)
+        reference = sparse.vstack(ops, format="csr")
+        for name in ("data", "indices", "indptr"):
+            np.testing.assert_array_equal(getattr(stack, name), getattr(reference, name),
+                                          err_msg=name)
+        assert len(adjoints) == group.m
+        for adjoint, op in zip(adjoints, ops):
+            expected = op.T.tocsr()
+            for name in ("data", "indices", "indptr"):
+                np.testing.assert_array_equal(getattr(adjoint, name), getattr(expected, name),
+                                              err_msg=name)
 
 
 @pytest.fixture(scope="module")
@@ -386,16 +428,16 @@ class TestSharedDescent:
     def _check(shared, family, delta, max_iter=400):
         """The shared result and each integrand's own step count."""
         g, dom, u = shared.g, shared.dom, shared.u
-        res = minimize_convex(g, family, u, dom, delta, 2.0, max_iter)
+        res = minimize_convex(g, family, [u], dom, delta, 2.0, max_iter)
         u0 = u.values(dom.all_centers())
-        grads0 = np.stack([op @ u0 for op in _gradient_operators(g, dom)], axis=-1)
+        grads0 = np.stack([op @ u0 for op in _direction_operators(g, dom)], axis=-1)
         steps = []
         for i, f in enumerate(family):
             samples, value, it = _reference_minimize(g, IntegrandFunctional(g, f), u, dom,
                                                      delta, 2.0, max_iter)
-            np.testing.assert_array_equal(res.samples[i], samples, err_msg=str(i))
-            assert res.value[i] == value, i
-            assert res.start_value[i] == float(np.sum(f(grads0)) * dom.cell_volume), i
+            np.testing.assert_array_equal(res.samples[0, i], samples, err_msg=str(i))
+            assert res.value[0, i] == value, i
+            assert res.start_value[0, i] == float(np.sum(f(grads0)) * dom.cell_volume), i
             steps.append(it)
         return res, steps
 
@@ -413,7 +455,7 @@ class TestSharedDescent:
         assert res.iterations == 67 and res.converged
         # a budget between the two stall steps: only h = 1 has not stalled
         res, _ = self._check(shared, shared.offsets, 0.03, max_iter=66)
-        assert res.stalled.tolist() == [False, True, True, True, True]
+        assert res.stalled.tolist() == [[False, True, True, True, True]]
         assert res.iterations == 66 and not res.converged
 
     def test_constant_family(self, shared):
@@ -429,29 +471,48 @@ class TestSharedDescent:
         # three descents: the offsets, then each shift on its own
         assert res.iterations == max(steps[0], steps[2], steps[4]) + steps[1] + steps[3]
 
+    def test_fields_match_single_field_calls(self, shared):
+        # one call over two fields and an offset family: every [field, integrand]
+        # entry is what a call on that field alone gives, and the step counts add
+        g, dom = shared.g, shared.dom
+        fields = [shared.u, probe_field(g, np.array([0.5, -0.25]))]
+        both = minimize_convex(g, shared.offsets, fields, dom, 0.03, 2.0, 400)
+        assert both.value.shape == (2, len(shared.offsets))
+        steps = 0
+        for a, u in enumerate(fields):
+            one = minimize_convex(g, shared.offsets, [u], dom, 0.03, 2.0, 400)
+            for name in ("samples", "value", "start_value", "stalled"):
+                np.testing.assert_array_equal(getattr(both, name)[a], getattr(one, name)[0],
+                                              err_msg=f"{name} of field {a}")
+            steps += one.iterations
+        assert both.iterations == steps
+        assert both.converged == bool(both.stalled.all())
+
     @pytest.mark.parametrize("gamma, cores", [
         ({"kind": "offset"}, 1), ({"kind": "constant"}, 1),
         ({"kind": "alternating", "shift": [1.0, 0.0]}, 2)],
         ids=["offset", "constant", "alternating"])
-    def test_gamma_calls_once_per_field(self, shared, ball, monkeypatch, gamma, cores):
+    def test_gamma_calls_once_for_every_field(self, shared, ball, monkeypatch, gamma, cores):
         g, dom, u = shared.g, shared.dom, shared.u
         cfg = config.load_config(overrides={"gamma": gamma, "schedules": {"h": [1, 2, 3, 4]}})
         seq = config.build_gamma_sequence(cfg, g)
         calls = []
 
-        def counted(group, integrands, *args, **kwargs):
-            calls.append(integrands)
-            return minimize_convex(group, integrands, *args, **kwargs)
+        def counted(group, integrands, anchors, *args, **kwargs):
+            calls.append((integrands, anchors))
+            return minimize_convex(group, integrands, anchors, *args, **kwargs)
 
         monkeypatch.setattr(recovery, "minimize_convex", counted)
         fields = [u, probe_field(g, np.array([0.5, 0.5]))]
         rep = gamma_experiment(g, seq, fields, dom, 0.5, 2.0, ball, np.zeros((1, 2)),
                                max_iter=5)
         assert [row["h"] for row in rep["brackets"]] == [1, 1, 2, 2, 3, 3, 4, 4]
-        assert len(calls) == 2
-        for integrands in calls:
-            assert [id(f) for f in integrands] == [id(f) for _, f in seq]
-            assert len({id(recovery._core(f)) for f in integrands}) == cores
+        assert [(row["h"], row["field"]) for row in rep["brackets"][:2]] == \
+            [(1, u.name), (1, fields[1].name)]
+        [(integrands, anchors)] = calls
+        assert anchors is fields
+        assert [id(f) for f in integrands] == [id(f) for _, f in seq]
+        assert len({id(recovery._core(f)) for f in integrands}) == cores
 
 
 class TestGamma:
