@@ -1,9 +1,10 @@
 """Numerics for left-invariant integral functionals on stratified groups.
 
-Group arithmetic in exponential coordinates (nilpotent, step at most 3),
-horizontal calculus, group-local mollification, integral functionals with
-structural property checks, probe-based integrand recovery and a
-variational-limit bracketing experiment.
+Group arithmetic in exponential coordinates (nilpotent, step at most 5, from
+one table of the Baker-Campbell-Hausdorff series), horizontal calculus,
+group-local mollification, integral functionals with structural property
+checks, probe-based integrand recovery and a variational-limit bracketing
+experiment.
 """
 
 from .groups import (StratifiedGroup, HomogeneousNorm, GroupAxiomError,

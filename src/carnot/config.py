@@ -284,7 +284,8 @@ def build_norm(cfg: dict, group: groups.StratifiedGroup) -> groups.HomogeneousNo
         raise ConfigError(str(exc)) from exc
 
 
-def build_grid(cfg: dict, group: groups.StratifiedGroup) -> GridDomain:
+def read_grid(cfg: dict, group: groups.StratifiedGroup) -> tuple:
+    """The grid's (lo, hi, shape), checked but not allocated."""
     spec = _section(cfg, "grid")
     lo = _read_array(spec.get("lo") or [-1.0] * group.n, "grid.lo")
     hi = _read_array(spec.get("hi") or [1.0] * group.n, "grid.hi")
@@ -298,7 +299,17 @@ def build_grid(cfg: dict, group: groups.StratifiedGroup) -> GridDomain:
     shape = tuple(_read(int, s, "grid.shape") for s in shape)
     if min(shape) < 1:
         raise ConfigError(f"grid needs at least one cell per axis, got shape {shape}")
-    return GridDomain.box(lo, hi, shape)
+    return lo, hi, shape
+
+
+def build_grid(cfg: dict, group: groups.StratifiedGroup) -> GridDomain:
+    lo, hi, shape = read_grid(cfg, group)
+    try:
+        mask = np.ones(shape, bool)
+    except (MemoryError, ValueError) as exc:  # numpy's "array is too big" is a ValueError
+        raise ConfigError(f"grid.shape {shape} has {math.prod(shape)} cells, "
+                          f"too many to allocate") from exc
+    return GridDomain(lo, hi, shape, mask)
 
 
 def build_fields(cfg: dict, group: groups.StratifiedGroup) -> list:

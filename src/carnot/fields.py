@@ -192,7 +192,7 @@ class GridDomain:
         center = np.asarray(center, dtype=float)
         radius = np.float64(radius)  # overflows to inf, where a float raises
 
-        def bound(a, b):
+        def bound(a, b, tail):
             # B(a, b)_l = sum over i < j of |c_ijl| (a_i b_j + a_j b_i) bounds
             # |[x, y]_l| for |x| <= a and |y| <= b coordinatewise
             out = np.zeros(g.n)
@@ -202,10 +202,10 @@ class GridDomain:
 
         with np.errstate(over="ignore", invalid="ignore"):
             # the ball is center.z over |z|_norm < r, where |z_i| <= r**d_i; bound
-            # center.z - center = z + [c,z]/2 + ([c,[c,z]] + [z,[z,c]])/12 term by term
+            # center.z - center, the BCH series of center and z less its head
+            # center, term by term: each bracket by B, each numerator by |num|
             z = radius ** g.weights.astype(float)
-            b = bound(np.abs(center), z)
-            extent = z + b / 2 + (bound(np.abs(center), b) + bound(z, b)) / 12 + 1e-9
+            extent = g.bch(np.abs(center), z, (z,), act=bound, signed=False) + 1e-9
             dom = cls.box(center - extent, center + extent, shape)
             box_volume = np.prod(dom.hi - dom.lo)
         if not np.isfinite(box_volume):

@@ -1,12 +1,15 @@
 """Arithmetic of stratified nilpotent groups in exponential coordinates.
 
-Points are plain numpy arrays of length n.  The group law is the
-Baker-Campbell-Hausdorff series truncated at third order, which is exact
-for nilpotency step <= 3.  All operations broadcast over leading axes.
+Points are plain numpy arrays of length n.  The group law, the horizontal
+frame and its transpose all read one table of the Baker-Campbell-Hausdorff
+series, through degree 5, which is exact for nilpotency step <= 5.  All
+operations broadcast over leading axes.
 """
 
 from __future__ import annotations
 
+import functools
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,7 +24,43 @@ __all__ = [
     "preset",
 ]
 
-MAX_STEP = 3
+# log(exp x exp y) = x + y + sum over degrees d of (sum of num * word) / den; a word
+# is a right-nested bracket ("xxy" = [x, [x, y]]) in layers >= d, so the first step - 1
+# degrees are exact at that step.  Casas and Murua, J. Math. Phys. 50, 033513 (2009).
+BCH = (
+    (2, ((1, "xy"),)),
+    (12, ((1, "xxy"), (-1, "yxy"))),
+    (24, ((-1, "yxxy"),)),
+    (720, ((-1, "yyyyx"), (-1, "xxxxy"), (2, "xyyyx"), (2, "yxxxy"), (6, "yxyxy"),
+           (6, "xyxyx"))),
+)
+MAX_STEP = len(BCH) + 1
+
+
+@functools.cache
+def _plan(step: int, one_y: bool, signed: bool) -> tuple:
+    """BCH as `StratifiedGroup.bch` reads it, shared by every call (so never mutated):
+    the kept terms with their suffixes, tail words, and reads per word."""
+    table = [(den, [(num if signed else abs(num), w, [w[-k:] for k in range(2, len(w) + 1)])
+                    for num, w in terms if not one_y or w.count("y") == 1])
+             for den, terms in BCH[: max(step, 2) - 1]]
+    words = [w for _, terms in table for _, w, _ in terms]
+    tails = Counter(w[1:] for w in {w[k:] for w in words for k in range(len(w) - 2)})
+    return table, tails, dict(tails + Counter(words), x=0, y=0)
+
+
+def _rank(a: np.ndarray) -> int:
+    """The rank of a small matrix, by Gaussian elimination with row pivoting:
+    np.linalg.matrix_rank's first LAPACK call costs a process about 1 MB."""
+    a, rank = np.array(a, dtype=float), 0
+    tol = 1e-12 * max(np.abs(a).max(initial=0.0), 1.0)
+    for col in range(a.shape[1]):
+        pivot = rank + int(np.abs(a[rank:, col]).argmax()) if rank < len(a) else None
+        if pivot is not None and abs(a[pivot, col]) > tol:
+            a[[rank, pivot]] = a[[pivot, rank]]
+            a[rank + 1:] -= np.multiply.outer(a[rank + 1:, col] / a[rank, col], a[rank])
+            rank += 1
+    return rank
 
 
 class GroupAxiomError(ValueError):
@@ -49,9 +88,8 @@ class StratifiedGroup:
         if not dims or any(d <= 0 for d in dims):
             raise GroupAxiomError(f"layer dims must be positive: {dims}")
         if len(dims) > MAX_STEP:
-            raise GroupAxiomError(
-                f"step {len(dims)} not supported (truncated BCH is exact only up to step {MAX_STEP})"
-            )
+            raise GroupAxiomError(f"step {len(dims)} not supported (the BCH table is exact "
+                                  f"only up to step {MAX_STEP})")
         object.__setattr__(self, "layer_dims", dims)
         w = np.repeat(np.arange(1, len(dims) + 1), dims)
         object.__setattr__(self, "weights", w)
@@ -91,7 +129,8 @@ class StratifiedGroup:
             raise GroupAxiomError(msg)
 
     def axiom_violations(self, tol: float = 1e-12) -> list:
-        """Witness strings for every violated Lie algebra axiom (empty = valid)."""
+        """Witness strings for every violated Lie algebra axiom, and for a layer
+        V_k that [V_1, V_{k-1}] does not span (empty = valid)."""
         out = []
         c, w = self.c, self.weights
         anti = c + np.swapaxes(c, 0, 1)
@@ -109,6 +148,13 @@ class StratifiedGroup:
         if np.abs(jac).max() > tol:
             i, j, k, _ = np.unravel_index(np.abs(jac).argmax(), jac.shape)
             out.append(f"Jacobi identity fails on basis triple ({i},{j},{k})")
+        # stratified: the rows c[i, j, V_k] over i in V_1, j in V_{k-1} span V_k
+        for k in range(2, self.step + 1):
+            rows = c[w == 1][:, w == k - 1][..., w == k].reshape(-1, self.layer_dims[k - 1])
+            rank = _rank(rows)
+            if rank < self.layer_dims[k - 1]:
+                out.append(f"layer {k} is not generated: [V_1, V_{k - 1}] spans {rank} of "
+                           f"its {self.layer_dims[k - 1]} dimensions")
         return out
 
     # -- Lie algebra -------------------------------------------------------
@@ -140,27 +186,57 @@ class StratifiedGroup:
 
         X u = A(x)^T g for g = grad u(x) and the frame A of
         `vector_field_coeffs`, summed from the structure constants without
-        building A: (g + ad_x^T g / 2 + (ad_x^T)^2 g / 12)[:m], with the last
-        term at step 3 only, as in `multiply`.
+        building A: the transposed series (g + ad_x^T g / 2 + (ad_x^T)^2 g / 12
+        - ..)[:m], its last power only m coordinates wide.
         """
-        x = self._coerce(x)
         g = self._coerce(grad)
-        m = self.m
-        if self.step >= 3:
-            t = self._coadjoint(x, g, self.n)
-            return g[..., :m] + 0.5 * t[..., :m] + self._coadjoint(x, t, m) / 12.0
-        return g[..., :m] + 0.5 * self._coadjoint(x, g, m)
+        return self.bch(self._coerce(x), g, (g[..., :self.m],), one_y=True,
+                        act=lambda a, v, tail: self._coadjoint(a, v, self.n if tail else self.m))
 
     # -- group operations --------------------------------------------------
 
     def multiply(self, x, y) -> np.ndarray:
-        """Group product via BCH: x + y + [x,y]/2 + ([x,[x,y]] + [y,[y,x]])/12."""
-        x = self._coerce(x)
-        y = self._coerce(y)
-        b = self.bracket(x, y)
-        out = x + y + 0.5 * b
-        if self.step >= 3:
-            out = out + (self.bracket(x, b) - self.bracket(y, b)) / 12.0
+        """Group product via BCH: x + y + [x,y]/2 + ([x,[x,y]] - [y,[x,y]])/12 + .."""
+        x, y = self._coerce(x), self._coerce(y)
+        return self.bch(x, y, (x, y))
+
+    def bch(self, x, y, head, act=None, one_y=False, signed=True) -> np.ndarray:
+        """sum(head) + the BCH series of x and y through the group's step (at
+        least degree 2, whose zero bracket on an Abelian group broadcasts the
+        result), each degree's sum of num * word over den added in table order.
+        A word is act(first letter, tail's value, whether a longer word reads it),
+        [a, v] by default, evaluated once, cut to head[0]'s width and summed in
+        place once no later read needs it.  one_y keeps the words linear in y
+        (the frame), signed=False takes |num|."""
+        act = act or (lambda a, v, tail: self.bracket(a, v))
+        table, tails, reads = _plan(self.step, one_y, signed)
+        reads, memo = reads.copy(), {"x": x, "y": y}
+
+        def read(word):  # the value of word, and whether no later read needs it
+            reads[word] -= 1
+            return (memo[word], False) if reads[word] else (memo.pop(word), True)
+
+        out, width = None, head[0].shape[-1]
+        for den, terms in table:
+            total = None
+            for num, word, suffixes in terms:
+                for w in suffixes:
+                    if w not in memo:
+                        memo[w] = act(memo[w[0]], read(w[1:])[0], w in tails)
+                v, mine = read(word)
+                v = v[..., :width]
+                if total is None:  # sign * the degree's sum, summed in place once ours
+                    sign = 1 if num > 0 else -1
+                    total, own = (v, mine) if abs(num) == 1 else (abs(num) * v, True)
+                else:
+                    total = (np.add if num * sign > 0 else np.subtract)(
+                        total, v if abs(num) == 1 else abs(num) * v, out=total if own else None)
+                    own = True
+            if total is not None and out is None and len(head) > 1:  # allocated as numpy
+                out = sum(head[1:], head[0]) + total / (sign * den)  # ran x + y + 0.5 * b
+            elif total is not None:  # summed into the quotient, an array of our own
+                total = np.divide(total, sign * den, out=total if own else None)
+                out = np.add(head[0] if out is None else out, total, out=total)
         return out
 
     def inverse(self, x) -> np.ndarray:
@@ -177,18 +253,14 @@ class StratifiedGroup:
     def vector_field_coeffs(self, x) -> np.ndarray:
         """Coefficient matrix A(x) of the horizontal frame X_1..X_m.
 
-        Column j is d/dt (x . t e_j) at t = 0, that is
-        e_j + [x,e_j]/2 + [x,[x,e_j]]/12, so X_j u = A(x)[:, j] . grad u.
-        This is the dense reference frame: the tests check
-        `hgrad_from_egrad` against it and the benchmark traces it by name,
-        while fields take their horizontal gradients from that kernel.
+        Column j is d/dt (x . t e_j) at t = 0, the words of the BCH series
+        linear in y = e_j: e_j + [x,e_j]/2 + [x,[x,e_j]]/12 - .., so
+        X_j u = A(x)[:, j] . grad u.  This is the dense reference frame: the
+        tests check `hgrad_from_egrad` against it and the benchmark traces it
+        by name, while fields take their horizontal gradients from that kernel.
         """
-        x = self._coerce(x)[..., None, :]
         eye = np.eye(self.n)[: self.m]
-        xb = self.bracket(x, eye)  # row j is [x, e_j]
-        rows = eye + 0.5 * xb
-        if self.step >= 3:
-            rows = rows + self.bracket(x, xb) / 12.0
+        rows = self.bch(self._coerce(x)[..., None, :], eye, (eye,), one_y=True)  # rows e_j
         # in C order, the layout the contraction in X_j u sums in
         return np.ascontiguousarray(np.swapaxes(rows, -1, -2))
 

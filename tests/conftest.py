@@ -25,6 +25,15 @@ def x_weighted_functional(group):
     return BlackBoxFunctional(fn, name="x_weighted_energy")
 
 
+def filiform_spec(step: int) -> dict:
+    """The model filiform group of a step >= 2 as a group spec: layers
+    (2, 1, .., 1) and [e1, e_i] = e_(i+1) for i = 2..step; step 2 is the
+    Heisenberg group, step 3 the Engel group."""
+    return {"layer_dims": [2] + [1] * (step - 1), "name": f"filiform-{step}",
+            "brackets": [{"i": 1, "j": i, "out": {str(i + 1): 1}}
+                         for i in range(2, step + 1)]}
+
+
 def run_fresh(code: str) -> str:
     """stdout of `code` run in a fresh interpreter that imports carnot from the
     same source tree as the tests."""

@@ -10,7 +10,7 @@ from carnot import cli
 from carnot.cli import main, EXIT_OK, EXIT_FAIL, EXIT_CONFIG, EXIT_HYPOTHESIS
 from carnot.recovery import gamma_experiment
 
-from conftest import run_fresh
+from conftest import filiform_spec, run_fresh
 
 
 def _write(tmp_path, name, payload):
@@ -83,6 +83,36 @@ class TestVerify:
     def test_functional_suite_passes(self, tmp_path, capsys):
         cfg = _write(tmp_path, "c.json", {"samples": 20})
         assert main(["verify", "--suite", "functional", "--config", cfg]) == EXIT_OK
+
+
+class TestStepFour:
+    """Every command on the filiform step-4 group, read from a .json file."""
+
+    @pytest.fixture
+    def cfg(self, tmp_path):
+        group = _write(tmp_path, "filiform-4.json", filiform_spec(4))
+        return _write(tmp_path, "c.json", {"group": group, "grid": {"shape": 5},
+                                           "xi_grid": {"points": 5},
+                                           "recovery": {"cells_per_axis": 6}})
+
+    @pytest.mark.parametrize("argv", [["group-info"], ["verify", "--suite", "axioms"],
+                                      ["verify", "--suite", "functional"],
+                                      ["verify", "--suite", "lsc"], ["recover"], ["gamma"]],
+                             ids=["group-info", "axioms", "functional", "lsc", "recover",
+                                  "gamma"])
+    def test_command_passes(self, cfg, capsys, argv):
+        assert main(argv + ["--config", cfg]) == EXIT_OK
+        assert capsys.readouterr().err == ""
+
+    def test_group_info(self, cfg, capsys):
+        assert main(["group-info", "--config", cfg]) == EXIT_OK
+        report = json.loads(capsys.readouterr().out)
+        assert (report["group"], report["n"], report["k"], report["Q"]) == ("filiform-4", 5, 4,
+                                                                            11)
+
+    def test_mollify_keeps_the_quadrature_cap(self, cfg, capsys):
+        assert main(["verify", "--suite", "mollify", "--config", cfg]) == EXIT_CONFIG
+        assert "n <= 4" in capsys.readouterr().err
 
 
 # field expressions that parse but have no real numpy evaluator, or whose
@@ -449,6 +479,21 @@ class TestConfigBoundary:
         err = capsys.readouterr().err
         assert err.startswith("config error: values out of floating-point range: ")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("shape, cells", [(100000, "1000000000000000"),
+                                              (3000000, "27000000000000000000")],
+                             ids=["out-of-memory", "too-big-for-numpy"])
+    def test_unallocatable_grid_exits_config(self, tmp_path, capsys, shape, cells):
+        # masks of 10^15 and 2.7e19 bytes lie beyond a process's address space,
+        # so neither allocation succeeds; each used to end in numpy's
+        # MemoryError or ValueError traceback with exit 1
+        cfg = _write(tmp_path, "c.json", {"grid": {"shape": shape}})
+        assert main(["verify", "--suite", "lsc", "--config", cfg]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (f"config error: grid.shape {(shape,) * 3} has "
+                                           f"{cells} cells, too many to allocate\n")
+        # the axioms suite reads no grid: it checks the grid's keys and runs
+        assert main(["verify", "--suite", "axioms", "--config", cfg]) == EXIT_OK
+        assert capsys.readouterr().err == ""
 
     @pytest.mark.parametrize("h", [[16, 1], [1, 1]], ids=["decreasing", "repeated"])
     @pytest.mark.parametrize("argv", [["gamma"], ["verify", "--suite", "lsc"]],

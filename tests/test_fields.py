@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 from scipy.interpolate import RegularGridInterpolator
 
-from conftest import run_fresh
+from conftest import filiform_spec, run_fresh
+from carnot.config import build_group
 from carnot.groups import euclidean, heisenberg, engel
 from carnot.fields import (GridDomain, DomainError, constant_field,
                            probe_field, from_expression, quadratic_field,
@@ -98,8 +99,9 @@ class TestGridDomain:
     @pytest.mark.parametrize("group, center", [
         (heisenberg(1), [1.5, 0.0, 0.0]), (heisenberg(1), [-0.7, 1.2, 2.0]),
         (engel(), [1.5, 0.0, 0.0, 0.0]), (engel(), [1.5, -0.7, 0.3, 0.2]),
-        (heisenberg(2), [0.4, -1.1, 0.8, 0.5, -0.3])],
-        ids=["h1-axis", "h1", "engel-axis", "engel", "h2"])
+        (heisenberg(2), [0.4, -1.1, 0.8, 0.5, -0.3]),
+        (build_group({"group": filiform_spec(4)}), [1.5, -0.7, 0.3, 0.2, -0.4])],
+        ids=["h1-axis", "h1", "engel-axis", "engel", "h2", "filiform-4"])
     def test_ball_box_holds_the_ball(self, group, center):
         # every point center.z with |z_i| <= r**d_i, the weighted-max ball that
         # holds the Koranyi one, lies in the bounding box, vertices included; on

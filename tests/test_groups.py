@@ -1,12 +1,16 @@
 """Group arithmetic, axiom checking, norms and presets."""
 
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from carnot.config import build_group
-from carnot.groups import (StratifiedGroup, GroupAxiomError, euclidean,
-                           heisenberg, engel, preset)
+from conftest import filiform_spec
+from carnot.config import ConfigError, build_group
+from carnot.groups import (BCH, MAX_STEP, _rank, StratifiedGroup, GroupAxiomError,
+                           euclidean, heisenberg, engel, preset)
 
 
 def _coords(n, scale=2.0):
@@ -168,6 +172,117 @@ class TestHgradKernel:
             a, b, rtol=1e-14, atol=1e-14))
 
 
+def _matrix_group(basis, layer_dims):
+    """The group whose structure constants are the commutators of the
+    nilpotent matrices `basis`, and the map from coordinates to matrices."""
+    flat = np.array([b.ravel() for b in basis]).T
+    c = np.array([[np.linalg.lstsq(flat, (a @ b - b @ a).ravel(), rcond=None)[0]
+                   for b in basis] for a in basis])
+    c[np.abs(c) < 1e-12] = 0.0
+    return StratifiedGroup(layer_dims, c), flat
+
+
+def _filiform(step):
+    # rho(a e1 + v) = [[a N, v], [0, 0]], N the shift on span(e2..en)
+    n = step + 1
+    head = np.zeros((n, n))
+    head[1:n - 1, : n - 2] = np.eye(n - 2)
+    columns = [np.zeros((n, n)) for _ in range(n - 1)]
+    for i, b in enumerate(columns):
+        b[i, n - 1] = 1.0
+    g, flat = _matrix_group([head] + columns, (2,) + (1,) * (step - 1))
+    np.testing.assert_array_equal(g.c, build_group({"group": filiform_spec(step)}).c)
+    return g, flat
+
+
+def _triangular(size):
+    # strictly upper-triangular matrices, layer k the k-th superdiagonal
+    basis = []
+    for k in range(1, size):
+        for i in range(size - k):
+            basis.append(np.zeros((size, size)))
+            basis[-1][i, i + k] = 1.0
+    return _matrix_group(basis, tuple(range(size - 1, 0, -1)))
+
+
+def _exp(a):
+    # finite for nilpotent a: a^len(a) = 0
+    out = term = np.eye(len(a))
+    for k in range(1, len(a)):
+        term = term @ a / k
+        out = out + term
+    return out
+
+
+def _log(a):
+    # finite for unipotent a
+    out, term, nil = np.zeros_like(a), np.eye(len(a)), a - np.eye(len(a))
+    for k in range(1, len(a)):
+        term = term @ nil
+        out = out + (-1) ** (k + 1) * term / k
+    return out
+
+
+ORACLE_GROUPS = {"filiform-2": lambda: _filiform(2), "filiform-3": lambda: _filiform(3),
+                 "filiform-4": lambda: _filiform(4), "filiform-5": lambda: _filiform(5),
+                 "triangular-5": lambda: _triangular(5), "triangular-6": lambda: _triangular(6)}
+
+
+class TestMatrixOracle:
+    """The group law against log(exp X exp Y) in a faithful matrix
+    representation, and the frame against derivatives of the group law, on the
+    model filiform groups (step 2 is Heisenberg, 3 Engel) and on the strictly
+    upper-triangular 5 x 5 and 6 x 6 matrices (steps 4 and 5)."""
+
+    @pytest.mark.parametrize("name", ORACLE_GROUPS)
+    def test_multiply(self, name):
+        g, flat = ORACLE_GROUPS[name]()
+        size = math.isqrt(flat.shape[0])
+        assert g.step == {"triangular-5": 4, "triangular-6": 5}.get(name, int(name[-1]))
+        x, y = np.random.default_rng(10).normal(size=(2, 40, g.n))
+        want = [np.linalg.lstsq(flat, _log(_exp((flat @ a).reshape(size, size))
+                                           @ _exp((flat @ b).reshape(size, size))).ravel(),
+                                rcond=None)[0] for a, b in zip(x, y)]
+        got = g.multiply(x, y)
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    @pytest.mark.parametrize("name", ORACLE_GROUPS)
+    def test_frame_is_the_derivative_of_multiply(self, name):
+        # column j is d/dt (x . t e_j) at t = 0
+        g, _ = ORACLE_GROUPS[name]()
+        x = np.random.default_rng(11).normal(size=(20, g.n))
+        t = 1e-6
+        steps = t * np.eye(g.n)[: g.m, None, :]
+        fd = (g.multiply(x, steps) - g.multiply(x, -steps)) / (2 * t)
+        np.testing.assert_allclose(g.vector_field_coeffs(x), np.moveaxis(fd, 0, -1),
+                                   atol=1e-8)
+
+    @pytest.mark.parametrize("name", ORACLE_GROUPS)
+    def test_hgrad_is_the_frame_transpose(self, name):
+        g, _ = ORACLE_GROUPS[name]()
+        x, grad = np.random.default_rng(12).normal(size=(2, 200, g.n))
+        out = g.hgrad_from_egrad(x, grad)
+        assert out.shape == (200, g.m) and out.flags.c_contiguous
+        np.testing.assert_allclose(
+            out, np.einsum("...nj,...n->...j", g.vector_field_coeffs(x), grad),
+            rtol=1e-13, atol=1e-13)
+
+    def test_table_linear_part_is_psi(self):
+        # the words with one y are ad_x^(d-1) y, and their coefficients are the
+        # series of psi(z) = z / (1 - e^-z), the inverse of sum (-z)^k / (k+1)!
+        inverse = [Fraction((-1) ** k, math.factorial(k + 1)) for k in range(len(BCH) + 2)]
+        psi = [Fraction(1)]
+        for k in range(1, len(inverse)):
+            psi.append(-sum(psi[i] * inverse[k - i] for i in range(k)))
+        for d, (den, terms) in enumerate(BCH, start=2):
+            assert all(len(w) == d and set(w) <= {"x", "y"} for _, w in terms)
+            linear = [(num, w) for num, w in terms if w.count("y") == 1]
+            assert all(w == "x" * (d - 1) + "y" for _, w in linear)
+            assert sum(Fraction(num, den) for num, _ in linear) == psi[d - 1]
+        assert psi[1:5] == [Fraction(1, 2), Fraction(1, 12), 0, Fraction(-1, 720)]
+        assert MAX_STEP == len(BCH) + 1 == 5
+
+
 class TestDilations:
     def test_automorphism(self):
         g = engel()
@@ -240,8 +355,36 @@ class TestAxioms:
             StratifiedGroup((3, 1, 1), c)
 
     def test_step_cap(self):
-        with pytest.raises(GroupAxiomError, match="step"):
-            StratifiedGroup((1, 1, 1, 1), np.zeros((4, 4, 4)))
+        # the six-layer filiform group is valid, but the BCH table stops at degree 5
+        c = np.zeros((7, 7, 7))
+        for i in range(1, 6):
+            c[0, i, i + 1], c[i, 0, i + 1] = 1.0, -1.0
+        with pytest.raises(GroupAxiomError, match="step 6 not supported"):
+            StratifiedGroup((2, 1, 1, 1, 1, 1), c)
+
+    @pytest.mark.parametrize("spec, layer", [
+        ({"layer_dims": [2, 1, 1], "brackets": [{"i": 1, "j": 2, "out": {"3": 1}}]}, 3),
+        ({"layer_dims": [2, 1], "brackets": []}, 2),
+        ({"layer_dims": [2, 2], "brackets": [{"i": 1, "j": 2, "out": {"3": 1, "4": 2}}]}, 2),
+        ({"layer_dims": [2, 1, 2], "brackets": [{"i": 1, "j": 2, "out": {"3": 1}},
+                                                 {"i": 1, "j": 3, "out": {"4": 1, "5": 1}},
+                                                 {"i": 2, "j": 3, "out": {"4": 2, "5": 2}}]},
+         3)],
+        ids=["no-third-layer-bracket", "abelian-second-layer", "rank-one-second-layer",
+             "rank-one-third-layer"])
+    def test_stratification_witness(self, spec, layer):
+        # graded, antisymmetric and Jacobi, but [V_1, V_(k-1)] misses part of V_k
+        with pytest.raises(ConfigError, match=f"layer {layer} is not generated") as exc:
+            build_group({"group": spec})
+        assert isinstance(exc.value.__cause__, GroupAxiomError)
+
+    def test_rank_matches_the_svd_rank(self):
+        # the stratification check's elimination against numpy's SVD rank
+        rng = np.random.default_rng(13)
+        for rows, cols, rank in [(4, 1, 0), (4, 1, 1), (6, 3, 2), (9, 4, 4), (3, 5, 3),
+                                 (8, 6, 1)]:
+            a = rng.normal(size=(rows, rank)) @ rng.normal(size=(rank, cols))
+            assert _rank(a) == np.linalg.matrix_rank(a) == rank
 
     def test_valid_groups_report_clean(self):
         for g in (euclidean(2), heisenberg(2), engel()):
