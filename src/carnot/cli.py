@@ -16,6 +16,7 @@ import os
 import sys
 
 import numpy as np
+import numpy.random  # numpy loads it on first use; every seeded command needs it
 
 from . import config as cfgmod
 from .config import ConfigError
@@ -102,24 +103,22 @@ def cmd_verify(cfg: dict, suite: str) -> tuple:
         cfgmod.read_grid(cfg, group)
     else:
         grid = cfgmod.build_grid(cfg, group)
-    rng = cfgmod.build_rng(cfg)
+    rng = np.random.default_rng(cfg["seed"])
     if suite == "axioms":
-        rows = suite_axioms(norm, rng, tol=1e-12 * cfgmod.build_tol_scale(cfg))
+        rows = suite_axioms(norm, rng, tol=1e-12 * cfg["tol_scale"])
     elif suite == "mollify":
-        eps = cfgmod.build_schedule(cfg, "eps")
-        rows = suite_mollify(cfgmod.build_mollifier(cfg, norm), grid, rng, eps_list=eps,
-                             p=cfgmod.build_scalar(cfg, "p", minimum=1.0))
+        rows = suite_mollify(cfgmod.build_mollifier(cfg, norm), grid, rng,
+                             eps_list=cfg["schedules"]["eps"], p=cfg["p"])
     elif suite == "functional":
         functional = cfgmod.build_functional(cfg, group)
         if not isinstance(functional, IntegrandFunctional):
             raise ConfigError("the functional suite needs a built-from-integrand functional")
-        rows = suite_functional(group, functional.integrand, grid, rng,
-                                samples=cfgmod.build_scalar(cfg, "samples", int, minimum=1))
+        rows = suite_functional(group, functional.integrand, grid, rng, samples=cfg["samples"])
     elif suite == "sandwich":
-        eps = cfgmod.build_schedule(cfg, "eps")
-        rows = suite_sandwich(cfgmod.build_mollifier(cfg, norm), grid, rng, eps_list=eps)
+        rows = suite_sandwich(cfgmod.build_mollifier(cfg, norm), grid, rng,
+                              eps_list=cfg["schedules"]["eps"])
     elif suite == "lsc":
-        rows = suite_lsc(group, grid, rng, h_list=cfgmod.build_schedule(cfg, "h", int))
+        rows = suite_lsc(group, grid, rng, h_list=cfg["schedules"]["h"])
     text = "\n".join(f"{'pass' if row['passed'] else 'FAIL':5s} {row['name']:40s} "
                      f"value={row['value']:.6g} tol={row['tolerance']:.6g}" for row in rows)
     files = {f"verify_{suite}.csv": _csv(rows, ["name", "value", "tolerance", "passed"])}
@@ -132,7 +131,6 @@ def cmd_recover(cfg: dict) -> tuple:
     functional = cfgmod.build_functional(cfg, group)
     xi_grid = cfgmod.build_xi_grid(cfg, group)
     base = cfgmod.build_recovery_ball(cfg, norm)
-    radii = cfgmod.build_schedule(cfg, "rho")
     rec = recover_integrand(functional, group, base, xi_grid)
     defects = rec.pointwise_convexity_defect()
     if functional.growth is None:  # no certificate: no slack to measure
@@ -150,7 +148,7 @@ def cmd_recover(cfg: dict) -> tuple:
     xi0[0] = 1.0
     centers = np.zeros((2, group.n))
     centers[1, 0] = 1.5
-    probe = constancy_probe(functional, norm, xi0, centers, radii,
+    probe = constancy_probe(functional, norm, xi0, centers, cfg["schedules"]["rho"],
                             cells_per_axis=base.shape[0])
     summary = {
         "max_convexity_violation": float(defects.max()),
@@ -171,12 +169,10 @@ def cmd_gamma(cfg: dict) -> tuple:
     grid = cfgmod.build_grid(cfg, group)
     sequence = cfgmod.build_gamma_sequence(cfg, group)
     xi_grid = cfgmod.build_xi_grid(cfg, group)
-    max_iter = cfgmod.build_scalar(cfg, "minimizer.max_iter", int, minimum=0)
     base = cfgmod.build_recovery_ball(cfg, norm)
     fields = cfgmod.build_fields(cfg, group)
-    report = gamma_experiment(group, sequence, fields, grid,
-                              cfgmod.build_scalar(cfg, "schedules.delta", minimum=0.0),
-                              cfgmod.build_scalar(cfg, "p"), base, xi_grid, max_iter)
+    report = gamma_experiment(group, sequence, fields, grid, cfg["schedules"]["delta"],
+                              cfg["p"], base, xi_grid, cfg["minimizer"]["max_iter"])
 
     limit = report["limit"]
     names, limit_rows = _xi_rows(limit.xi)

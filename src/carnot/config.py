@@ -15,7 +15,6 @@ import numbers
 from dataclasses import replace
 
 import numpy as np
-import numpy.random  # numpy loads it on first use; every seeded command needs it
 
 from . import groups
 from .fields import GridDomain, from_expression, probe_field
@@ -65,8 +64,10 @@ def _merge(base: dict, override: dict) -> dict:
 
 
 def load_config(path: str | None = None, overrides: dict | None = None) -> dict:
-    """DEFAULTS merged with the config file at `path`, then with `overrides`;
-    a key in either that no reader reads raises ConfigError (`_check_keys`)."""
+    """DEFAULTS merged with the config file at `path`, then with `overrides`.
+    A key in either that no reader reads raises ConfigError (`_check_keys`),
+    and so does a number key or schedule of the wrong type or out of range
+    (`_check_numbers`); the config returned holds their converted values."""
     cfg = copy.deepcopy(DEFAULTS)
     if path is not None:
         try:
@@ -79,6 +80,7 @@ def load_config(path: str | None = None, overrides: dict | None = None) -> dict:
     if overrides:
         _check_keys(overrides)
         cfg = _merge(cfg, overrides)
+    _check_numbers(cfg)
     return cfg
 
 
@@ -90,6 +92,18 @@ _SECTION_KEYS = {name: set(DEFAULTS[name]) for name in
 _SECTION_KEYS["gamma"].add("shift")
 _INTEGRAND_KEYS = {"power": {"p"}, "quadratic": {"M"}, "max_affine": {"planes"},
                    "tabulated": {"axes", "table"}}
+
+# the type and lower bound of every number key ("positive" excludes 0: a zero
+# tol_scale makes every tolerance unmeetable), and each schedule's entry type;
+# keys whose check needs the group are checked by their builders
+_NUMBERS = {
+    "p": (float, 1.0), "mollifier_resolution": (int, 3), "schedules.delta": (float, 0.0),
+    "xi_grid.radius": (float, None), "xi_grid.points": (int, 1),
+    "recovery.ball_radius": (float, None), "recovery.cells_per_axis": (int, 1),
+    "gamma.scale": (float, None), "minimizer.max_iter": (int, 0),
+    "samples": (int, 1), "seed": (int, 0), "tol_scale": (float, "positive"),
+}
+_SCHEDULES = {"eps": float, "rho": float, "h": int}
 
 
 def _check_keys(user: dict) -> None:
@@ -109,6 +123,36 @@ def _check_keys(user: dict) -> None:
     _check_integrand(user.get("integrand"), DEFAULTS["integrand"], "integrand")
     if isinstance(user.get("gamma"), dict):
         _check_integrand(user["gamma"].get("base"), DEFAULTS["gamma"]["base"], "gamma.base")
+
+
+def _check_numbers(cfg: dict) -> None:
+    """Raise ConfigError on a section of _SECTION_KEYS that is not a mapping,
+    on a number key of _NUMBERS or a schedule of the wrong type or out of
+    range, and on an h schedule that does not strictly increase: the gamma
+    experiment reads its limit at the last h, the lsc suite its tail from the
+    end.  Each checked value is replaced by its converted one."""
+    for name in _SECTION_KEYS:
+        _mapping(cfg[name], name)
+    for key, (kind, bound) in _NUMBERS.items():
+        section, _, name = key.rpartition(".")
+        spec = cfg[section] if section else cfg
+        value = spec[name] = _read(kind, spec[name], key)
+        if bound == "positive" and not value > 0:
+            raise ConfigError(f"{key} must be positive, got {value!r}")
+        if bound not in (None, "positive") and not value >= bound:
+            raise ConfigError(f"{key} must be at least {bound}, got {value!r}")
+    for name, kind in _SCHEDULES.items():
+        raw = cfg["schedules"][name]
+        message = (f"schedules.{name} must be a nonempty list of positive {kind.__name__}, "
+                   f"got {raw!r}")
+        try:
+            values = cfg["schedules"][name] = [_read(kind, v, name) for v in raw]
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(message) from exc
+        if not values or min(values) <= 0:
+            raise ConfigError(message)
+        if name == "h" and any(a >= b for a, b in zip(values, values[1:])):
+            raise ConfigError(f"schedules.h must strictly increase, got {raw!r}")
 
 
 def _check_integrand(spec, default: dict, key: str) -> None:
@@ -190,37 +234,6 @@ def _required(spec: dict, name: str, key: str):
         raise ConfigError(f"{key} is missing") from None
 
 
-def _section(cfg: dict, key: str) -> dict:
-    """cfg[key], which must be a mapping."""
-    return _mapping(cfg[key], key)
-
-
-def build_scalar(cfg: dict, key: str, kind=float, minimum=None):
-    """The value at the dotted config `key` converted by `kind`, at least
-    `minimum` when one is given, or a ConfigError naming the key."""
-    *sections, name = key.split(".")
-    spec = cfg
-    for section in sections:
-        spec = _section(spec, section)
-    value = _read(kind, spec[name], key)
-    if minimum is not None and not value >= minimum:
-        raise ConfigError(f"{key} must be at least {minimum}, got {value!r}")
-    return value
-
-
-def build_tol_scale(cfg: dict) -> float:
-    """tol_scale, which must be positive: a zero or negative scale turns every
-    tolerance it multiplies into one that no residual can meet."""
-    value = build_scalar(cfg, "tol_scale")
-    if not value > 0:
-        raise ConfigError(f"tol_scale must be positive, got {value!r}")
-    return value
-
-
-def build_rng(cfg: dict) -> np.random.Generator:
-    return np.random.default_rng(build_scalar(cfg, "seed", int, minimum=0))
-
-
 def build_group(cfg: dict) -> groups.StratifiedGroup:
     """The group of cfg["group"]: a preset name, the path of a .json file, or
     {"layer_dims": [...], "brackets": [{"i": 1, "j": 2, "out": {"3": 1.0}}]}
@@ -286,7 +299,7 @@ def build_norm(cfg: dict, group: groups.StratifiedGroup) -> groups.HomogeneousNo
 
 def read_grid(cfg: dict, group: groups.StratifiedGroup) -> tuple:
     """The grid's (lo, hi, shape), checked but not allocated."""
-    spec = _section(cfg, "grid")
+    spec = cfg["grid"]
     lo = _read_array(spec.get("lo") or [-1.0] * group.n, "grid.lo")
     hi = _read_array(spec.get("hi") or [1.0] * group.n, "grid.hi")
     if lo.shape != (group.n,) or hi.shape != (group.n,):
@@ -335,7 +348,7 @@ def build_fields(cfg: dict, group: groups.StratifiedGroup) -> list:
 
 
 def build_functional(cfg: dict, group: groups.StratifiedGroup) -> Functional:
-    spec = _section(cfg, "integrand")
+    spec = _mapping(cfg["integrand"], "integrand")
     if "blackbox" in spec:
         mod_name, _, attr = _string(spec["blackbox"], "integrand.blackbox").partition(":")
         try:
@@ -402,53 +415,33 @@ def _integrand(spec: dict, m: int, key: str) -> Integrand:
 
 
 def build_mollifier(cfg: dict, norm: groups.HomogeneousNorm) -> MollifierFamily:
-    resolution = _read(int, cfg["mollifier_resolution"], "mollifier_resolution")
     try:
-        return MollifierFamily(norm, resolution=resolution)
+        return MollifierFamily(norm, resolution=cfg["mollifier_resolution"])
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
 
 def build_xi_grid(cfg: dict, group: groups.StratifiedGroup) -> np.ndarray:
-    points = build_scalar(cfg, "xi_grid.points", int, minimum=1)
-    return uniform_xi_grid(group.m, build_scalar(cfg, "xi_grid.radius"), points)
+    spec = cfg["xi_grid"]
+    return uniform_xi_grid(group.m, spec["radius"], spec["points"])
 
 
 def build_recovery_ball(cfg: dict, norm: groups.HomogeneousNorm) -> GridDomain:
     """The base ball B(0, recovery.ball_radius) of probe recovery."""
-    radius = build_scalar(cfg, "recovery.ball_radius")
-    cells = build_scalar(cfg, "recovery.cells_per_axis", int, minimum=1)
-    return GridDomain.ball(norm, norm.group.origin(), radius, cells)
-
-
-def build_schedule(cfg: dict, key: str, kind=float) -> list:
-    """schedules.<key> as a nonempty list of positive `kind` values.  The h
-    schedule, shared by the gamma experiment and the lsc suite, must also
-    strictly increase: the one reads its limit at the last h, the other its
-    tail from the end."""
-    raw = _section(cfg, "schedules")[key]
-    message = f"schedules.{key} must be a nonempty list of positive {kind.__name__}, got {raw!r}"
-    try:
-        values = [_read(kind, v, key) for v in raw]
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(message) from exc
-    if not values or min(values) <= 0:
-        raise ConfigError(message)
-    if key == "h" and any(a >= b for a, b in zip(values, values[1:])):
-        raise ConfigError(f"schedules.h must strictly increase, got {raw!r}")
-    return values
+    spec = cfg["recovery"]
+    return GridDomain.ball(norm, norm.group.origin(), spec["ball_radius"],
+                           spec["cells_per_axis"])
 
 
 def build_gamma_sequence(cfg: dict, group: groups.StratifiedGroup) -> list:
     """(h, integrand) pairs for the variational-limit experiment."""
-    spec = _section(cfg, "gamma")
-    hs = build_schedule(cfg, "h", int)
+    spec = cfg["gamma"]
+    hs = cfg["schedules"]["h"]
     try:
         base = integrand_from_config(spec["base"], group.m, "gamma.base")
         kind = spec["kind"]
         if kind == "offset":
-            scale = _read(float, spec["scale"], "gamma.scale")
-            return [(h, OffsetIntegrand(base, scale / h)) for h in hs]
+            return [(h, OffsetIntegrand(base, spec["scale"] / h)) for h in hs]
         if kind == "alternating":
             shift = _read_array(_required(spec, "shift", "gamma.shift"), "gamma.shift")
             # one integrand per parity, so the minimizer sees two, not len(hs)
