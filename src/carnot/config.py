@@ -110,8 +110,8 @@ def _check_keys(user: dict) -> None:
     """Raise ConfigError on a key of a user config (before it is merged into
     the defaults) that no reader reads: at the top level, in a section of
     _SECTION_KEYS, in a `fields` entry, and in an integrand spec by its kind.
-    Values of the wrong type are left to their readers; the group spec, which
-    may come from a file, is checked by `build_group`."""
+    Values of the wrong type are left to `_check_numbers` and the builders;
+    the group spec, which may come from a file, is checked by `build_group`."""
     _known(user, DEFAULTS, "config")
     for name, allowed in _SECTION_KEYS.items():
         if isinstance(user.get(name), dict):
@@ -300,8 +300,9 @@ def build_norm(cfg: dict, group: groups.StratifiedGroup) -> groups.HomogeneousNo
 def read_grid(cfg: dict, group: groups.StratifiedGroup) -> tuple:
     """The grid's (lo, hi, shape), checked but not allocated."""
     spec = cfg["grid"]
-    lo = _read_array(spec.get("lo") or [-1.0] * group.n, "grid.lo")
-    hi = _read_array(spec.get("hi") or [1.0] * group.n, "grid.hi")
+    # only an absent or null bound means the default box: 0, false and [] do not
+    lo = _read_array([-1.0] * group.n if spec.get("lo") is None else spec["lo"], "grid.lo")
+    hi = _read_array([1.0] * group.n if spec.get("hi") is None else spec["hi"], "grid.hi")
     if lo.shape != (group.n,) or hi.shape != (group.n,):
         raise ConfigError(f"grid box must have {group.n} axes")
     try:
@@ -317,17 +318,32 @@ def read_grid(cfg: dict, group: groups.StratifiedGroup) -> tuple:
 
 def build_grid(cfg: dict, group: groups.StratifiedGroup) -> GridDomain:
     lo, hi, shape = read_grid(cfg, group)
-    try:
-        mask = np.ones(shape, bool)
-    except (MemoryError, ValueError) as exc:  # numpy's "array is too big" is a ValueError
-        raise ConfigError(f"grid.shape {shape} has {math.prod(shape)} cells, "
-                          f"too many to allocate") from exc
+    mask = _allocate(f"grid.shape {shape}", math.prod(shape), "cells", 1,
+                     lambda: np.ones(shape, bool))
     return GridDomain(lo, hi, shape, mask)
 
 
+def _allocate(subject: str, count: int, unit: str, itemsize: int, build):
+    """build(), or the ConfigError `<subject> has <count> <unit>, too many to
+    allocate`, where `itemsize` is the bytes per unit of the largest array
+    that build allocates.  The error is raised before building when those
+    bytes lie beyond numpy's index range, and in place of a MemoryError from
+    the build; any other error, a DomainError among them, passes through."""
+    message = f"{subject} has {count} {unit}, too many to allocate"
+    if count * itemsize > np.iinfo(np.intp).max:
+        raise ConfigError(message)
+    try:
+        return build()
+    except MemoryError as exc:
+        raise ConfigError(message) from exc
+
+
 def build_fields(cfg: dict, group: groups.StratifiedGroup) -> list:
+    entries = _list(cfg["fields"], "fields")
+    if not entries:  # a gamma run over no field checks nothing
+        raise ConfigError(f"fields must be a nonempty list, got {entries!r}")
     out = []
-    for i, entry in enumerate(_list(cfg["fields"], "fields")):
+    for i, entry in enumerate(entries):
         entry = _mapping(entry, f"fields[{i}]")
         if "expr" in entry:
             try:
@@ -415,22 +431,32 @@ def _integrand(spec: dict, m: int, key: str) -> Integrand:
 
 
 def build_mollifier(cfg: dict, norm: groups.HomogeneousNorm) -> MollifierFamily:
+    """The mollifier on resolution^n quadrature nodes, each n floats."""
+    resolution, n = cfg["mollifier_resolution"], norm.group.n
     try:
-        return MollifierFamily(norm, resolution=cfg["mollifier_resolution"])
-    except ValueError as exc:
+        return _allocate(f"mollifier_resolution {resolution}", resolution ** n, "nodes",
+                         8 * n, lambda: MollifierFamily(norm, resolution=resolution))
+    except ConfigError:
+        raise
+    except ValueError as exc:  # the quadrature's cap on n
         raise ConfigError(str(exc)) from exc
 
 
 def build_xi_grid(cfg: dict, group: groups.StratifiedGroup) -> np.ndarray:
-    spec = cfg["xi_grid"]
-    return uniform_xi_grid(group.m, spec["radius"], spec["points"])
+    """The points^m probes of recovery, each m floats."""
+    spec, m = cfg["xi_grid"], group.m
+    return _allocate(f"xi_grid.points {spec['points']}", spec["points"] ** m, "probes", 8 * m,
+                     lambda: uniform_xi_grid(m, spec["radius"], spec["points"]))
 
 
 def build_recovery_ball(cfg: dict, norm: groups.HomogeneousNorm) -> GridDomain:
-    """The base ball B(0, recovery.ball_radius) of probe recovery."""
-    spec = cfg["recovery"]
-    return GridDomain.ball(norm, norm.group.origin(), spec["ball_radius"],
-                           spec["cells_per_axis"])
+    """The base ball B(0, recovery.ball_radius) of probe recovery, masked over
+    cells_per_axis^n cells whose centers are n floats each."""
+    spec, n = cfg["recovery"], norm.group.n
+    cells = spec["cells_per_axis"]
+    return _allocate(f"recovery.cells_per_axis {cells}", cells ** n, "cells", 8 * n,
+                     lambda: GridDomain.ball(norm, norm.group.origin(), spec["ball_radius"],
+                                             cells))
 
 
 def build_gamma_sequence(cfg: dict, group: groups.StratifiedGroup) -> list:

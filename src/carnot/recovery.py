@@ -10,7 +10,6 @@ detector for hidden x-dependence.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -40,9 +39,14 @@ class HypothesisError(ValueError):
 
 
 def uniform_xi_grid(m: int, radius: float = 4.0, points: int = 17) -> np.ndarray:
-    """Uniform probe grid on [-radius, radius]^m, `points` per axis."""
+    """Uniform probe grid on [-radius, radius]^m, `points` per axis, in the
+    order of itertools.product: the last coordinate varies fastest."""
+    out = np.empty((points ** m, m))  # first: a grid too large fails before any work
     axis = np.linspace(-radius, radius, points)
-    return np.array(list(itertools.product(axis, repeat=m)), dtype=float)
+    lattice = out.reshape((points,) * m + (m,))
+    for j in range(m):  # coordinate j runs along lattice axis j
+        lattice[..., j] = axis.reshape((points,) + (1,) * (m - 1 - j))
+    return out
 
 
 @dataclass(frozen=True)

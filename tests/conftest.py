@@ -25,6 +25,12 @@ def x_weighted_functional(group):
     return BlackBoxFunctional(fn, name="x_weighted_energy")
 
 
+# the argv of each of the eight commands
+COMMANDS = [["group-info"], ["recover"], ["gamma"]] + [
+    ["verify", "--suite", suite] for suite in ("axioms", "mollify", "functional",
+                                               "sandwich", "lsc")]
+
+
 def filiform_spec(step: int) -> dict:
     """The model filiform group of a step >= 2 as a group spec: layers
     (2, 1, .., 1) and [e1, e_i] = e_(i+1) for i = 2..step; step 2 is the

@@ -10,7 +10,7 @@ from carnot import cli
 from carnot.cli import main, EXIT_OK, EXIT_FAIL, EXIT_CONFIG, EXIT_HYPOTHESIS
 from carnot.recovery import gamma_experiment
 
-from conftest import filiform_spec, run_fresh
+from conftest import COMMANDS, filiform_spec, run_fresh
 
 
 def _write(tmp_path, name, payload):
@@ -127,6 +127,13 @@ def _small_gamma(expr):
     return {"grid": {"shape": 4}, "xi_grid": {"points": 2}, "schedules": {"h": [1]},
             "minimizer": {"max_iter": 2}, "fields": [{"expr": _BAD_EXPRESSIONS[expr]}]}
 
+
+# each number key that every command checks, and its type
+_NUMBER_KEYS = {"p": "float", "mollifier_resolution": "int", "schedules.delta": "float",
+                "xi_grid.radius": "float", "xi_grid.points": "int",
+                "recovery.ball_radius": "float", "recovery.cells_per_axis": "int",
+                "gamma.scale": "float", "minimizer.max_iter": "int", "samples": "int",
+                "seed": "int", "tol_scale": "float"}
 
 # |eta|^2 on the nodes {-4, 0, 4}^2, which cover the default recover probes
 _CONE_TABLE = [[32, 16, 32], [16, 0, 16], [32, 16, 32]]
@@ -494,6 +501,49 @@ class TestConfigBoundary:
         # the axioms suite reads no grid: it checks the grid's keys and runs
         assert main(["verify", "--suite", "axioms", "--config", cfg]) == EXIT_OK
         assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("key", sorted(_NUMBER_KEYS))
+    @pytest.mark.parametrize("argv", COMMANDS, ids=[argv[-1] for argv in COMMANDS])
+    def test_every_command_checks_every_number_key(self, tmp_path, capsys, argv, key):
+        # a command used to check only the number keys it reads, so that
+        # group-info ran on {"samples": "x"}
+        section, _, name = key.rpartition(".")
+        cfg = _write(tmp_path, "c.json", {section: {name: "x"}} if section else {name: "x"})
+        assert main(argv + ["--config", cfg]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (f"config error: {key} must be {_NUMBER_KEYS[key]}, "
+                                           f"got 'x'\n")
+
+    @pytest.mark.parametrize("argv, payload, message", [
+        (["gamma"], {"p": 0.5}, "p must be at least 1.0, got 0.5"),
+        (["verify", "--suite", "mollify"], {"mollifier_resolution": 2},
+         "mollifier_resolution must be at least 3, got 2"),
+        (["recover"], {"recovery": {"cells_per_axis": 100000}},
+         "recovery.cells_per_axis 100000 has 1000000000000000 cells, too many to allocate"),
+        (["verify", "--suite", "mollify"], {"mollifier_resolution": 100000},
+         "mollifier_resolution 100000 has 1000000000000000 nodes, too many to allocate"),
+        (["recover"], {"xi_grid": {"points": 100000000}},
+         "xi_grid.points 100000000 has 10000000000000000 probes, too many to allocate"),
+        (["gamma"], {"xi_grid": {"points": 10**10}},
+         "xi_grid.points 10000000000 has 100000000000000000000 probes, too many to allocate"),
+        (["recover"], {"recovery": {"ball_radius": 1e100}},
+         "ball of radius 1e+100 does not fit in floats: its bounding box has volume inf"),
+        (["verify", "--suite", "functional"], {"grid": {"lo": 0}}, "grid box must have 3 axes"),
+        (["verify", "--suite", "functional"], {"grid": {"hi": []}}, "grid box must have 3 axes"),
+        (["verify", "--suite", "functional"], {"grid": {"lo": False}},
+         "grid.lo must be float, got False"),
+        (["gamma"], {"fields": []}, "fields must be a nonempty list, got []"),
+    ], ids=["p-half-gamma", "resolution-2-mollify", "ball-cells-recover",
+            "mollifier-nodes-mollify", "probes-recover", "probes-beyond-numpy-gamma",
+            "ball-volume-recover", "grid-lo-zero-functional", "grid-hi-empty-functional",
+            "grid-lo-false-functional", "fields-empty-gamma"])
+    def test_config_error_message(self, tmp_path, capsys, argv, payload, message):
+        # p = 0.5 used to exit 3 in gamma; the three sizes ended in a numpy
+        # MemoryError traceback or ran on without end; a falsy grid bound
+        # read as the default box; and gamma on no field passed, checking
+        # nothing.  The ball's DomainError passes through unchanged
+        cfg = _write(tmp_path, "c.json", payload)
+        assert main(argv + ["--config", cfg]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: {message}\n"
 
     @pytest.mark.parametrize("h", [[16, 1], [1, 1]], ids=["decreasing", "repeated"])
     @pytest.mark.parametrize("argv", [["gamma"], ["verify", "--suite", "lsc"]],

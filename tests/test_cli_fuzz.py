@@ -4,23 +4,24 @@ Every draw overrides a few keys of a small valid config with values of the
 right type, the wrong type or out of range.  Whatever the config, `main`
 returns 0, 1, 2 or 3 without an exception escaping, and exits 2 and 3 print
 exactly one line.  Counts stay small (grid <= 4 cells per axis, <= 5 xi
-points per axis, few nodes and iterations), so a valid draw is cheap.
+points per axis, few nodes and iterations), so a valid draw is cheap.  The
+ball's cells, the quadrature nodes and the probes may also be drawn too
+large to allocate.
 """
 
 import json
 
+import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from carnot.cli import main, EXIT_OK, EXIT_FAIL, EXIT_CONFIG, EXIT_HYPOTHESIS
 from carnot.config import _merge
 
+from conftest import COMMANDS
+
 _BASE = {"grid": {"shape": 4}, "xi_grid": {"points": 3}, "recovery": {"cells_per_axis": 5},
          "schedules": {"h": [1, 2]}, "minimizer": {"max_iter": 3}, "samples": 2,
          "mollifier_resolution": 3}
-
-_COMMANDS = [["group-info"], ["recover"], ["gamma"]] + [
-    ["verify", "--suite", suite] for suite in ("axioms", "mollify", "functional",
-                                               "sandwich", "lsc")]
 
 _wrong = st.one_of(st.none(), st.booleans(), st.text(max_size=3), st.just([]), st.just({}),
                    st.lists(st.integers(-1, 3), max_size=3))
@@ -30,6 +31,16 @@ _real = st.one_of(st.floats(allow_nan=True, allow_infinity=True), st.integers(-3
 
 def _count(top: int):
     return st.one_of(st.integers(-1, top), st.sampled_from([2.5, 3.0, True, "3"]))
+
+
+# sizes beyond 2^47 bytes, a process's address space, on every group drawn
+# (n >= 2, m = 2), so that no draw is ever allocated: 2^24 cells per axis is a
+# 2^48-byte ball mask on euclidean:2, and 2^24 probes per axis 2^52 bytes.
+# The quadrature builds its small axis before its nodes, so its sizes, like
+# 2^40, are refused before anything is allocated
+_UNALLOCATABLE = [2**24, 2**40]
+_unallocatable = st.sampled_from(_UNALLOCATABLE)
+_UNALLOCATABLE_NODES = [2**30, 2**40]
 
 
 def _maybe_wrong(strategy):
@@ -64,13 +75,16 @@ _KEYS = {
         probe=_maybe_wrong(_vector)), max_size=2)),
     "integrand": _integrand,
     "p": _maybe_wrong(_real),
-    "mollifier_resolution": _maybe_wrong(_count(4)),
+    "mollifier_resolution": _maybe_wrong(st.one_of(_count(4),
+                                                   st.sampled_from(_UNALLOCATABLE_NODES))),
     "schedules": _spec(eps=_maybe_wrong(st.lists(_real, max_size=3)),
                        rho=_maybe_wrong(st.lists(_real, max_size=3)),
                        delta=_maybe_wrong(_real),
                        h=_maybe_wrong(st.lists(_count(4), max_size=3))),
-    "xi_grid": _spec(radius=_maybe_wrong(_real), points=_maybe_wrong(_count(5))),
-    "recovery": _spec(ball_radius=_maybe_wrong(_real), cells_per_axis=_maybe_wrong(_count(4))),
+    "xi_grid": _spec(radius=_maybe_wrong(_real),
+                     points=_maybe_wrong(st.one_of(_count(5), _unallocatable))),
+    "recovery": _spec(ball_radius=_maybe_wrong(_real),
+                      cells_per_axis=_maybe_wrong(st.one_of(_count(4), _unallocatable))),
     "gamma": _spec(kind=_maybe_wrong(st.sampled_from(["offset", "alternating", "constant",
                                                       "chaotic"])),
                    base=_integrand, scale=_maybe_wrong(_real), shift=_maybe_wrong(_vector)),
@@ -86,7 +100,7 @@ _overrides = st.lists(st.sampled_from(sorted(_KEYS)), max_size=3, unique=True).f
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
-@given(argv=st.sampled_from(_COMMANDS), overrides=_overrides)
+@given(argv=st.sampled_from(COMMANDS), overrides=_overrides)
 def test_exit_code_contract(tmp_path, capsys, argv, overrides):
     path = tmp_path / "c.json"
     path.write_text(json.dumps(_merge(_BASE, overrides)))
@@ -97,3 +111,21 @@ def test_exit_code_contract(tmp_path, capsys, argv, overrides):
         assert err.startswith("config error: ") and err.count("\n") == 1, err
     elif code == EXIT_HYPOTHESIS:
         assert err.startswith("hypothesis violation: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("group", ["heisenberg:1", "euclidean:2", "engel"])
+@pytest.mark.parametrize("argv, section, key, size", [
+    (["recover"], "recovery", "cells_per_axis", size) for size in _UNALLOCATABLE] + [
+    (["gamma"], "xi_grid", "points", size) for size in _UNALLOCATABLE] + [
+    (["verify", "--suite", "sandwich"], None, "mollifier_resolution", size)
+    for size in _UNALLOCATABLE_NODES])
+def test_unallocatable_sizes_exit_config(tmp_path, capsys, group, argv, section, key, size):
+    # every size the fuzz test may draw is a configuration error on every group
+    # it draws, reported before anything of that size is built
+    overrides = {section: {key: size}} if section else {key: size}
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(_merge(_BASE, {"group": group, **overrides})))
+    assert main(argv + ["--config", str(path)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {section + '.' if section else ''}{key} {size} has ")
+    assert err.endswith(", too many to allocate\n") and err.count("\n") == 1

@@ -2,6 +2,7 @@
 
 import ast
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -53,6 +54,23 @@ def test_numbers_of_any_json_type_accepted():
     assert cfg["xi_grid"]["radius"] == 2.5 and type(cfg["xi_grid"]["radius"]) is float
     assert cfg["schedules"]["eps"] == [1.0, 0.5]
     assert [type(v) for v in cfg["schedules"]["eps"]] == [float, float]
+
+
+def test_readme_config_reference(tmp_path):
+    # the README's example config loads, and its lists of count and
+    # real-valued keys name exactly the number keys and schedules that
+    # load_config checks
+    readme = Path(cfgmod.__file__).parents[2] / "README.md"
+    text = readme.read_text().split("### Configuration", 1)[1]
+    path = tmp_path / "readme.json"
+    path.write_text(re.search(r"```json\n(.*?)```", text, re.S).group(1))
+    load_config(str(path))
+    keys = {kind: {key for key, (of, _) in cfgmod._NUMBERS.items() if of is kind}
+            | {f"schedules.{key}" for key, of in cfgmod._SCHEDULES.items() if of is kind}
+            for kind in (int, float)}
+    for kind, label in ((int, "Counts"), (float, "real-valued keys")):
+        listed = re.search(rf"{label}\s+\(([^)]*)\)", text).group(1)
+        assert set(re.findall(r"`([^`]+)`", listed)) == keys[kind], label
 
 
 def test_group_dict_spec_matches_preset():
