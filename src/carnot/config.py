@@ -100,7 +100,7 @@ _NUMBERS = {
     "p": (float, 1.0), "mollifier_resolution": (int, 3), "schedules.delta": (float, 0.0),
     "xi_grid.radius": (float, None), "xi_grid.points": (int, 1),
     "recovery.ball_radius": (float, None), "recovery.cells_per_axis": (int, 1),
-    "gamma.scale": (float, None), "minimizer.max_iter": (int, 0),
+    "gamma.scale": (float, 0.0), "minimizer.max_iter": (int, 0),
     "samples": (int, 1), "seed": (int, 0), "tol_scale": (float, "positive"),
 }
 _SCHEDULES = {"eps": float, "rho": float, "h": int}
@@ -128,9 +128,11 @@ def _check_keys(user: dict) -> None:
 def _check_numbers(cfg: dict) -> None:
     """Raise ConfigError on a section of _SECTION_KEYS that is not a mapping,
     on a number key of _NUMBERS or a schedule of the wrong type or out of
-    range, and on an h schedule that does not strictly increase: the gamma
+    range, on an h schedule that does not strictly increase (the gamma
     experiment reads its limit at the last h, the lsc suite its tail from the
-    end.  Each checked value is replaced by its converted one."""
+    end) and on a schedule that repeats a value (a repeated eps reads as a
+    convergence stall, a repeated rho as one radius).  Each checked value is
+    replaced by its converted one."""
     for name in _SECTION_KEYS:
         _mapping(cfg[name], name)
     for key, (kind, bound) in _NUMBERS.items():
@@ -153,6 +155,8 @@ def _check_numbers(cfg: dict) -> None:
             raise ConfigError(message)
         if name == "h" and any(a >= b for a, b in zip(values, values[1:])):
             raise ConfigError(f"schedules.h must strictly increase, got {raw!r}")
+        if len(set(values)) < len(values):
+            raise ConfigError(f"schedules.{name} must not repeat a value, got {raw!r}")
 
 
 def _check_integrand(spec, default: dict, key: str) -> None:

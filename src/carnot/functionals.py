@@ -16,7 +16,7 @@ import numpy as np
 from .groups import StratifiedGroup
 from .fields import (GridDomain, ScalarField, DomainError, horizontal_gradient, probe_field,
                      translate_field, translate_domain)
-from .mollify import MollifierFamily, LocalAverage, convolve
+from .mollify import MollifierFamily, convolve
 
 __all__ = [
     "Integrand",
@@ -233,6 +233,10 @@ class OffsetIntegrand(Integrand):
     inner: Integrand
     c: float
 
+    def __post_init__(self):
+        if not self.c >= 0:
+            raise ValueError(f"integrand offsets must be nonnegative, got {self.c!r}")
+
     @property
     def m(self):
         return self.inner.m
@@ -436,7 +440,7 @@ def jensen_check(functional: IntegrandFunctional, u: ScalarField, inner_domain: 
     mollifier average of F(tau_y u, A') on the right; left <= right holds
     exactly at quadrature level for convex integrands.  The average raises
     DomainError when A' leaves its eroded domain."""
-    average = LocalAverage.of(mollifier, eps, omega)
+    average = mollifier.average(eps, omega)
     fine = inner_domain.refine(functional.refine)
     # grad_G(tau_y u)(x) = (grad_G u)(y^{-1} . x) by left-invariance of the frame,
     # so the mollifier average of F(tau_y u, A') is phi_eps * f(grad_G u) summed

@@ -5,18 +5,20 @@ The convolution is evaluated through its unit-ball form
 with a fixed midpoint product rule, so convolving a constant is exact and
 the node set is symmetric under negation.
 
-Every average x -> sum_k m_k g(y_k^{-1} . x) over the live nodes y_k goes
-through one pull-back kernel, `pull_back`, one chunk of _CHUNK query points
-at a time, so the group law's temporaries and g's samples stay one chunk in
-size.  The kernel memoizes the (chunk, K, n) products y_k^{-1} . x_i per
-process.  Its key is the group's layer dimensions and structure constants,
-the bytes of y^{-1} (which fix the nodes, the live mask, eps and the
-dilation, hence the mollifier's resolution and norm) and the chunk's shape
-and bytes.  The cached arrays are read-only, and the memo is cleared before
-it would hold more than _PULLBACK_BYTES, so its memory stays bounded however
-many points are queried.  Convolving several fields, or a field and its
-gradient, at the same scale and points therefore pulls back once.  Whether
-the points lie in the eroded domain is checked on every query.
+A `MollifierFamily` owns its scale operators.  `average(eps, omega)` builds
+the `LocalAverage` of one scale and domain once: the eps-erosion of omega,
+the live node masses m_k and the inverses y_k^{-1} of the scaled nodes.
+Every average x -> sum_k m_k g(y_k^{-1} . x) runs one chunk of _CHUNK query
+points at a time, so the group law's temporaries and g's samples stay one
+chunk in size.  The mollifier also memoizes each chunk's (chunk, K, n)
+products y_k^{-1} . x_i, keyed by eps and the chunk's shape and bytes; the
+mollifier itself fixes the group, the norm and the nodes.  The products are
+read-only, and their memo is cleared before it would hold more than
+_PULLBACK_BYTES over all of the mollifier's scales, so its memory stays
+bounded however many points and scales are queried.  Convolving several
+fields, or a field and its gradient, at the same scale and points therefore
+pulls back once.  Two mollifiers share nothing.  Whether the points lie in
+the eroded domain is checked on every query.
 """
 
 from __future__ import annotations
@@ -28,17 +30,20 @@ import numpy as np
 from .groups import StratifiedGroup, HomogeneousNorm
 from .fields import GridDomain, ScalarField, DomainError, horizontal_gradient, _lp_norm
 
-__all__ = [
+__all__ = (
     "MollifierFamily",
     "erode_domain",
-    "pull_back",
     "LocalAverage",
     "convolve",
     "commutation_residual",
     "convergence_table",
-]
+)
 
 _CHUNK = 64
+# the pull-back memo's byte budget, and the scale operators a mollifier holds
+# before it drops them all
+_PULLBACK_BYTES = 64 << 20
+_AVERAGES_HELD = 64
 
 
 @dataclass(frozen=True)
@@ -52,10 +57,12 @@ class MollifierFamily:
     """
 
     norm: HomogeneousNorm
-    resolution: int = 17
+    resolution: int
     nodes: np.ndarray = dc_field(init=False, repr=False)
     node_weight: float = dc_field(init=False, repr=False)
     normalization: float = dc_field(init=False, repr=False)
+    _averages: dict = dc_field(init=False, repr=False, compare=False, default_factory=dict)
+    _products: dict = dc_field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self):
         g = self.group
@@ -107,8 +114,27 @@ class MollifierFamily:
         jac = eps ** self.group.homogeneous_dimension()
         return float(np.sum(self.scaled(eps, scale)) * self.node_weight * jac)
 
+    def average(self, eps: float, omega: GridDomain) -> "LocalAverage":
+        """The scale operator of phi_eps on `omega`, built once per eps and
+        domain (its lo, hi, shape and mask); raises DomainError when the
+        eps-erosion of `omega` is empty."""
+        eps = float(eps)
+        key = (eps, omega.lo.tobytes(), omega.hi.tobytes(), omega.shape, omega.mask.tobytes())
+        average = self._averages.get(key)
+        if average is None:
+            g = self.group
+            eroded = erode_domain(g, self.norm, omega, eps)
+            if eroded.is_empty:
+                raise DomainError(f"erosion by eps={eps} empties the domain")
+            masses = self.node_masses()
+            live = masses > 0
+            average = LocalAverage(g, eps, eroded, masses[live],
+                                   g.inverse(g.dilate(eps, self.nodes[live])), self._products)
+            if len(self._averages) >= _AVERAGES_HELD:
+                self._averages.clear()
+            self._averages[key] = average
+        return average
 
-_ERODE_CACHE: dict = {}
 
 # erosion batches: a tile's first batch tests _FIRST_CELLS candidate cells,
 # each later one twice as many, capped at _MAX_PAIRS (center, cell) pairs
@@ -166,17 +192,9 @@ def erode_domain(group: StratifiedGroup, norm: HomogeneousNorm,
     of the columns within reach of it, nearest column first, in batches that
     grow geometrically; a tile stops as soon as each of its centers has a
     complement cell within eps.  A tile with no complement cell within reach
-    keeps all its centers and is skipped before its candidates are set up.
-
-    Results are memoized; convolving the same domain at the same scale reuses
-    the mask."""
+    keeps all its centers and is skipped before its candidates are set up."""
     if eps <= 0:
         raise ValueError("erosion radius must be positive")
-    key = (group.layer_dims, group.c.tobytes(), norm.kind, float(eps),
-           omega.lo.tobytes(), omega.hi.tobytes(), omega.shape, omega.mask.tobytes())
-    cached = _ERODE_CACHE.get(key)
-    if cached is not None:
-        return cached
     m = group.m
     h = omega.spacing
     pad = np.ceil(eps ** group.weights.astype(float) / h).astype(int) + 1
@@ -233,59 +251,36 @@ def erode_domain(group: StratifiedGroup, norm: HomogeneousNorm,
             size *= 2
     mask = np.zeros(omega.shape, dtype=bool)
     mask.ravel()[np.flatnonzero(omega.mask.ravel())[keep]] = True
-    out = replace(omega, mask=mask)
-    if len(_ERODE_CACHE) > 64:
-        _ERODE_CACHE.clear()
-    _ERODE_CACHE[key] = out
-    return out
-
-
-_PULLBACK_CACHE: dict = {}
-_PULLBACK_BYTES = 64 << 20
-
-
-def pull_back(group: StratifiedGroup, y_inv: np.ndarray, points) -> np.ndarray:
-    """The products y_k^{-1} . x_i of every query point x_i with every row of
-    `y_inv`, shape (N, K, n).
-
-    Memoized per (group, y_inv, points); the returned array is read-only, so
-    an evaluator that writes to its argument raises instead of corrupting
-    the memo, which is cleared before it would hold more than
-    _PULLBACK_BYTES."""
-    points = np.asarray(points, dtype=float)
-    key = (group.layer_dims, group.c.tobytes(), y_inv.tobytes(),
-           points.shape, points.tobytes())
-    cached = _PULLBACK_CACHE.get(key)
-    if cached is None:
-        cached = group.multiply(y_inv[None], points[:, None])
-        cached.setflags(write=False)
-        if sum(a.nbytes for a in _PULLBACK_CACHE.values()) + cached.nbytes > _PULLBACK_BYTES:
-            _PULLBACK_CACHE.clear()
-        _PULLBACK_CACHE[key] = cached
-    return cached
+    return replace(omega, mask=mask)
 
 
 @dataclass(frozen=True)
 class LocalAverage:
     """x -> sum_k m_k g(y_k^{-1} . x), the quadrature form of phi_eps * g, over
     the nodes y_k = delta_eps z_k of positive mass m_k; queries must lie in
-    `domain`, the eps-erosion of the field's domain."""
+    `domain`, the eps-erosion of the field's domain.  `products` is the
+    pull-back memo of the mollifier that built it, shared by all its scales."""
 
     group: StratifiedGroup
+    eps: float
     domain: GridDomain
     masses: np.ndarray
     y_inv: np.ndarray
+    products: dict = dc_field(repr=False, compare=False)
 
-    @classmethod
-    def of(cls, mollifier: MollifierFamily, eps: float, omega: GridDomain) -> "LocalAverage":
-        group = mollifier.group
-        eroded = erode_domain(group, mollifier.norm, omega, eps)
-        if eroded.is_empty:
-            raise DomainError(f"erosion by eps={eps} empties the domain")
-        masses = mollifier.node_masses()
-        live = masses > 0
-        return cls(group, eroded, masses[live],
-                   group.inverse(group.dilate(eps, mollifier.nodes[live])))
+    def _pull_back(self, chunk: np.ndarray) -> np.ndarray:
+        """The read-only products y_k^{-1} . x_i of the chunk's points x_i,
+        shape (N, K, n); an evaluator that writes to them raises instead of
+        corrupting the memo."""
+        key = (self.eps, chunk.shape, chunk.tobytes())
+        products = self.products.get(key)
+        if products is None:
+            products = self.group.multiply(self.y_inv[None], chunk[:, None])
+            products.setflags(write=False)
+            if sum(a.nbytes for a in self.products.values()) + products.nbytes > _PULLBACK_BYTES:
+                self.products.clear()
+            self.products[key] = products
+        return products
 
     def __call__(self, g, points) -> list:
         """The averages of each output of g, where g maps (P, n) points to a
@@ -299,7 +294,7 @@ class LocalAverage:
         # outputs are not held while g evaluates the next chunk, which would
         # cost fresh memory on every chunk
         for start in range(0, max(len(points), 1), _CHUNK):
-            pts = pull_back(self.group, self.y_inv, points[start:start + _CHUNK])
+            pts = self._pull_back(points[start:start + _CHUNK])
             for k, vals in enumerate(g(pts.reshape(-1, self.group.n))):
                 vals = vals.reshape(pts.shape[:2] + vals.shape[1:])
                 if k == len(outs):
@@ -315,7 +310,7 @@ def convolve(mollifier: MollifierFamily, eps: float, u: ScalarField,
     The returned field's horizontal gradient, when u carries one, is the
     convolution of the gradient node-by-node, which is the commutation
     identity X_j(phi_eps * u) = phi_eps * (X_j u)."""
-    average = LocalAverage.of(mollifier, eps, omega)
+    average = mollifier.average(eps, omega)
 
     def values(points):
         return average(lambda p: (u.values(p),), points)[0]

@@ -38,7 +38,7 @@ class HypothesisError(ValueError):
     variational-limit experiment)."""
 
 
-def uniform_xi_grid(m: int, radius: float = 4.0, points: int = 17) -> np.ndarray:
+def uniform_xi_grid(m: int, radius: float, points: int) -> np.ndarray:
     """Uniform probe grid on [-radius, radius]^m, `points` per axis, in the
     order of itertools.product: the last coordinate varies fastest."""
     out = np.empty((points ** m, m))  # first: a grid too large fails before any work
@@ -194,7 +194,7 @@ def _core(f):
 
 
 def minimize_convex(group: StratifiedGroup, integrands, anchors, domain: GridDomain,
-                    delta: float, p: float = 2.0, max_iter: int = 400) -> MinimizeResult:
+                    delta: float, p: float, max_iter: int) -> MinimizeResult:
     """Projected subgradient descent, for every anchor field u0 in `anchors`
     and every integrand in `integrands`, over grid fields v with
     ||v - u0||_{L^p(A)} <= delta, minimizing the discrete functional of the
@@ -299,7 +299,7 @@ def minimize_convex(group: StratifiedGroup, integrands, anchors, domain: GridDom
 
 def gamma_experiment(group: StratifiedGroup, integrands, u_list, domain: GridDomain,
                      delta: float, p: float, base_domain: GridDomain, xi_grid,
-                     max_iter: int = 400) -> dict:
+                     max_iter: int) -> dict:
     """Bracket the variational limit of a functional sequence.
 
     `integrands` is a list of (h, Integrand) with h increasing.  The report's

@@ -282,7 +282,7 @@ def test_criterion_12_gamma_experiment():
     alt = [(h, ShiftedArgIntegrand(base, (-1) ** h * np.array([1.0, 0.0])))
            for h in (1, 2, 3, 4, 5, 6)]
     small = GridDomain.box(-np.ones(3), np.ones(3), 6)
-    rep2 = gamma_experiment(H1, alt, [], small, 0.0, 2.0, ball, xi_grid)
+    rep2 = gamma_experiment(H1, alt, [], small, 0.0, 2.0, ball, xi_grid, max_iter=400)
     recs = [rec.values for rec in rep2["recovered"]]
     for sub in (recs[0::2], recs[1::2]):
         for r in sub[1:]:

@@ -532,15 +532,26 @@ class TestConfigBoundary:
         (["verify", "--suite", "functional"], {"grid": {"lo": False}},
          "grid.lo must be float, got False"),
         (["gamma"], {"fields": []}, "fields must be a nonempty list, got []"),
+        (["verify", "--suite", "mollify"], {"schedules": {"eps": [0.4, 0.4]}},
+         "schedules.eps must not repeat a value, got [0.4, 0.4]"),
+        (["recover"], {"schedules": {"rho": [0.5, 0.5]}},
+         "schedules.rho must not repeat a value, got [0.5, 0.5]"),
+        (["gamma"], {"gamma": {"scale": -100}}, "gamma.scale must be at least 0.0, got -100.0"),
+        (["verify", "--suite", "functional"], {"integrand": {"kind": "power", "offset": -1}},
+         "integrand offsets must be nonnegative, got -1.0"),
     ], ids=["p-half-gamma", "resolution-2-mollify", "ball-cells-recover",
             "mollifier-nodes-mollify", "probes-recover", "probes-beyond-numpy-gamma",
             "ball-volume-recover", "grid-lo-zero-functional", "grid-hi-empty-functional",
-            "grid-lo-false-functional", "fields-empty-gamma"])
+            "grid-lo-false-functional", "fields-empty-gamma", "eps-repeated-mollify",
+            "rho-repeated-recover", "scale-negative-gamma", "offset-negative-functional"])
     def test_config_error_message(self, tmp_path, capsys, argv, payload, message):
         # p = 0.5 used to exit 3 in gamma; the three sizes ended in a numpy
         # MemoryError traceback or ran on without end; a falsy grid bound
-        # read as the default box; and gamma on no field passed, checking
-        # nothing.  The ball's DomainError passes through unchanged
+        # read as the default box; gamma on no field passed, checking
+        # nothing; a repeated eps failed the mollify suite's convergence row
+        # and a repeated rho merged two radii into one row; and a negative
+        # offset or gamma scale gave negative functional values.  The ball's
+        # DomainError passes through unchanged
         cfg = _write(tmp_path, "c.json", payload)
         assert main(argv + ["--config", cfg]) == EXIT_CONFIG
         assert capsys.readouterr().err == f"config error: {message}\n"

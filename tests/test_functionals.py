@@ -69,6 +69,9 @@ class TestIntegrands:
         pts = np.random.default_rng(0).uniform(-5, 5, size=(300, 2))
         bound = a + b * np.linalg.norm(pts, axis=-1) ** p
         assert (f(pts) <= bound + 1e-12).all()
+        # F(u, A) is nonnegative only for a nonnegative offset
+        with pytest.raises(ValueError, match="nonnegative"):
+            OffsetIntegrand(base, -1e-9)
 
     def test_menu_is_convex(self):
         rng = np.random.default_rng(1)
@@ -101,7 +104,9 @@ class TestIntegrands:
         ({"kind": "tabulated", "axes": [[0, 1, 3], [0, 1, 2]], "table": [[0] * 3] * 3},
          "nodes must be increasing and uniformly spaced: [0.0, 1.0, 3.0]"),
         ({"kind": "power", "shift": [1.0, 0.0, 0.0]}, "shift must have m components"),
-    ], ids=["power-p-half", "quadratic-not-psd", "tabulated-uneven-axes", "shift-length"])
+        ({"kind": "power", "offset": -0.5}, "integrand offsets must be nonnegative, got -0.5"),
+    ], ids=["power-p-half", "quadratic-not-psd", "tabulated-uneven-axes", "shift-length",
+            "offset-negative"])
     def test_config_errors_are_config_errors(self, spec, message):
         # the integrands' own checks reach callers as ConfigError, text kept
         with pytest.raises(ConfigError) as info:

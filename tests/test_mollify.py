@@ -7,10 +7,10 @@ import pytest
 
 from carnot import mollify
 from carnot.groups import StratifiedGroup, euclidean, heisenberg, engel
-from carnot.fields import (GridDomain, DomainError, ScalarField, constant_field,
-                           probe_field, quadratic_field, from_expression, horizontal_gradient)
-from carnot.mollify import (MollifierFamily, LocalAverage, erode_domain, convolve, pull_back,
-                            commutation_residual, convergence_table)
+from carnot.fields import (GridDomain, DomainError, constant_field, probe_field,
+                           quadratic_field, from_expression, horizontal_gradient)
+from carnot.mollify import (MollifierFamily, erode_domain, convolve, commutation_residual,
+                            convergence_table)
 
 
 @pytest.fixture(scope="module")
@@ -230,9 +230,8 @@ class TestConvolve:
 
 @pytest.fixture
 def multiply_points(monkeypatch):
-    """A fresh pull-back memo, and a list that records how many points every
-    later group multiplication pushes through the group law."""
-    monkeypatch.setattr(mollify, "_PULLBACK_CACHE", {})
+    """A list that records how many points every later group multiplication
+    pushes through the group law."""
     counts = []
     multiply = StratifiedGroup.multiply
 
@@ -244,13 +243,6 @@ def multiply_points(monkeypatch):
     return counts
 
 
-def _scaled_heisenberg():
-    """H^1 with [e1, e2] = 2 e3: the layer dimensions of H^1, other constants."""
-    c = np.zeros((3, 3, 3))
-    c[0, 1, 2], c[1, 0, 2] = 2.0, -2.0
-    return StratifiedGroup((2, 1), c, name="heisenberg-scaled")
-
-
 class TestPullBack:
     def test_one_pull_back_per_scale_and_point_set(self, h1, multiply_points):
         g, norm = h1
@@ -260,6 +252,7 @@ class TestPullBack:
         probe = probe_field(g, [0.7, -0.2])
         first = convolve(mol, 0.3, quad, omega)
         second = convolve(mol, 0.3, probe, omega)
+        assert mol.average(0.3, omega) is mol.average(0.3, omega)
         pts = first.domain.centers()
         live = int((mol.node_masses() > 0).sum())
         multiply_points.clear()
@@ -277,66 +270,90 @@ class TestPullBack:
         assert sum(multiply_points) == len(pts) * live
 
     def test_no_false_hit(self, h1, multiply_points):
-        # every variant pulls back again and matches a cold memo; the point
-        # variant keeps the base set's shape, the eps variant its node count
+        # one mollifier's memo tells scales and point sets apart: each variant
+        # pulls back again and matches a fresh mollifier; the point variant
+        # keeps the base set's shape, the eps variant its node count
         g, norm = h1
         omega = GridDomain.box(-np.ones(3), np.ones(3), 8)
-        base = dict(group=g, norm=norm, resolution=5, eps=0.3)
         pts = erode_domain(g, norm, omega, 0.4).centers()[:40]
-        scaled = _scaled_heisenberg()
-        variants = [(dict(base, eps=0.35), pts), (dict(base, resolution=7), pts),
-                    (dict(base, norm=g.norm("koranyi")), pts),
-                    (dict(base, group=scaled, norm=scaled.norm()), pts),
-                    (base, pts[::-1].copy())]
-
-        def values(spec, points):
-            group = spec["group"]
-            u = quadratic_field(group, 0.0, [1.0, 0.5, -1.0],
-                                np.outer([1.0, 2.0, 0.5], [0.3, -1.0, 1.0]))
-            mol = MollifierFamily(spec["norm"], resolution=spec["resolution"])
-            return convolve(mol, spec["eps"], u, omega).values(points)
-
-        warm = values(base, pts)
-        for spec, points in variants:
+        u = quadratic_field(g, 0.0, [1.0, 0.5, -1.0], np.outer([1.0, 2.0, 0.5], [0.3, -1.0, 1.0]))
+        mol = MollifierFamily(norm, resolution=5)
+        live = int((mol.node_masses() > 0).sum())
+        warm = convolve(mol, 0.3, u, omega).values(pts)
+        for eps, points in ((0.35, pts), (0.3, pts[::-1].copy())):
+            u_eps = convolve(mol, eps, u, omega)
             multiply_points.clear()
-            got = values(spec, points)
-            assert sum(multiply_points) > 0
-            mollify._PULLBACK_CACHE.clear()
-            np.testing.assert_array_equal(got, values(spec, points))
-            values(base, pts)  # warm the base entry again
-        np.testing.assert_array_equal(values(base, pts), warm)
+            got = u_eps.values(points)
+            assert sum(multiply_points) == len(points) * live
+            cold = convolve(MollifierFamily(norm, resolution=5), eps, u, omega).values(points)
+            np.testing.assert_array_equal(got, cold)
+        np.testing.assert_array_equal(convolve(mol, 0.3, u, omega).values(pts), warm)
+
+    def test_mollifiers_share_nothing(self, h1, multiply_points):
+        # two equal mollifiers each erode and pull back on their own
+        g, norm = h1
+        omega = GridDomain.box(-np.ones(3), np.ones(3), 8)
+        u = constant_field(g, 2.0)
+        first, second = (MollifierFamily(norm, resolution=5) for _ in range(2))
+        live = int((first.node_masses() > 0).sum())
+        pts = convolve(first, 0.3, u, omega).domain.centers()
+        convolve(first, 0.3, u, omega).values(pts)
+        multiply_points.clear()
+        u_eps = convolve(second, 0.3, u, omega)
+        assert sum(multiply_points) > 0  # the erosion
+        assert second.average(0.3, omega) is not first.average(0.3, omega)
+        multiply_points.clear()
+        np.testing.assert_allclose(u_eps.values(pts), 2.0, atol=1e-12)
+        assert sum(multiply_points) == len(pts) * live
 
     def test_memo_is_read_only(self, h1, multiply_points):
+        # the evaluator sees the memo's products read-only: one that writes to
+        # its argument raises and leaves them intact
         g, norm = h1
         mol = MollifierFamily(norm, resolution=5)
         omega = GridDomain.box(-np.ones(3), np.ones(3), 8)
-        pts = erode_domain(g, norm, omega, 0.3).centers()[:10]
-        y_inv = -g.dilate(0.3, mol.nodes)
-        pulled = pull_back(g, y_inv, pts)
-        assert pulled.shape == (10, len(mol.nodes), 3) and not pulled.flags.writeable
-        assert pull_back(g, y_inv, pts) is pulled
-        np.testing.assert_array_equal(pulled, g.multiply(y_inv[None], pts[:, None]))
+        average = mol.average(0.3, omega)
+        pts = average.domain.centers()[:10]
+        want = g.multiply(average.y_inv[None], pts[:, None]).reshape(-1, g.n)
+        seen = []
+
+        def record(p):
+            seen.append(p)
+            return (p[:, 0],)
 
         def scribble(p):
             p[:] = 0.0
-            return p[:, 0]
+            return (p[:, 0],)
 
-        u_eps = convolve(mol, 0.3, ScalarField(values=scribble, name="scribble"), omega)
+        average(record, pts)
+        assert not seen[0].flags.writeable
         with pytest.raises(ValueError, match="read-only"):
-            u_eps.values(pts)
+            average(scribble, pts)
+        average(record, pts)
+        assert np.shares_memory(seen[0], seen[1])
+        for pulled in seen:
+            np.testing.assert_array_equal(pulled, want)
 
     def test_memo_bytes_bounded(self, h1, multiply_points, monkeypatch):
+        # one byte budget per mollifier, over the chunks of one scale and over
+        # every scale of a long schedule: after eight scales, the first one's
+        # products are gone
         g, norm = h1
         mol = MollifierFamily(norm, resolution=5)
         omega = GridDomain.box(-np.ones(3), np.ones(3), 8)
-        u_eps = convolve(mol, 0.3, constant_field(g, 2.0), omega)
-        pts = u_eps.domain.centers()
-        chunk = mollify._CHUNK * len(mol.nodes) * g.n * 8
+        u = constant_field(g, 2.0)
+        chunk = mollify._CHUNK * int((mol.node_masses() > 0).sum()) * g.n * 8
         monkeypatch.setattr(mollify, "_PULLBACK_BYTES", 3 * chunk)
+        schedule = np.linspace(0.2, 0.3, 8)
+        pts = convolve(mol, schedule[-1], u, omega).domain.centers()
         assert len(pts) > 4 * mollify._CHUNK
-        np.testing.assert_allclose(u_eps.values(pts), 2.0, atol=1e-12)
-        held = sum(a.nbytes for a in mollify._PULLBACK_CACHE.values())
-        assert 0 < held <= 3 * chunk
+        for eps, points in [(schedule[0], pts)] + [(eps, pts[:mollify._CHUNK]) for eps in schedule]:
+            np.testing.assert_allclose(convolve(mol, eps, u, omega).values(points), 2.0,
+                                       atol=1e-12)
+            assert 0 < sum(a.nbytes for a in mol._products.values()) <= 3 * chunk
+        multiply_points.clear()
+        convolve(mol, schedule[0], u, omega).values(pts[:mollify._CHUNK])
+        assert sum(multiply_points) > 0
 
 
 class TestLocalAverage:
@@ -344,7 +361,7 @@ class TestLocalAverage:
         # each output takes its trailing shape from the evaluator: a scalar, an
         # (m,) gradient, and both from one evaluator as the Jensen check asks
         g, _ = h1
-        average = LocalAverage.of(mollifier, 0.3, omega)
+        average = mollifier.average(0.3, omega)
         pts = average.domain.centers()[:150]  # two full chunks and a partial one
         assert len(pts) == 150 and len(pts) % mollify._CHUNK
         u = quadratic_field(g, 0.5, [1.0, -0.5, 0.25], np.outer([1.0, 2.0, 0.5], [0.3, -1.0, 1.0]))

@@ -234,14 +234,14 @@ def problem():
 class TestMinimizer:
     def test_delta_zero_returns_anchor(self, problem):
         g, dom, F, u, _ = problem
-        res = minimize_convex(g, [F.integrand], [u], dom, 0.0)
+        res = minimize_convex(g, [F.integrand], [u], dom, 0.0, 2.0, 400)
         assert res.value[0, 0] == res.start_value[0, 0]
         np.testing.assert_array_equal(res.samples[0, 0], u.values(dom.all_centers()))
 
     def test_never_exceeds_anchor(self, problem):
         g, dom, F, u, _ = problem
         for delta in (0.1, 0.5, 2.0):
-            res = minimize_convex(g, [F.integrand], [u], dom, delta, max_iter=100)
+            res = minimize_convex(g, [F.integrand], [u], dom, delta, 2.0, max_iter=100)
             assert res.value[0, 0] <= res.start_value[0, 0] + 1e-12
 
     def test_matches_trust_region_oracle(self, problem):
@@ -249,34 +249,34 @@ class TestMinimizer:
         u0 = u.values(dom.all_centers())
         for delta in (0.25, 0.5):
             exact = _trust_region_optimum(H, u0, delta, dom.cell_volume)
-            res = minimize_convex(g, [F.integrand], [u], dom, delta, max_iter=600)
+            res = minimize_convex(g, [F.integrand], [u], dom, delta, 2.0, max_iter=600)
             assert res.value[0, 0] == pytest.approx(exact, rel=1e-6)
 
     def test_large_ball_approaches_zero_energy(self, problem):
         g, dom, F, u, _ = problem
-        res = minimize_convex(g, [F.integrand], [u], dom, 50.0, max_iter=800)
+        res = minimize_convex(g, [F.integrand], [u], dom, 50.0, 2.0, max_iter=800)
         assert res.value[0, 0] <= 0.05 * res.start_value[0, 0]
 
     def test_negative_radius_rejected(self, problem):
         g, dom, F, u, _ = problem
         with pytest.raises(ValueError):
-            minimize_convex(g, [F.integrand], [u], dom, -1.0)
+            minimize_convex(g, [F.integrand], [u], dom, -1.0, 2.0, 400)
         with pytest.raises(ValueError, match="budget"):
-            minimize_convex(g, [F.integrand], [u], dom, 0.5, max_iter=-1)
+            minimize_convex(g, [F.integrand], [u], dom, 0.5, 2.0, max_iter=-1)
 
     def test_non_finite_anchor_rejected(self, problem):
         g, dom, F, u, _ = problem
         holed = ScalarField(values=lambda p: np.where(np.atleast_2d(p)[:, 0] > 0.5, np.nan, 0.0),
                             name="holed")
         with pytest.raises(DomainError, match="holed"):
-            minimize_convex(g, [F.integrand], [holed], dom, 0.5)
+            minimize_convex(g, [F.integrand], [holed], dom, 0.5, 2.0, 400)
 
     def test_converged_means_stalled(self, problem):
         # a large ball keeps improving for the whole budget; a tiny one stalls
         g, dom, F, u, _ = problem
-        res = minimize_convex(g, [F.integrand], [u], dom, 50.0, max_iter=20)
+        res = minimize_convex(g, [F.integrand], [u], dom, 50.0, 2.0, max_iter=20)
         assert (res.iterations, res.converged) == (20, False)
-        res = minimize_convex(g, [F.integrand], [u], dom, 1e-12, max_iter=400)
+        res = minimize_convex(g, [F.integrand], [u], dom, 1e-12, 2.0, max_iter=400)
         assert res.converged and res.iterations < 400
 
 
@@ -521,7 +521,7 @@ class TestGamma:
         seq = [(1, PowerIntegrand(2, 2.0))]
         dom = GridDomain.box(-np.ones(3), np.ones(3), 6)
         with pytest.raises(HypothesisError):
-            gamma_experiment(g, seq, [], dom, 1.0, 1.0, ball, np.zeros((1, 2)))
+            gamma_experiment(g, seq, [], dom, 1.0, 1.0, ball, np.zeros((1, 2)), max_iter=400)
 
     def test_offset_sequence_limit(self, h1, ball):
         g, _ = h1
@@ -556,7 +556,7 @@ class TestGamma:
                for h in (1, 2, 3, 4, 5, 6)]
         dom = GridDomain.box(-np.ones(3), np.ones(3), 6)
         xi_grid = uniform_xi_grid(2, 4.0, 5)
-        rep = gamma_experiment(g, seq, [], dom, 0.0, 2.0, ball, xi_grid)
+        rep = gamma_experiment(g, seq, [], dom, 0.0, 2.0, ball, xi_grid, max_iter=400)
         recs = [rec.values for rec in rep["recovered"]]
         odd, even = recs[0::2], recs[1::2]
         for sub in (odd, even):
