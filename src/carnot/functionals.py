@@ -16,7 +16,7 @@ import numpy as np
 from .groups import StratifiedGroup
 from .fields import (GridDomain, ScalarField, DomainError, horizontal_gradient, probe_field,
                      translate_field, translate_domain)
-from .mollify import MollifierFamily, convolve
+from .mollify import MollifierFamily
 
 __all__ = [
     "Integrand",
@@ -434,38 +434,52 @@ def check_set_function(functional: Functional, u: ScalarField,
     }
 
 
-def jensen_check(functional: IntegrandFunctional, u: ScalarField, inner_domain: GridDomain,
-                 mollifier: MollifierFamily, eps: float, omega: GridDomain) -> tuple:
-    """Both sides of the Jensen step: F(phi_eps * u, A') on the left and the
-    mollifier average of F(tau_y u, A') on the right; left <= right holds
-    exactly at quadrature level for convex integrands.  The average raises
-    DomainError when A' leaves its eroded domain."""
+def jensen_check(pairs: list, inner_domain: GridDomain, mollifier: MollifierFamily,
+                 eps: float, omega: GridDomain) -> list:
+    """Both sides of the Jensen step for each (IntegrandFunctional F, field u)
+    pair, in pair order: F(phi_eps * u, A') on the left and the mollifier
+    average of F(tau_y u, A') on the right; left <= right holds exactly at
+    quadrature level for convex integrands.  The pairs that refine A' alike share
+    one average, which raises DomainError when A' leaves its eroded domain."""
     average = mollifier.average(eps, omega)
-    fine = inner_domain.refine(functional.refine)
-    # grad_G(tau_y u)(x) = (grad_G u)(y^{-1} . x) by left-invariance of the frame,
-    # so the mollifier average of F(tau_y u, A') is phi_eps * f(grad_G u) summed
-    # over A'; one gradient sample G per chunk feeds both phi_eps * G and
-    # phi_eps * f(G)
-    def sample(points):
-        grads = horizontal_gradient(mollifier.group, u, points)
-        return grads, functional.integrand(grads)
+    sides = [None] * len(pairs)
+    for refine in {functional.refine for functional, _ in pairs}:
+        idx = [i for i, (functional, _) in enumerate(pairs) if functional.refine == refine]
+        fine = inner_domain.refine(refine)
 
-    grads, density = average(sample, fine.centers())
-    return (functional.quadrature(grads, fine.cell_volume),
-            _total(density, fine.cell_volume))
+        # grad_G(tau_y u)(x) = (grad_G u)(y^{-1} . x) by left-invariance of the
+        # frame, so the average of F(tau_y u, A') is phi_eps * f(grad_G u) summed
+        # over A'; each pair's gradient sample G feeds phi_eps * G and phi_eps * f(G)
+        def sample(points):
+            grads = [horizontal_gradient(mollifier.group, pairs[i][1], points) for i in idx]
+            return grads + [pairs[i][0].integrand(grad) for i, grad in zip(idx, grads)]
+
+        outs = average(sample, fine.centers())
+        for i, grads, density in zip(idx, outs, outs[len(idx):]):
+            sides[i] = (pairs[i][0].quadrature(grads, fine.cell_volume),
+                        _total(density, fine.cell_volume))
+    return sides
 
 
-def sandwich_check(functional: Functional, u: ScalarField, inner_domain: GridDomain,
-                   domain: GridDomain, mollifier: MollifierFamily, eps_list) -> dict:
+def sandwich_check(pairs: list, inner_domain: GridDomain, domain: GridDomain,
+                   mollifier: MollifierFamily, eps_list) -> list:
     """The three-term chain F(u, A') <= F(phi_eps * u, A') <= F(u, A) along an
-    eps schedule; returns the raw values so callers apply their tolerance.
-    The convolution raises DomainError when A' leaves its eroded domain."""
+    eps schedule for each (IntegrandFunctional F, field u) pair, as raw values for
+    callers to judge: one dict per pair, in pair order.  Per eps, one average gives
+    grad_G(phi_eps * u) of every pair that refines A' alike, and the middle is F's
+    quadrature of it; the average raises DomainError when A' leaves its eroded domain."""
     if inner_domain.shape == domain.shape and not inner_domain.is_subset(domain):
         raise DomainError("inner domain must sit inside the outer one")
-    lower = functional.eval(u, inner_domain)
-    upper = functional.eval(u, domain)
-    rows = []
+    chains = [{"lower": functional.eval(u, inner_domain), "upper": functional.eval(u, domain),
+               "rows": []} for functional, u in pairs]
     for eps in sorted(eps_list, reverse=True):
-        u_eps = convolve(mollifier, eps, u, domain)
-        rows.append({"epsilon": float(eps), "middle": functional.eval(u_eps, inner_domain)})
-    return {"lower": lower, "upper": upper, "rows": rows}
+        average = mollifier.average(eps, domain)
+        for refine in {functional.refine for functional, _ in pairs}:
+            idx = [i for i, (functional, _) in enumerate(pairs) if functional.refine == refine]
+            fine = inner_domain.refine(refine)
+            grads = average(lambda p: [horizontal_gradient(mollifier.group, pairs[i][1], p)
+                                       for i in idx], fine.centers())
+            for i, grad in zip(idx, grads):
+                chains[i]["rows"].append({"epsilon": float(eps), "middle":
+                                          pairs[i][0].quadrature(grad, fine.cell_volume)})
+    return chains

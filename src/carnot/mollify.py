@@ -9,16 +9,13 @@ A `MollifierFamily` owns its scale operators.  `average(eps, omega)` builds
 the `LocalAverage` of one scale and domain once: the eps-erosion of omega,
 the live node masses m_k and the inverses y_k^{-1} of the scaled nodes.
 Every average x -> sum_k m_k g(y_k^{-1} . x) runs one chunk of _CHUNK query
-points at a time, so the group law's temporaries and g's samples stay one
-chunk in size.  The mollifier also memoizes each chunk's (chunk, K, n)
-products y_k^{-1} . x_i, keyed by eps and the chunk's shape and bytes; the
-mollifier itself fixes the group, the norm and the nodes.  The products are
-read-only, and their memo is cleared before it would hold more than
-_PULLBACK_BYTES over all of the mollifier's scales, so its memory stays
-bounded however many points and scales are queried.  Convolving several
-fields, or a field and its gradient, at the same scale and points therefore
-pulls back once.  Two mollifiers share nothing.  Whether the points lie in
-the eroded domain is checked on every query.
+points at a time, so the group law's products y_k^{-1} . x_i, its
+temporaries and g's samples stay one chunk in size.  Nothing is memoized
+across calls: a caller that needs several averages of one point set at one
+scale (values and gradients, several fields, or a field and f of its
+gradient) asks for them in one call, whose evaluator returns them all from
+one pull-back per chunk.  Two mollifiers share nothing.  Whether the points
+lie in the eroded domain is checked on every query.
 """
 
 from __future__ import annotations
@@ -40,9 +37,7 @@ __all__ = (
 )
 
 _CHUNK = 64
-# the pull-back memo's byte budget, and the scale operators a mollifier holds
-# before it drops them all
-_PULLBACK_BYTES = 64 << 20
+# the scale operators a mollifier holds before it drops them all
 _AVERAGES_HELD = 64
 
 
@@ -62,7 +57,6 @@ class MollifierFamily:
     node_weight: float = dc_field(init=False, repr=False)
     normalization: float = dc_field(init=False, repr=False)
     _averages: dict = dc_field(init=False, repr=False, compare=False, default_factory=dict)
-    _products: dict = dc_field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self):
         g = self.group
@@ -108,7 +102,7 @@ class MollifierFamily:
         """Quadrature masses w * phi(z_k); they sum to one by normalization."""
         return self.profile(self.nodes) * self.node_weight
 
-    def unit_mass(self, eps: float = 1.0) -> float:
+    def unit_mass(self, eps: float) -> float:
         """Quadrature of phi_eps over B(0, eps)."""
         scale = self.group.dilate(eps, self.nodes)
         jac = eps ** self.group.homogeneous_dimension()
@@ -129,7 +123,7 @@ class MollifierFamily:
             masses = self.node_masses()
             live = masses > 0
             average = LocalAverage(g, eps, eroded, masses[live],
-                                   g.inverse(g.dilate(eps, self.nodes[live])), self._products)
+                                   g.inverse(g.dilate(eps, self.nodes[live])))
             if len(self._averages) >= _AVERAGES_HELD:
                 self._averages.clear()
             self._averages[key] = average
@@ -258,29 +252,15 @@ def erode_domain(group: StratifiedGroup, norm: HomogeneousNorm,
 class LocalAverage:
     """x -> sum_k m_k g(y_k^{-1} . x), the quadrature form of phi_eps * g, over
     the nodes y_k = delta_eps z_k of positive mass m_k; queries must lie in
-    `domain`, the eps-erosion of the field's domain.  `products` is the
-    pull-back memo of the mollifier that built it, shared by all its scales."""
+    `domain`, the eps-erosion of the field's domain.  Each call pulls its
+    points back afresh, so callers batch every output they need at this scale
+    and these points into one evaluator."""
 
     group: StratifiedGroup
     eps: float
     domain: GridDomain
     masses: np.ndarray
     y_inv: np.ndarray
-    products: dict = dc_field(repr=False, compare=False)
-
-    def _pull_back(self, chunk: np.ndarray) -> np.ndarray:
-        """The read-only products y_k^{-1} . x_i of the chunk's points x_i,
-        shape (N, K, n); an evaluator that writes to them raises instead of
-        corrupting the memo."""
-        key = (self.eps, chunk.shape, chunk.tobytes())
-        products = self.products.get(key)
-        if products is None:
-            products = self.group.multiply(self.y_inv[None], chunk[:, None])
-            products.setflags(write=False)
-            if sum(a.nbytes for a in self.products.values()) + products.nbytes > _PULLBACK_BYTES:
-                self.products.clear()
-            self.products[key] = products
-        return products
 
     def __call__(self, g, points) -> list:
         """The averages of each output of g, where g maps (P, n) points to a
@@ -294,7 +274,7 @@ class LocalAverage:
         # outputs are not held while g evaluates the next chunk, which would
         # cost fresh memory on every chunk
         for start in range(0, max(len(points), 1), _CHUNK):
-            pts = self._pull_back(points[start:start + _CHUNK])
+            pts = self.group.multiply(self.y_inv[None], points[start:start + _CHUNK, None])
             for k, vals in enumerate(g(pts.reshape(-1, self.group.n))):
                 vals = vals.reshape(pts.shape[:2] + vals.shape[1:])
                 if k == len(outs):
@@ -351,10 +331,11 @@ def commutation_residual(mollifier: MollifierFamily, eps: float, u: ScalarField,
 
 def convergence_table(mollifier: MollifierFamily, u: ScalarField, omega: GridDomain,
                       inner: GridDomain, p: float, eps_list) -> list:
-    """Rows (eps, Lp_err, W1p_err) of the mollification errors over `inner`.
+    """Rows (eps, Lp_err, W1p_err) of the mollification errors over `inner`,
+    the values and gradients of phi_eps * u from one average per eps.
 
     Requires `inner` to be nonempty and to sit inside the eroded domain for
-    every eps; the convolution raises DomainError where it does not."""
+    every eps; the average raises DomainError where it does not."""
     if inner.is_empty:
         raise DomainError("convergence table needs a nonempty inner set")
     rows = []
@@ -363,9 +344,10 @@ def convergence_table(mollifier: MollifierFamily, u: ScalarField, omega: GridDom
     base_vals = u.values(pts)
     base_grad = horizontal_gradient(mollifier.group, u, pts)
     for eps in sorted(eps_list, reverse=True):
-        u_eps = convolve(mollifier, eps, u, omega)
-        dv = u_eps.values(pts) - base_vals
-        dg = np.linalg.norm(u_eps.hgrad(pts) - base_grad, axis=-1)
+        vals, grads = mollifier.average(eps, omega)(
+            lambda q: (u.values(q), horizontal_gradient(mollifier.group, u, q)), pts)
+        dv = vals - base_vals
+        dg = np.linalg.norm(grads - base_grad, axis=-1)
         rows.append({
             "epsilon": float(eps),
             "Lp_err": _lp_norm(dv, vol, p),

@@ -93,7 +93,7 @@ def recover_integrand(functional: Functional, group: StratifiedGroup,
 
 
 def constancy_probe(functional: Functional, norm: HomogeneousNorm, xi, centers, radii,
-                    cells_per_axis: int = 12) -> dict:
+                    cells_per_axis: int) -> dict:
     """Ball averages F(u_xi, B_rho(x_i)) / |B_rho(x_i)| over centers and radii.
 
     For a left-invariant functional the spread across centers stays at mask

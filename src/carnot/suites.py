@@ -13,8 +13,7 @@ import numpy as np
 from .groups import StratifiedGroup, HomogeneousNorm
 from .fields import (GridDomain, ScalarField, DomainError, constant_field, probe_field,
                      quadratic_field, translate_domain, horizontal_gradient)
-from .mollify import (MollifierFamily, erode_domain, convolve, commutation_residual,
-                      convergence_table)
+from .mollify import MollifierFamily, erode_domain, commutation_residual, convergence_table
 from .functionals import (Integrand, IntegrandFunctional, check_set_function,
                           jensen_check, sandwich_check, _total,
                           PowerIntegrand, QuadraticIntegrand, MaxAffineIntegrand)
@@ -66,8 +65,7 @@ def menu_integrands(m: int, rng: np.random.Generator) -> list:
 _AXIOM_SAMPLES = 1000
 
 
-def suite_axioms(norm: HomogeneousNorm, rng: np.random.Generator,
-                 tol: float = 1e-12) -> list:
+def suite_axioms(norm: HomogeneousNorm, rng: np.random.Generator, tol: float) -> list:
     g = norm.group
     x = random_points(g, rng, _AXIOM_SAMPLES)
     y = random_points(g, rng, _AXIOM_SAMPLES)
@@ -110,7 +108,7 @@ def suite_axioms(norm: HomogeneousNorm, rng: np.random.Generator,
 
 
 def suite_mollify(mollifier: MollifierFamily, omega: GridDomain, rng: np.random.Generator,
-                  eps_list=(0.4, 0.2, 0.1), p: float = 2.0) -> list:
+                  eps_list, p: float) -> list:
     g = mollifier.group
     rows = []
     for eps in eps_list:
@@ -123,16 +121,12 @@ def suite_mollify(mollifier: MollifierFamily, omega: GridDomain, rng: np.random.
 
     eps0 = float(eps_list[0])
     const = constant_field(g, 3.25)
-    u_eps = convolve(mollifier, eps0, const, omega)
-    rows.append(_row("constant_convolution",
-                     np.abs(u_eps.values(u_eps.domain.centers()) - 3.25).max(), 1e-10))
-
-    xi = rng.normal(size=g.m)
-    u_xi = probe_field(g, xi)
-    probe_eps = convolve(mollifier, eps0, u_xi, omega)
-    fix_pts = probe_eps.domain.centers()
-    rows.append(_row("probe_fixed_point",
-                     np.abs(probe_eps.values(fix_pts) - u_xi.values(fix_pts)).max(), 1e-6))
+    u_xi = probe_field(g, rng.normal(size=g.m))
+    average = mollifier.average(eps0, omega)
+    fix_pts = average.domain.centers()
+    const_eps, probe_eps = average(lambda q: (const.values(q), u_xi.values(q)), fix_pts)
+    rows.append(_row("constant_convolution", np.abs(const_eps - 3.25).max(), 1e-10))
+    rows.append(_row("probe_fixed_point", np.abs(probe_eps - u_xi.values(fix_pts)).max(), 1e-6))
 
     quad = random_quadratic(g, rng)
     rows.append(_row("gradient_commutation",
@@ -157,8 +151,7 @@ _SET_TOL = 1e-10
 
 
 def suite_functional(group: StratifiedGroup, integrand: Integrand,
-                     domain: GridDomain, rng: np.random.Generator,
-                     samples: int = 200) -> list:
+                     domain: GridDomain, rng: np.random.Generator, samples: int) -> list:
     g = group
     functional = IntegrandFunctional(g, integrand)
     rows = []
@@ -214,28 +207,36 @@ def suite_functional(group: StratifiedGroup, integrand: Integrand,
 # -- sandwich and Jensen ----------------------------------------------------------
 
 
+# the probe scales of each integrand's two sandwich chains
+_XI_SCALES = (0.5, 1.5)
+
+
 def suite_sandwich(mollifier: MollifierFamily, domain: GridDomain, rng: np.random.Generator,
-                   eps_list=(0.4, 0.2, 0.1)) -> list:
-    """The sandwich chain and the Jensen step of every menu integrand, on the
+                   eps_list) -> list:
+    """The sandwich chain of two probes and the Jensen step of a quadratic for
+    every menu integrand, each check made once over all integrands, on the
     inner set that erodes `domain` by 1.1 max(eps_list) in the mollifier's norm."""
     g = mollifier.group
     inner = erode_domain(g, mollifier.norm, domain, 1.1 * max(eps_list))
     if inner.is_empty:
         raise DomainError("eps schedule leaves no room for an inner domain")
-    rows = []
+    tags, chain_pairs, jensen_pairs = [], [], []
     for idx, integrand in enumerate(menu_integrands(g.m, rng)):
-        tag = f"{idx}_{type(integrand).__name__}"
+        tags.append(f"{idx}_{type(integrand).__name__}")
         functional = IntegrandFunctional(g, integrand)
-        for xi_scale in (0.5, 1.5):
-            xi = xi_scale * rng.normal(size=g.m)
-            u = probe_field(g, xi)
-            chain = sandwich_check(functional, u, inner, domain, mollifier, eps_list)
+        for xi_scale in _XI_SCALES:
+            chain_pairs.append((functional, probe_field(g, xi_scale * rng.normal(size=g.m))))
+        jensen_pairs.append((functional, random_quadratic(g, rng)))
+    chains = iter(sandwich_check(chain_pairs, inner, domain, mollifier, eps_list))
+    sides = jensen_check(jensen_pairs, inner, mollifier, float(eps_list[0]), domain)
+    rows = []
+    for tag, (lhs, rhs) in zip(tags, sides):
+        # zip draws a scale before a chain, so each integrand takes its own two
+        for xi_scale, chain in zip(_XI_SCALES, chains):
             lo, hi = chain["lower"], chain["upper"]
             worst = max(max(lo - r["middle"], r["middle"] - hi) for r in chain["rows"])
             scale = max(1.0, abs(hi))
             rows.append(_row(f"chain_{tag}_xi{xi_scale:g}", worst / scale, 1e-10))
-        u = random_quadratic(g, rng)
-        lhs, rhs = jensen_check(functional, u, inner, mollifier, float(eps_list[0]), domain)
         rows.append(_row(f"jensen_{tag}", (lhs - rhs) / max(1.0, abs(rhs)), 1e-10))
     return rows
 
@@ -261,7 +262,7 @@ def _sawtooth_field(group: StratifiedGroup, freq: float) -> ScalarField:
 
 
 def suite_lsc(group: StratifiedGroup, domain: GridDomain,
-              rng: np.random.Generator, h_list=(1, 2, 4, 8, 16)) -> list:
+              rng: np.random.Generator, h_list) -> list:
     """Lower semicontinuity along two sequences, read on their tails (the
     second half of `h_list`): u + w/h, which converges to u, and sawtooth
     oscillations, which converge uniformly to 0 while F stays near |A|."""

@@ -221,10 +221,10 @@ def test_criterion_10_constancy_detector():
     for f in (PowerIntegrand(2, 2.0), QuadraticIntegrand(np.eye(2)),
               MaxAffineIntegrand(np.array([[1.0, 1.0]]), np.array([0.5]))):
         rep = constancy_probe(IntegrandFunctional(H1, f), norm,
-                              [1.0, 0.0], centers, radii)
+                              [1.0, 0.0], centers, radii, 12)
         invariant_spreads.append(rep["max_spread"])
     dependent = constancy_probe(x_weighted_functional(H1), norm,
-                                [1.0, 0.0], centers, radii)["max_spread"]
+                                [1.0, 0.0], centers, radii, 12)["max_spread"]
     assert max(invariant_spreads) <= 1e-12
     assert dependent >= 0.5
     assert max(invariant_spreads) < dependent  # zero overlap on the fixture set

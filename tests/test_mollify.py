@@ -11,6 +11,8 @@ from carnot.fields import (GridDomain, DomainError, constant_field, probe_field,
                            quadratic_field, from_expression, horizontal_gradient)
 from carnot.mollify import (MollifierFamily, erode_domain, convolve, commutation_residual,
                             convergence_table)
+from carnot.functionals import (IntegrandFunctional, PowerIntegrand, QuadraticIntegrand,
+                                jensen_check, sandwich_check)
 
 
 @pytest.fixture(scope="module")
@@ -245,49 +247,36 @@ def multiply_points(monkeypatch):
 
 class TestPullBack:
     def test_one_pull_back_per_scale_and_point_set(self, h1, multiply_points):
+        # each check takes all its averages of one point set at one scale from
+        # one pass, so six (functional, field) pairs cost what one pair costs;
+        # a second refinement queries other points and costs one more pass
         g, norm = h1
         mol = MollifierFamily(norm, resolution=5)
         omega = GridDomain.box(-np.ones(3), np.ones(3), 8)
+        schedule = [0.3, 0.25]
+        inner = erode_domain(g, norm, omega, 0.35)
+        for eps in schedule:
+            mol.average(eps, omega)  # the erosions are not counted below
+        live = int((mol.node_masses() > 0).sum())
+        cells = int(inner.mask.sum())
         quad = quadratic_field(g, 0.5, [1.0, -0.5, 0.25], 0.3 * np.eye(3))
-        probe = probe_field(g, [0.7, -0.2])
-        first = convolve(mol, 0.3, quad, omega)
-        second = convolve(mol, 0.3, probe, omega)
-        assert mol.average(0.3, omega) is mol.average(0.3, omega)
-        pts = first.domain.centers()
-        live = int((mol.node_masses() > 0).sum())
+        pairs = [(IntegrandFunctional(g, f), u)
+                 for f in (PowerIntegrand(2, 2.0), PowerIntegrand(2, 3.0),
+                           QuadraticIntegrand(np.eye(2)))
+                 for u in (quad, probe_field(g, [0.7, -0.2]))]
         multiply_points.clear()
-        first.values(pts)
-        assert sum(multiply_points) == len(pts) * live
-        second.values(pts)
-        first.hgrad(pts)
-        second.hgrad(pts)
-        assert sum(multiply_points) == len(pts) * live
-        first.values(pts[::-1])
-        assert sum(multiply_points) == 2 * len(pts) * live
-        other = convolve(mol, 0.25, quad, omega)
+        sandwich_check(pairs, inner, omega, mol, schedule)
+        assert sum(multiply_points) == len(schedule) * cells * live
         multiply_points.clear()
-        other.values(pts)
-        assert sum(multiply_points) == len(pts) * live
-
-    def test_no_false_hit(self, h1, multiply_points):
-        # one mollifier's memo tells scales and point sets apart: each variant
-        # pulls back again and matches a fresh mollifier; the point variant
-        # keeps the base set's shape, the eps variant its node count
-        g, norm = h1
-        omega = GridDomain.box(-np.ones(3), np.ones(3), 8)
-        pts = erode_domain(g, norm, omega, 0.4).centers()[:40]
-        u = quadratic_field(g, 0.0, [1.0, 0.5, -1.0], np.outer([1.0, 2.0, 0.5], [0.3, -1.0, 1.0]))
-        mol = MollifierFamily(norm, resolution=5)
-        live = int((mol.node_masses() > 0).sum())
-        warm = convolve(mol, 0.3, u, omega).values(pts)
-        for eps, points in ((0.35, pts), (0.3, pts[::-1].copy())):
-            u_eps = convolve(mol, eps, u, omega)
-            multiply_points.clear()
-            got = u_eps.values(points)
-            assert sum(multiply_points) == len(points) * live
-            cold = convolve(MollifierFamily(norm, resolution=5), eps, u, omega).values(points)
-            np.testing.assert_array_equal(got, cold)
-        np.testing.assert_array_equal(convolve(mol, 0.3, u, omega).values(pts), warm)
+        jensen_check(pairs, inner, mol, 0.3, omega)
+        assert sum(multiply_points) == cells * live
+        multiply_points.clear()
+        refined = (IntegrandFunctional(g, PowerIntegrand(2, 2.0), refine=2), quad)
+        jensen_check(pairs + [refined], inner, mol, 0.3, omega)
+        assert sum(multiply_points) == (1 + 2 ** g.n) * cells * live
+        multiply_points.clear()
+        convergence_table(mol, quad, omega, inner, 2.0, schedule)
+        assert sum(multiply_points) == len(schedule) * cells * live
 
     def test_mollifiers_share_nothing(self, h1, multiply_points):
         # two equal mollifiers each erode and pull back on their own
@@ -305,55 +294,6 @@ class TestPullBack:
         multiply_points.clear()
         np.testing.assert_allclose(u_eps.values(pts), 2.0, atol=1e-12)
         assert sum(multiply_points) == len(pts) * live
-
-    def test_memo_is_read_only(self, h1, multiply_points):
-        # the evaluator sees the memo's products read-only: one that writes to
-        # its argument raises and leaves them intact
-        g, norm = h1
-        mol = MollifierFamily(norm, resolution=5)
-        omega = GridDomain.box(-np.ones(3), np.ones(3), 8)
-        average = mol.average(0.3, omega)
-        pts = average.domain.centers()[:10]
-        want = g.multiply(average.y_inv[None], pts[:, None]).reshape(-1, g.n)
-        seen = []
-
-        def record(p):
-            seen.append(p)
-            return (p[:, 0],)
-
-        def scribble(p):
-            p[:] = 0.0
-            return (p[:, 0],)
-
-        average(record, pts)
-        assert not seen[0].flags.writeable
-        with pytest.raises(ValueError, match="read-only"):
-            average(scribble, pts)
-        average(record, pts)
-        assert np.shares_memory(seen[0], seen[1])
-        for pulled in seen:
-            np.testing.assert_array_equal(pulled, want)
-
-    def test_memo_bytes_bounded(self, h1, multiply_points, monkeypatch):
-        # one byte budget per mollifier, over the chunks of one scale and over
-        # every scale of a long schedule: after eight scales, the first one's
-        # products are gone
-        g, norm = h1
-        mol = MollifierFamily(norm, resolution=5)
-        omega = GridDomain.box(-np.ones(3), np.ones(3), 8)
-        u = constant_field(g, 2.0)
-        chunk = mollify._CHUNK * int((mol.node_masses() > 0).sum()) * g.n * 8
-        monkeypatch.setattr(mollify, "_PULLBACK_BYTES", 3 * chunk)
-        schedule = np.linspace(0.2, 0.3, 8)
-        pts = convolve(mol, schedule[-1], u, omega).domain.centers()
-        assert len(pts) > 4 * mollify._CHUNK
-        for eps, points in [(schedule[0], pts)] + [(eps, pts[:mollify._CHUNK]) for eps in schedule]:
-            np.testing.assert_allclose(convolve(mol, eps, u, omega).values(points), 2.0,
-                                       atol=1e-12)
-            assert 0 < sum(a.nbytes for a in mol._products.values()) <= 3 * chunk
-        multiply_points.clear()
-        convolve(mol, schedule[0], u, omega).values(pts[:mollify._CHUNK])
-        assert sum(multiply_points) > 0
 
 
 class TestLocalAverage:
