@@ -191,21 +191,12 @@ class GridDomain:
         g = norm.group
         center = np.asarray(center, dtype=float)
         radius = np.float64(radius)  # overflows to inf, where a float raises
-
-        def bound(a, b, tail):
-            # B(a, b)_l = sum over i < j of |c_ijl| (a_i b_j + a_j b_i) bounds
-            # |[x, y]_l| for |x| <= a and |y| <= b coordinatewise
-            out = np.zeros(g.n)
-            for i, j, l, c in g.structure:
-                out[l] += abs(c) * (a[i] * b[j] + a[j] * b[i])
-            return out
-
         with np.errstate(over="ignore", invalid="ignore"):
             # the ball is center.z over |z|_norm < r, where |z_i| <= r**d_i; bound
             # center.z - center, the BCH series of center and z less its head
-            # center, term by term: each bracket by B, each numerator by |num|
+            # center, term by term
             z = radius ** g.weights.astype(float)
-            extent = g.bch(np.abs(center), z, (z,), act=bound, signed=False) + 1e-9
+            extent = g.bch_bound(np.abs(center), z, z) + 1e-9
             dom = cls.box(center - extent, center + extent, shape)
             box_volume = np.prod(dom.hi - dom.lo)
         if not np.isfinite(box_volume):

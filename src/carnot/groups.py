@@ -239,6 +239,22 @@ class StratifiedGroup:
                 out = np.add(head[0] if out is None else out, total, out=total)
         return out
 
+    def bch_bound(self, a, b, head) -> np.ndarray:
+        """head + a coordinatewise bound on the BCH series of x and y past its
+        head x + y, for |x| <= a and |y| <= b coordinatewise; broadcasts over
+        leading axes.  Each bracket [x, y]_l is bounded by B(a, b)_l = sum over
+        i < j of |c_ijl| (a_i b_j + a_j b_i), each numerator by its absolute
+        value.  Overflow gives an infinite or NaN coordinate, never an error."""
+
+        def bound(a, b, tail):
+            out = np.zeros(np.broadcast_shapes(a.shape, b.shape))
+            for i, j, l, c in self.structure:
+                out[..., l] += abs(c) * (a[..., i] * b[..., j] + a[..., j] * b[..., i])
+            return out
+
+        with np.errstate(over="ignore", invalid="ignore"):
+            return self.bch(a, b, (head,), act=bound, signed=False)
+
     def inverse(self, x) -> np.ndarray:
         """x^{-1} = -x, exact in exponential coordinates."""
         return -self._coerce(x)

@@ -20,6 +20,7 @@ lie in the eroded domain is checked on every query.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, replace, field as dc_field
 
 import numpy as np
@@ -135,6 +136,9 @@ class MollifierFamily:
 _FIRST_CELLS = 64
 _MAX_PAIRS = 1 << 16
 _TILE_CENTERS = 16
+# the erosion window's relative slack theta, which absorbs every rounding
+# between a computed kill and the window's bound (erode_domain derives it)
+_WINDOW_SLACK = 2.0 ** -30
 
 
 def _column_offsets(mask: np.ndarray, m: int) -> np.ndarray:
@@ -157,54 +161,105 @@ def _window_offsets(reach: np.ndarray, length: int, h: np.ndarray) -> np.ndarray
     return near[np.argsort(gap.max(axis=1), kind="stable")]
 
 
+def _box_counts(grid: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """The number of true cells of `grid` in each box of index rows lo..hi
+    (inclusive, inside the grid), by inclusion-exclusion over the 2^ndim
+    corners of the boxes in a summed-area table."""
+    table = np.zeros(tuple(s + 1 for s in grid.shape), dtype=np.int64)
+    table[(slice(1, None),) * grid.ndim] = grid
+    for axis in range(grid.ndim):
+        np.cumsum(table, axis=axis, out=table)
+    total = np.zeros(len(lo), dtype=np.int64)
+    for corner in itertools.product((0, 1), repeat=grid.ndim):
+        at = tuple(np.where(c, hi[:, k] + 1, lo[:, k]) for k, c in enumerate(corner))
+        total += (-1) ** (grid.ndim - sum(corner)) * table[at]
+    return total
+
+
 def erode_domain(group: StratifiedGroup, norm: HomogeneousNorm,
                  omega: GridDomain, eps: float) -> GridDomain:
     """Right-distance erosion: cells whose center is farther than eps (in d^R)
     from every complement cell center, including a ring outside the box.
 
-    Exact horizontal window.  Brackets land in layers >= 2, so on a horizontal
-    axis k the product z = x.y^{-1} has z_k = fl(x_k - y_k), and both norms
-    give rho(z) >= |z_k|(1 - 4u), u = 2^-53 (the Koranyi norm rounds two
-    squares, a sum and a fourth root; the weighted-max norm is exact there).
-    Let h be the box spacing on axis k and W = max(|lo_k|, |hi_k|) over the
-    padded box, so W bounds every coordinate, the pad width and eps.  The ideal
-    centers lo + h(i + 1/2) of the box and of its padded lattice, whose corner
-    is lo - p.h, differ by exactly d.h, d the integer cell offset.  Computing a
-    box center as fl(lo + fl(h(i + 1/2))) errs by at most 3uW; the padded
-    lattice rounds its corner (2uW), its spacing fl(fl(hi' - lo')/s') (12uW
-    over the whole axis) and each center (3uW), 17uW in all.  So a pair with
-    rho(z) <= eps has |d| h <= eps(1 + 5u) + 20uW, and with two more roundings
-    in forming eps/h + margin, |d| <= eps/h + (7 eps + 20W)u/h <= eps/h + 27uW/h
-    to first order.  The window reach_k = floor(eps/h + 32uW/h) therefore holds
-    every killer; no pair outside it is evaluated, and every pair inside is
-    tested exactly.  The ring's pad stays ceil(eps^w/h) + 1 per axis, because
-    it defines which complement cells exist.
+    Exact window in every layer.  If a complement center c kills a center x,
+    z = x.c^{-1} has rho(z) <= eps, so |z_k| <= eps^{w_k} under both norms.
+    Then c = z^{-1}.x, the BCH series of -z and x, whose head is x - z, so
+    |c_k - x_k| <= E_k(x) = b_k + T_k(b, |x|) for b = eps^w, where T bounds the
+    series past its head term by term (`StratifiedGroup.bch_bound`, which also
+    bounds `GridDomain.ball`'s box).  Brackets land in layers >= 2, so E_k = eps
+    on a horizontal axis; above, E grows with x's lower layers (on H^1,
+    E_3 = eps^2 + eps(|x_1| + |x_2|)/2).  Complement centers lie on the padded
+    lattice, d_k cells from x along axis k, d_k an integer, so no pair with
+    |d_k| h_k > E_k(x) can kill.
+
+    Rounding, u = 2^-53.  Let W be the padded box's corner magnitudes
+    max(|lo_k|, |hi_k|), which bound every coordinate, and P = 2W + T(W, W),
+    which bounds the absolute evaluation of every product x.c^{-1} the test
+    forms.  Four roundings part the computed test from that bound, each a
+    relative error far below theta = 2^-30 of the magnitudes it involves:
+      - a computed rho(z~) <= eps gives |z~_k| <= (eps(1 + 1500u))^{w_k}: the
+        weighted-max norm rounds its exponent 1/w_k, which moves rho by at
+        most u |ln eps| <= 745u near eps, and its power; the Koranyi norm
+        rounds n + 4 squares, sums and a root;
+      - the computed product z~ lies within D u P_k of z, where D = 12 +
+        (step - 1)(4 + s) bounds the roundings along any path of the BCH
+        evaluation and s < n^2/2 counts the structure constants landing on one
+        coordinate, so D < 2^21 for n < 1000;
+      - a computed box center lies within 3uW_k of its ideal lattice point
+        lo + h(i + 1/2), and a padded one within 17uW_k: its corner lo - p.h
+        (2uW), its spacing fl(fl(hi' - lo')/s') (12uW over the whole axis) and
+        the center itself (3uW);
+      - evaluating E and dividing it by h_k.
+    So with b = (eps(1 + theta))^w + theta P and E~ = b + T(b, |x|) + theta P,
+    every killer has |d_k| <= reach_k(x) = floor((1 + theta) E~_k(x) / h_k).
+    An overflow gives an infinite or NaN extent, which means the whole
+    lattice.  The ring's pad stays ceil(eps^w/h) + 1 per axis, because it
+    defines which complement cells exist.
 
     Centers are taken one tile at a time: a horizontal column (all vertical
     cells over one horizontal cell), or a short run of neighbouring columns
-    when columns hold few cells.  A tile's candidates are the complement cells
-    of the columns within reach of it, nearest column first, in batches that
-    grow geometrically; a tile stops as soon as each of its centers has a
-    complement cell within eps.  A tile with no complement cell within reach
-    keeps all its centers and is skipped before its candidates are set up."""
+    when columns hold few cells.  A summed-area count over the padded lattice
+    finds, for every center at once, whether a complement cell lies in its
+    window; a tile where none does keeps all its centers and is skipped before
+    its candidates are set up.  Otherwise the candidates are the complement
+    cells of the columns within horizontal reach, nearest column first, in
+    batches that grow geometrically.  A batch multiplies only the (center,
+    cell) pairs inside the center's window, each tested exactly, and a tile
+    stops as soon as each center with a cell in its window has a complement
+    cell within eps."""
     if eps <= 0:
         raise ValueError("erosion radius must be positive")
     m = group.m
     h = omega.spacing
-    pad = np.ceil(eps ** group.weights.astype(float) / h).astype(int) + 1
+    w = group.weights.astype(float)
+    pad = np.ceil(eps ** w / h).astype(int) + 1
     padded = GridDomain.box(omega.lo - pad * h, omega.hi + pad * h,
                             tuple(s + 2 * p for s, p in zip(omega.shape, pad)))
-    inner = np.zeros(padded.shape, dtype=bool)
-    inner[tuple(slice(p, p + s) for p, s in zip(pad, omega.shape))] = omega.mask
+    outside = np.ones(padded.shape, dtype=bool)
+    outside[tuple(slice(p, p + s) for p, s in zip(pad, omega.shape))] = ~omega.mask
     columns = padded.shape[:m]
-    comp_inv = group.inverse(padded.all_centers()[~inner.ravel()])
-    col_start = _column_offsets(~inner, m)
-    has_comp = np.diff(col_start).reshape(columns) > 0
-    coord_max = np.maximum(np.abs(padded.lo), np.abs(padded.hi))[:m]  # W
-    u = np.finfo(float).eps / 2
-    reach = np.floor(eps / h[:m] + 32 * u * coord_max / h[:m]).astype(int)
+    comp_inv = group.inverse(padded.all_centers()[outside.ravel()])
+    comp_idx = np.argwhere(outside)
+    col_start = _column_offsets(outside, m)
 
     centers = omega.centers()
+    center_idx = np.argwhere(omega.mask) + pad
+    theta = _WINDOW_SLACK
+    with np.errstate(over="ignore", invalid="ignore"):
+        corner = np.maximum(np.abs(padded.lo), np.abs(padded.hi))
+        slack = theta * group.bch_bound(corner, corner, 2 * corner)
+        b = (eps * (1 + theta)) ** w + slack
+        extent = group.bch_bound(b, np.abs(centers), b) + slack
+        # fmin takes the lattice's extent over NaN, as over inf
+        reach = np.floor(np.fmin((1 + theta) * extent / h, padded.shape)).astype(int)
+    # T vanishes horizontally, so every center has the same horizontal reach;
+    # the pad takes a tile's window to the lattice's edge
+    reach_h = np.minimum(reach[:, :m].max(axis=0, initial=0), pad[:m])
+    # the centers with a complement cell in their window, the only ones that
+    # can be killed
+    exposed = _box_counts(outside, np.maximum(center_idx - reach, 0),
+                          np.minimum(center_idx + reach, np.array(padded.shape) - 1)) > 0
+
     bounds = _column_offsets(omega.mask, m)
     keep = np.ones(len(centers), dtype=bool)
     # a tile is a run of columns along the last horizontal axis holding about
@@ -214,33 +269,38 @@ def erode_domain(group: StratifiedGroup, norm: HomogeneousNorm,
     run = max(1, _TILE_CENTERS // int(np.prod(omega.shape[m:])))
     tiles = [(t, min(t + run, row + last)) for row in range(0, len(bounds) - 1, last)
              for t in range(row, row + last, run)]
-    # the pad exceeds the reach (reach <= ceil(eps/h) = pad - 1 while 32uW < h),
-    # so every tile's window lies inside the padded lattice
+    # reach_h <= pad, so every tile's window lies inside the padded lattice
     tile_los = np.stack(np.unravel_index([t0 for t0, _ in tiles], omega.shape[:m]),
                         axis=-1) + pad[:m]
     offsets = {}
     for (t0, t1), tile_lo in zip(tiles, tile_los):
-        if bounds[t0] == bounds[t1]:
-            continue
-        tile_hi = tile_lo.copy()
-        tile_hi[-1] += t1 - t0 - 1
-        window = tuple(slice(a - r, b + r + 1) for a, b, r in zip(tile_lo, tile_hi, reach))
-        if not has_comp[window].any():
+        b0, b1 = bounds[t0], bounds[t1]
+        live = np.flatnonzero(exposed[b0:b1])
+        if not len(live):
             continue
         if t1 - t0 not in offsets:
-            offsets[t1 - t0] = _window_offsets(reach, t1 - t0, h[:m])
+            offsets[t1 - t0] = _window_offsets(reach_h, t1 - t0, h[:m])
         near = tile_lo + offsets[t1 - t0]
         col = np.ravel_multi_index(tuple(near.T), columns)
         first, counts = col_start[col], col_start[col + 1] - col_start[col]
         cand = np.arange(counts.sum()) + np.repeat(first - np.cumsum(counts) + counts, counts)
-        block = centers[bounds[t0]:bounds[t1]]
-        alive = keep[bounds[t0]:bounds[t1]]
+        block, idx, window = centers[b0:b1], center_idx[b0:b1], reach[b0:b1]
+        alive = keep[b0:b1]
+        # the window lies in every center's horizontal reach, except along the
+        # last horizontal axis when the tile holds several columns
+        axes = range(m if t1 - t0 == 1 else m - 1, group.n)
         done, size = 0, _FIRST_CELLS
-        while done < len(cand) and alive.any():
-            live = np.flatnonzero(alive)
+        while done < len(cand) and len(live):
             cells = cand[done:done + max(1, min(size, _MAX_PAIRS // len(live)))]
-            prod = group.multiply(block[live, None, :], comp_inv[None, cells, :])
-            alive[live[(norm(prod) <= eps).any(axis=1)]] = False
+            cell_idx = comp_idx[cells]
+            inside = np.ones((len(live), len(cells)), dtype=bool)
+            for k in axes:
+                inside &= np.abs(cell_idx[:, k] - idx[live, k, None]) <= window[live, k, None]
+            x, c = np.nonzero(inside)
+            if len(x):
+                prod = group.multiply(block[live[x]], comp_inv[cells[c]])
+                alive[live[x[norm(prod) <= eps]]] = False
+                live = live[alive[live]]
             done += len(cells)
             size *= 2
     mask = np.zeros(omega.shape, dtype=bool)

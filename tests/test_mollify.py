@@ -1,18 +1,28 @@
 """Mollifier families, domain erosion and the group-local convolution."""
 
+import ast
 import dataclasses
+import hashlib
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from carnot import mollify
-from carnot.groups import StratifiedGroup, euclidean, heisenberg, engel
+from carnot.config import build_group
+from carnot.groups import StratifiedGroup, euclidean, heisenberg, engel, preset
 from carnot.fields import (GridDomain, DomainError, constant_field, probe_field,
                            quadratic_field, from_expression, horizontal_gradient)
 from carnot.mollify import (MollifierFamily, erode_domain, convolve, commutation_residual,
                             convergence_table)
 from carnot.functionals import (IntegrandFunctional, PowerIntegrand, QuadraticIntegrand,
                                 jensen_check, sandwich_check)
+
+from conftest import filiform_spec
+
+# the erosion masks the benchmark pins, one file per workload
+EROSION_REFERENCES = Path(__file__).resolve().parents[1] / "perfbench" / "references" / "erosion"
 
 
 @pytest.fixture(scope="module")
@@ -103,7 +113,7 @@ def _all_pairs_erosion(group, norm, omega, eps):
 
 
 class TestErosionWindow:
-    """The horizontal window leaves the mask bit-identical to all pairs."""
+    """The per-layer window leaves the mask bit-identical to all pairs."""
 
     @pytest.mark.parametrize("kind", ["weighted-max", "koranyi"])
     def test_heisenberg(self, kind):
@@ -173,6 +183,46 @@ class TestErosionWindow:
         np.testing.assert_array_equal(got, _all_pairs_erosion(g, norm, omega, 0.3))
         assert got.sum() == 16
 
+    @pytest.mark.parametrize("kind", ["weighted-max", "koranyi"])
+    @pytest.mark.parametrize("lo, hi, eps_list", [
+        # at x_1, x_2 in [1, 4] the bracket term moves t by up to eps |x_h|, so
+        # killers sit several vertical cells past eps^2 (three at eps = 0.4)
+        ([1, 1, -2], [4, 4, 2], (0.4, 0.7)),
+        # t near 1e3 carries 1e-13 of rounding in every center and product,
+        # which the window's margin must absorb
+        ([-1, -1, 1000], [1, 1, 1001], (0.3, 0.4)),
+    ], ids=["horizontally", "vertically"])
+    def test_off_origin(self, kind, lo, hi, eps_list):
+        g = heisenberg(1)
+        norm = g.norm(kind)
+        omega = GridDomain.box(lo, hi, 8)
+        for eps in eps_list:
+            got = erode_domain(g, norm, omega, eps).mask
+            np.testing.assert_array_equal(got, _all_pairs_erosion(g, norm, omega, eps))
+            assert 0 < got.sum() < got.size
+
+    @pytest.mark.parametrize("kind", ["weighted-max", "koranyi"])
+    def test_eps_squared_below_a_pad_cell(self, kind):
+        # the middle column sits at x_1 = x_2 = 0, so its killers lie straight
+        # above or below; its top center (t = 0.875) is exactly eps^2 = 0.25
+        # below the first pad cell, rho = eps, on the edge of the window
+        g = heisenberg(1)
+        norm = g.norm(kind)
+        omega = GridDomain.box([-0.75, -0.75, -1], [0.75, 0.75, 1], (3, 3, 8))
+        got = erode_domain(g, norm, omega, 0.5).mask
+        np.testing.assert_array_equal(got, _all_pairs_erosion(g, norm, omega, 0.5))
+        np.testing.assert_array_equal(got[1, 1], [False] + [True] * 6 + [False])
+
+    def test_filiform_step_4(self):
+        # off the origin along x_1, which every bracket of the filiform group
+        # takes, so the tail moves killers past eps^w in layers 2 to 4
+        g = build_group({"group": filiform_spec(4)})
+        norm = g.norm()
+        omega = GridDomain.box([1, -0.5, -0.5, -0.5, -0.5], [3, 0.5, 0.5, 0.5, 0.5], 2)
+        got = erode_domain(g, norm, omega, 0.6).mask
+        np.testing.assert_array_equal(got, _all_pairs_erosion(g, norm, omega, 0.6))
+        assert 0 < got.sum() < got.size
+
     def test_mask_with_hole(self):
         g = heisenberg(1)
         norm = g.norm()
@@ -184,6 +234,69 @@ class TestErosionWindow:
             got = erode_domain(g, norm, omega, eps).mask
             np.testing.assert_array_equal(got, _all_pairs_erosion(g, norm, omega, eps))
             assert got.any()
+
+
+@pytest.fixture
+def multiply_points(monkeypatch):
+    """A list that records how many points every later group multiplication
+    pushes through the group law."""
+    counts = []
+    multiply = StratifiedGroup.multiply
+
+    def counted(self, x, y):
+        counts.append(int(np.prod(np.broadcast_shapes(np.shape(x), np.shape(y))[:-1])))
+        return multiply(self, x, y)
+
+    monkeypatch.setattr(StratifiedGroup, "multiply", counted)
+    return counts
+
+
+class TestErosionWork:
+    """The window multiplies only pairs that can kill."""
+
+    @pytest.mark.parametrize("group, shape, eps", [
+        (heisenberg(1), 12, 0.1), (engel(), 5, 0.2), (engel(), 5, 0.1)],
+        ids=["h1-0.1", "engel-0.2", "engel-0.1"])
+    def test_no_pair_when_no_cell_is_in_reach(self, multiply_points, group, shape, eps):
+        # every complement cell is farther than the window from every center
+        # (a window on the horizontal layer only takes 6912, 35000 and 35000)
+        omega = GridDomain.box(-np.ones(group.n), np.ones(group.n), shape)
+        eroded = erode_domain(group, group.norm(), omega, eps)
+        assert eroded.mask.all()
+        assert sum(multiply_points) == 0
+
+    @pytest.mark.parametrize("group, shape, horizontal_pairs", [
+        (heisenberg(1), 12, 140_784), (engel(), 5, 287_518)], ids=["h1", "engel"])
+    def test_window_prunes_most_pairs(self, multiply_points, group, shape, horizontal_pairs):
+        # the pairs a window on the horizontal layer only takes at eps = 0.4
+        omega = GridDomain.box(-np.ones(group.n), np.ones(group.n), shape)
+        erode_domain(group, group.norm(), omega, 0.4)
+        assert 0 < sum(multiply_points) < horizontal_pairs / 4
+
+
+def _mask_digest(mask: np.ndarray) -> str:
+    """The sha256 of a mask's shape and packed bits, as the benchmark digests
+    an erosion."""
+    digest = hashlib.sha256(repr(mask.shape).encode())
+    digest.update(np.packbits(mask.ravel()).tobytes())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("workload", ["h1-mollify", "engel-mollify"])
+def test_benchmark_erosion_digests(workload):
+    # each key reads group|norm|eps=..|shape=..|lo=..|hi=..|mask=<16 hex digits
+    # of the input mask's digest>; every key of these workloads erodes a full box
+    pinned = json.loads((EROSION_REFERENCES / f"{workload}.json").read_text())
+    assert pinned
+    for key, want in pinned.items():
+        name, kind, *fields = key.split("|")
+        spec = dict(field.split("=", 1) for field in fields)
+        omega = GridDomain.box(ast.literal_eval(spec["lo"]), ast.literal_eval(spec["hi"]),
+                               ast.literal_eval(spec["shape"]))
+        assert _mask_digest(omega.mask)[:16] == spec["mask"], key
+        g = preset(name)
+        eroded = erode_domain(g, g.norm(kind), omega, float(spec["eps"]))
+        assert _mask_digest(eroded.mask) == want, key
 
 
 class TestConvolve:
@@ -228,21 +341,6 @@ class TestConvolve:
         masses = mol.node_masses()
         direct = np.array([float(masses @ u.values(x - eps * mol.nodes)) for x in pts])
         np.testing.assert_allclose(u_eps.values(pts), direct, atol=1e-12)
-
-
-@pytest.fixture
-def multiply_points(monkeypatch):
-    """A list that records how many points every later group multiplication
-    pushes through the group law."""
-    counts = []
-    multiply = StratifiedGroup.multiply
-
-    def counted(self, x, y):
-        counts.append(int(np.prod(np.broadcast_shapes(np.shape(x), np.shape(y))[:-1])))
-        return multiply(self, x, y)
-
-    monkeypatch.setattr(StratifiedGroup, "multiply", counted)
-    return counts
 
 
 class TestPullBack:
