@@ -21,6 +21,7 @@ lie in the eroded domain is checked on every query.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, replace, field as dc_field
 
 import numpy as np
@@ -131,34 +132,11 @@ class MollifierFamily:
         return average
 
 
-# erosion batches: a tile's first batch tests _FIRST_CELLS candidate cells,
-# each later one twice as many, capped at _MAX_PAIRS (center, cell) pairs
-_FIRST_CELLS = 64
+# an erosion batch holds at most _MAX_PAIRS (center, offset) pairs
 _MAX_PAIRS = 1 << 16
-_TILE_CENTERS = 16
 # the erosion window's relative slack theta, which absorbs every rounding
 # between a computed kill and the window's bound (erode_domain derives it)
 _WINDOW_SLACK = 2.0 ** -30
-
-
-def _column_offsets(mask: np.ndarray, m: int) -> np.ndarray:
-    """Offsets of each horizontal column's cells among the true cells of
-    `mask` in C order; the m horizontal axes lead, so a column's vertical
-    cells are contiguous."""
-    per_column = mask.reshape(int(np.prod(mask.shape[:m])), -1).sum(axis=1)
-    return np.concatenate([[0], np.cumsum(per_column)])
-
-
-def _window_offsets(reach: np.ndarray, length: int, h: np.ndarray) -> np.ndarray:
-    """Offsets from a tile's first column to every column within `reach` of a
-    tile of `length` columns along the last horizontal axis, nearest first:
-    C order, stably sorted by the distance to the tile."""
-    last = np.zeros_like(reach)
-    last[-1] = length - 1
-    ranges = [np.arange(-r, b + r + 1) for r, b in zip(reach, last)]
-    near = np.stack(np.meshgrid(*ranges, indexing="ij"), axis=-1).reshape(-1, len(reach))
-    gap = np.maximum(np.maximum(-near, near - last), 0) * h
-    return near[np.argsort(gap.max(axis=1), kind="stable")]
 
 
 def _box_counts(grid: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -216,35 +194,42 @@ def erode_domain(group: StratifiedGroup, norm: HomogeneousNorm,
     lattice.  The ring's pad stays ceil(eps^w/h) + 1 per axis, because it
     defines which complement cells exist.
 
-    Centers are taken one tile at a time: a horizontal column (all vertical
-    cells over one horizontal cell), or a short run of neighbouring columns
-    when columns hold few cells.  A summed-area count over the padded lattice
-    finds, for every center at once, whether a complement cell lies in its
-    window; a tile where none does keeps all its centers and is skipped before
-    its candidates are set up.  Otherwise the candidates are the complement
-    cells of the columns within horizontal reach, nearest column first, in
-    batches that grow geometrically.  A batch multiplies only the (center,
-    cell) pairs inside the center's window, each tested exactly, and a tile
-    stops as soon as each center with a cell in its window has a complement
-    cell within eps."""
+    One pass over lattice offsets serves every center.  A summed-area count
+    over the padded lattice finds the centers with a complement cell in their
+    window; the others keep their cell untested.  The offsets d with |d_k| at
+    most the largest reach of those centers are walked nearest first (by
+    max_k |d_k| h_k), in batches of at most _MAX_PAIRS (center, offset) pairs.
+    A pair is multiplied only when x + d lies in the center's window and is a
+    complement cell, and a center leaves the pass once a complement cell lies
+    within eps.  Every pair that can kill is tested exactly, so the mask does
+    not depend on the order of the pairs.
+
+    Raises DomainError when the padded lattice, whose cells carry n floats
+    each, is too large to allocate."""
     if eps <= 0:
         raise ValueError("erosion radius must be positive")
-    m = group.m
     h = omega.spacing
     w = group.weights.astype(float)
-    pad = np.ceil(eps ** w / h).astype(int) + 1
-    padded = GridDomain.box(omega.lo - pad * h, omega.hi + pad * h,
-                            tuple(s + 2 * p for s, p in zip(omega.shape, pad)))
-    outside = np.ones(padded.shape, dtype=bool)
-    outside[tuple(slice(p, p + s) for p, s in zip(pad, omega.shape))] = ~omega.mask
-    columns = padded.shape[:m]
-    comp_inv = group.inverse(padded.all_centers()[outside.ravel()])
-    comp_idx = np.argwhere(outside)
-    col_start = _column_offsets(outside, m)
-
+    span = np.ceil(eps ** w / h)
+    # counted in Python ints, which no pad overflows
+    cells = math.prod(s + 2 * int(p) + 2 for s, p in zip(omega.shape, span))
+    message = f"erosion by eps={eps} needs a padded lattice of {cells} cells, too many to allocate"
+    if cells * 8 * group.n > np.iinfo(np.intp).max:
+        raise DomainError(message)
+    pad = span.astype(int) + 1
     centers = omega.centers()
     center_idx = np.argwhere(omega.mask) + pad
     theta = _WINDOW_SLACK
+    try:
+        padded = GridDomain.box(omega.lo - pad * h, omega.hi + pad * h,
+                                tuple(s + 2 * p for s, p in zip(omega.shape, pad)))
+        outside = np.ones(padded.shape, dtype=bool)
+        outside[tuple(slice(p, p + s) for p, s in zip(pad, omega.shape))] = ~omega.mask
+        comp_inv = group.inverse(padded.all_centers()[outside.ravel()])
+        # each padded cell's place among the complement cells, read at complement cells
+        comp_at = np.cumsum(outside.ravel()) - 1
+    except MemoryError as exc:
+        raise DomainError(message) from exc
     with np.errstate(over="ignore", invalid="ignore"):
         corner = np.maximum(np.abs(padded.lo), np.abs(padded.hi))
         slack = theta * group.bch_bound(corner, corner, 2 * corner)
@@ -252,57 +237,34 @@ def erode_domain(group: StratifiedGroup, norm: HomogeneousNorm,
         extent = group.bch_bound(b, np.abs(centers), b) + slack
         # fmin takes the lattice's extent over NaN, as over inf
         reach = np.floor(np.fmin((1 + theta) * extent / h, padded.shape)).astype(int)
-    # T vanishes horizontally, so every center has the same horizontal reach;
-    # the pad takes a tile's window to the lattice's edge
-    reach_h = np.minimum(reach[:, :m].max(axis=0, initial=0), pad[:m])
-    # the centers with a complement cell in their window, the only ones that
-    # can be killed
-    exposed = _box_counts(outside, np.maximum(center_idx - reach, 0),
-                          np.minimum(center_idx + reach, np.array(padded.shape) - 1)) > 0
-
-    bounds = _column_offsets(omega.mask, m)
+    # each center's window, clipped to the padded lattice
+    lo = np.maximum(center_idx - reach, 0)
+    hi = np.minimum(center_idx + reach, np.array(padded.shape) - 1)
+    live = np.flatnonzero(_box_counts(outside, lo, hi))
+    ranges = [np.arange(-r, r + 1) for r in reach[live].max(axis=0, initial=0)]
+    d = np.stack(np.meshgrid(*ranges, indexing="ij"), axis=-1).reshape(-1, group.n)
+    d = d[np.argsort((np.abs(d) * h).max(axis=1), kind="stable")]
+    # C-order strides of the padded lattice, one byte per cell
+    stride = np.array(outside.strides)
+    center_at, step = center_idx @ stride, d @ stride
     keep = np.ones(len(centers), dtype=bool)
-    # a tile is a run of columns along the last horizontal axis holding about
-    # _TILE_CENTERS cells: one column when columns are tall, several when they
-    # are short (m = n leaves one cell per column)
-    last = omega.shape[m - 1]
-    run = max(1, _TILE_CENTERS // int(np.prod(omega.shape[m:])))
-    tiles = [(t, min(t + run, row + last)) for row in range(0, len(bounds) - 1, last)
-             for t in range(row, row + last, run)]
-    # reach_h <= pad, so every tile's window lies inside the padded lattice
-    tile_los = np.stack(np.unravel_index([t0 for t0, _ in tiles], omega.shape[:m]),
-                        axis=-1) + pad[:m]
-    offsets = {}
-    for (t0, t1), tile_lo in zip(tiles, tile_los):
-        b0, b1 = bounds[t0], bounds[t1]
-        live = np.flatnonzero(exposed[b0:b1])
-        if not len(live):
-            continue
-        if t1 - t0 not in offsets:
-            offsets[t1 - t0] = _window_offsets(reach_h, t1 - t0, h[:m])
-        near = tile_lo + offsets[t1 - t0]
-        col = np.ravel_multi_index(tuple(near.T), columns)
-        first, counts = col_start[col], col_start[col + 1] - col_start[col]
-        cand = np.arange(counts.sum()) + np.repeat(first - np.cumsum(counts) + counts, counts)
-        block, idx, window = centers[b0:b1], center_idx[b0:b1], reach[b0:b1]
-        alive = keep[b0:b1]
-        # the window lies in every center's horizontal reach, except along the
-        # last horizontal axis when the tile holds several columns
-        axes = range(m if t1 - t0 == 1 else m - 1, group.n)
-        done, size = 0, _FIRST_CELLS
-        while done < len(cand) and len(live):
-            cells = cand[done:done + max(1, min(size, _MAX_PAIRS // len(live)))]
-            cell_idx = comp_idx[cells]
-            inside = np.ones((len(live), len(cells)), dtype=bool)
-            for k in axes:
-                inside &= np.abs(cell_idx[:, k] - idx[live, k, None]) <= window[live, k, None]
-            x, c = np.nonzero(inside)
-            if len(x):
-                prod = group.multiply(block[live[x]], comp_inv[cells[c]])
-                alive[live[x[norm(prod) <= eps]]] = False
-                live = live[alive[live]]
-            done += len(cells)
-            size *= 2
+    done = 0
+    while done < len(d) and len(live):
+        batch = slice(done, done + max(1, _MAX_PAIRS // len(live)))
+        offsets = d[batch]
+        inside = np.ones((len(live), len(offsets)), dtype=bool)
+        for k in range(group.n):
+            to = center_idx[live, k, None] + offsets[:, k]
+            inside &= (lo[live, k, None] <= to) & (to <= hi[live, k, None])
+        x, c = np.nonzero(inside)
+        at = center_at[live[x]] + step[batch][c]
+        hit = outside.ravel()[at]
+        if hit.any():
+            x = live[x[hit]]
+            prod = group.multiply(centers[x], comp_inv[comp_at[at[hit]]])
+            keep[x[norm(prod) <= eps]] = False
+            live = live[keep[live]]
+        done = batch.stop
     mask = np.zeros(omega.shape, dtype=bool)
     mask.ravel()[np.flatnonzero(omega.mask.ravel())[keep]] = True
     return replace(omega, mask=mask)

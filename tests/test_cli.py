@@ -80,6 +80,14 @@ class TestVerify:
         cfg = _write(tmp_path, "c.json", {"schedules": {"eps": [2.5]}})
         assert main(["verify", "--suite", "sandwich", "--config", cfg]) == EXIT_CONFIG
 
+    def test_oversized_erosion_exits_config(self, tmp_path, capsys):
+        # the sandwich erodes by 1.1 eps: a padded lattice of 2.25 PiB of cells
+        cfg = _write(tmp_path, "c.json", {"schedules": {"eps": [1000]}})
+        assert main(["verify", "--suite", "sandwich", "--config", cfg]) == EXIT_CONFIG
+        assert capsys.readouterr().err == ("config error: erosion by eps=1100.0 needs a padded "
+                                           "lattice of 2535336682457144 cells, too many to "
+                                           "allocate\n")
+
     def test_functional_suite_passes(self, tmp_path, capsys):
         cfg = _write(tmp_path, "c.json", {"samples": 20})
         assert main(["verify", "--suite", "functional", "--config", cfg]) == EXIT_OK

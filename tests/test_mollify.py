@@ -92,6 +92,16 @@ class TestErosion:
         with pytest.raises(ValueError):
             erode_domain(g, norm, omega, 0.0)
 
+    def test_oversized_lattice_raises_before_allocating(self):
+        # the padded lattice's 6.3e30 cells lie beyond numpy's index range,
+        # where allocating would raise ValueError, not DomainError
+        g = engel()
+        omega = GridDomain.box(-np.ones(4), np.ones(4), 5)
+        with pytest.raises(DomainError, match=r"^erosion by eps=10000\.0 needs a padded lattice "
+                                              r"of 6251750210033254165294034302401 cells, "
+                                              r"too many to allocate$"):
+            erode_domain(g, g.norm(), omega, 1e4)
+
 
 def _all_pairs_erosion(group, norm, omega, eps):
     """Reference mask: every masked center against every complement center of
@@ -234,6 +244,13 @@ class TestErosionWindow:
             got = erode_domain(g, norm, omega, eps).mask
             np.testing.assert_array_equal(got, _all_pairs_erosion(g, norm, omega, eps))
             assert got.any()
+
+    def test_one_offset_per_batch(self, monkeypatch):
+        # a batch always takes at least one offset, however many centers are live
+        monkeypatch.setattr(mollify, "_MAX_PAIRS", 1)
+        self.test_heisenberg("weighted-max")
+        self.test_engel_4([-1] * 4, [1] * 4, 0.5)
+        self.test_mask_with_hole()
 
 
 @pytest.fixture
