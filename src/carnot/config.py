@@ -1,7 +1,8 @@
 """Experiment configuration: JSON in, constructed objects out.
 
 A config file only needs to override the defaults below.  Field menus are
-sympy expressions in x1..xn or probe directions; integrands use the menu
+expressions in x1..xn (the grammar of :mod:`carnot.expression`, parsed and
+never evaluated as Python) or probe directions; integrands use the menu
 serialization of :mod:`carnot.functionals`.
 """
 

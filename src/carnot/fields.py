@@ -310,51 +310,20 @@ def probe_field(group: StratifiedGroup, xi) -> ScalarField:
 
 
 def from_expression(group: StratifiedGroup, expr) -> ScalarField:
-    """Closed-form field from a sympy expression in x1..xn.
+    """Closed-form field from an expression in x1..xn (see
+    :mod:`carnot.expression` for the grammar), named by its text.
 
-    The Euclidean gradient is differentiated symbolically; the horizontal
-    gradient then comes from the group's structure constants.  Raises ValueError
-    when the expression does not parse, uses a symbol other than x1..xn, or
-    has no real numpy evaluator; non-finite values are the caller's to reject.
+    The expression is parsed, never evaluated as Python.  One pass over it
+    gives the Euclidean gradient with the values; the horizontal gradient then
+    comes from the group's structure constants.  Raises ValueError when the
+    text does not parse or leaves the grammar; non-finite values are the
+    caller's to reject.
     """
-    import sympy as sp  # only expression fields need it; it is slow to import
+    from .expression import Expression  # only expression fields (gamma's) need it
 
-    syms = sp.symbols(f"x1:{group.n + 1}")
-    try:  # sympy reports malformed text through many exception types
-        expr = sp.sympify(expr, locals={s.name: s for s in syms})
-    except Exception as exc:
-        raise ValueError(f"cannot parse field expression {expr!r}") from exc
-    if not isinstance(expr, sp.Expr) or not expr.free_symbols <= set(syms):
-        raise ValueError(f"field expression '{expr}' must be an expression "
-                         f"in x1..x{group.n}")
-
-    def evaluate(fn, p):
-        with np.errstate(all="ignore"):
-            out = np.asarray(fn(*p.T))
-        if np.iscomplexobj(out):
-            raise ValueError(f"field expression '{expr}' is not real")
-        return np.broadcast_to(out.astype(float), (len(p),))
-
-    def values(p):
-        return evaluate(fv, np.atleast_2d(p)).copy()
-
-    def egrad(p):
-        p = np.atleast_2d(p)
-        return np.stack([evaluate(g, p) for g in fg], axis=-1)
-
-    # the numpy module itself as namespace: modules="numpy" runs
-    # `from numpy import *`, which loads dozens of numpy submodules
-    namespace = [{"numpy": np}, np]
-    # a missing numpy printer, a failing evaluator and a complex value each raise
-    # their own exception type; one evaluation at the origin surfaces them here
-    try:
-        fv = sp.lambdify(syms, expr, modules=namespace)
-        fg = [sp.lambdify(syms, sp.diff(expr, s), modules=namespace) for s in syms]
-        values(group.origin())
-        egrad(group.origin())
-    except Exception as exc:
-        raise ValueError(f"field expression '{expr}' has no real numpy evaluator") from exc
-    return ScalarField(values=values, hgrad=_hgrad_from_egrad(group, egrad), name=str(expr))
+    parsed = Expression(expr, group.n)
+    return ScalarField(values=parsed.values, hgrad=_hgrad_from_egrad(group, parsed.egrad),
+                       name=expr)
 
 
 def _hgrad_from_egrad(group: StratifiedGroup, egrad: Callable) -> Callable:
@@ -367,8 +336,8 @@ def _hgrad_from_egrad(group: StratifiedGroup, egrad: Callable) -> Callable:
 
 def quadratic_field(group: StratifiedGroup, const: float, lin, quad=None,
                     name: str = "poly2") -> ScalarField:
-    """c + <l, x> + x^T Q x with numpy evaluators (faster than sympy for
-    randomized property checks)."""
+    """c + <l, x> + x^T Q x with numpy evaluators (faster than an expression
+    for randomized property checks)."""
     n = group.n
     lin = np.asarray(lin, dtype=float).reshape(n)
     quad = np.zeros((n, n)) if quad is None else np.asarray(quad, dtype=float).reshape(n, n)

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import time
 
 import numpy as np
 import pytest
@@ -749,3 +750,29 @@ class TestGamma:
             assert main(["gamma", "--config", cfg, "--out", str(out)]) == EXIT_OK
             blobs.append((out / "gamma_brackets.csv").read_bytes())
         assert blobs[0] == blobs[1]
+
+    @pytest.mark.parametrize("expr", [
+        "__import__('pathlib').Path({marker!r}).touch() or x1",
+        "x1.real", "lambda: x1", "x1[0]", "[x1 for x1 in (1, 2)]",
+        "Max(x1, x2, key=1)"],
+        ids=["touch", "attribute", "lambda", "subscript", "comprehension", "keyword"])
+    def test_code_in_an_expression_fails_closed(self, tmp_path, capsys, expr):
+        # an expression is parsed, never evaluated as Python: config text
+        # that would run code is a config error and runs nothing
+        marker = tmp_path / "ran"
+        cfg = _write(tmp_path, "c.json", {"fields": [{"expr": expr.format(marker=str(marker))}]})
+        assert main(["gamma", "--config", cfg]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert not marker.exists()
+
+    @pytest.mark.parametrize("expr", [
+        "10**400*x1", "+".join(["x1"] * 20_000), "(" * 300 + "x1" + ")" * 300, "Max(x1)"],
+        ids=["beyond-float", "20000-terms", "300-parentheses", "max-arity"])
+    def test_pathological_expression_exits_config_fast(self, tmp_path, capsys, expr):
+        cfg = _write(tmp_path, "c.json", {"fields": [{"expr": expr}]})
+        start = time.perf_counter()
+        assert main(["gamma", "--config", cfg]) == EXIT_CONFIG
+        assert time.perf_counter() - start < 2.0
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1

@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import json
 import warnings
 
 import numpy as np
@@ -10,6 +11,7 @@ from scipy.interpolate import RegularGridInterpolator
 
 from conftest import filiform_spec, run_fresh
 from carnot.config import build_group
+from carnot.expression import Expression
 from carnot.groups import euclidean, heisenberg, engel
 from carnot.fields import (GridDomain, DomainError, constant_field,
                            probe_field, from_expression, quadratic_field,
@@ -153,8 +155,8 @@ class TestFields:
 
     def test_expression_rejects_malformed(self):
         g = heisenberg(1)
-        # the last six parse, but sympy has no numpy printer for them, the
-        # printed evaluator fails, or it returns complex values
+        # the first two do not parse; the rest parse but leave the grammar: a
+        # name other than x1..x3, pi and E, a lambda, or an unknown function
         for expr in ("x1**", "x1 +* 2", "y9 + x1", "x4", "lambda: 1", "I", "zoo",
                      "f(x1)", "Integral(x1, x1)", "x1 + I"):
             with pytest.raises(ValueError):
@@ -168,6 +170,62 @@ class TestFields:
             warnings.simplefilter("error")
             values = from_expression(g, "sqrt(x1)").values(pts)
         np.testing.assert_array_equal(values, [np.nan, 2.0])
+
+    def test_expression_is_bitwise_the_hand_written_numpy(self):
+        # the default field and the two-field CI one take the floating-point
+        # operations a hand-written evaluator takes, so outputs do not move;
+        # `^` is `**`
+        g = heisenberg(1)
+        p = np.random.default_rng(7).normal(size=(50, 3))
+        x1, x2, x3 = p.T
+        zero = np.zeros(len(p))
+        for text, values, egrad in [
+                ("x1**2 + 0.5*x2", x1**2 + 0.5 * x2, [2 * x1, zero + 0.5, zero]),
+                ("x1*x3 + x2**2", x1 * x3 + x2**2, [x3, 2 * x2, x1]),
+                ("x1^2 + 1", x1**2 + 1, [2 * x1, zero, zero])]:
+            egrad = np.stack(egrad, axis=-1)
+            u = from_expression(g, text)
+            assert u.name == text
+            np.testing.assert_array_equal(u.values(p), values)
+            np.testing.assert_array_equal(Expression(text, 3).egrad(p), egrad)
+            np.testing.assert_array_equal(u.hgrad(p), g.hgrad_from_egrad(p, egrad))
+
+    @pytest.mark.parametrize("text", [
+        "sqrt(x1 + 2*x2)", "exp(x1*x3)", "log(x1 + x2**2)", "sin(x1*x3) - x2",
+        "cos(x2/x3) + x1", "tan(x1 - x2/2)", "Abs(x1 - 2*x2)*x3", "Max(x1, x2*x3, 0.3)",
+        "Min(x1*x2, x3, 0.9)", "pi*x1**E", "x2**x1 * x3**2.5", "-x1/(x2 + x3) + +x2",
+        "x1^2 + 1"])
+    def test_expression_gradient_matches_central_differences(self, text):
+        # points in (0.2, 0.9)^3 and at least 1e-3 away from the kinks of
+        # Abs, Max and Min, where the partials are continuous
+        rng = np.random.default_rng(11)
+        p = rng.uniform(0.2, 0.9, size=(400, 3))
+        x1, x2, x3 = p.T
+        far = ((np.abs(x1 - 2 * x2) > 1e-3) & (np.abs(x1 - x2 * x3) > 1e-3)
+               & (np.abs(x1 - 0.3) > 1e-3) & (np.abs(x2 * x3 - 0.3) > 1e-3)
+               & (np.abs(x1 * x2 - x3) > 1e-3) & (np.abs(x1 * x2 - 0.9) > 1e-3)
+               & (np.abs(x3 - 0.9) > 1e-3))
+        p = p[far][:100]
+        expr, h = Expression(text, 3), 1e-6
+        fd = np.stack([(expr.values(p + h * e) - expr.values(p - h * e)) / (2 * h)
+                       for e in np.eye(3)], axis=-1)
+        np.testing.assert_allclose(expr.egrad(p), fd, rtol=1e-6, atol=1e-9)
+
+    def test_extremum_tie_takes_the_mean_gradient(self):
+        # sympy's Heaviside(0) = 1/2: on the tie each argument's gradient
+        # counts once in the mean
+        p = np.array([[0.3, 0.3, 0.0], [0.5, 0.1, 0.0]])
+        np.testing.assert_array_equal(Expression("Max(x1, x2)", 3).egrad(p),
+                                      [[0.5, 0.5, 0.0], [1.0, 0.0, 0.0]])
+        np.testing.assert_array_equal(Expression("Min(x1, x2)", 3).egrad(p),
+                                      [[0.5, 0.5, 0.0], [0.0, 1.0, 0.0]])
+
+    def test_abs_is_a_field(self):
+        g = heisenberg(1)
+        p = np.array([[-0.5, 1.0, 0.0], [2.0, -1.0, 0.0]])
+        u = from_expression(g, "Abs(x1)")
+        np.testing.assert_array_equal(u.values(p), [0.5, 2.0])
+        np.testing.assert_array_equal(u.hgrad(p), [[-1.0, 0.0], [1.0, 0.0]])
 
     def test_algebra(self):
         g = euclidean(2)
@@ -246,7 +304,7 @@ class TestInterpolation:
         assert "scipy.ndimage" not in cli_import_modules
 
     def test_import_does_not_load_sympy(self, cli_import_modules):
-        # only fields given by an expression need sympy, and it is slow to import
+        # no field needs sympy, which is slow to import
         assert "sympy" not in cli_import_modules
 
     def test_import_does_not_load_scipy(self, cli_import_modules):
@@ -254,14 +312,26 @@ class TestInterpolation:
         assert not [m for m in cli_import_modules if m.split(".")[0] == "scipy"]
         assert "numpy.random" in cli_import_modules  # seeded commands need it
 
-    def test_expression_field_does_not_load_numpy_f2py(self):
-        # lambdify's modules="numpy" runs `from numpy import *`, which loads
-        # numpy.f2py, numpy.ma, numpy.polynomial and dozens more
-        loaded = run_fresh(
-            "import sys; from carnot.groups import heisenberg; "
-            "from carnot.fields import from_expression; "
-            "from_expression(heisenberg(1), 'sin(x1) * exp(x3)'); print(*sys.modules)").split()
-        assert "sympy" in loaded and "numpy.f2py" not in loaded
+    def test_expression_field_does_not_load_numpy_f2py(self, tmp_path):
+        # building an expression field loads neither sympy, which is slow to
+        # import, nor numpy.f2py, which `from numpy import *` loads; a whole
+        # gamma run loads no sympy (its sparse operators import scipy, and
+        # scipy's array API layer loads numpy.f2py)
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"grid": {"shape": 4}, "minimizer": {"max_iter": 2}}))
+        built, ran = run_fresh(
+            "import contextlib, io, sys\n"
+            "from carnot.fields import from_expression\n"
+            "from carnot.groups import heisenberg\n"
+            "from_expression(heisenberg(1), 'sin(x1) * exp(x3) + Max(x1, x2)')\n"
+            "print(*sys.modules)\n"
+            "from carnot.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    code = main(['gamma', '--config', {str(cfg)!r}])\n"
+            "print(code, *sys.modules)").splitlines()
+        built, ran = built.split(), ran.split()
+        assert "sympy" not in built and "numpy.f2py" not in built
+        assert ran[0] == "0" and "sympy" not in ran
 
 
 class TestTranslation:
