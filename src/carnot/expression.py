@@ -85,6 +85,18 @@ _RULES = {
 _FUNCTIONS = {"sqrt": 1, "exp": 1, "log": 1, "sin": 1, "cos": 1, "tan": 1, "Abs": 1,
               "Max": None, "Min": None}
 
+# a message quotes at most this many characters of the text it rejects
+_QUOTED = 40
+
+
+def _quote(value) -> str:
+    """repr(value) for an error message; a longer text is cut to its first
+    `_QUOTED` characters and its length, so the message stays one short line."""
+    text = value if isinstance(value, str) else repr(value)
+    if len(text) <= _QUOTED:
+        return repr(value)
+    return f"{text[:_QUOTED]!r}... ({len(text)} characters)"
+
 
 class Expression:
     """A checked expression in x1..xn: `values(p)` and `egrad(p)` for points
@@ -95,7 +107,7 @@ class Expression:
 
     def __init__(self, text, n: int):
         if not isinstance(text, str):
-            raise ValueError(f"field expression must be a string, got {text!r}")
+            raise ValueError(f"field expression must be a string, got {_quote(text)}")
         self.text, self.n = text, n
         self._names = {f"x{k + 1}": k for k in range(n)}
         # besides SyntaxError, the parser reports nesting too deep for it as a
@@ -103,7 +115,7 @@ class Expression:
         try:
             root = ast.parse(text.replace("^", "**").strip(), mode="eval").body
         except (SyntaxError, RecursionError, MemoryError, ValueError) as exc:
-            raise ValueError(f"cannot parse field expression {text!r}") from exc
+            raise ValueError(f"cannot parse field expression {_quote(text)}") from exc
         # children are pushed left to right and popped right first, so the
         # reversed visit order is postfix: operands before their operator
         tape, todo = [], [root]
@@ -114,14 +126,14 @@ class Expression:
         self._tape = tape[::-1]
 
     def _reject(self, what: str):
-        raise ValueError(f"field expression {self.text!r} must be an expression in "
+        raise ValueError(f"field expression {_quote(self.text)} must be an expression in "
                          f"x1..x{self.n}: {what} is not allowed")
 
     def _check(self, node) -> tuple:
         """(tape entry, operand nodes) of one node of the tree."""
         if isinstance(node, ast.Constant):
             if type(node.value) not in (int, float):
-                self._reject(f"the constant {node.value!r}")
+                self._reject(f"the constant {_quote(node.value)}")
             try:
                 return ("const", np.float64(node.value), 0), []
             except OverflowError:
@@ -131,7 +143,7 @@ class Expression:
                 return ("var", self._names[node.id], 0), []
             if node.id in _CONSTANTS:
                 return ("const", _CONSTANTS[node.id], 0), []
-            self._reject(f"the name {node.id!r}")
+            self._reject(f"the name {_quote(node.id)}")
         if isinstance(node, ast.BinOp) and type(node.op) in _BINARY:
             return ("op", _BINARY[type(node.op)], 2), [node.left, node.right]
         if isinstance(node, ast.UnaryOp) and type(node.op) in _UNARY:
@@ -139,7 +151,7 @@ class Expression:
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
             name, args = node.func.id, node.args
             if name not in _FUNCTIONS:
-                self._reject(f"the function {name!r}")
+                self._reject(f"the function {_quote(name)}")
             if node.keywords:
                 self._reject(f"a keyword argument to {name}")
             arity = _FUNCTIONS[name]

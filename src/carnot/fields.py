@@ -20,6 +20,7 @@ from .groups import StratifiedGroup
 
 __all__ = [
     "GridDomain",
+    "GatherTable",
     "ScalarField",
     "probe_field",
     "constant_field",
@@ -127,30 +128,31 @@ class GridDomain:
         t = self._node_coords(points)
         return ((t >= -1e-9) & (t <= np.asarray(self.shape) - 1 + 1e-9)).all(axis=-1)
 
-    def interpolation(self, points):
-        """Sparse (CSR) multilinear interpolation matrix W from samples at all
-        cell centers (C order) to `points`: W @ samples.ravel() is the
-        interpolant.  Raises DomainError for points outside the hull of the
-        centers."""
-        from scipy import sparse  # only operator builders need it; it is slow to import
-
+    def interpolation(self, points) -> "GatherTable":
+        """The multilinear interpolation matrix W from samples at all cell
+        centers (C order) to `points`, as a gather table: row i holds the 2^n
+        corners of point i, in increasing column order, with their weights
+        (`cols` and `weights` are (2^n, count) arrays, one row per slot), and
+        W @ samples.ravel() is the interpolant.  Raises DomainError for
+        points outside the hull of the centers."""
         if not self.in_hull(points).all():
             raise DomainError("interpolation query outside the hull of the cell centers")
         t = self._node_coords(points)
         shape = np.asarray(self.shape)
         base = np.clip(np.floor(t).astype(int), 0, shape - 2)
         frac = t - base
-        # one row per point, its 2^n corners in increasing column order
-        corners = 2 ** self.ndim
-        cols = np.empty((len(t), corners), dtype=np.intp)
-        vals = np.empty((len(t), corners))
-        for k, corner in enumerate(itertools.product((0, 1), repeat=self.ndim)):
-            corner = np.asarray(corner)
-            cols[:, k] = np.ravel_multi_index(tuple((base + corner).T), self.shape)
-            vals[:, k] = np.prod(np.where(corner, frac, 1.0 - frac), axis=-1)
-        return sparse.csr_matrix((vals.ravel(), cols.ravel(),
-                                  np.arange(0, cols.size + 1, corners)),
-                                 shape=(len(t), int(shape.prod())))
+        # the corners in itertools.product order, the last axis fastest: each
+        # is the base's column plus a fixed offset, so the columns increase,
+        # and its weight is the product of the axes' factors in axis order
+        corners = np.array(list(itertools.product((0, 1), repeat=self.ndim)))
+        strides = np.cumprod((self.shape[1:] + (1,))[::-1])[::-1]
+        cols = (np.ravel_multi_index(tuple(base.T), self.shape)
+                + (corners @ strides)[:, None])
+        weights = np.ones((1, len(t)))
+        for k in range(self.ndim):
+            weights = np.stack([weights * (1.0 - frac[:, k]), weights * frac[:, k]],
+                               axis=1).reshape(-1, len(t))
+        return GatherTable(cols, weights, (len(t), int(shape.prod())))
 
     def contains(self, points) -> np.ndarray:
         """True where a point falls inside a masked cell."""
@@ -243,6 +245,38 @@ class GridDomain:
     def __repr__(self):
         return (f"GridDomain(shape={self.shape}, cells={int(self.mask.sum())}, "
                 f"|A|={self.volume:.6g})")
+
+
+@dataclass(frozen=True)
+class GatherTable:
+    """A sparse matrix stored for gathers.  Row i of `table @ v` is
+
+        0.0 + w[i, 0] * v[c[i, 0]] + w[i, 1] * v[c[i, 1]] + ...
+
+    summed slot by slot, the order in which a CSR product sums a row whose
+    entries are stored in slot order.  The rows are held as jagged diagonals:
+    stored row r has its slot k in `cols[k][r]` and `weights[k][r]`, slot k
+    covers the first len(cols[k]) stored rows (non-increasing lengths), so a
+    row has no slot it does not use.  Output row i is stored row `rank[i]`,
+    or row i when `rank` is None."""
+
+    cols: object     # per slot, an integer array (or the rows of a 2-d one)
+    weights: object  # per slot, a float array of the same length
+    shape: tuple
+    rank: Optional[np.ndarray] = None
+
+    def __matmul__(self, v) -> np.ndarray:
+        v = np.asarray(v, dtype=float)
+        if v.shape != self.shape[1:]:
+            raise ValueError(f"a table of shape {self.shape} cannot take a vector of shape "
+                             f"{v.shape}")
+        out = np.zeros(self.shape[0])
+        # like a CSR product, this one raises and warns about nothing: an
+        # overflow or a nan propagates into the result
+        with np.errstate(all="ignore"):
+            for c, w in zip(self.cols, self.weights):
+                out[:len(c)] += w * v.take(c)
+        return out if self.rank is None else out.take(self.rank)
 
 
 @dataclass(frozen=True)

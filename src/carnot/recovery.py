@@ -16,7 +16,8 @@ from typing import Optional
 import numpy as np
 
 from .groups import StratifiedGroup, HomogeneousNorm
-from .fields import GridDomain, ScalarField, DomainError, probe_field, _lp_norm
+from .fields import (GatherTable, GridDomain, ScalarField, DomainError, probe_field,
+                     _lp_norm)
 from .functionals import (Functional, IntegrandFunctional, OffsetIntegrand,
                           _midpoint_defect, _total)
 
@@ -157,32 +158,120 @@ class MinimizeResult:
     converged: bool
 
 
+# stencil cells per chunk of the gradient operators' build: the chunk's
+# temporaries stay small next to the tables
+_CHUNK = 2048
+
+
 def _gradient_operators(group: StratifiedGroup, domain: GridDomain) -> tuple:
-    """The sparse operator sending cell samples to group-fd horizontal
+    """The gather tables sending cell samples to group-fd horizontal
     derivatives on the K masked cells whose full difference stencil stays
-    inside the sample lattice, laid out for the descent loop: one CSR stack of
-    shape (m*K, N), whose product with the samples holds the m directional
-    derivatives one after another, and the CSR transposes of its m row blocks
-    for the adjoint (kept apart, so each entry sums in the order of `op.T @`)."""
+    inside the sample lattice, laid out for the descent loop: one forward
+    table of m*K rows, whose product with the samples holds the m directional
+    derivatives one after another, and one transposed table per direction
+    for the adjoint.  Each row is the CSR difference (fwd - bwd interpolation)
+    / 2h_j (see `_difference_rows`), and the products sum in the order of the
+    CSR products `op @ v` and `op.T @ w` of that direction's operator.  The
+    rows are built in chunks of `_CHUNK` cells."""
     centers = domain.centers()
-    fwd, bwd = [], []
+    steps = []
     valid = np.ones(len(centers), dtype=bool)
     for j in range(group.m):
         step = np.zeros(group.n)
         step[j] = domain.spacing[j]
-        fwd.append(group.multiply(centers, step))
-        bwd.append(group.multiply(centers, -step))
-        valid &= domain.in_hull(fwd[-1]) & domain.in_hull(bwd[-1])
-    if not valid.any():
+        steps.append(step)
+        valid &= (domain.in_hull(group.multiply(centers, step))
+                  & domain.in_hull(group.multiply(centers, -step)))
+    cells = np.flatnonzero(valid)
+    if not len(cells):
         raise DomainError("no cell admits a full horizontal difference stencil")
-    stack = (domain.interpolation(np.concatenate([x[valid] for x in fwd]))
-             - domain.interpolation(np.concatenate([x[valid] for x in bwd])))
-    k = int(valid.sum())
-    for j in range(group.m):
-        # times the reciprocal, as dividing a CSR matrix by a scalar computes it
-        rows = slice(stack.indptr[j * k], stack.indptr[(j + 1) * k])
-        stack.data[rows] *= 1 / (2.0 * domain.spacing[j])
-    return stack, [stack[j * k:(j + 1) * k].T.tocsr() for j in range(group.m)]
+    k, samples = len(cells), domain.mask.size
+    blocks = []  # per direction, per chunk: (row widths, columns, weights)
+    for j, step in enumerate(steps):
+        scale = 1 / (2.0 * domain.spacing[j])
+        blocks.append([])
+        for lo in range(0, k, _CHUNK):
+            x = centers[cells[lo:lo + _CHUNK]]
+            blocks[j].append(_difference_rows(domain.interpolation(group.multiply(x, step)),
+                                              domain.interpolation(group.multiply(x, -step)),
+                                              scale))
+
+    def rows(first, widths):  # the row of every entry of rows first, first + 1, ..
+        return np.repeat(np.arange(first, first + len(widths)), widths)
+
+    def forward_entries():
+        first = 0
+        for block in blocks:
+            for widths, cols, weights in block:
+                yield rows(first, widths), cols, weights
+                first += len(widths)
+
+    forward = _jagged(np.concatenate([w for block in blocks for w, _, _ in block]),
+                      forward_entries(), samples)
+
+    def adjoint_entries(block):
+        # consumes the block: its chunks are freed as the table fills
+        first = 0
+        while block:
+            widths, cols, weights = block.pop(0)
+            yield cols, rows(first, widths), weights
+            first += len(widths)
+
+    adjoints = []
+    for block in blocks:
+        widths = np.zeros(samples, dtype=np.intp)
+        for _, cols, _ in block:
+            widths += np.bincount(cols, minlength=samples)
+        adjoints.append(_jagged(widths, adjoint_entries(block), k))
+    return forward, adjoints
+
+
+def _difference_rows(fwd: GatherTable, bwd: GatherTable, scale: float) -> tuple:
+    """(fwd - bwd) * scale for the interpolation tables of two point sets,
+    row by row as scipy's CSR difference builds it: columns ascending, a
+    column of both stored as a - b, exact zeros dropped, and then every entry
+    times `scale`.  Returns the row widths and the entries, row after row."""
+    cols = np.concatenate([fwd.cols.T, bwd.cols.T], axis=1)
+    weights = np.concatenate([fwd.weights.T, -bwd.weights.T], axis=1)
+    order = np.argsort(cols, axis=1, kind="stable")
+    cols = np.take_along_axis(cols, order, axis=1)
+    weights = np.take_along_axis(weights, order, axis=1)
+    shared = cols[:, 1:] == cols[:, :-1]  # a fwd column, then the same bwd one
+    weights[:, :-1][shared] += weights[:, 1:][shared]  # a + (-b), which is a - b
+    keep = weights != 0
+    keep[:, 1:] &= ~shared
+    return keep.sum(axis=1), cols[keep], weights[keep] * scale
+
+
+def _jagged(widths: np.ndarray, entries, columns: int) -> GatherTable:
+    """The gather table whose row r holds widths[r] entries.  `entries`
+    yields chunks (rows, cols, weights) in which every row's entries come in
+    its slot order, chunk after chunk.  Rows are stored by decreasing width
+    (stably), so slot k covers a prefix of them."""
+    rank = np.empty(len(widths), dtype=np.intp)
+    rank[np.argsort(-widths, kind="stable")] = np.arange(len(widths))
+    # slot k holds one entry per row wider than k, at starts[k]:starts[k + 1]
+    wider = len(widths) - np.cumsum(np.bincount(widths))[:-1]
+    starts = np.concatenate([[0], np.cumsum(wider)])
+    cols = np.empty(starts[-1], dtype=np.intp)
+    weights = np.empty(starts[-1])
+    seen = np.zeros(len(widths), dtype=np.intp)  # entries placed per row
+    for rows, c, w in entries:
+        # an entry's slot counts its row's entries before it: those of the
+        # earlier chunks, then those before it in this one
+        by_row = np.argsort(rows, kind="stable")
+        sorted_rows = rows[by_row]
+        slot = np.empty_like(rows)
+        slot[by_row] = (seen[sorted_rows] + np.arange(len(rows))
+                        - np.searchsorted(sorted_rows, sorted_rows))
+        np.add.at(seen, rows, 1)
+        pos = starts[slot] + rank[rows]
+        cols[pos] = c
+        weights[pos] = w
+    return GatherTable([cols[a:b] for a, b in zip(starts[:-1], starts[1:])],
+                       [weights[a:b] for a, b in zip(starts[:-1], starts[1:])],
+                       (len(widths), columns),
+                       None if (np.diff(widths) <= 0).all() else rank)
 
 
 def _core(f):
@@ -191,6 +280,14 @@ def _core(f):
     while isinstance(f, OffsetIntegrand):
         f = f.inner
     return f
+
+
+def _from_core(f, core_values):
+    """f's values from its core's: the offsets of f's `OffsetIntegrand`
+    layers added innermost first, as `OffsetIntegrand.__call__` adds them."""
+    if isinstance(f, OffsetIntegrand):
+        return _from_core(f.inner, core_values) + f.c
+    return core_values
 
 
 def minimize_convex(group: StratifiedGroup, integrands, anchors, domain: GridDomain,
@@ -207,8 +304,9 @@ def minimize_convex(group: StratifiedGroup, integrands, anchors, domain: GridDom
     integrands with one core (`_core`) whose line searches pick the same s0
     walk the same iterates, so they share one descent; within it each keeps
     its own best iterate and stall counter, and reads exactly what a descent
-    of its own would give.  Only the first member of a descent takes
-    `value_and_grad`; the others are evaluated through `f(eta)`."""
+    of its own would give.  Each step and each line-search trial evaluates
+    the core once (`value_and_grad` in a step, a call in a trial); every
+    member reads its values from the core's (`_from_core`)."""
     if delta < 0 or max_iter < 0:
         raise ValueError("the constraint radius and the iteration budget must be nonnegative")
     integrands, anchors = list(integrands), list(anchors)
@@ -220,17 +318,20 @@ def minimize_convex(group: StratifiedGroup, integrands, anchors, domain: GridDom
         return MinimizeResult(samples, value, start_value, stalled, 0, True)
     mask_flat = None if domain.mask.all() else domain.mask.ravel()
     cellvol = domain.cell_volume
-    stack, adjoints = _gradient_operators(group, domain)
+    forward, adjoints = _gradient_operators(group, domain)
 
     def gradients(v):
         # a column-major (K, m) view: the integrands reduce over m without a copy
-        return (stack @ v).reshape(group.m, -1).T
+        return (forward @ v).reshape(group.m, -1).T
 
     def subgradient(df):
-        g = np.zeros(stack.shape[1])
+        g = np.zeros(forward.shape[1])
         for j, adjoint in enumerate(adjoints):
             g += adjoint @ df[:, j]
         return g * cellvol
+
+    def totals(core_values, members):
+        return [_total(_from_core(integrands[i], core_values), cellvol) for i in members]
 
     def project(v, u0):
         w = v - u0
@@ -239,17 +340,15 @@ def minimize_convex(group: StratifiedGroup, integrands, anchors, domain: GridDom
             return v
         return u0 + w * (delta / nrm)
 
-    def descend(a, u0, members, s0, g):
+    def descend(a, u0, core, members, s0, g):
         """One descent of field `a` shared by `members`; returns the steps it took."""
-        lead, live = members[0], list(members)
+        live = list(members)
         counts = dict.fromkeys(members, 0)
         v = u0
         for it in range(1, max_iter + 1):
             v = project(v - s0 / np.sqrt(it) * g, u0)
-            grads = gradients(v)
-            lead_values, df = integrands[lead].value_and_grad(grads)
-            for i in list(live):
-                val = _total(lead_values if i == lead else integrands[i](grads), cellvol)
+            core_values, df = core.value_and_grad(gradients(v))
+            for i, val in zip(list(live), totals(core_values, live)):
                 if val < value[a, i] - _REL_TOL * max(1.0, abs(value[a, i])):
                     value[a, i], samples[a, i], counts[i] = val, v, 0
                 else:
@@ -264,7 +363,7 @@ def minimize_convex(group: StratifiedGroup, integrands, anchors, domain: GridDom
 
     families = {}
     for i, f in enumerate(integrands):
-        families.setdefault(id(_core(f)), []).append(i)
+        families.setdefault(id(_core(f)), (_core(f), []))[1].append(i)
     iterations = 0
     for a, anchor in enumerate(anchors):
         u0 = anchor.values(domain.all_centers())
@@ -272,24 +371,25 @@ def minimize_convex(group: StratifiedGroup, integrands, anchors, domain: GridDom
             raise DomainError(f"the field {anchor.name} is not finite at every cell center")
         samples[a] = u0
         grads0 = gradients(u0)
-        start_value[a] = [_total(f(grads0), cellvol) for f in integrands]
+        start_df = {}
+        for key, (core, members) in families.items():
+            core_values, start_df[key] = core.value_and_grad(grads0)
+            start_value[a, members] = totals(core_values, members)
         value[a] = start_value[a]
         if delta == 0 or max_iter == 0:
             continue
         scale = np.linalg.norm(u0 - u0.mean()) + 1.0
-        for members in families.values():
-            g = subgradient(integrands[members[0]].value_and_grad(grads0)[1])
+        for key, (core, members) in families.items():
+            g = subgradient(start_df[key])
             probes = np.logspace(-4, 1, 12) * scale / (np.linalg.norm(g) + 1e-30)
-            trials = np.empty((len(probes), len(members)))
-            for k, s in enumerate(probes):
-                grads = gradients(project(u0 - s * g, u0))
-                trials[k] = [_total(integrands[i](grads), cellvol) for i in members]
+            trials = np.array([totals(core(gradients(project(u0 - s * g, u0))), members)
+                               for s in probes])
             # rounding of the offsets can tip a line search: one descent per pick
             picks = {}
             for i, k in zip(members, trials.argmin(axis=0)):
                 picks.setdefault(int(k), []).append(i)
             for k, same in picks.items():
-                iterations += descend(a, u0, same, float(probes[k]), g)
+                iterations += descend(a, u0, core, same, float(probes[k]), g)
     return MinimizeResult(samples, value, start_value, stalled, iterations,
                           bool(stalled.all()))
 

@@ -1,3 +1,4 @@
+import itertools
 import os
 import subprocess
 import sys
@@ -29,6 +30,46 @@ def x_weighted_functional(group):
 COMMANDS = [["group-info"], ["recover"], ["gamma"]] + [
     ["verify", "--suite", suite] for suite in ("axioms", "mollify", "functional",
                                                "sandwich", "lsc")]
+
+
+def csr_interpolation(domain, points):
+    """The multilinear interpolation matrix of `domain` at `points` as a scipy
+    CSR matrix, one row per point with its 2^n corners in increasing column
+    order: the oracle the package's gather tables are checked against."""
+    from scipy import sparse
+
+    t = domain._node_coords(points)
+    shape = np.asarray(domain.shape)
+    base = np.clip(np.floor(t).astype(int), 0, shape - 2)
+    frac = t - base
+    corners = 2 ** domain.ndim
+    cols = np.empty((len(t), corners), dtype=np.intp)
+    vals = np.empty((len(t), corners))
+    for k, corner in enumerate(itertools.product((0, 1), repeat=domain.ndim)):
+        corner = np.asarray(corner)
+        cols[:, k] = np.ravel_multi_index(tuple((base + corner).T), domain.shape)
+        vals[:, k] = np.prod(np.where(corner, frac, 1.0 - frac), axis=-1)
+    return sparse.csr_matrix((vals.ravel(), cols.ravel(), np.arange(0, cols.size + 1, corners)),
+                             shape=(len(t), int(shape.prod())))
+
+
+def assert_same_bits(actual, expected):
+    """Equal float arrays bit for bit, signed zeros included, with nan at the
+    same places (a nan's sign and payload may differ: x86 keeps one
+    operand's nan, and which one depends on the kernel)."""
+    actual, expected = np.asarray(actual, dtype=float), np.asarray(expected, dtype=float)
+    assert actual.shape == expected.shape
+    nan = np.isnan(expected)
+    np.testing.assert_array_equal(np.isnan(actual), nan)
+    np.testing.assert_array_equal(actual[~nan].view(np.uint64), expected[~nan].view(np.uint64))
+
+
+def with_non_finite(values, rng, count: int = 6):
+    """A copy of `values` with +inf, -inf and nan at `count` random places."""
+    out = np.array(values, dtype=float)
+    spots = rng.choice(out.size, size=min(count, out.size), replace=False)
+    out.flat[spots] = np.resize([np.inf, -np.inf, np.nan], len(spots))
+    return out
 
 
 def filiform_spec(step: int) -> dict:

@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 from scipy.interpolate import RegularGridInterpolator
 
-from conftest import filiform_spec, run_fresh
+from conftest import (assert_same_bits, csr_interpolation, filiform_spec, run_fresh,
+                      with_non_finite)
 from carnot.config import build_group
 from carnot.expression import Expression
 from carnot.groups import euclidean, heisenberg, engel
@@ -239,7 +240,9 @@ class TestFields:
 
 class TestInterpolation:
     """GridDomain.interpolation is the one multilinear kernel behind
-    tabulated integrands and the minimizer's difference stencils.  It accepts queries up to 1e-9 cell outside the hull
+    tabulated integrands and the minimizer's difference stencils.  Its gather
+    table's product is the product of the scipy CSR matrix with the same
+    rows, bit for bit.  It accepts queries up to 1e-9 cell outside the hull
     of the cell centers (stencils built by group multiplication land on nodes
     only up to roundoff), where scipy's RegularGridInterpolator, used here as
     the reference, raised at any distance; farther out it still raises."""
@@ -262,6 +265,25 @@ class TestInterpolation:
         reference = RegularGridInterpolator(axes, samples)(pts)
         np.testing.assert_allclose(dom.interpolation(pts) @ samples.ravel(), reference,
                                    rtol=1e-13, atol=1e-13 * np.abs(samples).max())
+
+    @pytest.mark.parametrize("lo, hi, shape", LATTICES + [
+        ([-1.0] * 4, [1.0] * 4, [5, 4, 3, 5]), ([-1.0] * 5, [1.0] * 5, [3, 4, 3, 2, 3])],
+        ids=["1d", "2d", "3d", "4d", "5d"])
+    def test_products_match_csr_bit_for_bit(self, lo, hi, shape):
+        # also on the nodes, where weights are exact zeros, and where samples
+        # are +-inf or nan: 0 * inf is nan in both, at the same places
+        dom = GridDomain.box(np.array(lo), np.array(hi), shape)
+        rng = np.random.default_rng(len(shape))
+        axes = dom.axis_centers()
+        pts = rng.uniform([a[0] for a in axes], [a[-1] for a in axes], size=(300, dom.ndim))
+        pts = np.vstack([pts, dom.all_centers()])
+        table, reference = dom.interpolation(pts), csr_interpolation(dom, pts)
+        assert table.shape == reference.shape
+        samples = rng.normal(size=dom.mask.size)
+        for values in (samples, with_non_finite(samples, rng)):
+            assert_same_bits(table @ values, reference @ values)
+        with pytest.raises(ValueError):
+            table @ samples[1:]
 
     def test_nodes_exact_and_linear_fields_reproduced(self):
         # dyadic spacings so that the cell centers are exact binary numbers
@@ -308,15 +330,14 @@ class TestInterpolation:
         assert "sympy" not in cli_import_modules
 
     def test_import_does_not_load_scipy(self, cli_import_modules):
-        # only sparse operator builders need scipy, and it is slow to import
+        # the package does not use scipy, and it is slow to import
         assert not [m for m in cli_import_modules if m.split(".")[0] == "scipy"]
         assert "numpy.random" in cli_import_modules  # seeded commands need it
 
     def test_expression_field_does_not_load_numpy_f2py(self, tmp_path):
         # building an expression field loads neither sympy, which is slow to
-        # import, nor numpy.f2py, which `from numpy import *` loads; a whole
-        # gamma run loads no sympy (its sparse operators import scipy, and
-        # scipy's array API layer loads numpy.f2py)
+        # import, nor numpy.f2py, which `from numpy import *` loads (scipy's
+        # array API layer runs it); nor does a whole gamma run
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({"grid": {"shape": 4}, "minimizer": {"max_iter": 2}}))
         built, ran = run_fresh(
@@ -331,7 +352,7 @@ class TestInterpolation:
             "print(code, *sys.modules)").splitlines()
         built, ran = built.split(), ran.split()
         assert "sympy" not in built and "numpy.f2py" not in built
-        assert ran[0] == "0" and "sympy" not in ran
+        assert ran[0] == "0" and "sympy" not in ran and "numpy.f2py" not in ran
 
 
 class TestTranslation:
