@@ -10,7 +10,7 @@ boxes with a boolean cell mask.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field as dc_field, replace
 from functools import cached_property
 from typing import Callable, Optional
 
@@ -125,7 +125,10 @@ class GridDomain:
     def in_hull(self, points) -> np.ndarray:
         """True where a point lies in the box spanned by the cell centers, up to
         1e-9 cell (stencils built by group multiplication hit nodes to roundoff)."""
-        t = self._node_coords(points)
+        return self._in_hull(self._node_coords(points))
+
+    def _in_hull(self, t) -> np.ndarray:
+        """`in_hull` of points given in cell units (`_node_coords`)."""
         return ((t >= -1e-9) & (t <= np.asarray(self.shape) - 1 + 1e-9)).all(axis=-1)
 
     def interpolation(self, points) -> "GatherTable":
@@ -135,9 +138,9 @@ class GridDomain:
         (`cols` and `weights` are (2^n, count) arrays, one row per slot), and
         W @ samples.ravel() is the interpolant.  Raises DomainError for
         points outside the hull of the centers."""
-        if not self.in_hull(points).all():
-            raise DomainError("interpolation query outside the hull of the cell centers")
         t = self._node_coords(points)
+        if not self._in_hull(t).all():
+            raise DomainError("interpolation query outside the hull of the cell centers")
         shape = np.asarray(self.shape)
         base = np.clip(np.floor(t).astype(int), 0, shape - 2)
         frac = t - base
@@ -286,12 +289,15 @@ class ScalarField:
     values : vectorized evaluator, (N, n) -> (N,)
     hgrad  : optional horizontal gradient, (N, n) -> (N, m)
     domain : set the field is defined on (None = everywhere)
+    slope  : the horizontal gradient, shape (m,), when it is the same at every
+             point (linear probes, constants); None says nothing about it
     """
 
     values: Callable
     hgrad: Optional[Callable] = None
     domain: Optional[GridDomain] = None
     name: str = "field"
+    slope: Optional[np.ndarray] = dc_field(default=None, compare=False)
 
     def __call__(self, points) -> np.ndarray:
         points = np.atleast_2d(np.asarray(points, dtype=float))
@@ -322,6 +328,7 @@ def constant_field(group: StratifiedGroup, c: float) -> ScalarField:
         values=lambda p: np.full(len(np.atleast_2d(p)), float(c)),
         hgrad=lambda p: np.zeros((len(np.atleast_2d(p)), group.m)),
         name=f"const({c:g})",
+        slope=np.zeros(group.m),
     )
 
 
@@ -340,6 +347,7 @@ def probe_field(group: StratifiedGroup, xi) -> ScalarField:
         values=values,
         hgrad=lambda p: np.broadcast_to(xi, (len(np.atleast_2d(p)), m)).copy(),
         name=f"probe({np.array2string(xi, precision=3)})",
+        slope=xi,
     )
 
 

@@ -13,7 +13,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .groups import StratifiedGroup
+from .groups import StratifiedGroup, _fold
 from .fields import (GridDomain, ScalarField, DomainError, horizontal_gradient, probe_field,
                      translate_field, translate_domain)
 from .mollify import MollifierFamily
@@ -75,7 +75,7 @@ class PowerIntegrand(Integrand):
     def _magnitude(eta) -> np.ndarray:
         # what np.linalg.norm(eta, axis=-1) computes for real input, without
         # its conjugate copy
-        return np.sqrt(np.add.reduce(eta * eta, axis=-1))
+        return np.sqrt(_fold(np.add, eta * eta))
 
     def __call__(self, eta):
         return self._magnitude(self._coerce(eta)) ** self.p
@@ -152,11 +152,11 @@ class MaxAffineIntegrand(Integrand):
         return self._coerce(eta) @ self.planes.T + self.offsets
 
     def __call__(self, eta):
-        return np.maximum(self._affine(eta).max(axis=-1), 0.0)
+        return np.maximum(_fold(np.maximum, self._affine(eta)), 0.0)
 
     def value_and_grad(self, eta):
         vals = self._affine(eta)
-        top = vals.max(axis=-1)
+        top = _fold(np.maximum, vals)
         grad = self.planes[vals.argmax(axis=-1)]
         grad[top <= 0] = 0.0
         return np.maximum(top, 0.0), grad
@@ -467,7 +467,9 @@ def sandwich_check(pairs: list, inner_domain: GridDomain, domain: GridDomain,
     eps schedule for each (IntegrandFunctional F, field u) pair, as raw values for
     callers to judge: one dict per pair, in pair order.  Per eps, one average gives
     grad_G(phi_eps * u) of every pair that refines A' alike, and the middle is F's
-    quadrature of it; the average raises DomainError when A' leaves its eroded domain."""
+    quadrature of it; the average raises DomainError when A' leaves its eroded domain.
+    When every field of such a group has a constant gradient (a `slope`, as linear
+    probes do), the average is taken at one point of A' and repeated over the rest."""
     if inner_domain.shape == domain.shape and not inner_domain.is_subset(domain):
         raise DomainError("inner domain must sit inside the outer one")
     chains = [{"lower": functional.eval(u, inner_domain), "upper": functional.eval(u, domain),
@@ -477,8 +479,10 @@ def sandwich_check(pairs: list, inner_domain: GridDomain, domain: GridDomain,
         for refine in {functional.refine for functional, _ in pairs}:
             idx = [i for i, (functional, _) in enumerate(pairs) if functional.refine == refine]
             fine = inner_domain.refine(refine)
-            grads = average(lambda p: [horizontal_gradient(mollifier.group, pairs[i][1], p)
-                                       for i in idx], fine.centers())
+            constant = all(pairs[i][1].slope is not None for i in idx)
+            grads = (average.constant if constant else average)(
+                lambda p: [horizontal_gradient(mollifier.group, pairs[i][1], p) for i in idx],
+                fine.centers())
             for i, grad in zip(idx, grads):
                 chains[i]["rows"].append({"epsilon": float(eps), "middle":
                                           pairs[i][0].quadrature(grad, fine.cell_volume)})

@@ -49,6 +49,30 @@ def _plan(step: int, one_y: bool, signed: bool) -> tuple:
     return table, tails, dict(tails + Counter(words), x=0, y=0)
 
 
+# the widest trailing axis `_fold` folds column by column
+_FOLD_WIDTH = 7
+
+
+def _fold(ufunc, x) -> np.ndarray:
+    """ufunc.reduce(x, axis=-1), bit for bit, for a binary ufunc such as
+    np.add or np.maximum.  Up to _FOLD_WIDTH columns the columns are folded
+    left to right, which is the order numpy's reduction takes there (from 8
+    columns on, np.add sums a C-contiguous axis pairwise, so wider axes go to
+    ufunc.reduce); numpy reduces a short contiguous trailing axis several
+    times slower than this fold."""
+    x = np.asarray(x)
+    if not 1 <= x.shape[-1] <= _FOLD_WIDTH:
+        return ufunc.reduce(x, axis=-1)
+    # numpy starts a reduction from the ufunc's identity where it has one,
+    # so np.add sums -0.0 and -0.0 to +0.0
+    out = x[..., 0].copy()
+    if ufunc.identity is not None:
+        ufunc(ufunc.identity, out, out=out)
+    for k in range(1, x.shape[-1]):
+        ufunc(out, x[..., k], out=out)
+    return out[()]  # a scalar for one row, as a reduction gives
+
+
 def _rank(a: np.ndarray) -> int:
     """The rank of a small matrix, by Gaussian elimination with row pivoting:
     np.linalg.matrix_rank's first LAPACK call costs a process about 1 MB."""
@@ -318,9 +342,9 @@ class HomogeneousNorm:
         g = self.group
         x = g._coerce(x)
         if self.kind == "weighted-max":
-            return np.max(np.abs(x) ** (1.0 / g.weights), axis=-1)
-        horiz = np.sum(x[..., : g.m] ** 2, axis=-1)
-        vert = np.sum(x[..., g.m:] ** 2, axis=-1)
+            return _fold(np.maximum, np.abs(x) ** (1.0 / g.weights))
+        horiz = _fold(np.add, x[..., : g.m] ** 2)
+        vert = _fold(np.add, x[..., g.m:] ** 2)
         return (horiz**2 + vert) ** 0.25
 
     def dist_left(self, x, y) -> np.ndarray:

@@ -14,7 +14,9 @@ temporaries and g's samples stay one chunk in size.  Nothing is memoized
 across calls: a caller that needs several averages of one point set at one
 scale (values and gradients, several fields, or a field and f of its
 gradient) asks for them in one call, whose evaluator returns them all from
-one pull-back per chunk.  Two mollifiers share nothing.  Whether the points
+one pull-back per chunk; an evaluator whose outputs are the same at every
+point, such as a linear probe's gradient, is averaged at one point
+(`LocalAverage.constant`).  Two mollifiers share nothing.  Whether the points
 lie in the eroded domain is checked on every query.
 """
 
@@ -26,7 +28,7 @@ from dataclasses import dataclass, replace, field as dc_field
 
 import numpy as np
 
-from .groups import StratifiedGroup, HomogeneousNorm
+from .groups import StratifiedGroup, HomogeneousNorm, _fold
 from .fields import GridDomain, ScalarField, DomainError, horizontal_gradient, _lp_norm
 
 __all__ = (
@@ -288,9 +290,7 @@ class LocalAverage:
         """The averages of each output of g, where g maps (P, n) points to a
         tuple of per-point arrays; each average takes its trailing shape from
         g's first chunk, and g sees each chunk of pulled-back points once."""
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        if not self.domain.contains(points).all():
-            raise DomainError("convolution queried outside the eroded domain")
+        points = self._checked(points)
         outs = []
         # one pass even without points, so the outputs' shapes are known; g's
         # outputs are not held while g evaluates the next chunk, which would
@@ -303,6 +303,25 @@ class LocalAverage:
                     outs.append(np.empty((len(points),) + vals.shape[2:]))
                 outs[k][start:start + len(pts)] = np.moveaxis(vals, 1, -1) @ self.masses
         return outs
+
+    def constant(self, g, points) -> list:
+        """`self(g, points)` for an evaluator g whose outputs are the same at
+        every point, such as a linear probe's gradient: the averages at the
+        first point, repeated over all of them.  Every point is checked
+        against the domain as in `__call__`, and only the first is pulled back.
+
+        An output with a trailing axis, such as an (m,) gradient, is averaged
+        by one matrix-vector product per point in both methods, so the bits
+        agree; a scalar output's chunk is one product, which may sum the nodes
+        in another order than a one-point product does."""
+        points = self._checked(points)
+        return [np.repeat(out, len(points), axis=0) for out in self(g, points[:1])]
+
+    def _checked(self, points) -> np.ndarray:
+        points = np.atleast_2d(np.asarray(points, dtype=float))
+        if not self.domain.contains(points).all():
+            raise DomainError("convolution queried outside the eroded domain")
+        return points
 
 
 def convolve(mollifier: MollifierFamily, eps: float, u: ScalarField,
@@ -369,7 +388,9 @@ def convergence_table(mollifier: MollifierFamily, u: ScalarField, omega: GridDom
         vals, grads = mollifier.average(eps, omega)(
             lambda q: (u.values(q), horizontal_gradient(mollifier.group, u, q)), pts)
         dv = vals - base_vals
-        dg = np.linalg.norm(grads - base_grad, axis=-1)
+        dg = grads - base_grad
+        # np.linalg.norm(dg, axis=-1), bit for bit
+        dg = np.sqrt(_fold(np.add, dg * dg))
         rows.append({
             "epsilon": float(eps),
             "Lp_err": _lp_norm(dv, vol, p),

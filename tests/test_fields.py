@@ -136,6 +136,21 @@ class TestFields:
         pts = np.random.default_rng(0).normal(size=(40, 4))
         assert np.abs(u.hgrad(pts) - xi).max() == 0.0
 
+    def test_slope_is_the_constant_gradient(self):
+        # probes and constants carry their gradient as a slope; operations
+        # whose gradient varies drop it, and a shift keeps it
+        g = engel()
+        pts = np.random.default_rng(2).normal(size=(40, 4))
+        u = probe_field(g, [0.3, -1.1])
+        np.testing.assert_array_equal(u.hgrad(pts), np.broadcast_to(u.slope, (40, g.m)))
+        c = constant_field(g, 2.0)
+        np.testing.assert_array_equal(c.hgrad(pts), np.broadcast_to(c.slope, (40, g.m)))
+        np.testing.assert_array_equal(c.slope, np.zeros(g.m))
+        assert u.shifted(1.5).slope is u.slope
+        for derived in (u + c, u.scaled(2.0), translate_field(g, pts[0], u),
+                        quadratic_field(g, 0.0, [1.0, 0.0, 0.0, 0.0])):
+            assert derived.slope is None
+
     def test_expression_matches_quadratic(self):
         g = heisenberg(1)
         ue = from_expression(g, "1.5 + 2*x1 - x2 + x1*x3")

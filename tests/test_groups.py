@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import filiform_spec
+from conftest import assert_same_bits, filiform_spec
 from carnot.config import ConfigError, build_group
-from carnot.groups import (BCH, MAX_STEP, _rank, StratifiedGroup, GroupAxiomError,
+from carnot.groups import (BCH, MAX_STEP, _fold, _rank, StratifiedGroup, GroupAxiomError,
                            euclidean, heisenberg, engel, preset)
 
 
@@ -423,6 +423,36 @@ class TestNorms:
                                    norm.dist_left(x, y), atol=1e-12)
         np.testing.assert_allclose(norm.dist_right(g.multiply(x, z), g.multiply(y, z)),
                                    norm.dist_right(x, y), atol=1e-12)
+
+
+class TestFold:
+    """The column fold gives numpy's reduction of the trailing axis bit for bit."""
+
+    @pytest.mark.parametrize("ufunc", [np.add, np.maximum], ids=["add", "maximum"])
+    @pytest.mark.parametrize("width", range(1, 13))
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("lead", [(300,), (6, 11)], ids=["2d", "3d"])
+    def test_matches_reduce(self, ufunc, width, order, lead):
+        rng = np.random.default_rng(width)
+        x = rng.normal(size=lead + (width,)) * 10.0 ** rng.integers(-8, 9, size=lead + (width,))
+        # a third of the entries are signed zeros, infinities or nan, and the
+        # first rows are all -0.0, all +0.0 and mixed zeros
+        spots = rng.random(x.shape) < 1 / 3
+        x[spots] = rng.choice([0.0, -0.0, np.inf, -np.inf, np.nan], size=spots.sum())
+        rows = x.reshape(-1, width)
+        rows[0], rows[1], rows[2] = -0.0, 0.0, np.resize([-0.0, 0.0], width)
+        x = np.asarray(x, order=order)
+        with np.errstate(invalid="ignore"):
+            assert_same_bits(_fold(ufunc, x), ufunc.reduce(x, axis=-1))
+
+    def test_one_row_gives_a_scalar(self):
+        # as a reduction does; and an empty axis (the Koranyi norm's vertical
+        # part on a Euclidean group) sums to the identity
+        x = np.array([1.0, -2.0, 0.5])
+        for ufunc in (np.add, np.maximum):
+            assert type(_fold(ufunc, x)) is type(ufunc.reduce(x, axis=-1))
+            assert _fold(ufunc, x) == ufunc.reduce(x, axis=-1)
+        assert_same_bits(_fold(np.add, np.zeros((4, 0))), np.zeros(4))
 
 
 class TestConfig:

@@ -18,8 +18,9 @@ from carnot.mollify import (MollifierFamily, erode_domain, convolve, commutation
                             convergence_table)
 from carnot.functionals import (IntegrandFunctional, PowerIntegrand, QuadraticIntegrand,
                                 jensen_check, sandwich_check)
+from carnot.suites import menu_integrands
 
-from conftest import filiform_spec
+from conftest import assert_same_bits, filiform_spec
 
 # the erosion masks the benchmark pins, one file per workload
 EROSION_REFERENCES = Path(__file__).resolve().parents[1] / "perfbench" / "references" / "erosion"
@@ -393,6 +394,24 @@ class TestPullBack:
         convergence_table(mol, quad, omega, inner, 2.0, schedule)
         assert sum(multiply_points) == len(schedule) * cells * live
 
+    def test_probe_chains_pull_back_one_point(self, h1, multiply_points):
+        # a probe's gradient is its slope at every point, so a chain over
+        # probes only averages it at one point of A' per scale
+        g, norm = h1
+        mol = MollifierFamily(norm, resolution=5)
+        omega = GridDomain.box(-np.ones(3), np.ones(3), 8)
+        schedule = [0.3, 0.25]
+        inner = erode_domain(g, norm, omega, 0.35)
+        for eps in schedule:
+            mol.average(eps, omega)  # the erosions are not counted below
+        live = int((mol.node_masses() > 0).sum())
+        pairs = [(IntegrandFunctional(g, f), probe_field(g, xi))
+                 for f in (PowerIntegrand(2, 2.0), QuadraticIntegrand(np.eye(2)))
+                 for xi in ([0.7, -0.2], [-1.5, 2.0])]
+        multiply_points.clear()
+        sandwich_check(pairs, inner, omega, mol, schedule)
+        assert sum(multiply_points) == len(schedule) * live
+
     def test_mollifiers_share_nothing(self, h1, multiply_points):
         # two equal mollifiers each erode and pull back on their own
         g, norm = h1
@@ -409,6 +428,59 @@ class TestPullBack:
         multiply_points.clear()
         np.testing.assert_allclose(u_eps.values(pts), 2.0, atol=1e-12)
         assert sum(multiply_points) == len(pts) * live
+
+
+class TestProbeAverage:
+    """`LocalAverage.constant`, the one-point average of a constant gradient."""
+
+    @pytest.mark.parametrize("group, shape, schedule", [
+        (heisenberg(1), 10, [0.4, 0.2, 0.1]), (engel(), 5, [0.3, 0.2])], ids=["h1", "engel"])
+    def test_chains_match_the_full_average(self, group, shape, schedule):
+        # every menu integrand on probes of several sizes, one group refined
+        # twice: the chains equal the per-point average's bit for bit
+        rng = np.random.default_rng(3)
+        norm = group.norm()
+        mol = MollifierFamily(norm, resolution=5)
+        omega = GridDomain.box(-np.ones(group.n), np.ones(group.n), shape)
+        inner = erode_domain(group, norm, omega, 1.1 * max(schedule))
+        assert not inner.is_empty
+        pairs = [(IntegrandFunctional(group, f, refine=1 + (k == 1)),
+                  probe_field(group, scale * rng.normal(size=group.m)))
+                 for k, f in enumerate(menu_integrands(group.m, rng)) for scale in (0.5, 3.0)]
+        chains = sandwich_check(pairs, inner, omega, mol, schedule)
+        full = [(F, dataclasses.replace(u, slope=None)) for F, u in pairs]
+        assert chains == sandwich_check(full, inner, omega, mol, schedule)
+
+    def test_matches_the_full_average(self, h1, mollifier, omega):
+        # a probe's averaged gradient, over two full chunks and a partial one,
+        # and the shapes of both outputs without points
+        g, _ = h1
+        average = mollifier.average(0.3, omega)
+        pts = average.domain.centers()[:150]
+        u = probe_field(g, [0.6, -1.3])
+
+        def sample(points):
+            return horizontal_gradient(g, u, points), np.ones(len(points))
+
+        (got,) = average.constant(sample, pts)[:1]
+        assert_same_bits(got, average(sample, pts)[0])
+        for got, want in zip(average.constant(sample, pts[:0]), average(sample, pts[:0])):
+            assert got.shape == want.shape == (0,) + want.shape[1:]
+
+    def test_every_point_is_checked(self, h1, mollifier, omega):
+        # the first center of A' lies in the eroded domain, a later one does not
+        g, norm = h1
+        eroded = mollifier.average(0.3, omega).domain
+        mask = erode_domain(g, norm, omega, 0.35).mask.copy()
+        mask.flat[-1] = True  # the last corner cell, which the erosion drops
+        inner = dataclasses.replace(omega, mask=mask)
+        assert eroded.contains(inner.centers()[:1]).all()
+        assert not eroded.contains(inner.centers()).all()
+        F = IntegrandFunctional(g, PowerIntegrand(2, 2.0))
+        with pytest.raises(DomainError, match="convolution queried outside the eroded domain"):
+            sandwich_check([(F, probe_field(g, [1.0, 0.0]))], inner, omega, mollifier, [0.3])
+        with pytest.raises(DomainError, match="convolution queried outside the eroded domain"):
+            mollifier.average(0.3, omega).constant(lambda p: (p,), inner.centers())
 
 
 class TestLocalAverage:
