@@ -40,11 +40,12 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _csv(rows: list, fieldnames: list) -> str:
+def _csv(rows: list) -> str:
+    """The rows as CSV, their columns the first row's keys in order."""
     buf = io.StringIO()
     writer = csv.writer(buf)
-    writer.writerow(fieldnames)
-    writer.writerows([_fmt(row[k]) for k in fieldnames] for row in rows)
+    writer.writerow(rows[0])
+    writer.writerows([_fmt(row[k]) for k in rows[0]] for row in rows)
     return buf.getvalue()
 
 
@@ -60,10 +61,10 @@ def _json_default(obj):
     raise TypeError(f"not JSON serializable: {type(obj)}")
 
 
-def _xi_rows(xi: np.ndarray) -> tuple:
-    """The column names xi_1..xi_m and one {name: value} row per row of xi."""
+def _xi_rows(xi: np.ndarray) -> list:
+    """One {xi_1: .., xi_m: ..} row per row of xi."""
     names = [f"xi_{j + 1}" for j in range(xi.shape[1])]
-    return names, [dict(zip(names, map(float, point))) for point in xi]
+    return [dict(zip(names, map(float, point))) for point in xi]
 
 
 def _load(args) -> dict:
@@ -121,7 +122,7 @@ def cmd_verify(cfg: dict, suite: str) -> tuple:
         rows = suite_lsc(group, grid, rng, h_list=cfg["schedules"]["h"])
     text = "\n".join(f"{'pass' if row['passed'] else 'FAIL':5s} {row['name']:40s} "
                      f"value={row['value']:.6g} tol={row['tolerance']:.6g}" for row in rows)
-    files = {f"verify_{suite}.csv": _csv(rows, ["name", "value", "tolerance", "passed"])}
+    files = {f"verify_{suite}.csv": _csv(rows)}
     return text, files, all(r["passed"] for r in rows)
 
 
@@ -139,7 +140,7 @@ def cmd_recover(cfg: dict) -> tuple:
         slack = rec.growth_slack(functional.growth)
         min_slack = float(np.nanmin(slack))
 
-    names, rows = _xi_rows(xi_grid)
+    rows = _xi_rows(xi_grid)
     for row, value, defect, gap in zip(rows, rec.values, defects, slack):
         row.update(f_rec=float(value), convexity_violation=float(defect),
                    growth_slack=float(gap))
@@ -157,8 +158,7 @@ def cmd_recover(cfg: dict) -> tuple:
         "constancy_max_spread": probe["max_spread"],
         "probes": len(xi_grid),
     }
-    files = {"recovered.csv": _csv(rows, names + ["f_rec", "convexity_violation",
-                                                  "growth_slack"]),
+    files = {"recovered.csv": _csv(rows),
              "recover_summary.json": _json(summary)}
     return json.dumps(summary, indent=2, default=_json_default), files, True
 
@@ -175,7 +175,7 @@ def cmd_gamma(cfg: dict) -> tuple:
                               cfg["p"], base, xi_grid, cfg["minimizer"]["max_iter"])
 
     limit = report["limit"]
-    names, limit_rows = _xi_rows(limit.xi)
+    limit_rows = _xi_rows(limit.xi)
     for row, value in zip(limit_rows, limit.values):
         row["f_limit"] = float(value)
     summary = {
@@ -184,9 +184,8 @@ def cmd_gamma(cfg: dict) -> tuple:
         "limit_growth_slack_min": report["limit_growth_slack_min"],
         "bracket_ok": report["bracket_ok"],
     }
-    files = {"gamma_brackets.csv": _csv(report["brackets"], ["h", "field", "lower", "upper",
-                                                          "converged", "cauchy_gap"]),
-             "gamma_limit.csv": _csv(limit_rows, names + ["f_limit"]),
+    files = {"gamma_brackets.csv": _csv(report["brackets"]),
+             "gamma_limit.csv": _csv(limit_rows),
              "gamma_summary.json": _json(summary)}
     return json.dumps(summary, indent=2, default=_json_default), files, summary["bracket_ok"]
 

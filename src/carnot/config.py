@@ -85,12 +85,15 @@ def load_config(path: str | None = None, overrides: dict | None = None) -> dict:
     return cfg
 
 
-# the keys each section's readers read: its defaults, and the alternating gamma
-# sequence's shift; and the keys each integrand kind reads besides "kind" and
-# the "shift" and "offset" wrappers
+# the keys each gamma sequence kind reads; the keys each section's readers
+# read: its defaults, and in gamma any kind's (each kind is checked against its
+# own, an unknown one is left to its builder); and the keys each integrand kind
+# reads besides "kind" and the "shift" and "offset" wrappers
+_GAMMA_KEYS = {"offset": {"kind", "base", "scale"}, "alternating": {"kind", "base", "shift"},
+               "constant": {"kind", "base"}}
 _SECTION_KEYS = {name: set(DEFAULTS[name]) for name in
-                 ("grid", "schedules", "xi_grid", "recovery", "minimizer", "gamma")}
-_SECTION_KEYS["gamma"].add("shift")
+                 ("grid", "schedules", "xi_grid", "recovery", "minimizer")}
+_SECTION_KEYS["gamma"] = set().union(*_GAMMA_KEYS.values())
 _INTEGRAND_KEYS = {"power": {"p"}, "quadratic": {"M"}, "max_affine": {"planes"},
                    "tabulated": {"axes", "table"}}
 
@@ -110,17 +113,23 @@ _SCHEDULES = {"eps": float, "rho": float, "h": int}
 def _check_keys(user: dict) -> None:
     """Raise ConfigError on a key of a user config (before it is merged into
     the defaults) that no reader reads: at the top level, in a section of
-    _SECTION_KEYS, in a `fields` entry, and in an integrand spec by its kind.
+    _SECTION_KEYS (gamma by its kind), in a `fields` entry, which also may not
+    take both `expr` and `probe`, and in an integrand spec by its kind.
     Values of the wrong type are left to `_check_numbers` and the builders;
     the group spec, which may come from a file, is checked by `build_group`."""
     _known(user, DEFAULTS, "config")
     for name, allowed in _SECTION_KEYS.items():
         if isinstance(user.get(name), dict):
+            if name == "gamma":
+                kind = user[name].get("kind", DEFAULTS["gamma"]["kind"])
+                allowed = _GAMMA_KEYS.get(kind, allowed) if isinstance(kind, str) else allowed
             _known(user[name], allowed, name)
     if isinstance(user.get("fields"), list):
         for i, entry in enumerate(user["fields"]):
             if isinstance(entry, dict):
                 _known(entry, {"expr", "probe", "name"}, f"fields[{i}]")
+                if "expr" in entry and "probe" in entry:
+                    raise ConfigError(f"fields[{i}] takes 'expr' or 'probe', not both")
     _check_integrand(user.get("integrand"), DEFAULTS["integrand"], "integrand")
     if isinstance(user.get("gamma"), dict):
         _check_integrand(user["gamma"].get("base"), DEFAULTS["gamma"]["base"], "gamma.base")

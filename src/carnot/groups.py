@@ -9,7 +9,6 @@ operations broadcast over leading axes.
 from __future__ import annotations
 
 import functools
-from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,14 +39,20 @@ MAX_STEP = len(BCH) + 1
 @functools.cache
 def _plan(step: int, one_y: bool, signed: bool) -> tuple:
     """BCH as `StratifiedGroup.bch` reads it, shared by every call (so never mutated):
-    the kept terms with their suffixes, tail words, and reads per word."""
-    table = [(den, [(num if signed else abs(num), w, [w[-k:] for k in range(2, len(w) + 1)])
-                    for num, w in terms if not one_y or w.count("y") == 1])
-             for den, terms in BCH[: max(step, 2) - 1]]
-    words = [w for _, terms in table for _, w, _ in terms]
-    tails = Counter(w[1:] for w in {w[k:] for w in words for k in range(len(w) - 2)})
-    return table, tails, dict(tails + Counter(words), x=0, y=0)
+    per degree its denominator, its words, each with whether the next degree reads
+    it, and its kept terms in table order."""
+    plan, reads = [], {}
+    for den, terms in reversed(BCH[: max(step, 2) - 1]):
+        terms = tuple((num if signed else abs(num), w) for num, w in terms
+                      if not one_y or w.count("y") == 1)
+        words = {w: w in reads for w in [w for _, w in terms] + list(reads)}
+        plan.append((den, words, terms))
+        reads = dict.fromkeys(w[1:] for w in words)
+    return tuple(plan[::-1])
 
+
+# the largest structure-constant defect `axiom_violations` lets pass
+_AXIOM_TOL = 1e-12
 
 # the widest trailing axis `_fold` folds column by column
 _FOLD_WIDTH = 7
@@ -152,24 +157,25 @@ class StratifiedGroup:
         for msg in self.axiom_violations():
             raise GroupAxiomError(msg)
 
-    def axiom_violations(self, tol: float = 1e-12) -> list:
-        """Witness strings for every violated Lie algebra axiom, and for a layer
-        V_k that [V_1, V_{k-1}] does not span (empty = valid)."""
+    def axiom_violations(self) -> list:
+        """Witness strings for every violated Lie algebra axiom, beyond
+        _AXIOM_TOL, and for a layer V_k that [V_1, V_{k-1}] does not span
+        (empty = valid)."""
         out = []
         c, w = self.c, self.weights
         anti = c + np.swapaxes(c, 0, 1)
-        if np.abs(anti).max() > tol:
+        if np.abs(anti).max() > _AXIOM_TOL:
             i, j, l = np.unravel_index(np.abs(anti).argmax(), anti.shape)
             out.append(f"antisymmetry fails at c[{i},{j},{l}]: {c[i, j, l]} vs {-c[j, i, l]}")
         bad_weight = w[None, None, :] != w[:, None, None] + w[None, :, None]
         graded = np.where(bad_weight, c, 0.0)
-        if np.abs(graded).max() > tol:
+        if np.abs(graded).max() > _AXIOM_TOL:
             i, j, l = np.unravel_index(np.abs(graded).argmax(), graded.shape)
             out.append(f"grading fails: c[{i},{j},{l}]={c[i, j, l]} but d_{l} != d_{i}+d_{j}")
         # Jacobi on basis triples: [e_i,[e_j,e_k]] + cyclic = 0.
         t = np.einsum("jks,isl->ijkl", c, c)
         jac = t + np.einsum("ijkl->jkil", t) + np.einsum("ijkl->kijl", t)
-        if np.abs(jac).max() > tol:
+        if np.abs(jac).max() > _AXIOM_TOL:
             i, j, k, _ = np.unravel_index(np.abs(jac).argmax(), jac.shape)
             out.append(f"Jacobi identity fails on basis triple ({i},{j},{k})")
         # stratified: the rows c[i, j, V_k] over i in V_1, j in V_{k-1} span V_k
@@ -228,39 +234,27 @@ class StratifiedGroup:
         """sum(head) + the BCH series of x and y through the group's step (at
         least degree 2, whose zero bracket on an Abelian group broadcasts the
         result), each degree's sum of num * word over den added in table order.
-        A word is act(first letter, tail's value, whether a longer word reads it),
-        [a, v] by default, evaluated once, cut to head[0]'s width and summed in
-        place once no later read needs it.  one_y keeps the words linear in y
-        (the frame), signed=False takes |num|."""
+        A word is act(first letter, tail's value, whether the next degree reads
+        it), [a, v] by default; each degree's words are built once from the
+        previous degree's, and cut to head[0]'s width when summed.  one_y keeps
+        the words linear in y (the frame), signed=False takes |num|."""
         act = act or (lambda a, v, tail: self.bracket(a, v))
-        table, tails, reads = _plan(self.step, one_y, signed)
-        reads, memo = reads.copy(), {"x": x, "y": y}
-
-        def read(word):  # the value of word, and whether no later read needs it
-            reads[word] -= 1
-            return (memo[word], False) if reads[word] else (memo.pop(word), True)
-
+        letters = words = {"x": x, "y": y}
         out, width = None, head[0].shape[-1]
-        for den, terms in table:
+        for den, reads, terms in _plan(self.step, one_y, signed):
+            words = {w: act(letters[w[0]], words[w[1:]], tail) for w, tail in reads.items()}
             total = None
-            for num, word, suffixes in terms:
-                for w in suffixes:
-                    if w not in memo:
-                        memo[w] = act(memo[w[0]], read(w[1:])[0], w in tails)
-                v, mine = read(word)
-                v = v[..., :width]
-                if total is None:  # sign * the degree's sum, summed in place once ours
+            for num, w in terms:  # sign * the degree's sum, in an array of our own
+                v = (words[w] if reads[w] else words.pop(w))[..., :width]
+                if total is None:
                     sign = 1 if num > 0 else -1
-                    total, own = (v, mine) if abs(num) == 1 else (abs(num) * v, True)
+                    total = v if abs(num) == 1 and not reads[w] else abs(num) * v
                 else:
-                    total = (np.add if num * sign > 0 else np.subtract)(
-                        total, v if abs(num) == 1 else abs(num) * v, out=total if own else None)
-                    own = True
-            if total is not None and out is None and len(head) > 1:  # allocated as numpy
-                out = sum(head[1:], head[0]) + total / (sign * den)  # ran x + y + 0.5 * b
-            elif total is not None:  # summed into the quotient, an array of our own
-                total = np.divide(total, sign * den, out=total if own else None)
-                out = np.add(head[0] if out is None else out, total, out=total)
+                    (np.add if num * sign > 0 else np.subtract)(
+                        total, v if abs(num) == 1 else abs(num) * v, out=total)
+            if total is not None:
+                total /= sign * den
+                out = np.add(sum(head[1:], head[0]) if out is None else out, total, out=total)
         return out
 
     def bch_bound(self, a, b, head) -> np.ndarray:

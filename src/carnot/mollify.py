@@ -2,7 +2,9 @@
 
 The convolution is evaluated through its unit-ball form
     (phi_eps * u)(x) = integral over B(0,1) of phi(z) u((delta_eps z)^{-1} . x) dz
-with a fixed midpoint product rule, so convolving a constant is exact and
+with a fixed midpoint product rule, so convolving a constant is exact up to
+rounding (`LocalAverage` sums a scalar's nodes by one matrix-vector product
+per chunk, whose rounding can depend on the other points of the chunk) and
 the node set is symmetric under negation.
 
 A `MollifierFamily` owns its scale operators.  `average(eps, omega)` builds

@@ -479,6 +479,22 @@ class TestConfigBoundary:
         assert capsys.readouterr().err == ("config error: unknown group keys ['nmae'], "
                                            "expected some of ['brackets', 'layer_dims', 'name']\n")
 
+    @pytest.mark.parametrize("payload, message", [
+        ({"gamma": {"kind": "offset", "shift": [1, 0]}},
+         "unknown gamma keys ['shift'], expected some of ['base', 'kind', 'scale']"),
+        ({"gamma": {"kind": "constant", "scale": 5}},
+         "unknown gamma keys ['scale'], expected some of ['base', 'kind']"),
+        ({"fields": [{"probe": [1, 0], "expr": "x1"}]},
+         "fields[0] takes 'expr' or 'probe', not both"),
+    ], ids=["offset-shift", "constant-scale", "expr-and-probe"])
+    def test_key_its_kind_does_not_read_exits_config(self, tmp_path, capsys, payload, message):
+        # each of these ran to exit 0 and ignored the key: the default scale
+        # does not count, as the check runs before the merge
+        cfg = _write(tmp_path, "c.json", {"grid": {"shape": 4}, "minimizer": {"max_iter": 2},
+                                          **payload})
+        assert main(["gamma", "--config", cfg]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: {message}\n"
+
     @pytest.mark.parametrize("argv, payload", [
         (["recover"], {"xi_grid": {"radius": 1e300}}),
         (["verify", "--suite", "mollify"], {"schedules": {"eps": [1e300]}}),
@@ -704,6 +720,12 @@ class TestGamma:
         assert summary["bracket_ok"] is True
         limits = (out / "gamma_limit.csv").read_text().splitlines()
         assert limits[0] == "xi_1,xi_2,f_limit"
+
+    def test_csv_columns_are_the_first_rows_keys(self):
+        # a key a table's rows gain is a new column, in the rows' key order
+        rows = [{"h": 1, "lower": 0.5, "converged": True, "gap": float("nan")},
+                {"h": 2, "lower": 0.25, "converged": False, "gap": 1.0}]
+        assert cli._csv(rows) == "h,lower,converged,gap\r\n1,0.5,true,nan\r\n2,0.25,false,1\r\n"
 
     def test_brackets_are_the_csv_rows(self, tmp_path, capsys, monkeypatch):
         # gamma writes the experiment's bracket table as it is: same columns,

@@ -1,7 +1,9 @@
 """Group arithmetic, axiom checking, norms and presets."""
 
 import math
+import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -423,6 +425,129 @@ class TestNorms:
                                    norm.dist_left(x, y), atol=1e-12)
         np.testing.assert_allclose(norm.dist_right(g.multiply(x, z), g.multiply(y, z)),
                                    norm.dist_right(x, y), atol=1e-12)
+
+
+def _reference_bch(g, x, y, head, act, one_y=False, signed=True):
+    """sum(head) + the series of `BCH` through g's step, written from the
+    table: each word by recursion at full width, cut to head[0]'s width, and
+    each degree's sum out of place in table order, as the sign of its first
+    kept term times the sum, over that sign times den."""
+    letters = {"x": x, "y": y}
+
+    def word(w):
+        return letters[w] if len(w) == 1 else act(letters[w[0]], word(w[1:]))
+
+    out, width = sum(head[1:], head[0]), head[0].shape[-1]
+    for den, terms in BCH[: max(g.step, 2) - 1]:
+        kept = [(num if signed else abs(num), w) for num, w in terms
+                if not one_y or w.count("y") == 1]
+        if not kept:
+            continue
+        sign = 1 if kept[0][0] > 0 else -1
+        total = abs(kept[0][0]) * word(kept[0][1])[..., :width]
+        for num, w in kept[1:]:
+            part = abs(num) * word(w)[..., :width]
+            total = total + part if num * sign > 0 else total - part
+        out = out + total / (sign * den)
+    return out
+
+
+def _bound(g):
+    """The bracket bound B(a, b)_l = sum over i < j of |c_ijl| (a_i b_j + a_j b_i)."""
+
+    def bound(a, b):
+        out = np.zeros(np.broadcast_shapes(a.shape, b.shape))
+        for i, j, l, c in g.structure:
+            out[..., l] += abs(c) * (a[..., i] * b[..., j] + a[..., j] * b[..., i])
+        return out
+
+    return bound
+
+
+EVALUATOR_GROUPS = {"euclidean:2": lambda: preset("euclidean:2"),
+                    "heisenberg:1": lambda: preset("heisenberg:1"),
+                    "heisenberg:2": lambda: preset("heisenberg:2"),
+                    "engel": engel,
+                    "filiform-4": lambda: build_group({"group": filiform_spec(4)}),
+                    "filiform-5": lambda: build_group({"group": filiform_spec(5)})}
+
+
+class TestBchEvaluator:
+    """`StratifiedGroup.bch`, which builds each degree's words once from the
+    previous degree's and sums in place, against the table read plainly."""
+
+    @staticmethod
+    def _pairs(n):
+        # the pull-back's broadcast (1, K, n) x (P, 1, n), and aligned rows;
+        # entries over eight orders of magnitude, some of them signed zeros
+        rng = np.random.default_rng(n)
+        draw = lambda shape: (rng.normal(size=shape) * 10.0 ** rng.integers(-4, 4, size=shape)
+                              * (rng.random(shape) > 0.1))
+        x = draw((1, 40, n))
+        x[0, :3] = -0.0
+        return [(x, draw((7, 1, n))), (draw((30, n)), draw((30, n)))]
+
+    @pytest.mark.parametrize("name", EVALUATOR_GROUPS)
+    def test_multiply(self, name):
+        g = EVALUATOR_GROUPS[name]()
+        for x, y in self._pairs(g.n):
+            assert_same_bits(g.multiply(x, y), _reference_bch(g, x, y, (x, y), g.bracket))
+
+    @pytest.mark.parametrize("name", EVALUATOR_GROUPS)
+    def test_hgrad_from_egrad(self, name):
+        g = EVALUATOR_GROUPS[name]()
+        act = lambda a, v: g._coadjoint(a, v, g.n)
+        for x, grad in self._pairs(g.n):
+            assert_same_bits(g.hgrad_from_egrad(x, grad), _reference_bch(
+                g, x, grad, (grad[..., :g.m],), act, one_y=True))
+
+    @pytest.mark.parametrize("name", EVALUATOR_GROUPS)
+    def test_vector_field_coeffs(self, name):
+        g = EVALUATOR_GROUPS[name]()
+        eye = np.eye(g.n)[: g.m]
+        for x, _ in self._pairs(g.n):
+            rows = _reference_bch(g, x[..., None, :], eye, (eye,), g.bracket, one_y=True)
+            assert_same_bits(g.vector_field_coeffs(x), np.swapaxes(rows, -1, -2))
+
+    @pytest.mark.parametrize("name", EVALUATOR_GROUPS)
+    def test_bch_bound(self, name):
+        g = EVALUATOR_GROUPS[name]()
+        for x, y in self._pairs(g.n):
+            a, b = np.abs(x), np.abs(y)
+            assert_same_bits(g.bch_bound(a, b, a + b), _reference_bch(
+                g, a, b, (a + b,), _bound(g), signed=False))
+
+    @pytest.mark.parametrize("step, brackets, coadjoints", [(2, 1, 1), (3, 3, 2), (4, 4, 2),
+                                                            (5, 17, 4)])
+    def test_each_word_once(self, step, brackets, coadjoints):
+        # the distinct words of the kept terms and their right-nested tails
+        # (step 5: xy, yx; four of degree 3, five of degree 4, six of degree
+        # 5); the frame's words are those linear in y (step 5: xy up to xxxxy,
+        # step 4 has no degree-4 one)
+        g = build_group({"group": filiform_spec(step)})
+        x, y = np.random.default_rng(step).normal(size=(2, 5, g.n))
+        with (mock.patch.object(StratifiedGroup, "bracket", autospec=True,
+                                side_effect=StratifiedGroup.bracket) as bracket,
+              mock.patch.object(StratifiedGroup, "_coadjoint", autospec=True,
+                                side_effect=StratifiedGroup._coadjoint) as coadjoint):
+            g.multiply(x, y)
+            g.hgrad_from_egrad(x, y)
+        assert (bracket.call_count, coadjoint.call_count) == (brackets, coadjoints)
+
+    def test_h1_product_peak_memory(self):
+        # the bracket, the head x + y and the sum: each degree's sum is
+        # divided and added in place
+        g = heisenberg(1)
+        rng = np.random.default_rng(0)
+        x, y = rng.normal(size=(1, 729, 3)), rng.normal(size=(64, 1, 3))
+        g.multiply(x, y)  # the plan is cached
+        tracemalloc.start()
+        try:
+            out = g.multiply(x, y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.2 * out.nbytes
 
 
 class TestFold:
