@@ -13,7 +13,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .groups import StratifiedGroup, _fold
+from .groups import StratifiedGroup, _fold, _row_norm
 from .fields import (GridDomain, ScalarField, DomainError, horizontal_gradient, probe_field,
                      translate_field, translate_domain)
 from .mollify import MollifierFamily
@@ -71,18 +71,12 @@ class PowerIntegrand(Integrand):
     def growth(self):
         return (0.0, 1.0, self.p)
 
-    @staticmethod
-    def _magnitude(eta) -> np.ndarray:
-        # what np.linalg.norm(eta, axis=-1) computes for real input, without
-        # its conjugate copy
-        return np.sqrt(_fold(np.add, eta * eta))
-
     def __call__(self, eta):
-        return self._magnitude(self._coerce(eta)) ** self.p
+        return _row_norm(self._coerce(eta)) ** self.p
 
     def value_and_grad(self, eta):
         eta = self._coerce(eta)
-        mag = self._magnitude(eta)
+        mag = _row_norm(eta)
         live = mag[..., None] > 0
         safe = np.where(live, mag[..., None], 1.0)
         return mag ** self.p, self.p * safe ** (self.p - 2) * np.where(live, eta, 0.0)
@@ -145,7 +139,7 @@ class MaxAffineIntegrand(Integrand):
     @property
     def growth(self):
         a = max(0.0, float(self.offsets.max()))
-        b = float(np.linalg.norm(self.planes, axis=1).max())
+        b = float(_row_norm(self.planes).max())
         return (a, b, 1.0)
 
     def _affine(self, eta):

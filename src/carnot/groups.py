@@ -78,6 +78,12 @@ def _fold(ufunc, x) -> np.ndarray:
     return out[()]  # a scalar for one row, as a reduction gives
 
 
+def _row_norm(x) -> np.ndarray:
+    """|x| over the trailing axis: np.linalg.norm(x, axis=-1) for real x, bit
+    for bit, without its conjugate copy."""
+    return np.sqrt(_fold(np.add, x * x))
+
+
 def _rank(a: np.ndarray) -> int:
     """The rank of a small matrix, by Gaussian elimination with row pivoting:
     np.linalg.matrix_rank's first LAPACK call costs a process about 1 MB."""

@@ -3,16 +3,16 @@
 The convolution is evaluated through its unit-ball form
     (phi_eps * u)(x) = integral over B(0,1) of phi(z) u((delta_eps z)^{-1} . x) dz
 with a fixed midpoint product rule, so convolving a constant is exact up to
-rounding (`LocalAverage` sums a scalar's nodes by one matrix-vector product
-per chunk, whose rounding can depend on the other points of the chunk) and
-the node set is symmetric under negation.
+rounding and the node set is symmetric under negation.
 
 A `MollifierFamily` owns its scale operators.  `average(eps, omega)` builds
 the `LocalAverage` of one scale and domain once: the eps-erosion of omega,
 the live node masses m_k and the inverses y_k^{-1} of the scaled nodes.
 Every average x -> sum_k m_k g(y_k^{-1} . x) runs one chunk of _CHUNK query
 points at a time, so the group law's products y_k^{-1} . x_i, its
-temporaries and g's samples stay one chunk in size.  Nothing is memoized
+temporaries and g's samples stay one chunk in size.  Each point sums its
+nodes by a product of its own, so its average, to the last bit, depends
+neither on the chunk size nor on the other points queried.  Nothing is memoized
 across calls: a caller that needs several averages of one point set at one
 scale (values and gradients, several fields, or a field and f of its
 gradient) asks for them in one call, whose evaluator returns them all from
@@ -30,7 +30,7 @@ from dataclasses import dataclass, replace, field as dc_field
 
 import numpy as np
 
-from .groups import StratifiedGroup, HomogeneousNorm, _fold
+from .groups import StratifiedGroup, HomogeneousNorm, _row_norm
 from .fields import GridDomain, ScalarField, DomainError, horizontal_gradient, _lp_norm
 
 __all__ = (
@@ -128,7 +128,7 @@ class MollifierFamily:
                 raise DomainError(f"erosion by eps={eps} empties the domain")
             masses = self.node_masses()
             live = masses > 0
-            average = LocalAverage(g, eps, eroded, masses[live],
+            average = LocalAverage(g, eroded, masses[live],
                                    g.inverse(g.dilate(eps, self.nodes[live])))
             if len(self._averages) >= _AVERAGES_HELD:
                 self._averages.clear()
@@ -283,7 +283,6 @@ class LocalAverage:
     and these points into one evaluator."""
 
     group: StratifiedGroup
-    eps: float
     domain: GridDomain
     masses: np.ndarray
     y_inv: np.ndarray
@@ -300,10 +299,14 @@ class LocalAverage:
         for start in range(0, max(len(points), 1), _CHUNK):
             pts = self.group.multiply(self.y_inv[None], points[start:start + _CHUNK, None])
             for k, vals in enumerate(g(pts.reshape(-1, self.group.n))):
-                vals = vals.reshape(pts.shape[:2] + vals.shape[1:])
                 if k == len(outs):
-                    outs.append(np.empty((len(points),) + vals.shape[2:]))
-                outs[k][start:start + len(pts)] = np.moveaxis(vals, 1, -1) @ self.masses
+                    outs.append(np.empty((len(points),) + vals.shape[1:]))
+                # (points, nodes, columns), one column for a scalar, so that
+                # every point sums its nodes by a product of its own
+                cols = math.prod(vals.shape[1:])
+                vals = vals.reshape(pts.shape[:2] + (cols,))
+                outs[k].reshape(len(points), cols)[start:start + len(pts)] = (
+                    np.moveaxis(vals, 1, -1) @ self.masses)
         return outs
 
     def constant(self, g, points) -> list:
@@ -311,11 +314,8 @@ class LocalAverage:
         every point, such as a linear probe's gradient: the averages at the
         first point, repeated over all of them.  Every point is checked
         against the domain as in `__call__`, and only the first is pulled back.
-
-        An output with a trailing axis, such as an (m,) gradient, is averaged
-        by one matrix-vector product per point in both methods, so the bits
-        agree; a scalar output's chunk is one product, which may sum the nodes
-        in another order than a one-point product does."""
+        A point's average does not depend on the other points, so the bits
+        agree with `__call__`'s."""
         points = self._checked(points)
         return [np.repeat(out, len(points), axis=0) for out in self(g, points[:1])]
 
@@ -389,13 +389,9 @@ def convergence_table(mollifier: MollifierFamily, u: ScalarField, omega: GridDom
     for eps in sorted(eps_list, reverse=True):
         vals, grads = mollifier.average(eps, omega)(
             lambda q: (u.values(q), horizontal_gradient(mollifier.group, u, q)), pts)
-        dv = vals - base_vals
-        dg = grads - base_grad
-        # np.linalg.norm(dg, axis=-1), bit for bit
-        dg = np.sqrt(_fold(np.add, dg * dg))
         rows.append({
             "epsilon": float(eps),
-            "Lp_err": _lp_norm(dv, vol, p),
-            "W1p_err": _lp_norm(dg, vol, p),
+            "Lp_err": _lp_norm(vals - base_vals, vol, p),
+            "W1p_err": _lp_norm(_row_norm(grads - base_grad), vol, p),
         })
     return rows

@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .groups import StratifiedGroup, HomogeneousNorm
+from .groups import StratifiedGroup, HomogeneousNorm, _row_norm
 from .fields import (GatherTable, GridDomain, ScalarField, DomainError, probe_field,
                      _lp_norm)
 from .functionals import (Functional, IntegrandFunctional, OffsetIntegrand,
@@ -78,7 +78,7 @@ class RecoveredIntegrand:
     def growth_slack(self, certificate) -> np.ndarray:
         """a + b |xi|^p - f_rec(xi); nonnegative when the bound holds."""
         a, b, p = certificate
-        return a + b * np.linalg.norm(self.xi, axis=-1) ** p - self.values
+        return a + b * _row_norm(self.xi) ** p - self.values
 
 
 def recover_integrand(functional: Functional, group: StratifiedGroup,

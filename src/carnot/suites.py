@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .groups import StratifiedGroup, HomogeneousNorm
+from .groups import StratifiedGroup, HomogeneousNorm, _row_norm
 from .fields import (GridDomain, ScalarField, DomainError, constant_field, probe_field,
                      quadratic_field, translate_domain, horizontal_gradient)
 from .mollify import MollifierFamily, erode_domain, commutation_residual, convergence_table
@@ -195,7 +195,7 @@ def suite_functional(group: StratifiedGroup, integrand: Integrand,
                        - lam * f_v - (1.0 - lam) * functional.eval(w, domain))
         if growth is not None:
             a, b, p = growth
-            bound = _total(a + b * np.linalg.norm(grads, axis=-1) ** p, domain.cell_volume)
+            bound = _total(a + b * _row_norm(grads) ** p, domain.cell_volume)
             growth_res = max(growth_res, f_v - bound)
     rows.append(_row("constant_shift_invariance", shift_res, 1e-12))
     rows.append(_row("convexity_in_u", conv_res, 1e-10))

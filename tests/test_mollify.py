@@ -17,8 +17,8 @@ from carnot.fields import (GridDomain, DomainError, constant_field, probe_field,
 from carnot.mollify import (MollifierFamily, erode_domain, convolve, commutation_residual,
                             convergence_table)
 from carnot.functionals import (IntegrandFunctional, PowerIntegrand, QuadraticIntegrand,
-                                jensen_check, sandwich_check)
-from carnot.suites import menu_integrands
+                                jensen_check, sandwich_check, _total)
+from carnot.suites import menu_integrands, random_quadratic
 
 from conftest import assert_same_bits, filiform_spec
 
@@ -452,8 +452,9 @@ class TestProbeAverage:
         assert chains == sandwich_check(full, inner, omega, mol, schedule)
 
     def test_matches_the_full_average(self, h1, mollifier, omega):
-        # a probe's averaged gradient, over two full chunks and a partial one,
-        # and the shapes of both outputs without points
+        # a probe's averaged gradient and the average of a constant, over two
+        # full chunks and a partial one, and the shapes of both outputs
+        # without points
         g, _ = h1
         average = mollifier.average(0.3, omega)
         pts = average.domain.centers()[:150]
@@ -462,8 +463,8 @@ class TestProbeAverage:
         def sample(points):
             return horizontal_gradient(g, u, points), np.ones(len(points))
 
-        (got,) = average.constant(sample, pts)[:1]
-        assert_same_bits(got, average(sample, pts)[0])
+        for got, want in zip(average.constant(sample, pts), average(sample, pts)):
+            assert_same_bits(got, want)
         for got, want in zip(average.constant(sample, pts[:0]), average(sample, pts[:0])):
             assert got.shape == want.shape == (0,) + want.shape[1:]
 
@@ -486,7 +487,8 @@ class TestProbeAverage:
 class TestLocalAverage:
     def test_outputs_match_a_per_chunk_loop(self, h1, mollifier, omega):
         # each output takes its trailing shape from the evaluator: a scalar, an
-        # (m,) gradient, and both from one evaluator as the Jensen check asks
+        # (m,) gradient, and both from one evaluator as the Jensen check asks;
+        # each point sums its nodes by a product of its own
         g, _ = h1
         average = mollifier.average(0.3, omega)
         pts = average.domain.centers()[:150]  # two full chunks and a partial one
@@ -502,7 +504,7 @@ class TestLocalAverage:
             pulled = g.multiply(average.y_inv[None], chunk[:, None])
             vals, grad = sample(pulled.reshape(-1, g.n))
             rows = slice(start, start + len(chunk))
-            values[rows] = vals.reshape(len(chunk), -1) @ average.masses
+            values[rows] = [row @ average.masses for row in vals.reshape(len(chunk), -1)]
             grads[rows] = np.moveaxis(grad.reshape(len(chunk), -1, g.m), 1, -1) @ average.masses
         (scalar,) = average(lambda p: (u.values(p),), pts)
         (vector,) = average(lambda p: (horizontal_gradient(g, u, p),), pts)
@@ -510,6 +512,66 @@ class TestLocalAverage:
         assert scalar.shape == (150,) and vector.shape == (150, g.m)
         for got, want in ((scalar, values), (vector, grads), (both[0], values), (both[1], grads)):
             np.testing.assert_array_equal(got, want)
+
+
+class TestBatchIndependence:
+    """A point's average depends on that point alone: every averaging entry
+    point gives the same bits whatever `_CHUNK` is and whichever points share
+    its call."""
+
+    @pytest.mark.parametrize("group, shape", [(heisenberg(1), 8), (engel(), 5)],
+                             ids=["h1", "engel"])
+    def test_every_entry_point(self, group, shape, monkeypatch):
+        rng = np.random.default_rng(11)
+        norm = group.norm()
+        mol = MollifierFamily(norm, resolution=5)
+        omega = GridDomain.box(-np.ones(group.n), np.ones(group.n), shape)
+        eps = 0.3
+        inner = erode_domain(group, norm, omega, 0.35)
+        mask = inner.mask.copy()
+        mask.flat[np.flatnonzero(mask)[40:]] = False  # batches of 37 leave 3 points
+        inner = dataclasses.replace(inner, mask=mask)
+        pts, vol = inner.centers(), inner.cell_volume
+        average = mol.average(eps, omega)
+        u = random_quadratic(group, rng)
+        u_eps = convolve(mol, eps, u, omega)
+        integrands = menu_integrands(group.m, rng)
+        quads = [(IntegrandFunctional(group, f), u) for f in integrands]
+        probes = [(IntegrandFunctional(group, f), probe_field(group, rng.normal(size=group.m)))
+                  for f in integrands]
+
+        def sample(points):
+            grad = horizontal_gradient(group, u, points)
+            return [u.values(points), grad, grad[:, :, None] * grad[:, None, :]] + [
+                f(grad) for f in integrands]
+
+        def probe_sample(points):
+            return [horizontal_gradient(group, v, points) for _, v in probes] + [
+                np.ones(len(points))]
+
+        def compose(size, fn):
+            # fn's outputs at every point, asked for `size` points at a time
+            parts = [fn(pts[i:i + size]) for i in range(0, len(pts), size)]
+            return [np.concatenate(col) for col in zip(*parts)]
+
+        want = None
+        for chunk in (64, 7, 1):
+            monkeypatch.setattr(mollify, "_CHUNK", chunk)
+            jensen = jensen_check(quads, inner, mol, eps, omega)
+            middles = [chain["rows"][0]["middle"] for pairs in (quads, probes)
+                       for chain in sandwich_check(pairs, inner, omega, mol, [eps])]
+            for size in (len(pts), 1, 7, 37):
+                call = compose(size, lambda b: average(sample, b))
+                const = compose(size, lambda b: average.constant(probe_sample, b))
+                got = call + const + compose(size, lambda b: (u_eps.values(b), u_eps.hgrad(b)))
+                want = got if want is None else want
+                for output, reference in zip(got, want):
+                    assert_same_bits(output, reference)
+                # the checks sum the same per-point averages over A'
+                assert_same_bits(jensen, [(F.quadrature(call[1], vol), _total(density, vol))
+                                          for (F, _), density in zip(quads, call[3:])])
+                assert_same_bits(middles, [F.quadrature(call[1], vol) for F, _ in quads]
+                                 + [F.quadrature(grad, vol) for (F, _), grad in zip(probes, const)])
 
 
 class TestCommutation:
