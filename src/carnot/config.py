@@ -102,8 +102,8 @@ _INTEGRAND_KEYS = {"power": {"p"}, "quadratic": {"M"}, "max_affine": {"planes"},
 # keys whose check needs the group are checked by their builders
 _NUMBERS = {
     "p": (float, 1.0), "mollifier_resolution": (int, 3), "schedules.delta": (float, 0.0),
-    "xi_grid.radius": (float, None), "xi_grid.points": (int, 1),
-    "recovery.ball_radius": (float, None), "recovery.cells_per_axis": (int, 1),
+    "xi_grid.radius": (float, 0.0), "xi_grid.points": (int, 1),
+    "recovery.ball_radius": (float, "positive"), "recovery.cells_per_axis": (int, 1),
     "gamma.scale": (float, 0.0), "minimizer.max_iter": (int, 0),
     "samples": (int, 1), "seed": (int, 0), "tol_scale": (float, "positive"),
 }

@@ -16,7 +16,7 @@ import numpy as np
 from .groups import StratifiedGroup, _fold, _row_norm
 from .fields import (GridDomain, ScalarField, DomainError, horizontal_gradient, probe_field,
                      translate_field, translate_domain)
-from .mollify import MollifierFamily
+from .mollify import LocalAverage
 
 __all__ = [
     "Integrand",
@@ -398,8 +398,9 @@ def check_set_function(functional: Functional, u: ScalarField,
     f_all = functional.eval(u, domain)
     f1, f2 = functional.eval(u, a1), functional.eval(u, a2)
 
-    # overlapping cover: two thirds overlapping in the middle
-    cut = 2 * domain.shape[0] // 3
+    # overlapping cover: two thirds overlapping in the middle, at least one
+    # cell each, so that a one-cell axis is covered twice rather than not at all
+    cut = max(1, 2 * domain.shape[0] // 3)
     c1 = np.zeros(domain.shape, dtype=bool)
     c1[:cut] = True
     c2 = np.zeros(domain.shape, dtype=bool)
@@ -428,14 +429,13 @@ def check_set_function(functional: Functional, u: ScalarField,
     }
 
 
-def jensen_check(pairs: list, inner_domain: GridDomain, mollifier: MollifierFamily,
-                 eps: float, omega: GridDomain) -> list:
-    """Both sides of the Jensen step for each (IntegrandFunctional F, field u)
-    pair, in pair order: F(phi_eps * u, A') on the left and the mollifier
-    average of F(tau_y u, A') on the right; left <= right holds exactly at
-    quadrature level for convex integrands.  The pairs that refine A' alike share
-    one average, which raises DomainError when A' leaves its eroded domain."""
-    average = mollifier.average(eps, omega)
+def jensen_check(pairs: list, inner_domain: GridDomain, average: LocalAverage) -> list:
+    """Both sides of the Jensen step at the scale of `average` for each
+    (IntegrandFunctional F, field u) pair, in pair order: F(phi_eps * u, A') on
+    the left and the mollifier average of F(tau_y u, A') on the right; left <=
+    right holds exactly at quadrature level for convex integrands.  The pairs
+    that refine A' alike share one average, which raises DomainError when A'
+    leaves its eroded domain."""
     sides = [None] * len(pairs)
     for refine in {functional.refine for functional, _ in pairs}:
         idx = [i for i, (functional, _) in enumerate(pairs) if functional.refine == refine]
@@ -445,7 +445,7 @@ def jensen_check(pairs: list, inner_domain: GridDomain, mollifier: MollifierFami
         # frame, so the average of F(tau_y u, A') is phi_eps * f(grad_G u) summed
         # over A'; each pair's gradient sample G feeds phi_eps * G and phi_eps * f(G)
         def sample(points):
-            grads = [horizontal_gradient(mollifier.group, pairs[i][1], points) for i in idx]
+            grads = [horizontal_gradient(average.group, pairs[i][1], points) for i in idx]
             return grads + [pairs[i][0].integrand(grad) for i, grad in zip(idx, grads)]
 
         outs = average(sample, fine.centers())
@@ -456,28 +456,29 @@ def jensen_check(pairs: list, inner_domain: GridDomain, mollifier: MollifierFami
 
 
 def sandwich_check(pairs: list, inner_domain: GridDomain, domain: GridDomain,
-                   mollifier: MollifierFamily, eps_list) -> list:
-    """The three-term chain F(u, A') <= F(phi_eps * u, A') <= F(u, A) along an
-    eps schedule for each (IntegrandFunctional F, field u) pair, as raw values for
-    callers to judge: one dict per pair, in pair order.  Per eps, one average gives
-    grad_G(phi_eps * u) of every pair that refines A' alike, and the middle is F's
-    quadrature of it; the average raises DomainError when A' leaves its eroded domain.
-    When every field of such a group has a constant gradient (a `slope`, as linear
+                   averages) -> list:
+    """The three-term chain F(u, A') <= F(phi_eps * u, A') <= F(u, A) for each
+    (IntegrandFunctional F, field u) pair, one row per scale operator of
+    `averages` in decreasing eps, as raw values for callers to judge: one dict
+    per pair, in pair order.  A' is `inner_domain` and A is `domain`, which
+    need not be the domain the operators erode.  Per scale, one average gives grad_G(phi_eps * u)
+    of every pair that refines A' alike, and the middle is F's quadrature of
+    it; the average raises DomainError when A' leaves its eroded domain.  When
+    every field of such a group has a constant gradient (a `slope`, as linear
     probes do), the average is taken at one point of A' and repeated over the rest."""
     if inner_domain.shape == domain.shape and not inner_domain.is_subset(domain):
         raise DomainError("inner domain must sit inside the outer one")
     chains = [{"lower": functional.eval(u, inner_domain), "upper": functional.eval(u, domain),
                "rows": []} for functional, u in pairs]
-    for eps in sorted(eps_list, reverse=True):
-        average = mollifier.average(eps, domain)
+    for average in sorted(averages, key=lambda a: a.eps, reverse=True):
         for refine in {functional.refine for functional, _ in pairs}:
             idx = [i for i, (functional, _) in enumerate(pairs) if functional.refine == refine]
             fine = inner_domain.refine(refine)
             constant = all(pairs[i][1].slope is not None for i in idx)
             grads = (average.constant if constant else average)(
-                lambda p: [horizontal_gradient(mollifier.group, pairs[i][1], p) for i in idx],
+                lambda p: [horizontal_gradient(average.group, pairs[i][1], p) for i in idx],
                 fine.centers())
             for i, grad in zip(idx, grads):
-                chains[i]["rows"].append({"epsilon": float(eps), "middle":
+                chains[i]["rows"].append({"epsilon": average.eps, "middle":
                                           pairs[i][0].quadrature(grad, fine.cell_volume)})
     return chains

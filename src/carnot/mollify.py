@@ -5,21 +5,24 @@ The convolution is evaluated through its unit-ball form
 with a fixed midpoint product rule, so convolving a constant is exact up to
 rounding and the node set is symmetric under negation.
 
-A `MollifierFamily` owns its scale operators.  `average(eps, omega)` builds
-the `LocalAverage` of one scale and domain once: the eps-erosion of omega,
-the live node masses m_k and the inverses y_k^{-1} of the scaled nodes.
-Every average x -> sum_k m_k g(y_k^{-1} . x) runs one chunk of _CHUNK query
-points at a time, so the group law's products y_k^{-1} . x_i, its
-temporaries and g's samples stay one chunk in size.  Each point sums its
+`MollifierFamily.average(eps, omega)` builds the `LocalAverage` of one scale
+and domain: the eps-erosion of omega, the live node masses m_k and the
+inverses y_k^{-1} of the scaled nodes.  The mollifier keeps none of them: a
+caller builds each scale's operator once and passes it to `convolve`,
+`commutation_residual`, `convergence_table` and the Jensen and sandwich
+checks of `functionals`, which read the group, the eroded domain and eps
+from it.  Every average x -> sum_k m_k g(y_k^{-1} . x) runs one chunk of
+_CHUNK query points at a time, so the group law's products y_k^{-1} . x_i,
+its temporaries and g's samples stay one chunk in size.  Each point sums its
 nodes by a product of its own, so its average, to the last bit, depends
-neither on the chunk size nor on the other points queried.  Nothing is memoized
-across calls: a caller that needs several averages of one point set at one
-scale (values and gradients, several fields, or a field and f of its
-gradient) asks for them in one call, whose evaluator returns them all from
-one pull-back per chunk; an evaluator whose outputs are the same at every
-point, such as a linear probe's gradient, is averaged at one point
-(`LocalAverage.constant`).  Two mollifiers share nothing.  Whether the points
-lie in the eroded domain is checked on every query.
+neither on the chunk size nor on the other points queried.  Nothing is
+memoized across calls either: a caller that needs several averages of one
+point set at one scale (values and gradients, several fields, or a field and
+f of its gradient) asks for them in one call, whose evaluator returns them
+all from one pull-back per chunk; an evaluator whose outputs are the same at
+every point, such as a linear probe's gradient, is averaged at one point
+(`LocalAverage.constant`).  Whether the points lie in the eroded domain is
+checked on every query.
 """
 
 from __future__ import annotations
@@ -43,8 +46,6 @@ __all__ = (
 )
 
 _CHUNK = 64
-# the scale operators a mollifier holds before it drops them all
-_AVERAGES_HELD = 64
 
 
 @dataclass(frozen=True)
@@ -62,7 +63,6 @@ class MollifierFamily:
     nodes: np.ndarray = dc_field(init=False, repr=False)
     node_weight: float = dc_field(init=False, repr=False)
     normalization: float = dc_field(init=False, repr=False)
-    _averages: dict = dc_field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self):
         g = self.group
@@ -115,25 +115,17 @@ class MollifierFamily:
         return float(np.sum(self.scaled(eps, scale)) * self.node_weight * jac)
 
     def average(self, eps: float, omega: GridDomain) -> "LocalAverage":
-        """The scale operator of phi_eps on `omega`, built once per eps and
-        domain (its lo, hi, shape and mask); raises DomainError when the
-        eps-erosion of `omega` is empty."""
+        """The scale operator of phi_eps on `omega`; raises DomainError when
+        the eps-erosion of `omega` is empty."""
         eps = float(eps)
-        key = (eps, omega.lo.tobytes(), omega.hi.tobytes(), omega.shape, omega.mask.tobytes())
-        average = self._averages.get(key)
-        if average is None:
-            g = self.group
-            eroded = erode_domain(g, self.norm, omega, eps)
-            if eroded.is_empty:
-                raise DomainError(f"erosion by eps={eps} empties the domain")
-            masses = self.node_masses()
-            live = masses > 0
-            average = LocalAverage(g, eroded, masses[live],
-                                   g.inverse(g.dilate(eps, self.nodes[live])))
-            if len(self._averages) >= _AVERAGES_HELD:
-                self._averages.clear()
-            self._averages[key] = average
-        return average
+        g = self.group
+        eroded = erode_domain(g, self.norm, omega, eps)
+        if eroded.is_empty:
+            raise DomainError(f"erosion by eps={eps} empties the domain")
+        masses = self.node_masses()
+        live = masses > 0
+        return LocalAverage(g, eps, eroded, masses[live],
+                            g.inverse(g.dilate(eps, self.nodes[live])))
 
 
 # an erosion batch holds at most _MAX_PAIRS (center, offset) pairs
@@ -283,6 +275,7 @@ class LocalAverage:
     and these points into one evaluator."""
 
     group: StratifiedGroup
+    eps: float
     domain: GridDomain
     masses: np.ndarray
     y_inv: np.ndarray
@@ -326,14 +319,13 @@ class LocalAverage:
         return points
 
 
-def convolve(mollifier: MollifierFamily, eps: float, u: ScalarField,
-             omega: GridDomain) -> ScalarField:
-    """Local convolution phi_eps * u, defined on the eroded domain.
+def convolve(average: LocalAverage, u: ScalarField) -> ScalarField:
+    """Local convolution phi_eps * u at the scale of `average`, defined on its
+    eroded domain.
 
     The returned field's horizontal gradient, when u carries one, is the
     convolution of the gradient node-by-node, which is the commutation
     identity X_j(phi_eps * u) = phi_eps * (X_j u)."""
-    average = mollifier.average(eps, omega)
 
     def values(points):
         return average(lambda p: (u.values(p),), points)[0]
@@ -341,10 +333,10 @@ def convolve(mollifier: MollifierFamily, eps: float, u: ScalarField,
     hgrad = None
     if u.hgrad is not None:
         def hgrad(points):
-            return average(lambda p: (horizontal_gradient(mollifier.group, u, p),), points)[0]
+            return average(lambda p: (horizontal_gradient(average.group, u, p),), points)[0]
 
     return ScalarField(values=values, hgrad=hgrad, domain=average.domain,
-                       name=f"phi_{eps:g}*{u.name}")
+                       name=f"phi_{average.eps:g}*{u.name}")
 
 
 # the commutation check's group-difference step and its sample-point budget
@@ -352,12 +344,12 @@ _COMMUTATION_FD_STEP = 1e-3
 _COMMUTATION_POINTS = 64
 
 
-def commutation_residual(mollifier: MollifierFamily, eps: float, u: ScalarField,
-                         omega: GridDomain) -> float:
-    """max |X_j(phi_eps * u) - phi_eps * (X_j u)| over every horizontal
-    direction j and at most _COMMUTATION_POINTS interior cell centers, the
-    left side taken by a central group difference of the convolved values."""
-    u_eps = convolve(mollifier, eps, u, omega)
+def commutation_residual(average: LocalAverage, u: ScalarField) -> float:
+    """max |X_j(phi_eps * u) - phi_eps * (X_j u)| at the scale of `average`
+    over every horizontal direction j and at most _COMMUTATION_POINTS interior
+    cell centers, the left side taken by a central group difference of the
+    convolved values."""
+    u_eps = convolve(average, u)
     # stay a ring of cells inside the eroded mask so fd queries remain legal
     interior = u_eps.domain.erode_cells(1)
     if interior.is_empty:
@@ -366,31 +358,34 @@ def commutation_residual(mollifier: MollifierFamily, eps: float, u: ScalarField,
     if len(pts) > _COMMUTATION_POINTS:
         idx = np.linspace(0, len(pts) - 1, _COMMUTATION_POINTS).astype(int)
         pts = pts[idx]
-    lhs = horizontal_gradient(mollifier.group, u_eps, pts, mode="group-fd",
+    lhs = horizontal_gradient(average.group, u_eps, pts, mode="group-fd",
                               h=_COMMUTATION_FD_STEP)
     rhs = u_eps.hgrad(pts)
     return float(np.abs(lhs - rhs).max())
 
 
-def convergence_table(mollifier: MollifierFamily, u: ScalarField, omega: GridDomain,
-                      inner: GridDomain, p: float, eps_list) -> list:
+def convergence_table(averages, u: ScalarField, inner: GridDomain, p: float) -> list:
     """Rows (eps, Lp_err, W1p_err) of the mollification errors over `inner`,
-    the values and gradients of phi_eps * u from one average per eps.
+    one per scale operator of `averages` in decreasing eps, the values and
+    gradients of phi_eps * u from one average each.
 
-    Requires `inner` to be nonempty and to sit inside the eroded domain for
-    every eps; the average raises DomainError where it does not."""
+    Requires `inner` to be nonempty, which is checked before `averages` is
+    read, so a generator builds its operators only after the check; each
+    operator raises DomainError where `inner` leaves its eroded domain."""
     if inner.is_empty:
         raise DomainError("convergence table needs a nonempty inner set")
     rows = []
     pts = inner.centers()
     vol = inner.cell_volume
     base_vals = u.values(pts)
-    base_grad = horizontal_gradient(mollifier.group, u, pts)
-    for eps in sorted(eps_list, reverse=True):
-        vals, grads = mollifier.average(eps, omega)(
-            lambda q: (u.values(q), horizontal_gradient(mollifier.group, u, q)), pts)
+    base_grad = None
+    for average in sorted(averages, key=lambda a: a.eps, reverse=True):
+        g = average.group
+        if base_grad is None:
+            base_grad = horizontal_gradient(g, u, pts)
+        vals, grads = average(lambda q: (u.values(q), horizontal_gradient(g, u, q)), pts)
         rows.append({
-            "epsilon": float(eps),
+            "epsilon": average.eps,
             "Lp_err": _lp_norm(vals - base_vals, vol, p),
             "W1p_err": _lp_norm(_row_norm(grads - base_grad), vol, p),
         })

@@ -16,8 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .groups import StratifiedGroup, HomogeneousNorm, _row_norm
-from .fields import (GatherTable, GridDomain, ScalarField, DomainError, probe_field,
-                     _lp_norm)
+from .fields import GatherTable, GridDomain, ScalarField, DomainError, _lp_norm
 from .functionals import (Functional, IntegrandFunctional, OffsetIntegrand,
                           _midpoint_defect, _total)
 
@@ -99,7 +98,7 @@ def constancy_probe(functional: Functional, norm: HomogeneousNorm, xi, centers, 
 
     For a left-invariant functional the spread across centers stays at mask
     resolution for every rho; a genuinely x-dependent functional separates."""
-    u = probe_field(norm.group, np.asarray(xi, dtype=float))
+    xi = np.atleast_2d(np.asarray(xi, dtype=float))  # a grid of one probe
     centers = np.atleast_2d(np.asarray(centers, dtype=float))
     table = {}
     for rho in radii:
@@ -108,7 +107,7 @@ def constancy_probe(functional: Functional, norm: HomogeneousNorm, xi, centers, 
             ball = GridDomain.ball(norm, x, float(rho), cells_per_axis)
             if ball.is_empty:
                 raise DomainError(f"ball of radius {rho} has an empty mask")
-            row.append(functional.eval(u, ball) / ball.volume)
+            row.append(functional.probe_values(norm.group, xi, ball)[0] / ball.volume)
         table[float(rho)] = row
     spreads = {rho: max(row) - min(row) for rho, row in table.items()}
     return {"table": table, "spreads": spreads, "max_spread": max(spreads.values())}

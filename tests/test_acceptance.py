@@ -104,16 +104,16 @@ def test_criterion_04_mollifier_laws():
         for eps in (0.4, 0.2, 0.1):
             assert abs(fam.unit_mass(eps) - 1.0) <= 1e-6
     fam = MollifierFamily(norm, resolution=9)
-    c_eps = convolve(fam, 0.3, constant_field(H1, 2.5), omega)
+    c_eps = convolve(fam.average(0.3, omega), constant_field(H1, 2.5))
     pts = c_eps.domain.centers()
     const_err = float(np.abs(c_eps.values(pts) - 2.5).max())
     assert const_err <= 1e-10
     u_xi = probe_field(H1, rng.normal(size=2))
-    p_eps = convolve(fam, 0.3, u_xi, omega)
+    p_eps = convolve(fam.average(0.3, omega), u_xi)
     probe_err = float(np.abs(p_eps.values(pts) - u_xi.values(pts)).max())
     assert probe_err <= 1e-6
     quad = random_quadratic(H1, rng)
-    comm = commutation_residual(fam, 0.3, quad, omega)
+    comm = commutation_residual(fam.average(0.3, omega), quad)
     assert comm <= 1e-4
     print(f"PASS criterion 4: const {const_err:.3g}, probe {probe_err:.3g}, "
           f"commutation {comm:.3g}")
@@ -127,7 +127,8 @@ def test_criterion_05_mollifier_convergence():
     omega = GridDomain.box(-np.ones(3), np.ones(3), 12)
     inner = erode_domain(H1, norm, omega, 0.45)
     u = random_quadratic(H1, np.random.default_rng(4))
-    rows = convergence_table(fam, u, omega, inner, 2.0, [0.4, 0.2, 0.1, 0.05])
+    rows = convergence_table([fam.average(eps, omega) for eps in [0.4, 0.2, 0.1, 0.05]],
+                             u, inner, 2.0)
     lp = [r["Lp_err"] for r in rows]
     w1 = [r["W1p_err"] for r in rows]
     assert all(a > b for a, b in zip(lp, lp[1:]))

@@ -564,19 +564,37 @@ class TestConfigBoundary:
         (["gamma"], {"gamma": {"scale": -100}}, "gamma.scale must be at least 0.0, got -100.0"),
         (["verify", "--suite", "functional"], {"integrand": {"kind": "power", "offset": -1}},
          "integrand offsets must be nonnegative, got -1.0"),
+        (["recover"], {"xi_grid": {"radius": -4}}, "xi_grid.radius must be at least 0.0, got -4.0"),
+        (["recover"], {"recovery": {"ball_radius": -1}},
+         "recovery.ball_radius must be positive, got -1.0"),
+        (["recover"], {"recovery": {"ball_radius": 0}},
+         "recovery.ball_radius must be positive, got 0.0"),
+        (["verify", "--suite", "mollify"], {"schedules": {"eps": [0.1, 2.0]}},
+         "convergence table needs a nonempty inner set"),
+        (["verify", "--suite", "mollify"], {"schedules": {"eps": [0.4, 1.9]}},
+         "convergence table needs a nonempty inner set"),
+        (["verify", "--suite", "mollify"], {"grid": {"shape": [12, 12, 2]}},
+         "eroded domain too small for a finite-difference check"),
     ], ids=["p-half-gamma", "resolution-2-mollify", "ball-cells-recover",
             "mollifier-nodes-mollify", "probes-recover", "probes-beyond-numpy-gamma",
             "ball-volume-recover", "grid-lo-zero-functional", "grid-hi-empty-functional",
             "grid-lo-false-functional", "fields-empty-gamma", "eps-repeated-mollify",
-            "rho-repeated-recover", "scale-negative-gamma", "offset-negative-functional"])
+            "rho-repeated-recover", "scale-negative-gamma", "offset-negative-functional",
+            "radius-negative-recover", "ball-radius-negative-recover",
+            "ball-radius-zero-recover", "eps-beyond-inner-mollify",
+            "eps-near-inner-mollify", "flat-grid-mollify"])
     def test_config_error_message(self, tmp_path, capsys, argv, payload, message):
         # p = 0.5 used to exit 3 in gamma; the three sizes ended in a numpy
         # MemoryError traceback or ran on without end; a falsy grid bound
         # read as the default box; gamma on no field passed, checking
         # nothing; a repeated eps failed the mollify suite's convergence row
-        # and a repeated rho merged two radii into one row; and a negative
-        # offset or gamma scale gave negative functional values.  The ball's
-        # DomainError passes through unchanged
+        # and a repeated rho merged two radii into one row; a negative offset
+        # or gamma scale gave negative functional values; and a negative
+        # probe radius ran on a mirrored grid, while a ball radius of 0 or
+        # below failed later with a message that did not name the key.  The
+        # ball's DomainError passes through unchanged, and so do the mollify
+        # suite's first domain errors: the convergence table checks its inner
+        # set before it builds the scales past the first
         cfg = _write(tmp_path, "c.json", payload)
         assert main(argv + ["--config", cfg]) == EXIT_CONFIG
         assert capsys.readouterr().err == f"config error: {message}\n"

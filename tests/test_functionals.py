@@ -257,7 +257,8 @@ class TestSandwichAndLsc:
         g, mol, omega, inner = setting
         F = IntegrandFunctional(g, PowerIntegrand(2, 2.0))
         u = probe_field(g, np.array([0.9, 0.4]))
-        (chain,) = sandwich_check([(F, u)], inner, omega, mol, [0.4, 0.2])
+        (chain,) = sandwich_check([(F, u)], inner, omega,
+                                  [mol.average(eps, omega) for eps in [0.4, 0.2]])
         f_xi = 0.9**2 + 0.4**2
         assert chain["lower"] == pytest.approx(f_xi * inner.volume, rel=1e-12)
         assert chain["upper"] == pytest.approx(f_xi * omega.volume, rel=1e-12)
@@ -272,12 +273,13 @@ class TestSandwichAndLsc:
         fields = (random_quadratic(g, rng), probe_field(g, [0.9, 0.4]), random_quadratic(g, rng))
         pairs = [(IntegrandFunctional(g, f, refine=refine), u) for refine, f, u
                  in zip((1, 2, 1), menu_integrands(g.m, rng)[2:], fields)]
-        chains = sandwich_check(pairs, inner, omega, mol, [0.2, 0.4])
+        chains = sandwich_check(pairs, inner, omega,
+                                [mol.average(eps, omega) for eps in [0.2, 0.4]])
         assert len(chains) == len(pairs)
         for (F, u), chain in zip(pairs, chains):
             assert (chain["lower"], chain["upper"]) == (F.eval(u, inner), F.eval(u, omega))
             assert chain["rows"] == [
-                {"epsilon": eps, "middle": F.eval(convolve(mol, eps, u, omega), inner)}
+                {"epsilon": eps, "middle": F.eval(convolve(mol.average(eps, omega), u), inner)}
                 for eps in (0.4, 0.2)]
 
     def test_empty_inner_set_sums_to_zero(self, setting):
@@ -286,35 +288,37 @@ class TestSandwichAndLsc:
         empty = dataclasses.replace(omega, mask=np.zeros(omega.shape, dtype=bool))
         pairs = [(IntegrandFunctional(g, PowerIntegrand(2, 2.0), refine=r),
                   probe_field(g, [1.0, 0.0])) for r in (1, 2)]
-        for chain in sandwich_check(pairs, empty, omega, mol, [0.3]):
+        for chain in sandwich_check(pairs, empty, omega, [mol.average(0.3, omega)]):
             assert chain["lower"] == 0.0 and chain["rows"] == [{"epsilon": 0.3, "middle": 0.0}]
-        assert jensen_check(pairs, empty, mol, 0.3, omega) == [(0.0, 0.0)] * 2
+        assert jensen_check(pairs, empty, mol.average(0.3, omega)) == [(0.0, 0.0)] * 2
 
     def test_margin_violation_raises(self, setting):
         g, mol, omega, _ = setting
         F = IntegrandFunctional(g, PowerIntegrand(2, 2.0))
         with pytest.raises(DomainError, match="convolution queried outside the eroded domain"):
-            sandwich_check([(F, probe_field(g, [1.0, 0.0]))], omega, omega, mol, [0.4])
+            sandwich_check([(F, probe_field(g, [1.0, 0.0]))], omega, omega,
+                           [mol.average(0.4, omega)])
 
     def test_jensen_outside_eroded_domain_raises(self, setting):
         g, mol, omega, _ = setting
         F = IntegrandFunctional(g, PowerIntegrand(2, 2.0))
         with pytest.raises(DomainError, match="convolution queried outside the eroded domain"):
-            jensen_check([(F, probe_field(g, [1.0, 0.0]))], omega, mol, 0.3, omega)
+            jensen_check([(F, probe_field(g, [1.0, 0.0]))], omega, mol.average(0.3, omega))
 
     def test_jensen_never_violated(self, setting):
         g, mol, omega, inner = setting
         rng = np.random.default_rng(4)
         u = quadratic_field(g, 0.0, rng.normal(size=3), rng.normal(size=(3, 3)))
         for f in (PowerIntegrand(2, 2.0), PowerIntegrand(2, 3.0)):
-            ((lhs, rhs),) = jensen_check([(IntegrandFunctional(g, f), u)], inner, mol, 0.3, omega)
+            ((lhs, rhs),) = jensen_check([(IntegrandFunctional(g, f), u)], inner,
+                                          mol.average(0.3, omega))
             assert lhs <= rhs + 1e-10
 
     def test_jensen_equality_for_probes(self, setting):
         g, mol, omega, inner = setting
         F = IntegrandFunctional(g, PowerIntegrand(2, 2.0))
         u = probe_field(g, np.array([1.0, -1.0]))
-        ((lhs, rhs),) = jensen_check([(F, u)], inner, mol, 0.3, omega)
+        ((lhs, rhs),) = jensen_check([(F, u)], inner, mol.average(0.3, omega))
         assert lhs == pytest.approx(rhs, rel=1e-12)
 
     @pytest.mark.parametrize("case", ["h1", "engel", "h1-refine2"])
@@ -340,13 +344,13 @@ class TestSandwichAndLsc:
         u = random_quadratic(g, rng)
         fine = inner.refine(refine)
         pairs = [(IntegrandFunctional(g, f, refine=refine), u) for f in menu_integrands(g.m, rng)]
-        sides = jensen_check(pairs, inner, mol, eps, omega)
+        sides = jensen_check(pairs, inner, mol.average(eps, omega))
         assert len(sides) == len(pairs)
         for (F, _), got in zip(pairs, sides):
             density = ScalarField(values=lambda p: F.integrand(horizontal_gradient(g, u, p)),
                                   name="f")
-            lhs = F.eval(convolve(mol, eps, u, omega), inner)
-            rhs = (float(np.sum(convolve(mol, eps, density, omega).values(fine.centers())))
+            lhs = F.eval(convolve(mol.average(eps, omega), u), inner)
+            rhs = (float(np.sum(convolve(mol.average(eps, omega), density).values(fine.centers())))
                    * fine.cell_volume)
             assert got == (lhs, rhs)
 

@@ -320,7 +320,7 @@ def test_benchmark_erosion_digests(workload):
 class TestConvolve:
     def test_constant_is_fixed(self, h1, mollifier, omega):
         g, _ = h1
-        u_eps = convolve(mollifier, 0.3, constant_field(g, -1.75), omega)
+        u_eps = convolve(mollifier.average(0.3, omega), constant_field(g, -1.75))
         pts = u_eps.domain.centers()
         assert np.abs(u_eps.values(pts) + 1.75).max() <= 1e-12
 
@@ -328,14 +328,14 @@ class TestConvolve:
         # symmetric mollifier: affine parts average out node by node
         g, _ = h1
         u = probe_field(g, np.array([0.8, -0.4]))
-        u_eps = convolve(mollifier, 0.25, u, omega)
+        u_eps = convolve(mollifier.average(0.25, omega), u)
         pts = u_eps.domain.centers()
         assert np.abs(u_eps.values(pts) - u.values(pts)).max() <= 1e-12
         assert np.abs(u_eps.hgrad(pts) - u.hgrad(pts)).max() <= 1e-12
 
     def test_outside_eroded_domain_raises(self, h1, mollifier, omega):
         g, _ = h1
-        u_eps = convolve(mollifier, 0.3, constant_field(g, 1.0), omega)
+        u_eps = convolve(mollifier.average(0.3, omega), constant_field(g, 1.0))
         with pytest.raises(DomainError):
             u_eps.values(np.array([[0.99, 0.99, 0.99]]))
 
@@ -343,7 +343,7 @@ class TestConvolve:
         g, _ = h1
         tiny = GridDomain.box(-0.1 * np.ones(3), 0.1 * np.ones(3), 4)
         with pytest.raises(DomainError):
-            convolve(mollifier, 0.5, constant_field(g, 1.0), tiny)
+            convolve(mollifier.average(0.5, tiny), constant_field(g, 1.0))
 
     def test_euclidean_matches_direct_average(self):
         # independent oracle: on (R^2, +) the convolution is a plain
@@ -354,7 +354,7 @@ class TestConvolve:
         omega = GridDomain.box(-np.ones(2), np.ones(2), 10)
         u = quadratic_field(g, 0.2, [1.0, -0.5], 0.3 * np.eye(2))
         eps = 0.3
-        u_eps = convolve(mol, eps, u, omega)
+        u_eps = convolve(mol.average(eps, omega), u)
         pts = u_eps.domain.centers()[:17]
         masses = mol.node_masses()
         direct = np.array([float(masses @ u.values(x - eps * mol.nodes)) for x in pts])
@@ -371,8 +371,7 @@ class TestPullBack:
         omega = GridDomain.box(-np.ones(3), np.ones(3), 8)
         schedule = [0.3, 0.25]
         inner = erode_domain(g, norm, omega, 0.35)
-        for eps in schedule:
-            mol.average(eps, omega)  # the erosions are not counted below
+        averages = [mol.average(eps, omega) for eps in schedule]  # not counted below
         live = int((mol.node_masses() > 0).sum())
         cells = int(inner.mask.sum())
         quad = quadratic_field(g, 0.5, [1.0, -0.5, 0.25], 0.3 * np.eye(3))
@@ -381,17 +380,17 @@ class TestPullBack:
                            QuadraticIntegrand(np.eye(2)))
                  for u in (quad, probe_field(g, [0.7, -0.2]))]
         multiply_points.clear()
-        sandwich_check(pairs, inner, omega, mol, schedule)
+        sandwich_check(pairs, inner, omega, averages)
         assert sum(multiply_points) == len(schedule) * cells * live
         multiply_points.clear()
-        jensen_check(pairs, inner, mol, 0.3, omega)
+        jensen_check(pairs, inner, averages[0])
         assert sum(multiply_points) == cells * live
         multiply_points.clear()
         refined = (IntegrandFunctional(g, PowerIntegrand(2, 2.0), refine=2), quad)
-        jensen_check(pairs + [refined], inner, mol, 0.3, omega)
+        jensen_check(pairs + [refined], inner, averages[0])
         assert sum(multiply_points) == (1 + 2 ** g.n) * cells * live
         multiply_points.clear()
-        convergence_table(mol, quad, omega, inner, 2.0, schedule)
+        convergence_table(averages, quad, inner, 2.0)
         assert sum(multiply_points) == len(schedule) * cells * live
 
     def test_probe_chains_pull_back_one_point(self, h1, multiply_points):
@@ -402,31 +401,35 @@ class TestPullBack:
         omega = GridDomain.box(-np.ones(3), np.ones(3), 8)
         schedule = [0.3, 0.25]
         inner = erode_domain(g, norm, omega, 0.35)
-        for eps in schedule:
-            mol.average(eps, omega)  # the erosions are not counted below
+        averages = [mol.average(eps, omega) for eps in schedule]  # not counted below
         live = int((mol.node_masses() > 0).sum())
         pairs = [(IntegrandFunctional(g, f), probe_field(g, xi))
                  for f in (PowerIntegrand(2, 2.0), QuadraticIntegrand(np.eye(2)))
                  for xi in ([0.7, -0.2], [-1.5, 2.0])]
         multiply_points.clear()
-        sandwich_check(pairs, inner, omega, mol, schedule)
+        sandwich_check(pairs, inner, omega, averages)
         assert sum(multiply_points) == len(schedule) * live
 
     def test_mollifiers_share_nothing(self, h1, multiply_points):
-        # two equal mollifiers each erode and pull back on their own
+        # a mollifier holds no operators: every `average` call erodes afresh
+        # and returns an operator of its own, on one mollifier as on an equal
+        # second one, and a convolution pulls back through the operator it takes
         g, norm = h1
         omega = GridDomain.box(-np.ones(3), np.ones(3), 8)
         u = constant_field(g, 2.0)
         first, second = (MollifierFamily(norm, resolution=5) for _ in range(2))
         live = int((first.node_masses() > 0).sum())
-        pts = convolve(first, 0.3, u, omega).domain.centers()
-        convolve(first, 0.3, u, omega).values(pts)
+        average = first.average(0.3, omega)
+        pts = average.domain.centers()
+        convolve(average, u).values(pts)
+        for mollifier in (first, second):
+            multiply_points.clear()
+            again = mollifier.average(0.3, omega)
+            assert sum(multiply_points) > 0  # the erosion
+            assert again is not average
+            np.testing.assert_array_equal(again.domain.mask, average.domain.mask)
         multiply_points.clear()
-        u_eps = convolve(second, 0.3, u, omega)
-        assert sum(multiply_points) > 0  # the erosion
-        assert second.average(0.3, omega) is not first.average(0.3, omega)
-        multiply_points.clear()
-        np.testing.assert_allclose(u_eps.values(pts), 2.0, atol=1e-12)
+        np.testing.assert_allclose(convolve(again, u).values(pts), 2.0, atol=1e-12)
         assert sum(multiply_points) == len(pts) * live
 
 
@@ -447,9 +450,10 @@ class TestProbeAverage:
         pairs = [(IntegrandFunctional(group, f, refine=1 + (k == 1)),
                   probe_field(group, scale * rng.normal(size=group.m)))
                  for k, f in enumerate(menu_integrands(group.m, rng)) for scale in (0.5, 3.0)]
-        chains = sandwich_check(pairs, inner, omega, mol, schedule)
+        averages = [mol.average(eps, omega) for eps in schedule]
+        chains = sandwich_check(pairs, inner, omega, averages)
         full = [(F, dataclasses.replace(u, slope=None)) for F, u in pairs]
-        assert chains == sandwich_check(full, inner, omega, mol, schedule)
+        assert chains == sandwich_check(full, inner, omega, averages)
 
     def test_matches_the_full_average(self, h1, mollifier, omega):
         # a probe's averaged gradient and the average of a constant, over two
@@ -479,7 +483,8 @@ class TestProbeAverage:
         assert not eroded.contains(inner.centers()).all()
         F = IntegrandFunctional(g, PowerIntegrand(2, 2.0))
         with pytest.raises(DomainError, match="convolution queried outside the eroded domain"):
-            sandwich_check([(F, probe_field(g, [1.0, 0.0]))], inner, omega, mollifier, [0.3])
+            sandwich_check([(F, probe_field(g, [1.0, 0.0]))], inner, omega,
+                           [mollifier.average(0.3, omega)])
         with pytest.raises(DomainError, match="convolution queried outside the eroded domain"):
             mollifier.average(0.3, omega).constant(lambda p: (p,), inner.centers())
 
@@ -534,7 +539,7 @@ class TestBatchIndependence:
         pts, vol = inner.centers(), inner.cell_volume
         average = mol.average(eps, omega)
         u = random_quadratic(group, rng)
-        u_eps = convolve(mol, eps, u, omega)
+        u_eps = convolve(average, u)
         integrands = menu_integrands(group.m, rng)
         quads = [(IntegrandFunctional(group, f), u) for f in integrands]
         probes = [(IntegrandFunctional(group, f), probe_field(group, rng.normal(size=group.m)))
@@ -557,9 +562,9 @@ class TestBatchIndependence:
         want = None
         for chunk in (64, 7, 1):
             monkeypatch.setattr(mollify, "_CHUNK", chunk)
-            jensen = jensen_check(quads, inner, mol, eps, omega)
+            jensen = jensen_check(quads, inner, average)
             middles = [chain["rows"][0]["middle"] for pairs in (quads, probes)
-                       for chain in sandwich_check(pairs, inner, omega, mol, [eps])]
+                       for chain in sandwich_check(pairs, inner, omega, [average])]
             for size in (len(pts), 1, 7, 37):
                 call = compose(size, lambda b: average(sample, b))
                 const = compose(size, lambda b: average.constant(probe_sample, b))
@@ -579,7 +584,7 @@ class TestCommutation:
         g, _ = h1
         rng = np.random.default_rng(3)
         u = quadratic_field(g, 0.0, rng.normal(size=3), rng.normal(size=(3, 3)))
-        assert commutation_residual(mollifier, 0.3, u, omega) <= 1e-4
+        assert commutation_residual(mollifier.average(0.3, omega), u) <= 1e-4
 
 
 class TestConvergence:
@@ -587,7 +592,8 @@ class TestConvergence:
         g, norm = h1
         u = from_expression(g, "x1**2 - 0.5*x2*x3 + x3")
         inner = erode_domain(g, norm, omega, 0.45)
-        rows = convergence_table(mollifier, u, omega, inner, 2.0, [0.4, 0.2, 0.1])
+        rows = convergence_table([mollifier.average(eps, omega) for eps in [0.4, 0.2, 0.1]],
+                                 u, inner, 2.0)
         lp = [r["Lp_err"] for r in rows]
         w1 = [r["W1p_err"] for r in rows]
         assert all(a > b for a, b in zip(lp, lp[1:]))
@@ -599,11 +605,11 @@ class TestConvergence:
     def test_inner_outside_eroded_domain_raises(self, h1, mollifier, omega):
         g, _ = h1
         with pytest.raises(DomainError, match="convolution queried outside the eroded domain"):
-            convergence_table(mollifier, constant_field(g, 1.0), omega, omega, 2.0, [0.4])
+            convergence_table([mollifier.average(0.4, omega)], constant_field(g, 1.0), omega, 2.0)
 
     def test_empty_inner_raises(self, h1, mollifier, omega):
         g, _ = h1
         empty = dataclasses.replace(omega, mask=np.zeros(omega.shape, dtype=bool))
         with pytest.raises(DomainError, match="nonempty inner"):
-            convergence_table(mollifier, constant_field(g, 1.0), omega, empty, 2.0,
-                              [0.4, 0.2])
+            convergence_table([mollifier.average(eps, omega) for eps in [0.4, 0.2]],
+                              constant_field(g, 1.0), empty, 2.0)

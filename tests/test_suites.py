@@ -7,12 +7,14 @@ import math
 import numpy as np
 import pytest
 
-from carnot import cli, config, suites
+from carnot import cli, config, mollify, suites
 from carnot.fields import GridDomain, constant_field
 from carnot.functionals import (BlackBoxFunctional, IntegrandFunctional, PowerIntegrand,
                                 check_set_function)
 from carnot.groups import heisenberg
-from carnot.suites import random_quadratic, suite_functional, suite_lsc
+from carnot.mollify import MollifierFamily, erode_domain
+from carnot.suites import (random_quadratic, suite_functional, suite_lsc, suite_mollify,
+                           suite_sandwich)
 
 # hand-built rows whose printed numbers the benchmark references pin: their
 # verdicts are a strict ordering of two error columns and the exhaustion's
@@ -105,6 +107,46 @@ class TestSetFunctionRows:
         rows = _set_rows(monkeypatch, fn)
         assert [r["value"] for r in rows.values()] == [0.0, 0.0, 0.0]
         assert all(r["passed"] for r in rows.values())
+
+    def test_one_cell_axis_is_covered_twice(self):
+        # the overlapping cover keeps at least one cell on axis 0: with one
+        # cell, both halves are A, where they used to be empty and F(A)
+        # exceeded their sum
+        g = heisenberg(1)
+        dom = GridDomain.box(-np.ones(3), np.ones(3), (1, 4, 4))
+        report = check_set_function(BlackBoxFunctional(lambda u, domain: domain.volume),
+                                    constant_field(g, 0.0), dom)
+        assert report["subadditive_defect"] == -dom.volume
+        rows = _printed_rows({"grid": {"shape": [1, 4, 4]}}, "functional")
+        assert all(row["passed"] == "true" for row in rows), rows
+
+
+class TestErosions:
+    """Each suite builds each scale's operator once: the mollify suite erodes
+    once per eps, the sandwich suite once per eps and once for its inner set,
+    in that order, largest eps first after the mollify suite's first scale."""
+
+    def test_one_erosion_per_scale(self, monkeypatch):
+        g = heisenberg(1)
+        omega = GridDomain.box(-np.ones(3), np.ones(3), 10)
+        calls = []
+
+        def recorded(group, norm, domain, eps):
+            calls.append(eps)
+            return erode_domain(group, norm, domain, eps)
+
+        monkeypatch.setattr(mollify, "erode_domain", recorded)
+        monkeypatch.setattr(suites, "erode_domain", recorded)
+        rng = np.random.default_rng(0)
+        rows = suite_mollify(MollifierFamily(g.norm(), resolution=5), omega, rng,
+                             [0.2, 0.1, 0.3], 2.0)
+        assert all(row["passed"] for row in rows), rows
+        assert calls == [0.2, 0.3, 0.1]
+        calls.clear()
+        rows = suite_sandwich(MollifierFamily(g.norm(), resolution=5), omega, rng,
+                              [0.2, 0.1, 0.3])
+        assert all(row["passed"] for row in rows), rows
+        assert calls == [1.1 * 0.3, 0.3, 0.2, 0.1]
 
 
 class TestSuiteLsc:
