@@ -250,16 +250,20 @@ class StratifiedGroup:
         for den, reads, terms in _plan(self.step, one_y, signed):
             words = {w: act(letters[w[0]], words[w[1:]], tail) for w, tail in reads.items()}
             total = None
-            for num, w in terms:  # sign * the degree's sum, in an array of our own
+            for num, w in terms:  # sign * the degree's sum
                 v = (words[w] if reads[w] else words.pop(w))[..., :width]
                 if total is None:
                     sign = 1 if num > 0 else -1
-                    total = v if abs(num) == 1 and not reads[w] else abs(num) * v
+                    # a word the next degree reads is never written: the sum starting
+                    # from it adds and divides out of place
+                    total, shared = (v, reads[w]) if abs(num) == 1 else (abs(num) * v, False)
                 else:
-                    (np.add if num * sign > 0 else np.subtract)(
-                        total, v if abs(num) == 1 else abs(num) * v, out=total)
+                    total = (np.add if num * sign > 0 else np.subtract)(
+                        total, v if abs(num) == 1 else abs(num) * v,
+                        out=None if shared else total)
+                    shared = False
             if total is not None:
-                total /= sign * den
+                total = np.divide(total, sign * den, out=None if shared else total)
                 out = np.add(sum(head[1:], head[0]) if out is None else out, total, out=total)
         return out
 

@@ -12,17 +12,19 @@ caller builds each scale's operator once and passes it to `convolve`,
 `commutation_residual`, `convergence_table` and the Jensen and sandwich
 checks of `functionals`, which read the group, the eroded domain and eps
 from it.  Every average x -> sum_k m_k g(y_k^{-1} . x) runs one chunk of
-_CHUNK query points at a time, so the group law's products y_k^{-1} . x_i,
-its temporaries and g's samples stay one chunk in size.  Each point sums its
-nodes by a product of its own, so its average, to the last bit, depends
-neither on the chunk size nor on the other points queried.  Nothing is
-memoized across calls either: a caller that needs several averages of one
-point set at one scale (values and gradients, several fields, or a field and
-f of its gradient) asks for them in one call, whose evaluator returns them
-all from one pull-back per chunk; an evaluator whose outputs are the same at
-every point, such as a linear probe's gradient, is averaged at one point
-(`LocalAverage.constant`).  Whether the points lie in the eroded domain is
-checked on every query.
+query points at a time, as many as fit their K products y_k^{-1} . x_i in
+_BATCH_BYTES (at least one point), so the group law's products, its
+temporaries and g's samples stay a fixed working set whatever K is; the
+erosion tests its (center, offset) pairs in batches under the same budget.
+Each point sums its nodes by a product of its own, so its average, to the
+last bit, depends neither on the chunk size nor on the other points queried.
+Nothing is memoized across calls either: a caller that needs several
+averages of one point set at one scale (values and gradients, several
+fields, or a field and f of its gradient) asks for them in one call, whose
+evaluator returns them all from one pull-back per chunk; an evaluator whose
+outputs are the same at every point, such as a linear probe's gradient, is
+averaged at one point (`LocalAverage.constant`).  Whether the points lie in
+the eroded domain is checked on every query.
 """
 
 from __future__ import annotations
@@ -45,7 +47,9 @@ __all__ = (
     "convergence_table",
 )
 
-_CHUNK = 64
+# the bytes of one average chunk's products y_k^{-1} . x_i (at least one
+# point's) and of one erosion batch's pairs, 8n each (at least one offset's)
+_BATCH_BYTES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -128,8 +132,6 @@ class MollifierFamily:
                             g.inverse(g.dilate(eps, self.nodes[live])))
 
 
-# an erosion batch holds at most _MAX_PAIRS (center, offset) pairs
-_MAX_PAIRS = 1 << 16
 # the erosion window's relative slack theta, which absorbs every rounding
 # between a computed kill and the window's bound (erode_domain derives it)
 _WINDOW_SLACK = 2.0 ** -30
@@ -194,7 +196,8 @@ def erode_domain(group: StratifiedGroup, norm: HomogeneousNorm,
     over the padded lattice finds the centers with a complement cell in their
     window; the others keep their cell untested.  The offsets d with |d_k| at
     most the largest reach of those centers are walked nearest first (by
-    max_k |d_k| h_k), in batches of at most _MAX_PAIRS (center, offset) pairs.
+    max_k |d_k| h_k), in batches of at most _BATCH_BYTES / 8n (center, offset)
+    pairs, at least one offset each.
     A pair is multiplied only when x + d lies in the center's window and is a
     complement cell, and a center leaves the pass once a complement cell lies
     within eps.  Every pair that can kill is tested exactly, so the mask does
@@ -246,7 +249,7 @@ def erode_domain(group: StratifiedGroup, norm: HomogeneousNorm,
     keep = np.ones(len(centers), dtype=bool)
     done = 0
     while done < len(d) and len(live):
-        batch = slice(done, done + max(1, _MAX_PAIRS // len(live)))
+        batch = slice(done, done + max(1, _BATCH_BYTES // (8 * group.n * len(live))))
         offsets = d[batch]
         inside = np.ones((len(live), len(offsets)), dtype=bool)
         for k in range(group.n):
@@ -286,11 +289,12 @@ class LocalAverage:
         g's first chunk, and g sees each chunk of pulled-back points once."""
         points = self._checked(points)
         outs = []
+        chunk = max(1, _BATCH_BYTES // self.y_inv.nbytes)
         # one pass even without points, so the outputs' shapes are known; g's
         # outputs are not held while g evaluates the next chunk, which would
         # cost fresh memory on every chunk
-        for start in range(0, max(len(points), 1), _CHUNK):
-            pts = self.group.multiply(self.y_inv[None], points[start:start + _CHUNK, None])
+        for start in range(0, max(len(points), 1), chunk):
+            pts = self.group.multiply(self.y_inv[None], points[start:start + chunk, None])
             for k, vals in enumerate(g(pts.reshape(-1, self.group.n))):
                 if k == len(outs):
                     outs.append(np.empty((len(points),) + vals.shape[1:]))

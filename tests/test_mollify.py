@@ -248,7 +248,7 @@ class TestErosionWindow:
 
     def test_one_offset_per_batch(self, monkeypatch):
         # a batch always takes at least one offset, however many centers are live
-        monkeypatch.setattr(mollify, "_MAX_PAIRS", 1)
+        monkeypatch.setattr(mollify, "_BATCH_BYTES", 1)
         self.test_heisenberg("weighted-max")
         self.test_engel_4([-1] * 4, [1] * 4, 0.5)
         self.test_mask_with_hole()
@@ -393,6 +393,25 @@ class TestPullBack:
         convergence_table(averages, quad, inner, 2.0)
         assert sum(multiply_points) == len(schedule) * cells * live
 
+    @pytest.mark.parametrize("group, shape", [(heisenberg(1), 12), (engel(), 5)],
+                             ids=["h1", "engel"])
+    def test_every_call_within_the_batch_budget(self, group, shape, multiply_points):
+        # an erosion batch and an average chunk each hand the group law at most
+        # _BATCH_BYTES of points, or one point's K products where those alone
+        # are larger (Engel at resolution 9: 6561 nodes, one point per chunk)
+        mol = MollifierFamily(group.norm(), resolution=9)
+        omega = GridDomain.box(-np.ones(group.n), np.ones(group.n), shape)
+        budget = mollify._BATCH_BYTES // (8 * group.n)
+        average = mol.average(0.5, omega)
+        assert multiply_points and max(multiply_points) <= budget
+        live = len(average.masses)
+        chunk = max(1, mollify._BATCH_BYTES // average.y_inv.nbytes)
+        assert chunk * live <= max(budget, live)
+        pts = average.domain.centers()[:3 * chunk + 1]
+        multiply_points.clear()
+        average(lambda p: (p[:, 0],), pts)
+        assert multiply_points == [chunk * live] * 3 + [live]
+
     def test_probe_chains_pull_back_one_point(self, h1, multiply_points):
         # a probe's gradient is its slope at every point, so a chain over
         # probes only averages it at one point of A' per scale
@@ -490,27 +509,29 @@ class TestProbeAverage:
 
 
 class TestLocalAverage:
-    def test_outputs_match_a_per_chunk_loop(self, h1, mollifier, omega):
+    def test_outputs_match_a_per_chunk_loop(self, h1, mollifier, omega, monkeypatch):
         # each output takes its trailing shape from the evaluator: a scalar, an
         # (m,) gradient, and both from one evaluator as the Jensen check asks;
         # each point sums its nodes by a product of its own
         g, _ = h1
         average = mollifier.average(0.3, omega)
+        chunk = 64
+        monkeypatch.setattr(mollify, "_BATCH_BYTES", chunk * average.y_inv.nbytes)
         pts = average.domain.centers()[:150]  # two full chunks and a partial one
-        assert len(pts) == 150 and len(pts) % mollify._CHUNK
+        assert len(pts) == 150 and len(pts) % chunk
         u = quadratic_field(g, 0.5, [1.0, -0.5, 0.25], np.outer([1.0, 2.0, 0.5], [0.3, -1.0, 1.0]))
 
         def sample(points):
             return u.values(points), horizontal_gradient(g, u, points)
 
         values, grads = np.empty(len(pts)), np.empty((len(pts), g.m))
-        for start in range(0, len(pts), mollify._CHUNK):
-            chunk = pts[start:start + mollify._CHUNK]
-            pulled = g.multiply(average.y_inv[None], chunk[:, None])
+        for start in range(0, len(pts), chunk):
+            part = pts[start:start + chunk]
+            pulled = g.multiply(average.y_inv[None], part[:, None])
             vals, grad = sample(pulled.reshape(-1, g.n))
-            rows = slice(start, start + len(chunk))
-            values[rows] = [row @ average.masses for row in vals.reshape(len(chunk), -1)]
-            grads[rows] = np.moveaxis(grad.reshape(len(chunk), -1, g.m), 1, -1) @ average.masses
+            rows = slice(start, start + len(part))
+            values[rows] = [row @ average.masses for row in vals.reshape(len(part), -1)]
+            grads[rows] = np.moveaxis(grad.reshape(len(part), -1, g.m), 1, -1) @ average.masses
         (scalar,) = average(lambda p: (u.values(p),), pts)
         (vector,) = average(lambda p: (horizontal_gradient(g, u, p),), pts)
         both = average(sample, pts)
@@ -521,8 +542,8 @@ class TestLocalAverage:
 
 class TestBatchIndependence:
     """A point's average depends on that point alone: every averaging entry
-    point gives the same bits whatever `_CHUNK` is and whichever points share
-    its call."""
+    point gives the same bits whatever chunk `_BATCH_BYTES` allows and
+    whichever points share its call."""
 
     @pytest.mark.parametrize("group, shape", [(heisenberg(1), 8), (engel(), 5)],
                              ids=["h1", "engel"])
@@ -561,7 +582,7 @@ class TestBatchIndependence:
 
         want = None
         for chunk in (64, 7, 1):
-            monkeypatch.setattr(mollify, "_CHUNK", chunk)
+            monkeypatch.setattr(mollify, "_BATCH_BYTES", chunk * average.y_inv.nbytes)
             jensen = jensen_check(quads, inner, average)
             middles = [chain["rows"][0]["middle"] for pairs in (quads, probes)
                        for chain in sandwich_check(pairs, inner, omega, [average])]
