@@ -122,13 +122,10 @@ class GridDomain:
         h = self.spacing
         return (np.atleast_2d(np.asarray(points, dtype=float)) - (self.lo + 0.5 * h)) / h
 
-    def in_hull(self, points) -> np.ndarray:
-        """True where a point lies in the box spanned by the cell centers, up to
-        1e-9 cell (stencils built by group multiplication hit nodes to roundoff)."""
-        return self._in_hull(self._node_coords(points))
-
     def _in_hull(self, t) -> np.ndarray:
-        """`in_hull` of points given in cell units (`_node_coords`)."""
+        """True where a point given in cell units (`_node_coords`) lies in the
+        box spanned by the cell centers, up to 1e-9 cell (stencils built by
+        group multiplication hit nodes to roundoff)."""
         return ((t >= -1e-9) & (t <= np.asarray(self.shape) - 1 + 1e-9)).all(axis=-1)
 
     def interpolation(self, points) -> "GatherTable":
@@ -141,6 +138,11 @@ class GridDomain:
         t = self._node_coords(points)
         if not self._in_hull(t).all():
             raise DomainError("interpolation query outside the hull of the cell centers")
+        return self._interpolation(t)
+
+    def _interpolation(self, t) -> "GatherTable":
+        """`interpolation` at points given in cell units (`_node_coords`),
+        which the caller has checked to lie in the hull (`_in_hull`)."""
         shape = np.asarray(self.shape)
         base = np.clip(np.floor(t).astype(int), 0, shape - 2)
         frac = t - base

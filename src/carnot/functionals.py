@@ -77,9 +77,11 @@ class PowerIntegrand(Integrand):
     def value_and_grad(self, eta):
         eta = self._coerce(eta)
         mag = _row_norm(eta)
-        live = mag[..., None] > 0
-        safe = np.where(live, mag[..., None], 1.0)
-        return mag ** self.p, self.p * safe ** (self.p - 2) * np.where(live, eta, 0.0)
+        safe = mag[..., None]
+        if not (safe > 0).all():  # a row of |eta| 0 (or nan) takes the subgradient 0
+            live = safe > 0
+            safe, eta = np.where(live, safe, 1.0), np.where(live, eta, 0.0)
+        return mag ** self.p, self.p * safe ** (self.p - 2) * eta
 
 
 @dataclass(frozen=True)

@@ -157,8 +157,8 @@ class MinimizeResult:
     converged: bool
 
 
-# stencil cells per chunk of the gradient operators' build: the chunk's
-# temporaries stay small next to the tables
+# cells per chunk of the gradient operators' build: the chunk's temporaries
+# stay small next to the tables
 _CHUNK = 2048
 
 
@@ -171,29 +171,32 @@ def _gradient_operators(group: StratifiedGroup, domain: GridDomain) -> tuple:
     for the adjoint.  Each row is the CSR difference (fwd - bwd interpolation)
     / 2h_j (see `_difference_rows`), and the products sum in the order of the
     CSR products `op @ v` and `op.T @ w` of that direction's operator.  The
-    rows are built in chunks of `_CHUNK` cells."""
-    centers = domain.centers()
-    steps = []
-    valid = np.ones(len(centers), dtype=bool)
+    rows are built in one pass over chunks of `_CHUNK` masked cells: a chunk's
+    stencil points x.(+-h_j e_j) decide which of its cells are valid, and then
+    give those cells' interpolation rows."""
+    # the stencil steps h_j e_j and -h_j e_j, direction by direction
+    steps = np.zeros((group.m, 2, group.n))
     for j in range(group.m):
-        step = np.zeros(group.n)
-        step[j] = domain.spacing[j]
-        steps.append(step)
-        valid &= (domain.in_hull(group.multiply(centers, step))
-                  & domain.in_hull(group.multiply(centers, -step)))
-    cells = np.flatnonzero(valid)
-    if not len(cells):
+        steps[j, :, j] = domain.spacing[j], -domain.spacing[j]
+    steps = steps.reshape(-1, 1, group.n)
+    centers = domain.centers()
+    blocks = [[] for _ in range(group.m)]  # per direction, per chunk: (row widths, columns, weights)
+    for lo in range(0, len(centers), _CHUNK):
+        ends = domain._node_coords(group.multiply(centers[lo:lo + _CHUNK], steps))
+        valid = domain._in_hull(ends).all(axis=0)
+        if not valid.any():
+            continue
+        # one interpolation table for the chunk's valid stencil points, by
+        # corner slot, direction, side (fwd, bwd) and cell
+        table = domain._interpolation(ends[:, valid].reshape(-1, group.n))
+        cols = table.cols.reshape(len(table.cols), group.m, 2, -1)
+        weights = table.weights.reshape(cols.shape)
+        for j, block in enumerate(blocks):
+            block.append(_difference_rows(cols[:, j], weights[:, j],
+                                          1 / (2.0 * domain.spacing[j])))
+    k, samples = sum(len(widths) for widths, _, _ in blocks[0]), domain.mask.size
+    if not k:
         raise DomainError("no cell admits a full horizontal difference stencil")
-    k, samples = len(cells), domain.mask.size
-    blocks = []  # per direction, per chunk: (row widths, columns, weights)
-    for j, step in enumerate(steps):
-        scale = 1 / (2.0 * domain.spacing[j])
-        blocks.append([])
-        for lo in range(0, k, _CHUNK):
-            x = centers[cells[lo:lo + _CHUNK]]
-            blocks[j].append(_difference_rows(domain.interpolation(group.multiply(x, step)),
-                                              domain.interpolation(group.multiply(x, -step)),
-                                              scale))
 
     def rows(first, widths):  # the row of every entry of rows first, first + 1, ..
         return np.repeat(np.arange(first, first + len(widths)), widths)
@@ -202,7 +205,9 @@ def _gradient_operators(group: StratifiedGroup, domain: GridDomain) -> tuple:
         first = 0
         for block in blocks:
             for widths, cols, weights in block:
-                yield rows(first, widths), cols, weights
+                # a chunk holds its rows one after another, each in slot order
+                row_starts = np.repeat(np.cumsum(widths) - widths, widths)
+                yield rows(first, widths), np.arange(len(cols)) - row_starts, cols, weights
                 first += len(widths)
 
     forward = _jagged(np.concatenate([w for block in blocks for w, _, _ in block]),
@@ -210,10 +215,19 @@ def _gradient_operators(group: StratifiedGroup, domain: GridDomain) -> tuple:
 
     def adjoint_entries(block):
         # consumes the block: its chunks are freed as the table fills
+        seen = np.zeros(samples, dtype=np.intp)  # entries placed per sample
         first = 0
         while block:
             widths, cols, weights = block.pop(0)
-            yield cols, rows(first, widths), weights
+            # an entry's slot counts its sample's entries before it: those of
+            # the earlier chunks, then those of earlier rows in this one
+            by_sample = np.argsort(cols, kind="stable")
+            ordered = cols[by_sample]
+            slots = np.empty_like(cols)
+            slots[by_sample] = (seen[ordered] + np.arange(len(cols))
+                                - np.searchsorted(ordered, ordered))
+            seen += np.bincount(cols, minlength=samples)
+            yield cols, slots, rows(first, widths), weights
             first += len(widths)
 
     adjoints = []
@@ -225,28 +239,46 @@ def _gradient_operators(group: StratifiedGroup, domain: GridDomain) -> tuple:
     return forward, adjoints
 
 
-def _difference_rows(fwd: GatherTable, bwd: GatherTable, scale: float) -> tuple:
-    """(fwd - bwd) * scale for the interpolation tables of two point sets,
-    row by row as scipy's CSR difference builds it: columns ascending, a
-    column of both stored as a - b, exact zeros dropped, and then every entry
-    times `scale`.  Returns the row widths and the entries, row after row."""
-    cols = np.concatenate([fwd.cols.T, bwd.cols.T], axis=1)
-    weights = np.concatenate([fwd.weights.T, -bwd.weights.T], axis=1)
-    order = np.argsort(cols, axis=1, kind="stable")
-    cols = np.take_along_axis(cols, order, axis=1)
-    weights = np.take_along_axis(weights, order, axis=1)
-    shared = cols[:, 1:] == cols[:, :-1]  # a fwd column, then the same bwd one
-    weights[:, :-1][shared] += weights[:, 1:][shared]  # a + (-b), which is a - b
+def _difference_rows(cols: np.ndarray, weights: np.ndarray, scale: float) -> tuple:
+    """(fwd - bwd) * scale for the interpolation rows of two point sets on one
+    domain, row by row as scipy's CSR difference builds it: columns
+    ascending, a column of both stored as a - b, exact zeros dropped, and
+    then every entry times `scale`.  `cols` and `weights` are the two sets'
+    `GridDomain.interpolation` slots, (corners, 2, count) arrays of at least
+    one row, whose [:, 0] is fwd's and [:, 1] bwd's.  Returns the row widths
+    and the entries, row after row.
+
+    A row of either set holds its first column plus the domain's ascending
+    corner offsets, so the order in which a row's two corner lists merge
+    depends only on the gap between their first columns: each gap's order is
+    worked out once, for every row with that gap."""
+    corners, _, count = cols.shape
+    first = cols[0, 0]
+    offsets = cols[:, 0, 0] - first[0]
+    gaps, gap_of = np.unique(first - cols[0, 1], return_inverse=True)
+    # per gap, the columns relative to the row's first fwd column: fwd's, then
+    # bwd's, sorted stably, so a column of both holds the fwd entry first
+    merged = np.concatenate([np.broadcast_to(offsets, (len(gaps), corners)),
+                             offsets - gaps[:, None]], axis=1)
+    order = np.argsort(merged, axis=1, kind="stable")
+    merged = np.take_along_axis(merged, order, axis=1)
+    weights = np.concatenate([weights[:, 0].T, -weights[:, 1].T], axis=1).ravel().take(
+        order[gap_of] + 2 * corners * np.arange(count)[:, None])
+    shared = (merged[:, 1:] == merged[:, :-1])[gap_of]  # a fwd column, then the same bwd one
+    np.add(weights[:, :-1], weights[:, 1:], out=weights[:, :-1], where=shared)  # a - b
     keep = weights != 0
     keep[:, 1:] &= ~shared
-    return keep.sum(axis=1), cols[keep], weights[keep] * scale
+    kept = np.flatnonzero(keep)
+    return (np.bincount(kept // (2 * corners), minlength=count),
+            (first[:, None] + merged[gap_of]).ravel().take(kept),
+            weights.ravel().take(kept) * scale)
 
 
 def _jagged(widths: np.ndarray, entries, columns: int) -> GatherTable:
     """The gather table whose row r holds widths[r] entries.  `entries`
-    yields chunks (rows, cols, weights) in which every row's entries come in
-    its slot order, chunk after chunk.  Rows are stored by decreasing width
-    (stably), so slot k covers a prefix of them."""
+    yields chunks (rows, slots, cols, weights): entry e is slot slots[e] of
+    row rows[e].  Rows are stored by decreasing width (stably), so slot k
+    covers a prefix of them."""
     rank = np.empty(len(widths), dtype=np.intp)
     rank[np.argsort(-widths, kind="stable")] = np.arange(len(widths))
     # slot k holds one entry per row wider than k, at starts[k]:starts[k + 1]
@@ -254,17 +286,8 @@ def _jagged(widths: np.ndarray, entries, columns: int) -> GatherTable:
     starts = np.concatenate([[0], np.cumsum(wider)])
     cols = np.empty(starts[-1], dtype=np.intp)
     weights = np.empty(starts[-1])
-    seen = np.zeros(len(widths), dtype=np.intp)  # entries placed per row
-    for rows, c, w in entries:
-        # an entry's slot counts its row's entries before it: those of the
-        # earlier chunks, then those before it in this one
-        by_row = np.argsort(rows, kind="stable")
-        sorted_rows = rows[by_row]
-        slot = np.empty_like(rows)
-        slot[by_row] = (seen[sorted_rows] + np.arange(len(rows))
-                        - np.searchsorted(sorted_rows, sorted_rows))
-        np.add.at(seen, rows, 1)
-        pos = starts[slot] + rank[rows]
+    for rows, slots, c, w in entries:
+        pos = starts[slots] + rank[rows]
         cols[pos] = c
         weights[pos] = w
     return GatherTable([cols[a:b] for a, b in zip(starts[:-1], starts[1:])],
@@ -324,8 +347,8 @@ def minimize_convex(group: StratifiedGroup, integrands, anchors, domain: GridDom
         return (forward @ v).reshape(group.m, -1).T
 
     def subgradient(df):
-        g = np.zeros(forward.shape[1])
-        for j, adjoint in enumerate(adjoints):
+        g = adjoints[0] @ df[:, 0]  # sums from 0.0: no zero-filled array to add into
+        for j, adjoint in enumerate(adjoints[1:], 1):
             g += adjoint @ df[:, j]
         return g * cellvol
 
@@ -354,7 +377,7 @@ def minimize_convex(group: StratifiedGroup, integrands, anchors, domain: GridDom
                     counts[i] += 1
                     if counts[i] >= _PATIENCE:
                         live.remove(i)
-            if not live:
+            if not live or it == max_iter:  # no step reads another subgradient
                 break
             g = subgradient(df)
         stalled[a, live] = False

@@ -320,10 +320,10 @@ class TestInterpolation:
         h = dom.spacing[0]
         first, last = 0.5 * h, 1.0 - 0.5 * h
         inside = np.array([[first - 1e-10 * h, last], [last + 1e-10 * h, first]])
-        assert dom.in_hull(inside).all()
+        assert dom._in_hull(dom._node_coords(inside)).all()
         assert dom.interpolation(inside).shape == (2, 16)
         for far in ([first - 1e-6 * h, 0.5], [0.5, last + 1e-6 * h]):
-            assert not dom.in_hull([far]).any()
+            assert not dom._in_hull(dom._node_coords([far])).any()
             with pytest.raises(DomainError):
                 dom.interpolation([far])
 

@@ -19,6 +19,8 @@ from carnot.functionals import (PowerIntegrand, QuadraticIntegrand,
                                 check_left_invariance, check_set_function,
                                 jensen_check, sandwich_check)
 
+from conftest import assert_same_bits
+
 
 class TestIntegrands:
     def test_power_values_and_grad(self):
@@ -156,6 +158,21 @@ class TestValueAndGrad:
                             OffsetIntegrand(ShiftedArgIntegrand(f, np.array([-0.5, 0.5])), 0.1)):
                 np.testing.assert_array_equal(wrapped(eta), wrapped.value_and_grad(eta)[0],
                                               err_msg=name)
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
+    def test_power_grad_is_the_masked_formula(self, p):
+        # p |eta|^(p-2) eta with |eta| set to 1 and eta to 0 on the rows of
+        # |eta| 0 or nan, bit for bit: with every row live (the minimizer's
+        # column-major view included), with a zero row and with a nan row
+        f = PowerIntegrand(2, p)
+        rng = np.random.default_rng(17)
+        live = rng.normal(size=(64, 2))
+        zero, nan = live.copy(), live.copy()
+        zero[5], nan[9, 1] = 0.0, np.nan
+        for eta in (live, np.ascontiguousarray(live.T).T, zero, nan):
+            mag = np.linalg.norm(eta, axis=-1)[:, None]
+            masked = p * np.where(mag > 0, mag, 1.0) ** (p - 2) * np.where(mag > 0, eta, 0.0)
+            assert_same_bits(f.value_and_grad(eta)[1], masked)
 
     def test_power_magnitude_is_linalg_norm(self):
         eta = np.random.default_rng(12).normal(size=(200, 4))

@@ -280,6 +280,41 @@ class TestMinimizer:
         res = minimize_convex(g, [F.integrand], [u], dom, 1e-12, 2.0, max_iter=400)
         assert res.converged and res.iterations < 400
 
+    def test_one_subgradient_per_step(self, problem, monkeypatch):
+        # each descent step reads one subgradient, m adjoint products: the
+        # line search's before the first step, then one after every step but
+        # the last, which no step reads; on the budget (20 steps) and on a
+        # stall (fewer)
+        g, dom, F, u, _ = problem
+        products = []
+
+        class Counted:
+            def __init__(self, table):
+                self.table = table
+
+            def __matmul__(self, values):
+                products.append(self.table)
+                return self.table @ values
+
+        def counted(group, domain):
+            forward, adjoints = _gradient_operators(group, domain)
+            return forward, [Counted(adjoint) for adjoint in adjoints]
+
+        monkeypatch.setattr(recovery, "_gradient_operators", counted)
+        for delta, max_iter in ((50.0, 20), (1e-12, 400)):
+            products.clear()
+            res = minimize_convex(g, [F.integrand], [u], dom, delta, 2.0, max_iter)
+            assert res.converged == (res.iterations < max_iter)
+            assert len(products) == g.m * res.iterations
+
+
+def _lattice(group, shape, koranyi=False):
+    """The box [-1, 1]^n on `shape` cells per axis, or the unit ball of the
+    Koranyi norm masked over its bounding box."""
+    if koranyi:
+        return GridDomain.ball(group.norm("koranyi"), group.origin(), 1.0, shape)
+    return GridDomain.box(-np.ones(group.n), np.ones(group.n), shape)
+
 
 def _direction_operators(group, domain):
     """The per-direction group-fd operators, one scipy CSR matrix per
@@ -292,7 +327,8 @@ def _direction_operators(group, domain):
         step = np.zeros(group.n)
         step[j] = domain.spacing[j]
         fwd, bwd = group.multiply(centers, step), group.multiply(centers, -step)
-        valid &= domain.in_hull(fwd) & domain.in_hull(bwd)
+        valid &= (domain._in_hull(domain._node_coords(fwd))
+                  & domain._in_hull(domain._node_coords(bwd)))
         stencil.append((fwd, bwd))
     return [(csr_interpolation(domain, fwd[valid]) - csr_interpolation(domain, bwd[valid]))
             / (2.0 * domain.spacing[j]) for j, (fwd, bwd) in enumerate(stencil)]
@@ -390,19 +426,20 @@ class TestMinimizerLayout:
         rep = gamma_experiment(g, seq, [], dom, 0.5, 2.0, ball, np.zeros((1, 2)), max_iter=5)
         assert rep["brackets"] == [] and len(calls) == 1
 
-    @pytest.mark.parametrize("group, shape", [
-        (heisenberg(1), 6), (heisenberg(1), 32), (engel(), 5), (heisenberg(2), 5),
-        (euclidean(2), 8)], ids=["h1-6", "h1-32", "engel-5", "h2-5", "euclidean2-8"])
-    def test_stack_is_the_per_direction_operators(self, group, shape):
+    @pytest.mark.parametrize("group, shape, koranyi", [
+        (heisenberg(1), 6, False), (heisenberg(1), 32, False), (engel(), 5, False),
+        (heisenberg(2), 5, False), (euclidean(2), 8, False), (heisenberg(1), 12, True)],
+        ids=["h1-6", "h1-32", "engel-5", "h2-5", "euclidean2-8", "h1-koranyi-12"])
+    def test_stack_is_the_per_direction_operators(self, group, shape, koranyi):
         # the forward table's product is the stacked CSR products and each
         # transposed table's is its CSR transpose's, bit for bit, also where a
         # sample is +-inf or nan and where a product overflows, without a
         # floating-point warning (pytest turns one into an error); on Engel
         # 5^4 and H^2 5^5 the rows have different widths (3 to 32 and 3 to
-        # 64 entries)
+        # 64 entries), and the Koranyi ball masks part of its box
         from scipy import sparse
 
-        dom = GridDomain.box(-np.ones(group.n), np.ones(group.n), shape)
+        dom = _lattice(group, shape, koranyi)
         forward, adjoints = _gradient_operators(group, dom)
         ops = _direction_operators(group, dom)
         stack = sparse.vstack(ops, format="csr")
@@ -417,14 +454,18 @@ class TestMinimizerLayout:
             for values in (w, with_non_finite(w, rng), 1e307 * w):
                 assert_same_bits(adjoint @ values, op.T.tocsr() @ values)
 
-    @pytest.mark.parametrize("group, shape", [(engel(), 5), (heisenberg(2), 4)],
-                             ids=["engel-5", "h2-4"])
-    def test_chunks_do_not_change_the_products(self, group, shape, monkeypatch):
-        # rows of different widths split over many chunks of the build
-        monkeypatch.setattr(recovery, "_CHUNK", 7)
-        dom = GridDomain.box(-np.ones(group.n), np.ones(group.n), shape)
+    @pytest.mark.parametrize("group, shape, koranyi, chunk", [
+        (engel(), 5, False, 7), (heisenberg(2), 4, False, 7), (heisenberg(1), 6, False, 1),
+        (heisenberg(1), 8, True, 7)], ids=["engel-5", "h2-4", "h1-6-chunk-1", "h1-koranyi-8"])
+    def test_chunks_do_not_change_the_products(self, group, shape, koranyi, chunk, monkeypatch):
+        # rows of different widths split over many chunks of the build; with
+        # one cell per chunk, the chunks of the boundary cells hold no valid
+        # stencil, and on the Koranyi ball only some of a box row's cells are masked
+        monkeypatch.setattr(recovery, "_CHUNK", chunk)
+        dom = _lattice(group, shape, koranyi)
         forward, adjoints = _gradient_operators(group, dom)
         ops = _direction_operators(group, dom)
+        assert 0 < forward.shape[0] < group.m * len(dom.centers())
         rng = np.random.default_rng(shape)
         v = rng.normal(size=dom.mask.size)
         assert_same_bits(forward @ v, np.concatenate([op @ v for op in ops]))

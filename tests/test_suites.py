@@ -7,11 +7,11 @@ import math
 import numpy as np
 import pytest
 
-from carnot import cli, config, mollify, suites
+from carnot import cli, config, fields, functionals, mollify, suites
 from carnot.fields import GridDomain, constant_field
-from carnot.functionals import (BlackBoxFunctional, IntegrandFunctional, PowerIntegrand,
-                                check_set_function)
-from carnot.groups import heisenberg
+from carnot.functionals import (BlackBoxFunctional, IntegrandFunctional, MaxAffineIntegrand,
+                                PowerIntegrand, check_set_function)
+from carnot.groups import engel, heisenberg
 from carnot.mollify import MollifierFamily, erode_domain
 from carnot.suites import (random_quadratic, suite_functional, suite_lsc, suite_mollify,
                            suite_sandwich)
@@ -121,6 +121,58 @@ class TestSetFunctionRows:
         assert all(row["passed"] == "true" for row in rows), rows
 
 
+class TestFunctionalSamples:
+    """Each sample of `suite_functional` takes the horizontal gradients of v,
+    of w and of v shifted by c, and reads F of v, of w and of their mix from
+    them: every quadrature of the sample loop is the number that `eval` of
+    the field algebra's fields gives."""
+
+    @pytest.mark.parametrize("group", [heisenberg(1), engel()], ids=["h1", "engel"])
+    @pytest.mark.parametrize("kind", ["power3", "max_affine"])
+    def test_three_gradients_per_sample(self, group, kind, monkeypatch):
+        rng = np.random.default_rng(1)
+        integrand = (PowerIntegrand(group.m, 3.0) if kind == "power3"
+                     else MaxAffineIntegrand(rng.normal(size=(4, group.m)), rng.normal(size=4)))
+        dom = GridDomain.box(-np.ones(group.n), np.ones(group.n), 4)
+        functional = IntegrandFunctional(group, integrand)
+        samples = 6
+        rng = np.random.default_rng(5)
+        random_quadratic(group, rng)  # the suite's u
+        expected = []
+        for _ in range(samples):
+            v, w, c = random_quadratic(group, rng), random_quadratic(group, rng), rng.normal()
+            lam = rng.uniform()
+            mix = v.scaled(lam) + w.scaled(1.0 - lam)
+            expected.append(sorted(functional.eval(field, dom)
+                                   for field in (v, v.shifted(c), mix, w)))
+
+        gradients, quadratures = [], []
+        horizontal_gradient = fields.horizontal_gradient
+
+        def counted(*args, **kwargs):
+            gradients.append(args[1])
+            return horizontal_gradient(*args, **kwargs)
+
+        quadrature = IntegrandFunctional.quadrature
+
+        def recorded(self, grads, cell_volume):
+            quadratures.append(quadrature(self, grads, cell_volume))
+            return quadratures[-1]
+
+        monkeypatch.setattr(suites, "horizontal_gradient", counted)
+        monkeypatch.setattr(functionals, "horizontal_gradient", counted)
+        monkeypatch.setattr(IntegrandFunctional, "quadrature", recorded)
+        counts = []
+        for n in (0, samples):
+            gradients.clear()
+            quadratures.clear()
+            suite_functional(group, integrand, dom, np.random.default_rng(5), n)
+            counts.append((len(gradients), len(quadratures)))
+        assert counts[1][0] - counts[0][0] == 3 * samples
+        loop = quadratures[counts[0][1]:]
+        assert [sorted(loop[4 * k:4 * k + 4]) for k in range(samples)] == expected
+
+
 class TestErosions:
     """Each suite builds each scale's operator once: the mollify suite erodes
     once per eps, the sandwich suite once per eps and once for its inner set,
@@ -173,6 +225,16 @@ class TestSuiteLsc:
         assert rows["lsc_oscillation_liminf"]["value"] == pytest.approx(-dom.volume, rel=1e-12)
         assert all(r["passed"] == (r["value"] <= r["tolerance"]) for r in rows.values())
         assert all(r["passed"] for r in rows.values())
+
+    def test_one_cell_on_a_kink(self):
+        # the one cell's center is the origin, a kink of every sawtooth: its
+        # one-sided slope reads |grad| = 1 there, so F = |A| on the tail
+        g = heisenberg(1)
+        assert suites._sawtooth_field(g, 3.0).hgrad(g.origin()).tolist() == [[1.0, 0.0]]
+        rows = {r["name"]: r for r in _printed_rows({"grid": {"shape": 1}}, "lsc")}
+        assert all(r["passed"] == "true" for r in rows.values()), rows
+        dom = config.build_grid(config.load_config(overrides={"grid": {"shape": 1}}), g)
+        assert float(rows["lsc_oscillation_strict"]["value"]) == pytest.approx(-0.5 * dom.volume)
 
     def test_each_field_evaluated_once(self, monkeypatch):
         g, dom = _box()
