@@ -131,20 +131,24 @@ class GridDomain:
     def interpolation(self, points) -> "GatherTable":
         """The multilinear interpolation matrix W from samples at all cell
         centers (C order) to `points`, as a gather table: row i holds the 2^n
-        corners of point i, in increasing column order, with their weights
-        (`cols` and `weights` are (2^n, count) arrays, one row per slot), and
-        W @ samples.ravel() is the interpolant.  Raises DomainError for
-        points outside the hull of the centers."""
+        corners of point i (`_corners`), and W @ samples.ravel() is the
+        interpolant.  Raises DomainError for points outside the hull of the
+        centers, or on a lattice with one cell along an axis."""
         t = self._node_coords(points)
         if not self._in_hull(t).all():
             raise DomainError("interpolation query outside the hull of the cell centers")
-        return self._interpolation(t)
+        return GatherTable(*self._corners(t), (len(t), self.mask.size))
 
-    def _interpolation(self, t) -> "GatherTable":
-        """`interpolation` at points given in cell units (`_node_coords`),
-        which the caller has checked to lie in the hull (`_in_hull`)."""
-        shape = np.asarray(self.shape)
-        base = np.clip(np.floor(t).astype(int), 0, shape - 2)
+    def _corners(self, t) -> tuple:
+        """The multilinear corners of points given in cell units
+        (`_node_coords`), which the caller has checked to lie in the hull
+        (`_in_hull`): their columns and weights, (2^n, count) arrays, one row
+        per corner in increasing column order.  Raises DomainError when an axis
+        has one cell, which leaves no cell to interpolate across."""
+        if 1 in self.shape:
+            raise DomainError(f"interpolation needs two cells along every axis, and "
+                              f"axis x{self.shape.index(1) + 1} has one")
+        base = np.clip(np.floor(t).astype(int), 0, np.asarray(self.shape) - 2)
         frac = t - base
         # the corners in itertools.product order, the last axis fastest: each
         # is the base's column plus a fixed offset, so the columns increase,
@@ -157,7 +161,7 @@ class GridDomain:
         for k in range(self.ndim):
             weights = np.stack([weights * (1.0 - frac[:, k]), weights * frac[:, k]],
                                axis=1).reshape(-1, len(t))
-        return GatherTable(cols, weights, (len(t), int(shape.prod())))
+        return cols, weights
 
     def contains(self, points) -> np.ndarray:
         """True where a point falls inside a masked cell."""
@@ -269,6 +273,41 @@ class GatherTable:
     weights: object  # per slot, a float array of the same length
     shape: tuple
     rank: Optional[np.ndarray] = None
+
+    @classmethod
+    def from_entries(cls, widths, chunks, columns: int) -> "GatherTable":
+        """The table of `columns` columns whose row r holds widths[r] entries,
+        read once from `chunks` of entries, each a triple of arrays (rows,
+        cols, weights).  An entry's slot counts its row's entries placed
+        before it: those of earlier chunks, then those earlier in its chunk.
+        So a row sums its entries in arrival order: entries in CSR order give
+        the CSR product, and the same entries with rows and cols swapped give
+        the CSR transpose's, which orders each column's entries by row."""
+        # rows are stored by decreasing width (stably), so slot k covers the
+        # rows wider than k, at starts[k]:starts[k + 1]
+        rank = np.empty(len(widths), dtype=np.intp)
+        rank[np.argsort(-widths, kind="stable")] = np.arange(len(widths))
+        wider = len(widths) - np.cumsum(np.bincount(widths))[:-1]
+        starts = np.concatenate([[0], np.cumsum(wider)])
+        cols = np.empty(starts[-1], dtype=np.intp)
+        weights = np.empty(starts[-1])
+        seen = np.zeros(len(widths), dtype=np.intp)  # entries placed per row
+        for r, c, w in chunks:
+            by_row = np.argsort(r, kind="stable")  # arrival order within a row
+            ordered = r[by_row]
+            first = np.ones(len(r), dtype=bool)  # where a row's entries start
+            np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+            heads = np.flatnonzero(first)
+            runs = np.diff(heads, append=len(r))
+            rows = ordered[heads]  # each run's row
+            slots = np.empty_like(by_row)
+            slots[by_row] = np.arange(len(r)) - np.repeat(heads - seen[rows], runs)
+            seen[rows] += runs
+            pos = starts[slots] + rank[r]
+            cols[pos] = c
+            weights[pos] = w
+        return cls(np.split(cols, starts[1:-1]), np.split(weights, starts[1:-1]),
+                   (len(widths), columns), None if (np.diff(widths) <= 0).all() else rank)
 
     def __matmul__(self, v) -> np.ndarray:
         v = np.asarray(v, dtype=float)

@@ -179,63 +179,47 @@ def _gradient_operators(group: StratifiedGroup, domain: GridDomain) -> tuple:
     for j in range(group.m):
         steps[j, :, j] = domain.spacing[j], -domain.spacing[j]
     steps = steps.reshape(-1, 1, group.n)
-    centers = domain.centers()
+    centers, samples = domain.centers(), domain.mask.size
     blocks = [[] for _ in range(group.m)]  # per direction, per chunk: (row widths, columns, weights)
+    # per direction, the entries of each sample: the transposed tables' row widths
+    counts = np.zeros((group.m, samples), dtype=np.intp)
     for lo in range(0, len(centers), _CHUNK):
         ends = domain._node_coords(group.multiply(centers[lo:lo + _CHUNK], steps))
         valid = domain._in_hull(ends).all(axis=0)
         if not valid.any():
             continue
-        # one interpolation table for the chunk's valid stencil points, by
-        # corner slot, direction, side (fwd, bwd) and cell
-        table = domain._interpolation(ends[:, valid].reshape(-1, group.n))
-        cols = table.cols.reshape(len(table.cols), group.m, 2, -1)
-        weights = table.weights.reshape(cols.shape)
+        # the corners of the chunk's valid stencil points, by corner, direction,
+        # side (fwd, bwd) and cell
+        cols, weights = domain._corners(ends[:, valid].reshape(-1, group.n))
+        cols = cols.reshape(len(cols), group.m, 2, -1)
+        weights = weights.reshape(cols.shape)
         for j, block in enumerate(blocks):
             block.append(_difference_rows(cols[:, j], weights[:, j],
                                           1 / (2.0 * domain.spacing[j])))
-    k, samples = sum(len(widths) for widths, _, _ in blocks[0]), domain.mask.size
+            counts[j] += np.bincount(block[-1][1], minlength=samples)
+    k = sum(len(widths) for widths, _, _ in blocks[0])
     if not k:
         raise DomainError("no cell admits a full horizontal difference stencil")
 
-    def rows(first, widths):  # the row of every entry of rows first, first + 1, ..
-        return np.repeat(np.arange(first, first + len(widths)), widths)
-
-    def forward_entries():
-        first = 0
-        for block in blocks:
-            for widths, cols, weights in block:
-                # a chunk holds its rows one after another, each in slot order
-                row_starts = np.repeat(np.cumsum(widths) - widths, widths)
-                yield rows(first, widths), np.arange(len(cols)) - row_starts, cols, weights
-                first += len(widths)
-
-    forward = _jagged(np.concatenate([w for block in blocks for w, _, _ in block]),
-                      forward_entries(), samples)
-
-    def adjoint_entries(block):
-        # consumes the block: its chunks are freed as the table fills
-        seen = np.zeros(samples, dtype=np.intp)  # entries placed per sample
+    def entries(block):
+        """A direction's entries in CSR order, chunk by chunk: (cells, samples,
+        weights).  Pops the chunks off `block`, so a table frees each one as it
+        fills."""
         first = 0
         while block:
             widths, cols, weights = block.pop(0)
-            # an entry's slot counts its sample's entries before it: those of
-            # the earlier chunks, then those of earlier rows in this one
-            by_sample = np.argsort(cols, kind="stable")
-            ordered = cols[by_sample]
-            slots = np.empty_like(cols)
-            slots[by_sample] = (seen[ordered] + np.arange(len(cols))
-                                - np.searchsorted(ordered, ordered))
-            seen += np.bincount(cols, minlength=samples)
-            yield cols, slots, rows(first, widths), weights
+            yield np.repeat(np.arange(first, first + len(widths)), widths), cols, weights
             first += len(widths)
 
-    adjoints = []
-    for block in blocks:
-        widths = np.zeros(samples, dtype=np.intp)
-        for _, cols, _ in block:
-            widths += np.bincount(cols, minlength=samples)
-        adjoints.append(_jagged(widths, adjoint_entries(block), k))
+    # the forward table reads copies of the chunk lists; each transposed table consumes its own
+    forward = GatherTable.from_entries(
+        np.concatenate([widths for block in blocks for widths, _, _ in block]),
+        ((cells + j * k, cols, weights)
+         for j, block in enumerate(blocks) for cells, cols, weights in entries(list(block))),
+        samples)
+    adjoints = [GatherTable.from_entries(
+        widths, ((cols, cells, weights) for cells, cols, weights in entries(block)), k)
+        for widths, block in zip(counts, blocks)]
     return forward, adjoints
 
 
@@ -272,28 +256,6 @@ def _difference_rows(cols: np.ndarray, weights: np.ndarray, scale: float) -> tup
     return (np.bincount(kept // (2 * corners), minlength=count),
             (first[:, None] + merged[gap_of]).ravel().take(kept),
             weights.ravel().take(kept) * scale)
-
-
-def _jagged(widths: np.ndarray, entries, columns: int) -> GatherTable:
-    """The gather table whose row r holds widths[r] entries.  `entries`
-    yields chunks (rows, slots, cols, weights): entry e is slot slots[e] of
-    row rows[e].  Rows are stored by decreasing width (stably), so slot k
-    covers a prefix of them."""
-    rank = np.empty(len(widths), dtype=np.intp)
-    rank[np.argsort(-widths, kind="stable")] = np.arange(len(widths))
-    # slot k holds one entry per row wider than k, at starts[k]:starts[k + 1]
-    wider = len(widths) - np.cumsum(np.bincount(widths))[:-1]
-    starts = np.concatenate([[0], np.cumsum(wider)])
-    cols = np.empty(starts[-1], dtype=np.intp)
-    weights = np.empty(starts[-1])
-    for rows, slots, c, w in entries:
-        pos = starts[slots] + rank[rows]
-        cols[pos] = c
-        weights[pos] = w
-    return GatherTable([cols[a:b] for a, b in zip(starts[:-1], starts[1:])],
-                       [weights[a:b] for a, b in zip(starts[:-1], starts[1:])],
-                       (len(widths), columns),
-                       None if (np.diff(widths) <= 0).all() else rank)
 
 
 def _core(f):
@@ -393,16 +355,13 @@ def minimize_convex(group: StratifiedGroup, integrands, anchors, domain: GridDom
             raise DomainError(f"the field {anchor.name} is not finite at every cell center")
         samples[a] = u0
         grads0 = gradients(u0)
-        start_df = {}
-        for key, (core, members) in families.items():
-            core_values, start_df[key] = core.value_and_grad(grads0)
-            start_value[a, members] = totals(core_values, members)
-        value[a] = start_value[a]
-        if delta == 0 or max_iter == 0:
-            continue
         scale = np.linalg.norm(u0 - u0.mean()) + 1.0
-        for key, (core, members) in families.items():
-            g = subgradient(start_df[key])
+        for core, members in families.values():
+            core_values, df = core.value_and_grad(grads0)
+            start_value[a, members] = value[a, members] = totals(core_values, members)
+            if delta == 0 or max_iter == 0:
+                continue
+            g = subgradient(df)
             probes = np.logspace(-4, 1, 12) * scale / (np.linalg.norm(g) + 1e-30)
             trials = np.array([totals(core(gradients(project(u0 - s * g, u0))), members)
                                for s in probes])

@@ -599,6 +599,23 @@ class TestConfigBoundary:
         assert main(argv + ["--config", cfg]) == EXIT_CONFIG
         assert capsys.readouterr().err == f"config error: {message}\n"
 
+    @pytest.mark.parametrize("payload, axis", [
+        ({"grid": {"shape": [5, 5, 1]}}, "x3"),
+        ({"grid": {"shape": [3, 3, 1]}}, "x3"),
+        ({"group": "engel", "grid": {"shape": [3, 3, 1, 1]}}, "x3"),
+        ({"group": "engel", "grid": {"shape": [3, 3, 3, 1]}}, "x4"),
+        ({"group": "heisenberg:2", "grid": {"shape": [3, 3, 3, 3, 1]}}, "x5"),
+    ], ids=["h1-5-5-1", "h1-3-3-1", "engel-3-3-1-1", "engel-3-3-3-1", "h2-3-3-3-3-1"])
+    def test_one_cell_axis_exits_config(self, tmp_path, capsys, payload, axis):
+        # with an odd cell count along x2, the cells at x2 = 0 keep their x1
+        # stencil on the one node of the last axis, and interpolating there
+        # used to end in numpy's "invalid entry in coordinates array"
+        # traceback with exit 1
+        cfg = _write(tmp_path, "c.json", payload)
+        assert main(["gamma", "--config", cfg]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (f"config error: interpolation needs two cells "
+                                           f"along every axis, and axis {axis} has one\n")
+
     @pytest.mark.parametrize("h", [[16, 1], [1, 1]], ids=["decreasing", "repeated"])
     @pytest.mark.parametrize("argv", [["gamma"], ["verify", "--suite", "lsc"]],
                              ids=["gamma", "lsc"])

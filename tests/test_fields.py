@@ -14,7 +14,7 @@ from conftest import (assert_same_bits, csr_interpolation, filiform_spec, run_fr
 from carnot.config import build_group
 from carnot.expression import Expression
 from carnot.groups import euclidean, heisenberg, engel
-from carnot.fields import (GridDomain, DomainError, constant_field,
+from carnot.fields import (GridDomain, GatherTable, DomainError, constant_field,
                            probe_field, from_expression, quadratic_field,
                            translate_field, translate_domain,
                            horizontal_gradient, _lp_norm)
@@ -327,6 +327,16 @@ class TestInterpolation:
             with pytest.raises(DomainError):
                 dom.interpolation([far])
 
+    @pytest.mark.parametrize("shape, axis", [((1, 4), "x1"), ((4, 4, 1), "x3"),
+                                             ((5, 5, 1), "x3")])
+    def test_one_cell_axis_rejected(self, shape, axis):
+        # the lone center along that axis passes the hull test, and the base
+        # corner used to come out as -1, ending in numpy's "invalid entry in
+        # coordinates array"; there is no cell to interpolate across
+        dom = GridDomain.box(np.zeros(len(shape)), np.ones(len(shape)), shape)
+        with pytest.raises(DomainError, match=f"axis {axis} has one"):
+            dom.interpolation([[0.5] * len(shape)])
+
     def test_from_centers_rejects_uneven_nodes(self):
         dom = GridDomain.from_centers([np.linspace(-2, 2, 9), [0.0, 0.5]])
         np.testing.assert_allclose(dom.axis_centers()[0], np.linspace(-2, 2, 9), atol=1e-15)
@@ -368,6 +378,74 @@ class TestInterpolation:
         built, ran = built.split(), ran.split()
         assert "sympy" not in built and "numpy.f2py" not in built
         assert ran[0] == "0" and "sympy" not in ran and "numpy.f2py" not in ran
+
+
+def _csr_entries(widths, columns, rng):
+    """Entries of a random matrix with the given row widths, in CSR order
+    (rows ascending, each row's columns in a random order, none repeated),
+    with weights over many magnitudes, so that a row's sum depends on its
+    order; and the scipy CSR matrix that stores them in that order."""
+    from scipy import sparse
+
+    rows = np.repeat(np.arange(len(widths)), widths)
+    cols = np.concatenate([rng.permutation(columns)[:w] for w in widths]).astype(np.intp)
+    weights = rng.normal(size=len(rows)) * 10.0 ** rng.uniform(-6, 6, size=len(rows))
+    csr = sparse.csr_matrix((weights, cols, np.concatenate([[0], np.cumsum(widths)])),
+                            shape=(len(widths), columns))
+    return rows, cols, weights, csr
+
+
+def _chunked(entries, size):
+    """The entries (rows, cols, weights) in chunks of `size`."""
+    bounds = range(0, len(entries[0]), size)
+    return [tuple(a[lo:lo + size] for a in entries) for lo in bounds]
+
+
+class TestGatherTable:
+    """`GatherTable.from_entries` against scipy CSR: a row sums its entries
+    in the order they arrive, whatever the chunks and however the rows
+    interleave, and entries with rows and cols swapped give the CSR
+    transpose's product.  Products are compared bit for bit, on finite
+    samples and with +-inf and nan among them."""
+
+    WIDTHS = {"mixed": [3, 0, 12, 1, 7, 0, 0, 5, 12, 2, 9, 4, 0, 6, 1, 11] * 4,
+              "equal": [5] * 40}
+
+    def _assert_products(self, table, csr, rng):
+        assert table.shape == csr.shape
+        v = rng.normal(size=csr.shape[1])
+        for samples in (v, with_non_finite(v, rng)):
+            assert_same_bits(table @ samples, csr @ samples)
+
+    @pytest.mark.parametrize("size", [1, 7, None], ids=["chunk-1", "chunk-7", "one-chunk"])
+    @pytest.mark.parametrize("kind", sorted(WIDTHS))
+    def test_rows_sum_in_arrival_order(self, kind, size):
+        rng = np.random.default_rng(len(kind) + (size or 0))
+        widths = np.array(self.WIDTHS[kind])
+        rows, cols, weights, csr = _csr_entries(widths, 30, rng)
+        # the rows interleave at random, each row's entries in CSR order: the
+        # k-th arrival of row r is r's k-th entry
+        arrival = rng.permutation(rows)
+        entry = np.empty(len(rows), dtype=np.intp)
+        entry[np.argsort(arrival, kind="stable")] = np.arange(len(rows))
+        entries = (arrival, cols[entry], weights[entry])
+        table = GatherTable.from_entries(widths, _chunked(entries, size or len(rows)), 30)
+        assert (table.rank is None) == (kind == "equal")
+        self._assert_products(table, csr, rng)
+
+    @pytest.mark.parametrize("size", [1, 7, None], ids=["chunk-1", "chunk-7", "one-chunk"])
+    @pytest.mark.parametrize("kind", sorted(WIDTHS))
+    def test_swapped_entries_are_the_transpose(self, kind, size):
+        rng = np.random.default_rng(len(kind) + (size or 0))
+        widths = np.array(self.WIDTHS[kind])
+        rows, cols, weights, csr = _csr_entries(widths, 30, rng)
+        chunks = _chunked((cols, rows, weights), size or len(rows))
+        table = GatherTable.from_entries(np.bincount(cols, minlength=30), chunks, len(widths))
+        self._assert_products(table, csr.T.tocsr(), rng)
+
+    def test_no_entries(self):
+        table = GatherTable.from_entries(np.zeros(3, dtype=np.intp), iter([]), 2)
+        assert_same_bits(table @ np.array([np.nan, 1.0]), np.zeros(3))
 
 
 class TestTranslation:
