@@ -329,9 +329,8 @@ class IntegrandFunctional(Functional):
         if domain.is_empty:
             return np.zeros(len(xi_grid))
         dom = domain.refine(self.refine)
-        cells = int(np.count_nonzero(dom.mask))
-        return np.array([_total(np.full(cells, value), dom.cell_volume)
-                         for value in self.integrand(xi_grid)])
+        return _repeated_totals(self.integrand(xi_grid), int(np.count_nonzero(dom.mask)),
+                                dom.cell_volume)
 
     def quadrature(self, grads, cell_volume: float) -> float:
         """cell_volume * sum of f over the gradient rows, +inf if not finite."""
@@ -342,6 +341,15 @@ def _total(values, cell_volume: float) -> float:
     """cell_volume * sum of the integrand values, +inf if not finite."""
     total = float(np.sum(values) * cell_volume)
     return float("inf") if not np.isfinite(total) else total
+
+
+def _repeated_totals(values: np.ndarray, count: int, cell_volume: float) -> np.ndarray:
+    """`_total` of `count` copies of each value, every value in one reduction:
+    numpy sums each broadcast row in the pairwise order in which it sums
+    `count` equal entries, so every total has `_total`'s bits."""
+    totals = np.sum(np.broadcast_to(values[:, None], (len(values), count)), axis=1) * cell_volume
+    totals[~np.isfinite(totals)] = np.inf
+    return totals
 
 
 @dataclass(frozen=True)

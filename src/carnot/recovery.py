@@ -144,10 +144,11 @@ _PATIENCE = 50
 
 @dataclass(frozen=True)
 class MinimizeResult:
-    """Arrays indexed [field, integrand]: the best iterate `samples[a, i]`,
-    the `value[a, i]` there, the anchor value `start_value[a, i]`, and whether
-    the stall rule fired (`stalled[a, i]`).  `iterations` counts the descent
-    steps taken, summed over every descent; `converged` is every pair stalled."""
+    """Arrays indexed [field, integrand]: the best iterate `samples[a, i]` of
+    the descent of i's core (`_core`), i's own `value[a, i]` there, its anchor
+    value `start_value[a, i]`, and whether the core's stall rule fired
+    (`stalled[a, i]`).  `iterations` counts the descent steps taken, summed
+    over every (field, core) descent; `converged` is every descent stalled."""
 
     samples: np.ndarray
     value: np.ndarray
@@ -282,15 +283,17 @@ def minimize_convex(group: StratifiedGroup, integrands, anchors, domain: GridDom
     integrand in at most `max_iter` steps of size s0/sqrt(t), s0 line-searched
     once.
 
-    Each iterate starts at its anchor (the delta = 0 feasible point), so the
-    reported value never exceeds the anchor's, and the best iterate is kept.
-    The gradient operators are built once, for every field.  Per field,
-    integrands with one core (`_core`) whose line searches pick the same s0
-    walk the same iterates, so they share one descent; within it each keeps
-    its own best iterate and stall counter, and reads exactly what a descent
-    of its own would give.  Each step and each line-search trial evaluates
-    the core once (`value_and_grad` in a step, a call in a trial); every
-    member reads its values from the core's (`_from_core`)."""
+    Each iterate starts at its anchor (the delta = 0 feasible point), and the
+    best iterate is kept.  The gradient operators are built once, for every
+    field.  Integrands with one core (`_core`) differ by a constant, so they
+    share every minimizer: per field, the core walks one descent for all of
+    them.  Its line search takes the smallest of its trial steps whose total
+    lies within the stall rule's tolerance of the best trial's, so a rounding
+    tie cannot tip it, and its best iterate and stall rule read the core's
+    total.  Each step and each trial evaluates the core once
+    (`value_and_grad` in a step, a call in a trial); every integrand reads
+    its start value and its value from the core's values (`_from_core`) at
+    the anchor and at the core's best iterate."""
     if delta < 0 or max_iter < 0:
         raise ValueError("the constraint radius and the iteration budget must be nonnegative")
     integrands, anchors = list(integrands), list(anchors)
@@ -314,9 +317,6 @@ def minimize_convex(group: StratifiedGroup, integrands, anchors, domain: GridDom
             g += adjoint @ df[:, j]
         return g * cellvol
 
-    def totals(core_values, members):
-        return [_total(_from_core(integrands[i], core_values), cellvol) for i in members]
-
     def project(v, u0):
         w = v - u0
         nrm = _lp_norm(w if mask_flat is None else w[mask_flat], cellvol, p)
@@ -324,26 +324,30 @@ def minimize_convex(group: StratifiedGroup, integrands, anchors, domain: GridDom
             return v
         return u0 + w * (delta / nrm)
 
-    def descend(a, u0, core, members, s0, g):
-        """One descent of field `a` shared by `members`; returns the steps it took."""
-        live = list(members)
-        counts = dict.fromkeys(members, 0)
-        v = u0
+    def descend(u0, core, core_values, df):
+        """The core's descent from u0, whose values are `core_values`: its best
+        iterate, the core's values there, whether it stalled and its steps."""
+        best_v, best = u0, _total(core_values, cellvol)
+        g = subgradient(df)
+        probes = np.logspace(-4, 1, 12) * (np.linalg.norm(u0 - u0.mean()) + 1.0) / (
+            np.linalg.norm(g) + 1e-30)
+        trials = np.array([_total(core(gradients(project(u0 - s * g, u0))), cellvol)
+                           for s in probes])
+        low = trials.min()
+        s0 = probes[np.flatnonzero(trials <= low + _REL_TOL * max(1.0, abs(low)))[0]]
+        v, count = u0, 0
         for it in range(1, max_iter + 1):
             v = project(v - s0 / np.sqrt(it) * g, u0)
-            core_values, df = core.value_and_grad(gradients(v))
-            for i, val in zip(list(live), totals(core_values, live)):
-                if val < value[a, i] - _REL_TOL * max(1.0, abs(value[a, i])):
-                    value[a, i], samples[a, i], counts[i] = val, v, 0
-                else:
-                    counts[i] += 1
-                    if counts[i] >= _PATIENCE:
-                        live.remove(i)
-            if not live or it == max_iter:  # no step reads another subgradient
+            values, df = core.value_and_grad(gradients(v))
+            total = _total(values, cellvol)
+            if total < best - _REL_TOL * max(1.0, abs(best)):
+                best_v, best, core_values, count = v, total, values, 0
+            else:
+                count += 1
+            if count >= _PATIENCE or it == max_iter:  # no step reads another subgradient
                 break
             g = subgradient(df)
-        stalled[a, live] = False
-        return it
+        return best_v, core_values, count >= _PATIENCE, it
 
     families = {}
     for i, f in enumerate(integrands):
@@ -355,22 +359,16 @@ def minimize_convex(group: StratifiedGroup, integrands, anchors, domain: GridDom
             raise DomainError(f"the field {anchor.name} is not finite at every cell center")
         samples[a] = u0
         grads0 = gradients(u0)
-        scale = np.linalg.norm(u0 - u0.mean()) + 1.0
         for core, members in families.values():
-            core_values, df = core.value_and_grad(grads0)
-            start_value[a, members] = value[a, members] = totals(core_values, members)
-            if delta == 0 or max_iter == 0:
-                continue
-            g = subgradient(df)
-            probes = np.logspace(-4, 1, 12) * scale / (np.linalg.norm(g) + 1e-30)
-            trials = np.array([totals(core(gradients(project(u0 - s * g, u0))), members)
-                               for s in probes])
-            # rounding of the offsets can tip a line search: one descent per pick
-            picks = {}
-            for i, k in zip(members, trials.argmin(axis=0)):
-                picks.setdefault(int(k), []).append(i)
-            for k, same in picks.items():
-                iterations += descend(a, u0, core, same, float(probes[k]), g)
+            start_values, df = core.value_and_grad(grads0)
+            best_values = start_values
+            if delta > 0 and max_iter > 0:
+                samples[a, members], best_values, stalled[a, members], steps = descend(
+                    u0, core, start_values, df)
+                iterations += steps
+            for i in members:
+                start_value[a, i] = _total(_from_core(integrands[i], start_values), cellvol)
+                value[a, i] = _total(_from_core(integrands[i], best_values), cellvol)
     return MinimizeResult(samples, value, start_value, stalled, iterations,
                           bool(stalled.all()))
 
@@ -385,9 +383,11 @@ def gamma_experiment(group: StratifiedGroup, integrands, u_list, domain: GridDom
 
     `integrands` is a list of (h, Integrand) with h increasing.  The report's
     `brackets` holds one row per (h, target field), h-major: the
-    constrained-minimization lower estimate, the plain evaluation upper
-    estimate, whether the minimizer's stall rule fired, and the Cauchy gap of
-    the probe-recovered integrand against the previous h.  `recovered` holds
+    constrained-minimization lower estimate (the h-th functional at the best
+    iterate of the descent its integrand's core walks, see `minimize_convex`),
+    the plain evaluation upper estimate, whether that descent's stall rule
+    fired, and the Cauchy gap of the probe-recovered integrand against the
+    previous h.  `recovered` holds
     the recovery per h; the fitted `limit` is the one at the largest h, and
     `bracket_ok` says every lower estimate stays below its upper one.
     Requires p > 1.
@@ -395,11 +395,12 @@ def gamma_experiment(group: StratifiedGroup, integrands, u_list, domain: GridDom
     if p <= 1:
         raise HypothesisError("the variational-limit experiment requires p > 1")
     xi_grid = np.atleast_2d(np.asarray(xi_grid, dtype=float))
+    # one call for every field: one operator build, and one descent per field
+    # and core; first, so a grid that admits no operators fails before the
+    # recoveries
+    res = minimize_convex(group, [f for _, f in integrands], u_list, domain, delta, p, max_iter)
     recs = [recover_integrand(IntegrandFunctional(group, f), group, base_domain, xi_grid)
             for _, f in integrands]
-    # one call for every field: one operator build, and each field's sequence
-    # shares its descents
-    res = minimize_convex(group, [f for _, f in integrands], u_list, domain, delta, p, max_iter)
     brackets = []
     for i, (h, _) in enumerate(integrands):
         cauchy = (float(np.abs(recs[i].values - recs[i - 1].values).max())
@@ -419,7 +420,9 @@ def gamma_experiment(group: StratifiedGroup, integrands, u_list, domain: GridDom
         "limit_convexity_violation": limit.convexity_violation(),
         "limit_growth_slack_min": (float(limit.growth_slack(growth).min())
                                    if growth is not None else None),
-        # holds by construction while `lower` is the best iterate's value: the
-        # descent starts at the anchor, whose value is `upper`
+        # holds while `lower` is read at the best iterate: the descent starts at
+        # the anchor, whose value is `upper`, and keeps an iterate only if it
+        # lowers the core's total by the stall rule's tolerance, far beyond
+        # the rounding of an offset
         "bracket_ok": all(r["lower"] <= r["upper"] + 1e-12 for r in brackets),
     }
