@@ -16,7 +16,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .groups import StratifiedGroup
+from .groups import StratifiedGroup, _add_row, _quadratic_form
 
 __all__ = [
     "GridDomain",
@@ -428,10 +428,10 @@ def quadratic_field(group: StratifiedGroup, const: float, lin, quad=None,
 
     def values(p):
         p = np.atleast_2d(p)
-        return const + p @ lin + np.einsum("...i,ij,...j->...", p, quad, p)
+        return const + p @ lin + _quadratic_form(p, quad)
 
     def egrad(p):
-        return lin + np.atleast_2d(p) @ sym
+        return _add_row(np.atleast_2d(p) @ sym, lin)
 
     return ScalarField(values=values, hgrad=_hgrad_from_egrad(group, egrad), name=name)
 

@@ -13,7 +13,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .groups import StratifiedGroup, _fold, _row_norm
+from .groups import StratifiedGroup, _add_row, _fold, _quadratic_form, _row_norm
 from .fields import (GridDomain, ScalarField, DomainError, horizontal_gradient, probe_field,
                      translate_field, translate_domain)
 from .mollify import LocalAverage
@@ -110,7 +110,7 @@ class QuadraticIntegrand(Integrand):
 
     def __call__(self, eta):
         eta = self._coerce(eta)
-        return np.einsum("...i,ij,...j->...", eta, self.M, eta)
+        return _quadratic_form(eta, self.M)
 
     def value_and_grad(self, eta):
         eta = self._coerce(eta)
@@ -145,7 +145,7 @@ class MaxAffineIntegrand(Integrand):
         return (a, b, 1.0)
 
     def _affine(self, eta):
-        return self._coerce(eta) @ self.planes.T + self.offsets
+        return _add_row(self._coerce(eta) @ self.planes.T, self.offsets)
 
     def __call__(self, eta):
         return np.maximum(_fold(np.maximum, self._affine(eta)), 0.0)

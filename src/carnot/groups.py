@@ -57,6 +57,10 @@ _AXIOM_TOL = 1e-12
 # the widest trailing axis `_fold` folds column by column
 _FOLD_WIDTH = 7
 
+# The kernels below sweep point arrays (..., n), n = 2 to 5, column by column:
+# numpy runs an op's inner loop along its innermost axis, once per point when
+# that axis is a point's n coordinates, once per column for x[..., k].
+
 
 def _fold(ufunc, x) -> np.ndarray:
     """ufunc.reduce(x, axis=-1), bit for bit, for a binary ufunc such as
@@ -76,6 +80,31 @@ def _fold(ufunc, x) -> np.ndarray:
     for k in range(1, x.shape[-1]):
         ufunc(out, x[..., k], out=out)
     return out[()]  # a scalar for one row, as a reduction gives
+
+
+def _quadratic_form(x, q) -> np.ndarray:
+    """x^T q x over the trailing axis of float x: the terms (x_i q_ij) x_j
+    summed from +0.0 with j fastest.  That is np.einsum("...i,ij,...j->...",
+    x, q, x) bit for bit, at a few times its speed, wherever einsum sums point
+    by point: always but for n = 2 on one or two points, where einsum may sum
+    each i's terms apart first, so that its value for a point depends on the
+    batch."""
+    x = np.asarray(x)
+    out = np.zeros(x.shape[:-1])
+    term = np.empty_like(out)
+    for i in range(x.shape[-1]):
+        for j in range(x.shape[-1]):
+            np.multiply(np.multiply(x[..., i], q[i, j], out=term), x[..., j], out=term)
+            np.add(out, term, out=out)
+    return out[()]  # a scalar for one row, as einsum gives
+
+
+def _add_row(a, row) -> np.ndarray:
+    """a + row for a fresh (..., k) array a and a length-k row, bit for bit,
+    written into a column by column."""
+    for k in range(a.shape[-1]):
+        np.add(a[..., k], row[k], out=a[..., k])
+    return a
 
 
 def _row_norm(x) -> np.ndarray:
@@ -264,7 +293,15 @@ class StratifiedGroup:
                     shared = False
             if total is not None:
                 total = np.divide(total, sign * den, out=None if shared else total)
-                out = np.add(sum(head[1:], head[0]) if out is None else out, total, out=total)
+                if out is not None:
+                    out = np.add(out, total, out=total)
+                elif all(h.shape == total.shape and h.flags.c_contiguous for h in head):
+                    out = np.add(sum(head[1:], head[0]), total, out=total)
+                else:  # a broadcast or cut head: column by column, no head sum built
+                    for k in range(width):
+                        np.add(sum([h[..., k] for h in head[1:]], head[0][..., k]),
+                               total[..., k], out=total[..., k])
+                    out = total
         return out
 
     def bch_bound(self, a, b, head) -> np.ndarray:

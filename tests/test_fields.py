@@ -161,6 +161,22 @@ class TestFields:
         np.testing.assert_allclose(ue.values(pts), uq.values(pts), atol=1e-12)
         np.testing.assert_allclose(ue.hgrad(pts), uq.hgrad(pts), atol=1e-12)
 
+    @pytest.mark.parametrize("g", [heisenberg(1), engel(), heisenberg(2)], ids=repr)
+    def test_quadratic_same_bits_on_every_layout(self, g):
+        # the quadratic form and the gradient's constant row are summed column
+        # by column, so a C array, its F-ordered copy and strided views give
+        # the same bits.  The linear part is zero for the values: `p @ lin` is
+        # a BLAS product, whose summation order follows the layout
+        rng = np.random.default_rng(4)
+        pts = rng.normal(size=(200, g.n))
+        quad, lin = rng.normal(size=(g.n, g.n)), rng.normal(size=g.n)
+        layouts = (np.asfortranarray(pts), np.repeat(pts, 2, axis=-1)[:, ::2],
+                   np.repeat(pts, 2, axis=0)[::2])
+        u, pure = quadratic_field(g, 0.3, lin, quad), quadratic_field(g, 0.3, np.zeros(g.n), quad)
+        for other in layouts:
+            assert_same_bits(u.hgrad(other), u.hgrad(pts))
+            assert_same_bits(pure.values(other), pure.values(pts))
+
     def test_heisenberg_vertical_derivative(self):
         # u = x3: X1 u = -x2/2, X2 u = x1/2
         g = heisenberg(1)

@@ -146,6 +146,24 @@ class TestValueAndGrad:
             value, _ = f.value_and_grad(eta)
             np.testing.assert_array_equal(value, f(eta), err_msg=name)
 
+    def test_same_bits_on_every_layout(self):
+        # the quadratic form and the max-affine offsets are summed column by
+        # column: a C array, its F-ordered copy, the minimizer's column-major
+        # view and a strided view give the same values and gradients
+        rng = np.random.default_rng(19)
+        b = rng.normal(size=(4, 4))
+        wide = [QuadraticIntegrand(b.T @ b), MaxAffineIntegrand(b, rng.normal(size=4)),
+                QuadraticIntegrand(b[:3, :3].T @ b[:3, :3])]
+        for f in list(_value_and_grad_menu(2, rng).values()) + wide:
+            eta = rng.uniform(-3.0, 3.0, size=(64, f.m))
+            layouts = (np.asfortranarray(eta), np.ascontiguousarray(eta.T).T,
+                       np.repeat(eta, 2, axis=-1)[:, ::2], np.repeat(eta, 2, axis=0)[::2])
+            value, grad = f.value_and_grad(eta)
+            for other in layouts:
+                assert_same_bits(f(other), f(eta))
+                assert_same_bits(f.value_and_grad(other)[0], value)
+                assert_same_bits(f.value_and_grad(other)[1], grad)
+
     def test_wrapped_values_match_value_and_grad(self):
         # the shared descent reads every member but its lead through f(eta):
         # that must be the value value_and_grad gives, bare and wrapped
