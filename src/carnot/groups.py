@@ -295,9 +295,7 @@ class StratifiedGroup:
                 total = np.divide(total, sign * den, out=None if shared else total)
                 if out is not None:
                     out = np.add(out, total, out=total)
-                elif all(h.shape == total.shape and h.flags.c_contiguous for h in head):
-                    out = np.add(sum(head[1:], head[0]), total, out=total)
-                else:  # a broadcast or cut head: column by column, no head sum built
+                else:  # column by column: no head sum of the output's size is built
                     for k in range(width):
                         np.add(sum([h[..., k] for h in head[1:]], head[0][..., k]),
                                total[..., k], out=total[..., k])

@@ -536,8 +536,8 @@ class TestBchEvaluator:
 
     def test_h1_product_peak_memory(self):
         # the bracket and the sum, plus one column of the head x + y: each
-        # degree's sum is divided and added in place, and the broadcast head
-        # is added column by column, never built whole
+        # degree's sum is divided and added in place, and the head is added
+        # column by column, never built whole
         g = heisenberg(1)
         rng = np.random.default_rng(0)
         x, y = rng.normal(size=(1, 729, 3)), rng.normal(size=(64, 1, 3))
