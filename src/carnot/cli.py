@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import ctypes  # numpy imports it already
 import io
 import json
 import os
@@ -28,6 +29,10 @@ from .suites import (suite_axioms, suite_mollify, suite_functional,
                      suite_sandwich, suite_lsc)
 
 EXIT_OK, EXIT_FAIL, EXIT_CONFIG, EXIT_HYPOTHESIS = 0, 1, 2, 3
+
+# glibc's mallopt parameters (malloc.h) and the values the CLI sets
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_MMAP_BYTES, _TRIM_BYTES = 1 << 20, 64 << 20
 
 _FMT = "%.17g"
 
@@ -214,9 +219,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _keep_freed_heap() -> None:
+    """Fix the C allocator's policy for this process: blocks up to _MMAP_BYTES
+    come from the heap, and freed heap goes back to the kernel only when more
+    than _TRIM_BYTES of it lie free at the top.  glibc's default thresholds
+    move with the largest block freed, and under them each averaging chunk's
+    arrays go back to the kernel on release, to be faulted in again, page by
+    page, by the next chunk (mallopt(3)).  Does nothing where the C library
+    has no mallopt."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):  # no handle on the C library, or no mallopt
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, _MMAP_BYTES)
+    mallopt(_M_TRIM_THRESHOLD, _TRIM_BYTES)
+
+
 def main(argv=None) -> int:
     """The only place that prints command output, writes --out and picks the
-    exit code."""
+    exit code.  It also sets the process's allocator policy, which importing
+    carnot as a library leaves alone."""
+    _keep_freed_heap()
     args = build_parser().parse_args(argv)
     commands = {"group-info": cmd_group_info, "recover": cmd_recover, "gamma": cmd_gamma,
                 "verify": lambda cfg: cmd_verify(cfg, args.suite)}

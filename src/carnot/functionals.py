@@ -76,12 +76,16 @@ class PowerIntegrand(Integrand):
 
     def value_and_grad(self, eta):
         eta = self._coerce(eta)
-        mag = _row_norm(eta)
-        safe = mag[..., None]
+        mag = safe = _row_norm(eta)
         if not (safe > 0).all():  # a row of |eta| 0 (or nan) takes the subgradient 0
             live = safe > 0
-            safe, eta = np.where(live, safe, 1.0), np.where(live, eta, 0.0)
-        return mag ** self.p, self.p * safe ** (self.p - 2) * eta
+            safe, eta = np.where(live, safe, 1.0), np.where(live[..., None], eta, 0.0)
+        # scaled column by column, in eta's layout (the minimizer's column-major
+        # view): a (K, 1) factor broadcast along the short axis is slower
+        scale, grad = self.p * safe ** (self.p - 2), np.empty_like(eta)
+        for k in range(eta.shape[-1]):
+            np.multiply(scale, eta[..., k], out=grad[..., k])
+        return mag ** self.p, grad
 
 
 @dataclass(frozen=True)
@@ -453,13 +457,17 @@ def jensen_check(pairs: list, inner_domain: GridDomain, average: LocalAverage) -
 
         # grad_G(tau_y u)(x) = (grad_G u)(y^{-1} . x) by left-invariance of the
         # frame, so the average of F(tau_y u, A') is phi_eps * f(grad_G u) summed
-        # over A'; each pair's gradient sample G feeds phi_eps * G and phi_eps * f(G)
+        # over A'; each pair's gradient sample G feeds phi_eps * G and phi_eps * f(G),
+        # yielded one after the other so that the average drops each before the
+        # next is built
         def sample(points):
-            grads = [horizontal_gradient(average.group, pairs[i][1], points) for i in idx]
-            return grads + [pairs[i][0].integrand(grad) for i, grad in zip(idx, grads)]
+            for i in idx:
+                grad = horizontal_gradient(average.group, pairs[i][1], points)
+                yield grad
+                yield pairs[i][0].integrand(grad)
 
         outs = average(sample, fine.centers())
-        for i, grads, density in zip(idx, outs, outs[len(idx):]):
+        for i, grads, density in zip(idx, outs[0::2], outs[1::2]):
             sides[i] = (pairs[i][0].quadrature(grads, fine.cell_volume),
                         _total(density, fine.cell_volume))
     return sides

@@ -284,8 +284,8 @@ class LocalAverage:
     y_inv: np.ndarray
 
     def __call__(self, g, points) -> list:
-        """The averages of each output of g, where g maps (P, n) points to a
-        tuple of per-point arrays; each average takes its trailing shape from
+        """The averages of each output of g, where g maps (P, n) points to an
+        iterable of per-point arrays; each average takes its trailing shape from
         g's first chunk, and g sees each chunk of pulled-back points once."""
         points = self._checked(points)
         outs = []

@@ -1,6 +1,7 @@
 """Exit-code contract, determinism and output formats of the command line."""
 
 import csv
+import ctypes
 import json
 import time
 
@@ -689,6 +690,43 @@ print(json.dumps(report))
                         "recover", "gamma"):
             assert report[command] == EXIT_OK, command
         assert report["scipy"] == []
+
+
+def _has_mallopt() -> bool:
+    try:
+        return hasattr(ctypes.CDLL(None), "mallopt")
+    except (OSError, TypeError):
+        return False
+
+
+class TestAllocatorPolicy:
+    @pytest.mark.skipif(not _has_mallopt(), reason="the C library has no mallopt")
+    def test_average_chunks_reuse_freed_heap(self):
+        # under glibc's default thresholds every averaging chunk's arrays were
+        # trimmed on release and faulted in again by the next chunk: about
+        # 2,000 minor faults inside main on the H1 mollify suite, and about 250
+        # with the policy main sets
+        code = """
+import contextlib, io, resource
+from carnot.cli import main
+
+with contextlib.redirect_stdout(io.StringIO()):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    rc = main(["verify", "--suite", "mollify", "--seed", "0"])
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+print(rc, faults)
+"""
+        rc, faults = map(int, run_fresh(code).split())
+        assert rc == EXIT_OK
+        assert faults < 1000
+
+    def test_runs_the_same_without_mallopt(self, monkeypatch, capsys):
+        argv = ["verify", "--suite", "mollify", "--seed", "0"]
+        assert main(argv) == EXIT_OK
+        expected = capsys.readouterr()
+        monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: object())  # a C library without it
+        assert main(argv) == EXIT_OK
+        assert capsys.readouterr() == expected
 
 
 class TestRecover:

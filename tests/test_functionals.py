@@ -180,17 +180,28 @@ class TestValueAndGrad:
     @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
     def test_power_grad_is_the_masked_formula(self, p):
         # p |eta|^(p-2) eta with |eta| set to 1 and eta to 0 on the rows of
-        # |eta| 0 or nan, bit for bit: with every row live (the minimizer's
-        # column-major view included), with a zero row and with a nan row
-        f = PowerIntegrand(2, p)
+        # |eta| 0 or nan, as one (K, 1) factor broadcast over the rows, bit for
+        # bit, at m = 2 and 3: with every row live, with a zero row and with a
+        # nan row, each as a C array, an F-ordered copy, the minimizer's
+        # column-major view, a column-strided and a row-strided view
         rng = np.random.default_rng(17)
-        live = rng.normal(size=(64, 2))
-        zero, nan = live.copy(), live.copy()
-        zero[5], nan[9, 1] = 0.0, np.nan
-        for eta in (live, np.ascontiguousarray(live.T).T, zero, nan):
-            mag = np.linalg.norm(eta, axis=-1)[:, None]
-            masked = p * np.where(mag > 0, mag, 1.0) ** (p - 2) * np.where(mag > 0, eta, 0.0)
-            assert_same_bits(f.value_and_grad(eta)[1], masked)
+        for m in (2, 3):
+            f = PowerIntegrand(m, p)
+            live = rng.normal(size=(64, m))
+            zero, nan = live.copy(), live.copy()
+            zero[5], nan[9, 1] = 0.0, np.nan
+            for rows in (live, zero, nan):
+                for eta in (rows, np.asfortranarray(rows), np.ascontiguousarray(rows.T).T,
+                            np.repeat(rows, 2, axis=-1)[:, ::2], np.repeat(rows, 2, axis=0)[::2]):
+                    mag = np.linalg.norm(eta, axis=-1)[:, None]
+                    masked = (p * np.where(mag > 0, mag, 1.0) ** (p - 2)
+                              * np.where(mag > 0, eta, 0.0))
+                    assert_same_bits(f.value_and_grad(eta)[1], masked)
+
+    def test_power_grad_keeps_the_column_major_layout(self):
+        # the minimizer's adjoint products read the gradient's columns
+        eta = np.ascontiguousarray(np.random.default_rng(18).normal(size=(2, 64))).T
+        assert PowerIntegrand(2, 1.5).value_and_grad(eta)[1].flags.f_contiguous
 
     def test_power_magnitude_is_linalg_norm(self):
         eta = np.random.default_rng(12).normal(size=(200, 4))
