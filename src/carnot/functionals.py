@@ -458,8 +458,8 @@ def jensen_check(pairs: list, inner_domain: GridDomain, average: LocalAverage) -
         # grad_G(tau_y u)(x) = (grad_G u)(y^{-1} . x) by left-invariance of the
         # frame, so the average of F(tau_y u, A') is phi_eps * f(grad_G u) summed
         # over A'; each pair's gradient sample G feeds phi_eps * G and phi_eps * f(G),
-        # yielded one after the other so that the average drops each before the
-        # next is built
+        # yielded one at a time, so that the average sums each output while the
+        # ones after it are not yet built
         def sample(points):
             for i in idx:
                 grad = horizontal_gradient(average.group, pairs[i][1], points)

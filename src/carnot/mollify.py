@@ -303,7 +303,7 @@ class LocalAverage:
                 cols = math.prod(vals.shape[1:])
                 vals = vals.reshape(pts.shape[:2] + (cols,))
                 outs[k].reshape(len(points), cols)[start:start + len(pts)] = (
-                    np.moveaxis(vals, 1, -1) @ self.masses)
+                    vals.swapaxes(1, 2) @ self.masses)
         return outs
 
     def constant(self, g, points) -> list:
