@@ -229,7 +229,7 @@ def _keep_freed_heap() -> None:
     has no mallopt."""
     try:
         mallopt = ctypes.CDLL(None).mallopt
-    except (AttributeError, OSError, TypeError):  # no handle on the C library, or no mallopt
+    except (AttributeError, TypeError):  # no handle on the C library (Windows), or no mallopt
         return
     mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
     mallopt(_M_MMAP_THRESHOLD, _MMAP_BYTES)

@@ -695,7 +695,7 @@ print(json.dumps(report))
 def _has_mallopt() -> bool:
     try:
         return hasattr(ctypes.CDLL(None), "mallopt")
-    except (OSError, TypeError):
+    except TypeError:  # no handle on the C library (Windows)
         return False
 
 
